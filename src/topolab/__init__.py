@@ -6,6 +6,7 @@ from .errors import (
     BudgetExceeded,
     CoverEnumerationBudgetExceeded,
     GroundTooLarge,
+    MalformedInput,
     MismatchedBase,
     MismatchedGround,
     NotATopology,

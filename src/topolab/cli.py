@@ -9,8 +9,9 @@ File formats, all plain JSON objects:
 A mask is an integer whose bit p stands for point p of the object's ground;
 family masks index the ground list of the object carrying them. Every
 command prints JSON to stdout unless --out names a file. Exit codes: 0 the
-check holds or stays inconclusive, 1 a failing witness was found, 2 usage
-or validation trouble.
+check holds or stays inconclusive, 1 a failing witness was found, 2 bad
+input: usage, an unreadable or malformed file, or a value the package
+rejects. Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .checkers import composition_check, is_admissible, refute_splitting, theorem_suite
 from .duality import DualSpace, t_of_tau, tau_of_t
-from .errors import TopolabError
+from .errors import MalformedInput, TopolabError
 from .finspace import FinSpace, canonical_form, enumerate_topologies, make_space
 from .fntop import NAMED, FnTopology, named_function_topology
 from .hypertop import (
@@ -45,8 +46,39 @@ _HYPER_Z_KINDS = {"zscott": z_scott, "zsscott": strong_z_scott}
 _ALL_KINDS = tuple(NAMED) + tuple(_HYPER_KINDS) + tuple(_HYPER_Z_KINDS)
 
 
-def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+def _load(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable text or bad JSON; OSError passes
+        raise MalformedInput(f"{path}: {exc}") from exc
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_SHAPES = {
+    "a count": lambda v: _is_int(v) and v >= 0,
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of masks": lambda v: isinstance(v, list) and all(_is_int(m) for m in v),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+}
+_REQUIRED = object()
+
+
+def _field(obj, key: str, shape: str, default=_REQUIRED):
+    """obj[key], checked against one of the _SHAPES, or the default when
+    absent; any other input raises MalformedInput."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise MalformedInput(f"missing {key!r}")
+        return default
+    if not _SHAPES[shape](obj[key]):
+        raise MalformedInput(f"{key!r} must be {shape}")
+    return obj[key]
 
 
 def _emit(obj: dict | list, out: str | None) -> None:
@@ -57,9 +89,13 @@ def _emit(obj: dict | list, out: str | None) -> None:
         print(text)
 
 
-def _space_from(obj: dict) -> FinSpace:
-    labels = tuple(obj["labels"]) if "labels" in obj else None
-    return make_space(int(obj["points"]), [int(m) for m in obj["opens"]], labels)
+def _space_from(obj) -> FinSpace:
+    labels = _field(obj, "labels", "a list of strings", None)
+    return make_space(
+        _field(obj, "points", "a count"),
+        _field(obj, "opens", "a list of masks"),
+        None if labels is None else tuple(labels),
+    )
 
 
 def _space_dict(x: FinSpace) -> dict:
@@ -69,12 +105,14 @@ def _space_dict(x: FinSpace) -> dict:
     return d
 
 
-def _fn_from(obj: dict) -> FnTopology:
-    y = _space_from(obj["y"])
-    z = _space_from(obj["z"])
+def _fn_from(obj) -> FnTopology:
+    y = _space_from(_field(obj, "y", "an object"))
+    z = _space_from(_field(obj, "z", "an object"))
     maps = enumerate_continuous(y, z)
     return FnTopology.of(
-        maps, [int(m) for m in obj["subbasis"]], obj.get("provenance", "custom")
+        maps,
+        _field(obj, "subbasis", "a list of masks"),
+        _field(obj, "provenance", "a string", "custom"),
     )
 
 
@@ -114,6 +152,8 @@ def _cmd_space_validate(args) -> int:
 
 
 def _cmd_space_enum(args) -> int:
+    if args.points < 0:
+        return _fail("--points must be nonnegative")
     spaces = enumerate_topologies(args.points)
     _emit(
         {
@@ -161,6 +201,8 @@ def _cmd_check_splitting(args) -> int:
 
 def _cmd_check_compose(args) -> int:
     kinds = tuple(args.kinds.split(","))
+    if len(kinds) != 3 or not set(kinds) <= set(NAMED):
+        return _fail(f"--kinds needs three of {','.join(NAMED)}")
     rep = composition_check(
         _space_from(_load(args.x)),
         _space_from(_load(args.y)),
@@ -196,9 +238,10 @@ def _cmd_dual_t_of_tau(args) -> int:
     z = _space_from(_load(args.z))
     obj = _load(args.dual)
     for key, sp in (("y", y), ("z", z)):
-        if key in obj and _space_from(obj[key]).opens != sp.opens:
+        given = _field(obj, key, "an object", None)
+        if given is not None and _space_from(given).opens != sp.opens:
             return _fail(f"dual file's {key} disagrees with --{key}")
-    tau = DualSpace.of(y, z, [int(m) for m in obj["opens"]])
+    tau = DualSpace.of(y, z, _field(obj, "opens", "a list of masks"))
     t = t_of_tau(tau, enumerate_continuous(y, z))
     _emit(_fn_dict(t), args.out)
     return 0
@@ -273,13 +316,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except TopolabError as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (TopolabError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

@@ -5,6 +5,10 @@ class TopolabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class MalformedInput(TopolabError):
+    """An input file is not the JSON shape its command reads."""
+
+
 class GroundTooLarge(TopolabError):
     """Ground set exceeds the 32-point bit-vector limit (or an enumeration cap)."""
 

@@ -252,92 +252,26 @@ def local_profile(x: FinSpace) -> LocalProfile:
 
 @lru_cache(maxsize=None)
 def _profile(x: FinSpace) -> LocalProfile:
+    """Read the profile off the minimal opens U_p, in O(n^2).
+
+    On a finite ground T1 and T2 both say every U_p is {p}. Regularity says
+    every U_p is closed: then q in U_p puts p in U_q, so the U_p partition the
+    ground, and conversely a regular space separates p from the closure of
+    any q outside U_p. The local predicates always hold, by the theorem
+    `compactness_verdict` cites. The definition-shaped searches live on as
+    test oracles.
+    """
     mins = x.min_opens
-    t0 = all(mins[p] != mins[q] for p in range(x.size) for q in range(p + 1, x.size))
-    t1 = all(x.is_closed(1 << p) for p in range(x.size))
-    t2 = all(
-        any(
-            (u >> p) & 1 and (v >> q) & 1 and u & v == 0
-            for u in x.opens
-            for v in x.opens
-        )
-        for p in range(x.size)
-        for q in range(p + 1, x.size)
-    )
-    regular = _regular(x)
+    discrete = all(m == 1 << p for p, m in enumerate(mins))
     return LocalProfile(
-        t0=t0,
-        t1=t1,
-        t2=t2,
-        regular=regular,
-        locally_compact=_locally_compact(x),
-        locally_bounded=_locally_bounded(x),
-        corecompact=_corecompact(x),
+        t0=len(set(mins)) == x.size,
+        t1=discrete,
+        t2=discrete,
+        regular=all(x.is_closed(m) for m in mins),
+        locally_compact=True,
+        locally_bounded=True,
+        corecompact=True,
     )
-
-
-def _regular(x: FinSpace) -> bool:
-    for c in x.closed_sets:
-        for p in range(x.size):
-            if (c >> p) & 1:
-                continue
-            if not any(
-                (u >> p) & 1 and c & ~v == 0 and u & v == 0
-                for u in x.opens
-                for v in x.opens
-            ):
-                return False
-    return True
-
-
-def _locally_compact(x: FinSpace) -> bool:
-    # every open U around p shrinks to an open V around p with compact closure
-    for p in range(x.size):
-        for u in x.opens:
-            if not (u >> p) & 1:
-                continue
-            if not any(
-                (v >> p) & 1
-                and v & ~u == 0
-                and compactness_verdict(x, closure_of(x, v), method="auto")[0]
-                for v in x.opens
-            ):
-                return False
-    return True
-
-
-def _locally_bounded(x: FinSpace) -> bool:
-    for p in range(x.size):
-        for u in x.opens:
-            if not (u >> p) & 1:
-                continue
-            if not any(
-                (v >> p) & 1 and v & ~u == 0 and boundedness_verdict(x, v, method="auto")[0]
-                for v in x.opens
-            ):
-                return False
-    return True
-
-
-def _corecompact(x: FinSpace) -> bool:
-    # boundedness of V is evaluated in the subspace on U, not in x itself
-    for p in range(x.size):
-        for u in x.opens:
-            if not (u >> p) & 1:
-                continue
-            sub = subspace(x, u)
-            pos = {q: k for k, q in enumerate(bits(u))}
-            hit = False
-            for v in x.opens:
-                if not (v >> p) & 1 or v & ~u:
-                    continue
-                v_in_sub = mask_of(pos[q] for q in bits(v))
-                if boundedness_verdict(sub, v_in_sub, method="auto")[0]:
-                    hit = True
-                    break
-            if not hit:
-                return False
-    return True
 
 
 def compactness_verdict(
@@ -349,59 +283,14 @@ def compactness_verdict(
     """Decide compactness of k and report which route decided it.
 
     "literal" walks every irredundant open cover of k and exhibits a finite
-    subcover; past the budget it raises. "auto" falls back to the
+    subcover; past the budget it raises. "auto" and "shortcut" take the
     finite-shortcut: on a finite ground every cover is finite, hence its own
     finite subcover, so the answer is always True. The shortcut is a theorem
     here, not an assumption; the literal route and the tests witness it.
     """
-    n = len(x.opens)
-    if method == "shortcut":
+    if method in ("auto", "shortcut"):
         return True, "finite-shortcut"
-    if (1 << n) > cover_budget:
-        if method == "auto":
-            return True, "finite-shortcut"
-        raise CoverEnumerationBudgetExceeded(
-            f"2^{n} subfamilies exceed the budget of {cover_budget}"
-        )
-    members = x.opens.members
-    for sel in range(1, 1 << n):
-        union = 0
-        for i in bits(sel):
-            union |= members[i]
-        if k & ~union:
-            continue
-        if _redundant(members, sel, k):
-            continue
-        if not _finite_subcover_exists(members, sel, k):
-            return False, "literal-covers"
-    return True, "literal-covers"
-
-
-def _finite_subcover_exists(members: tuple[Subset, ...], sel: Subset, target: Subset) -> bool:
-    """Search subfamilies of the cover for one still covering the target.
-
-    On a finite ground the whole cover qualifies, so this search cannot fail;
-    it is kept as a search so the literal route decides, not a shortcut.
-    """
-    idx = list(bits(sel))
-    for sub in range(1, 1 << len(idx)):
-        union = 0
-        for t in bits(sub):
-            union |= members[idx[t]]
-        if target & ~union == 0:
-            return True
-    return False
-
-
-def _redundant(members: tuple[Subset, ...], sel: Subset, target: Subset) -> bool:
-    for i in bits(sel):
-        rest = 0
-        for j in bits(sel):
-            if j != i:
-                rest |= members[j]
-        if target & ~rest == 0:
-            return True
-    return False
+    return _literal_covers(x, k, k, cover_budget), "literal-covers"
 
 
 def boundedness_verdict(
@@ -411,28 +300,39 @@ def boundedness_verdict(
     method: str = "literal",
 ) -> tuple[bool, str]:
     """Decide boundedness of b in x (covers of the whole space admit a finite
-    subcover of b) and report the deciding route."""
-    n = len(x.opens)
-    if method == "shortcut":
+    subcover of b) and report the deciding route, as `compactness_verdict`."""
+    if method in ("auto", "shortcut"):
         return True, "finite-shortcut"
-    if (1 << n) > cover_budget:
-        if method == "auto":
-            return True, "finite-shortcut"
+    return _literal_covers(x, x.full, b, cover_budget), "literal-covers"
+
+
+def _literal_covers(x: FinSpace, covered: Subset, target: Subset, budget: int) -> bool:
+    """Whether every irredundant open cover of `covered` has a subfamily
+    covering `target`, by walking all 2^|opens| subfamilies.
+
+    On a finite ground the whole cover qualifies, so this search cannot fail;
+    it is kept as a search so the literal route decides, not a shortcut.
+    """
+    n = len(x.opens)
+    if (1 << n) > budget:
         raise CoverEnumerationBudgetExceeded(
-            f"2^{n} subfamilies exceed the budget of {cover_budget}"
+            f"2^{n} subfamilies exceed the budget of {budget}"
         )
     members = x.opens.members
+    unions = [0] * (1 << n)  # union of each subfamily, indexed by its member mask
     for sel in range(1, 1 << n):
-        union = 0
-        for i in bits(sel):
-            union |= members[i]
-        if union != x.full:
+        low = sel & -sel
+        unions[sel] = unions[sel ^ low] | members[low.bit_length() - 1]
+        if covered & ~unions[sel]:
             continue
-        if _redundant(members, sel, x.full):
-            continue
-        if not _finite_subcover_exists(members, sel, b):
-            return False, "literal-covers"
-    return True, "literal-covers"
+        if any(covered & ~unions[sel ^ (1 << i)] == 0 for i in bits(sel)):
+            continue  # redundant: some member can go
+        sub = low
+        while target & ~unions[sub]:
+            if sub == sel:
+                return False
+            sub = (sub - sel) & sel  # next nonempty subfamily of sel, ascending
+    return True
 
 
 def is_compact_subset(x: FinSpace, k: Subset, method: str = "literal") -> bool:

@@ -7,9 +7,12 @@ free of package internals beyond plain data types.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
-from topolab.finspace import FinSpace, Subset, bits, full_mask
+from topolab.finspace import FinSpace, LocalProfile, Subset, SubsetFamily, bits, full_mask
+
+COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
 
 
 def filter_topologies(n: int) -> list[tuple[Subset, ...]]:
@@ -109,3 +112,150 @@ def is_continuous_table(y: FinSpace, z: FinSpace, table: tuple[int, ...]) -> boo
         if not y.is_open(pre):
             return False
     return True
+
+
+@lru_cache(maxsize=None)
+def literal_covers(opens: tuple[Subset, ...], covered: Subset, target: Subset) -> bool:
+    """Every irredundant cover of `covered` drawn from the opens has a
+    nonempty subfamily covering `target`. Compactness of k is
+    (opens, k, k); boundedness of b is (opens, full, b).
+
+    Past COVER_BUDGET subfamilies the walk is not run and True stands in,
+    the finite-ground answer; only discrete(4) and the larger function
+    spaces get there.
+    """
+    if (1 << len(opens)) > COVER_BUDGET:
+        return True
+    for sel in range(1, 1 << len(opens)):
+        chosen = [opens[i] for i in bits(sel)]
+        if covered & ~_union(chosen):
+            continue
+        if any(
+            covered & ~_union(chosen[:i] + chosen[i + 1 :]) == 0 for i in range(len(chosen))
+        ):
+            continue  # redundant: some member can go
+        if not any(
+            target & ~_union([chosen[i] for i in bits(sub)]) == 0
+            for sub in range(1, 1 << len(chosen))
+        ):
+            return False
+    return True
+
+
+def _union(masks: list[Subset]) -> Subset:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def _compact(x: FinSpace, k: Subset) -> bool:
+    return literal_covers(x.opens.members, k, k)
+
+
+def _closure(x: FinSpace, a: Subset) -> Subset:
+    return x.full & ~_union([o for o in x.opens if o & a == 0])
+
+
+def _traces(x: FinSpace, u: Subset) -> tuple[Subset, ...]:
+    """The opens of the subspace on u, kept on x's own point indices."""
+    return tuple(sorted({o & u for o in x.opens}))
+
+
+def literal_t2(x: FinSpace) -> bool:
+    return all(
+        any(
+            (u >> p) & 1 and (v >> q) & 1 and u & v == 0
+            for u in x.opens
+            for v in x.opens
+        )
+        for p in range(x.size)
+        for q in range(p + 1, x.size)
+    )
+
+
+def literal_regular(x: FinSpace) -> bool:
+    """A point outside a closed set and the set have disjoint open
+    neighbourhoods."""
+    for c in x.closed_sets:
+        for p in range(x.size):
+            if (c >> p) & 1:
+                continue
+            if not any(
+                (u >> p) & 1 and c & ~v == 0 and u & v == 0
+                for u in x.opens
+                for v in x.opens
+            ):
+                return False
+    return True
+
+
+def literal_locally_compact(x: FinSpace) -> bool:
+    """Every open U around p shrinks to an open V around p with compact
+    closure."""
+    for p in range(x.size):
+        for u in x.opens:
+            if not (u >> p) & 1:
+                continue
+            if not any(
+                (v >> p) & 1 and v & ~u == 0 and _compact(x, _closure(x, v))
+                for v in x.opens
+            ):
+                return False
+    return True
+
+
+def literal_locally_bounded(x: FinSpace) -> bool:
+    return _shrinks_to_bounded(x, x.opens, x, in_trace=False)
+
+
+def literal_corecompact(x: FinSpace) -> bool:
+    """As locally bounded, but boundedness of V is read in the subspace on
+    U, not in x itself."""
+    return _shrinks_to_bounded(x, x.opens, x, in_trace=True)
+
+
+def literal_locally_z_bounded(y: FinSpace, oz: SubsetFamily, ztop: FinSpace) -> bool:
+    """Neighbourhoods come from the preimage family itself, not its generated
+    topology; boundedness is taken in the generated topology."""
+    return _shrinks_to_bounded(y, oz, ztop, in_trace=False)
+
+
+def literal_z_corecompact(y: FinSpace, oz: SubsetFamily, ztop: FinSpace) -> bool:
+    """As locally Z-bounded, with boundedness read in the trace of the
+    generated topology on U."""
+    return _shrinks_to_bounded(y, oz, ztop, in_trace=True)
+
+
+def _shrinks_to_bounded(y: FinSpace, pool, bound_in: FinSpace, in_trace: bool) -> bool:
+    """Every open U of y around p contains some a from the pool around p
+    that is bounded in `bound_in`, or in its trace on U."""
+    for p in range(y.size):
+        for u in y.opens:
+            if not (u >> p) & 1:
+                continue
+            if in_trace:
+                opens, covered = _traces(bound_in, u), u
+            else:
+                opens, covered = bound_in.opens.members, bound_in.full
+            if not any(
+                (a >> p) & 1 and a & ~u == 0 and literal_covers(opens, covered, a)
+                for a in pool
+            ):
+                return False
+    return True
+
+
+def literal_profile(x: FinSpace) -> LocalProfile:
+    """Every field by its definition: T0 and T1 by pairwise search over the
+    opens, the rest by the predicates above."""
+    pairs = [(p, q) for p in range(x.size) for q in range(x.size) if p != q]
+    return LocalProfile(
+        t0=all(any((o >> p & 1) != (o >> q & 1) for o in x.opens) for p, q in pairs),
+        t1=all(any(o >> p & 1 and not o >> q & 1 for o in x.opens) for p, q in pairs),
+        t2=literal_t2(x),
+        regular=literal_regular(x),
+        locally_compact=literal_locally_compact(x),
+        locally_bounded=literal_locally_bounded(x),
+        corecompact=literal_corecompact(x),
+    )

@@ -156,3 +156,58 @@ def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"points": 2}),
+        json.dumps({"points": 2, "opens": [0, 2.0, 3]}),
+        json.dumps({"points": 2, "opens": [0, "2", 3]}),
+        json.dumps({"points": -1, "opens": [0]}),
+        json.dumps({"points": 2, "opens": [0, 2, 3], "labels": "ab"}),
+        json.dumps([2, [0, 2, 3]]),
+        "{not json",
+    ],
+)
+def test_malformed_space_file_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run(capsys, "space", "validate", str(path))
+    assert code == 2
+    assert json.loads(err)["error"] == "MalformedInput"
+
+
+def test_malformed_topology_and_dual_files_exit_two(tmp_path, capsys):
+    spath = write(tmp_path, "s.json", S)
+    top = write(tmp_path, "t.json", {"y": S, "z": S, "subbasis": [0, 4.5]})
+    code, _, err = run(capsys, "check", "admissible", "--topology", top)
+    assert (code, json.loads(err)["error"]) == (2, "MalformedInput")
+    tau = write(tmp_path, "tau.json", {"y": S, "z": S})
+    code, _, err = run(
+        capsys, "dual", "t-of-tau", "--dual", tau, "--y", spath, "--z", spath
+    )
+    assert (code, json.loads(err)["error"]) == (2, "MalformedInput")
+
+
+def test_bad_arguments_exit_two(tmp_path, capsys):
+    spath = write(tmp_path, "s.json", S)
+    code, _, err = run(capsys, "space", "enum", "--points", "-1")
+    assert code == 2 and "nonnegative" in err
+    code, _, err = run(
+        capsys, "check", "compose",
+        "--x", spath, "--y", spath, "--z", spath, "--kinds", "coZ,coZ",
+    )
+    assert code == 2 and "--kinds" in err
+
+
+def test_internal_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypatch):
+    import topolab.cli
+
+    def broken(x):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(topolab.cli, "canonical_form", broken)
+    path = write(tmp_path, "s.json", S)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["space", "validate", path])

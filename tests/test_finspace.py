@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filter_topologies
+from oracles import filter_topologies, literal_profile
 from topolab.errors import CoverEnumerationBudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,
@@ -134,6 +134,7 @@ def test_compactness_literal_and_shortcut_agree():
             cut, how_s = compactness_verdict(x, k, method="shortcut")
             assert lit is cut is True
             assert how_l == "literal-covers" and how_s == "finite-shortcut"
+            assert compactness_verdict(x, k, method="auto") == (True, "finite-shortcut")
 
 
 def test_boundedness_literal_and_shortcut_agree():
@@ -141,6 +142,7 @@ def test_boundedness_literal_and_shortcut_agree():
         for b in range(x.full + 1):
             assert boundedness_verdict(x, b, method="literal")[0]
             assert boundedness_verdict(x, b, method="shortcut")[0]
+            assert boundedness_verdict(x, b, method="auto") == (True, "finite-shortcut")
 
 
 def test_cover_budget_error():
@@ -154,6 +156,13 @@ def test_local_profile_all_true_on_small_spaces():
     for x in all_spaces_up_to(3):
         p = local_profile(x)
         assert p.locally_compact and p.locally_bounded and p.corecompact
+
+
+def test_profile_matches_literal_oracles():
+    spaces = all_spaces_up_to(4)
+    assert len(spaces) == 389
+    for x in spaces:
+        assert local_profile(x) == literal_profile(x)
 
 
 def test_enumerate_counts():

@@ -23,6 +23,7 @@ from topolab.hypertop import _validate_topology_family
 from topolab.mapspace import enumerate_continuous
 
 from conftest import all_spaces_up_to
+from oracles import literal_profile
 
 
 def small_pairs():
@@ -191,6 +192,17 @@ def test_separation_grades_survive_lifting():
                 assert got.t1
             if want.t2:
                 assert got.t2
+
+
+def test_function_space_profiles_match_literal_oracles():
+    spaces = {
+        named_function_topology(name, y, z).as_space()
+        for y, z in small_pairs()
+        for name in NAMED
+    }
+    assert len(spaces) == 29
+    for x in spaces:
+        assert separation_profile(x) == literal_profile(x)
 
 
 def test_fn_topologies_pass_axioms(s, chain2, indisc2):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import is_continuous_table
+from oracles import is_continuous_table, literal_locally_z_bounded, literal_z_corecompact
 from topolab.errors import BudgetExceeded, NotOpen, NotZRepresentable
 from topolab.finspace import discrete, indiscrete, sierpinski
 from topolab.mapspace import (
@@ -76,6 +76,19 @@ def test_relative_profile_sierpinski_codomain():
     for y in all_spaces_up_to(3):
         rp = relative_profile(y, sierpinski())
         assert rp.locally_z_bounded and rp.z_corecompact
+
+
+def test_relative_profile_matches_literal_oracles():
+    pairs = [(y, z) for y in all_spaces_up_to(4) for z in all_spaces_up_to(2)]
+    assert len(pairs) == 1945
+    failing = 0
+    for y, z in pairs:
+        rp = relative_profile(y, z)
+        oz, ztop = o_z_family(y, z), z_topology(y, z)
+        assert rp.locally_z_bounded == literal_locally_z_bounded(y, oz, ztop)
+        assert rp.z_corecompact == literal_z_corecompact(y, oz, ztop)
+        failing += not rp.locally_z_bounded
+    assert 0 < failing < len(pairs)
 
 
 def test_way_below_matches_containment():
