@@ -1,11 +1,13 @@
 """Dual operators between map-set topologies and topologies on the preimage
 family, plus admissibility of the latter.
 
-Both directions share one bracket idiom over a pair (Y, Z): a family of
-domain opens and a codomain open carve out the maps whose preimage lands in
-the family, and a set of maps with a codomain open produce the family of
-their preimages. Iterating the two need not return the start; it can only
-grow the topology, which the tests pin down.
+Both directions share one bracket over a pair (Y, Z): a family of domain
+opens and a codomain open carve out the maps whose preimage lands in the
+family, and a set of maps with a codomain open produce the family of their
+preimages. The first is `fntop.lift_families`, the same lift that builds
+the named topologies; `tau_of_t` is its transpose. Iterating the two need
+not return the start; it can only grow the topology, which the tests pin
+down.
 
 Admissibility of a topology on the preimage family quantifies over all
 spaces X and all maps X -> C(Y,Z), so the decision route converts it to an
@@ -29,7 +31,7 @@ from .finspace import (
     generate_from_subbasis,
     product,
 )
-from .fntop import FnTopology, evaluation_witness
+from .fntop import FnTopology, evaluation_witness, lift_families
 from .hypertop import _validate_topology_family
 from .mapspace import ContMap, MapSet, o_z_family
 from .reports import VerdictReport, pair_tag
@@ -88,17 +90,7 @@ def t_of_tau(tau: DualSpace, maps: MapSet) -> FnTopology:
     codomain open lies in the chosen dual-open family."""
     if tau.y != maps.domain or tau.z != maps.codomain:
         raise MismatchedBase("dual space pair differs from the map set pair")
-    z = maps.codomain
-    subbasis = set()
-    for u in z.opens:
-        rows = maps.preimage_rows[u]
-        for fam in tau.opens:
-            mask = 0
-            for i, pre in enumerate(rows):
-                g = tau.ground_index[pre]
-                if (fam >> g) & 1:
-                    mask |= 1 << i
-            subbasis.add(mask)
+    subbasis = lift_families(maps, tau.ground_index, tau.opens)
     return FnTopology.of(maps, subbasis, "custom")
 
 

@@ -12,7 +12,12 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .errors import CoverEnumerationBudgetExceeded, GroundTooLarge, NotATopology
+from .errors import (
+    BudgetExceeded,
+    CoverEnumerationBudgetExceeded,
+    GroundTooLarge,
+    NotATopology,
+)
 
 Subset = int
 
@@ -177,7 +182,11 @@ def close_under_intersection(size: int, seeds: tuple[Subset, ...]) -> frozenset[
     return frozenset(acc)
 
 
-def close_under_union(seeds: Iterable[Subset]) -> frozenset[Subset]:
+def close_under_union(
+    seeds: Iterable[Subset], budget: int | None = None
+) -> frozenset[Subset]:
+    """All unions of seeds, the empty set included; past `budget` members
+    it raises instead of growing further."""
     acc = {0}
     work = list(seeds)
     while work:
@@ -186,6 +195,11 @@ def close_under_union(seeds: Iterable[Subset]) -> frozenset[Subset]:
             continue
         fresh = [m | a for a in acc if (m | a) not in acc and m | a != m]
         acc.add(m)
+        if budget is not None and len(acc) > budget:
+            raise BudgetExceeded(
+                f"open family exceeds {budget} members; raise the budget "
+                "to materialize"
+            )
         work.extend(fresh)
     return frozenset(acc)
 

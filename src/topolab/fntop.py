@@ -15,12 +15,28 @@ records which route produced a topology so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Collection
 
-from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
-from .finspace import FinSpace, SubsetFamily, bits, full_mask
-from .hypertop import HyperSpace, scott, strong_scott, strong_z_scott, z_scott
+from .errors import MismatchedBase, MismatchedGround, NotATopology
+from .finspace import (
+    FinSpace,
+    Subset,
+    SubsetFamily,
+    bits,
+    close_under_intersection,
+    close_under_union,
+    full_mask,
+)
+from .hypertop import (
+    HyperSpace,
+    containment_families,
+    scott,
+    strong_scott,
+    strong_z_scott,
+    z_scott,
+)
 from .mapspace import MapSet, enumerate_continuous
 
 DEFAULT_OPENS_BUDGET = 1024
@@ -53,16 +69,7 @@ class FnTopology:
     def basis(self) -> tuple[int, ...]:
         """All finite intersections of subbasis members, full ground included.
         Retained so comparison witnesses can be named."""
-        acc = {self.full}
-        work = list(self.subbasis)
-        while work:
-            m = work.pop()
-            if m in acc:
-                continue
-            fresh = [m & a for a in acc if (m & a) not in acc and m & a != m]
-            acc.add(m)
-            work.extend(fresh)
-        return tuple(sorted(acc))
+        return tuple(sorted(close_under_intersection(len(self.maps), self.subbasis)))
 
     @cached_property
     def min_opens(self) -> tuple[int, ...]:
@@ -83,21 +90,8 @@ class FnTopology:
         return all(self.min_opens[i] & ~mask == 0 for i in bits(mask))
 
     def materialize(self, budget: int = DEFAULT_OPENS_BUDGET) -> SubsetFamily:
-        acc = {0}
-        work = list(self.basis)
-        while work:
-            m = work.pop()
-            if m in acc:
-                continue
-            fresh = [m | a for a in acc if (m | a) not in acc and m | a != m]
-            acc.add(m)
-            if len(acc) > budget:
-                raise BudgetExceeded(
-                    f"open family exceeds {budget} members; raise the budget "
-                    "to materialize"
-                )
-            work.extend(fresh)
-        return SubsetFamily.of(len(self.maps), acc, cap=None)
+        opens = close_under_union(self.basis, budget)
+        return SubsetFamily.of(len(self.maps), opens, cap=None)
 
     @cached_property
     def opens(self) -> SubsetFamily:
@@ -108,6 +102,32 @@ class FnTopology:
         return FinSpace(len(self.maps), self.opens, labels)
 
 
+def lift_families(
+    maps: MapSet, index: dict[Subset, int], families: Collection[int]
+) -> set[int]:
+    """The bracket shared by every lift: for each codomain open u and each
+    family (a mask over the indices of `index`), the mask of the maps whose
+    preimage of u lies in the family.
+
+    Per u, the maps are grouped by the index of their preimage, so a family's
+    subbasic is the OR of the groups at its set bits; families that agree on
+    the indices that occur give the same subbasic and are lifted once.
+    """
+    subbasis = set()
+    for u in maps.codomain.opens:
+        by_pre: dict[int, int] = {}
+        for i, pre in enumerate(maps.preimage_rows[u]):
+            g = index[pre]
+            by_pre[g] = by_pre.get(g, 0) | (1 << i)
+        occurring = sum(1 << g for g in by_pre)
+        for proj in {fam & occurring for fam in families}:
+            mask = 0
+            for g in bits(proj):
+                mask |= by_pre[g]
+            subbasis.add(mask)
+    return subbasis
+
+
 def lift_open_family(
     h: HyperSpace, maps: MapSet, provenance: str = "custom"
 ) -> FnTopology:
@@ -115,42 +135,26 @@ def lift_open_family(
     for each open family of the hyperspace and each codomain open."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    z = maps.codomain
-    subbasis = set()
-    for u in z.opens:
-        rows = maps.preimage_rows[u]
-        for fam in h.opens:
-            members = set(h.members_of(fam))
-            mask = 0
-            for i, pre in enumerate(rows):
-                if pre in members:
-                    mask |= 1 << i
-            subbasis.add(mask)
-    return FnTopology.of(maps, subbasis, provenance)
+    return FnTopology.of(maps, lift_families(maps, h.ground_index, h.opens), provenance)
 
 
 def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
     """Subbasis sets {f : f(K) included in U}. K ranges over the subsets
     compact in the domain (plain) or in the topology the codomain induces on
     it (z_relative). On a finite ground every subset is compact in both, so K
-    ranges over every subset of Y and the provenance records the route."""
+    ranges over every subset of Y and the provenance records the route.
+
+    f(K) lies in U exactly when the preimage of U contains K, so this is the
+    lift of the families {opens containing K}."""
     y = maps.domain
-    z = maps.codomain
     if compactness == "plain":
         provenance = "co"
     elif compactness == "z_relative":
         provenance = "coZ"
     else:
         raise ValueError(f"unknown compactness {compactness!r}")
-    subbasis = set()
-    for u in z.opens:
-        rows = maps.preimage_rows[u]
-        for k in range(y.full + 1):
-            mask = 0
-            for i, pre in enumerate(rows):
-                if k & ~pre == 0:
-                    mask |= 1 << i
-            subbasis.add(mask)
+    index = {u: g for g, u in enumerate(y.opens)}
+    subbasis = lift_families(maps, index, containment_families(y))
     return FnTopology.of(maps, subbasis, provenance)
 
 
@@ -162,15 +166,13 @@ def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     if name == "coZ":
         return kset_topology(maps, "z_relative")
     if name == "isbell":
-        return replace(lift_open_family(scott(y), maps), provenance="isbell")
+        return lift_open_family(scott(y), maps, "isbell")
     if name == "sisbell":
-        return replace(lift_open_family(strong_scott(y), maps), provenance="sisbell")
+        return lift_open_family(strong_scott(y), maps, "sisbell")
     if name == "t1z":
-        return replace(lift_open_family(z_scott(y, z), maps), provenance="t1z")
+        return lift_open_family(z_scott(y, z), maps, "t1z")
     if name == "t1sz":
-        return replace(
-            lift_open_family(strong_z_scott(y, z), maps), provenance="t1sz"
-        )
+        return lift_open_family(strong_z_scott(y, z), maps, "t1sz")
     raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
 
 

@@ -2,8 +2,8 @@
 
 The ground is the open-set list of a base space, canonically ordered, so a
 "point" here is an open set and an "open" is a family of opens encoded as a
-bit-vector over ground indices. Qualifying families are found by exhaustive
-filtration over all 2^|ground| candidates against two side conditions:
+bit-vector over ground indices. Qualifying families are those meeting two
+side conditions:
 
 (alpha) upward closure in the inclusion order, fired only from members of a
         trigger family (all opens, or just the preimage family);
@@ -16,15 +16,23 @@ filtration over all 2^|ground| candidates against two side conditions:
         membership of some subfamily-union for every minimal cover.
 
 (beta) quantifies over nonempty collections; the empty family of opens is
-adjoined to the strong-variant results by fiat. Results are then validated
-as topologies; a failure raises AxiomsViolated and is never repaired.
+adjoined to the strong-variant results by fiat.
+
+The families are enumerated, never filtered out of all 2^|ground|
+candidates: (alpha) makes them exactly the up-sets of one relation, which a
+DFS lists in time linear in their number, and the strong form keeps those
+that meet a union of every minimal cover, found by a search that visits
+only minimal covers. Results are then validated as topologies; a failure
+raises AxiomsViolated and is never repaired. The exhaustive scan and cover
+walk these replace live on as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import AxiomsViolated, GroundTooLarge
 from .finspace import (
@@ -88,14 +96,6 @@ def _up_masks(ground: tuple[Subset, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _alpha_ok(family: int, trigger: int, up: tuple[int, ...]) -> bool:
-    fired = family & trigger
-    for g in bits(fired):
-        if up[g] & ~family:
-            return False
-    return True
-
-
 def _minimal_cover_union_masks(
     ground: tuple[Subset, ...], pool: int, full: Subset
 ) -> tuple[int, ...]:
@@ -105,61 +105,66 @@ def _minimal_cover_union_masks(
     The (beta) witness condition is monotone in the cover, so quantifying
     over minimal covers is equivalent to quantifying over all covers. The
     masks are reduced to the inclusion-minimal ones for the same reason.
+
+    The search branches on the pool members holding the lowest uncovered
+    point and drops a branch once one of its members has no private point
+    left. Every minimal cover is reached, since at each step some member of
+    it holds that point, and every cover reached is minimal.
     """
-    idx = list(bits(pool))
-    masks: list[int] = []
-    for sel in range(1, 1 << len(idx)):
-        union = 0
-        for t in bits(sel):
-            union |= ground[idx[t]]
-        if union != full:
-            continue
-        chosen = [idx[t] for t in bits(sel)]
-        redundant = False
-        for skip in range(len(chosen)):
-            rest = 0
-            for t, g in enumerate(chosen):
-                if t != skip:
-                    rest |= ground[g]
-            if rest == full:
-                redundant = True
-                break
-        if redundant:
-            continue
-        reach = 0
-        for sub in range(1, 1 << len(chosen)):
-            u = 0
-            for t in bits(sub):
-                u |= ground[chosen[t]]
-            reach |= 1 << ground.index(u)
-        masks.append(reach)
-    minimal = [
-        m for m in set(masks) if not any(o != m and o & ~m == 0 for o in set(masks))
+    index = {g: i for i, g in enumerate(ground)}
+    holders = [
+        [ground[i] for i in bits(pool) if (ground[i] >> p) & 1] for p in bits(full)
     ]
+    covers: set[frozenset[Subset]] = set()
+    stack: list[tuple[Subset, ...]] = [()]
+    while stack:
+        chosen = stack.pop()
+        once = twice = 0  # points covered at least once, at least twice
+        for g in chosen:
+            twice |= once & g
+            once |= g
+        if not all(g & ~twice for g in chosen):
+            continue
+        if once == full:
+            if chosen:
+                covers.add(frozenset(chosen))
+            continue
+        low = full & ~once & -(full & ~once)
+        stack.extend(chosen + (g,) for g in holders[low.bit_length() - 1])
+    masks = set()
+    for cover in covers:
+        members = tuple(cover)
+        unions = [0] * (1 << len(members))  # union of each subfamily, by member mask
+        for sel in range(1, 1 << len(members)):
+            low = sel & -sel
+            unions[sel] = unions[sel ^ low] | members[low.bit_length() - 1]
+        reach = 0
+        for u in unions[1:]:
+            reach |= 1 << index[u]
+        masks.add(reach)
+    minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
     return tuple(sorted(minimal))
 
 
 def _filtration(
     y: FinSpace, trigger: int, strong_pool: int | None, kind: str
 ) -> HyperSpace:
+    """(alpha) says exactly that the family is an up-set of the relation
+    up[g] for triggered g and {g} otherwise, so the qualifying families are
+    enumerated as those up-sets; the strong form then keeps the ones that
+    meet every cover mask, and the empty family by fiat."""
     ground = _check_ground(y)
     m = len(ground)
     up = _up_masks(ground)
-    cover_masks: tuple[int, ...] = ()
+    rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(m))
+    qualifying = _enumerate_upsets(m, rows)
     if strong_pool is not None:
         cover_masks = _minimal_cover_union_masks(ground, strong_pool, y.full)
-    qualifying = []
-    for family in range(1 << m):
-        if not _alpha_ok(family, trigger, up):
-            continue
-        # (beta), plain form: any finite collection is its own finite
-        # subfamily, so nothing to test; the strong form checks covers
-        if strong_pool is not None and family != 0:
-            if any(family & cm == 0 for cm in cover_masks):
-                continue
-        if strong_pool is not None and family == 0:
-            pass  # adjoined by fiat, see module docstring
-        qualifying.append(family)
+        qualifying = [
+            family
+            for family in qualifying
+            if family == 0 or all(family & cm for cm in cover_masks)
+        ]
     fam = SubsetFamily.of(m, qualifying)
     _validate_topology_family(m, fam, kind)
     return HyperSpace(base=y, ground=ground, opens=fam, kind=kind)
@@ -167,66 +172,51 @@ def _filtration(
 
 @lru_cache(maxsize=None)
 def scott(y: FinSpace) -> HyperSpace:
-    """Families upward-closed from every member, (beta) over all opens.
-
-    Verified against an independently enumerated up-set family of the
-    inclusion order before returning.
-    """
-    ground = _check_ground(y)
-    hs = _filtration(y, full_mask(len(ground)), None, "scott")
-    up = _up_masks(ground)
-    independent = _enumerate_upsets(len(ground), up)
-    if set(hs.opens.members) != independent:
-        raise AxiomsViolated(
-            "filtration disagrees with the up-set enumeration",
-            tuple(sorted(set(hs.opens.members) ^ independent)),
-        )
-    return hs
+    """Families upward-closed from every member, (beta) over all opens."""
+    return _filtration(y, full_mask(len(y.opens)), None, "scott")
 
 
 @lru_cache(maxsize=None)
 def strong_scott(y: FinSpace) -> HyperSpace:
-    ground = _check_ground(y)
-    return _filtration(y, full_mask(len(ground)), full_mask(len(ground)), "sscott")
+    everything = full_mask(len(y.opens))
+    return _filtration(y, everything, everything, "sscott")
 
 
 @lru_cache(maxsize=None)
 def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """Like scott, but (alpha) fires only from preimage-family members and
     (beta) draws its collections from the preimage family."""
-    ground = _check_ground(y)
-    oz = o_z_family(y, z)
-    trigger = 0
-    for i, g in enumerate(ground):
-        if g in oz:
-            trigger |= 1 << i
-    return _filtration(y, trigger, None, "zscott")
+    return _filtration(y, _preimage_mask(y, z), None, "zscott")
 
 
 @lru_cache(maxsize=None)
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
+    pool = _preimage_mask(y, z)
+    return _filtration(y, pool, pool, "zsscott")
+
+
+def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
+    """Index mask of the preimage family among the opens of y."""
     ground = _check_ground(y)
     oz = o_z_family(y, z)
-    pool = 0
-    for i, g in enumerate(ground):
-        if g in oz:
-            pool |= 1 << i
-    return _filtration(y, pool, pool, "zsscott")
+    return sum(1 << i for i, g in enumerate(ground) if g in oz)
+
+
+def containment_families(y: FinSpace) -> set[int]:
+    """The families {opens containing K}, K any subset of y, as index masks
+    over the opens of y."""
+    ground = y.opens.members
+    return {
+        sum(1 << i for i, g in enumerate(ground) if k & ~g == 0)
+        for k in range(y.full + 1)
+    }
 
 
 @lru_cache(maxsize=None)
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset."""
     ground = _check_ground(y)
-    index = {g: i for i, g in enumerate(ground)}
-    seeds = set()
-    for k in range(y.full + 1):
-        fam = 0
-        for g in ground:
-            if k & ~g == 0:
-                fam |= 1 << index[g]
-        seeds.add(fam)
-    generated = generate_from_subbasis(len(ground), seeds).opens
+    generated = generate_from_subbasis(len(ground), containment_families(y)).opens
     return HyperSpace(base=y, ground=ground, opens=generated, kind="ksubbasis")
 
 
@@ -246,52 +236,30 @@ def up_family(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _enumerate_upsets(m: int, rows: tuple[int, ...], cap: int | None = None) -> set[int]:
-    """All masks closed upward under the row relation, by constraint-propagating
-    DFS. Linear in the output size, so safe on grounds where the full 2^m scan
-    is not."""
-    out: set[int] = set()
-    down = [0] * m  # points forced out when p is out: q with p in rows[q]
-    for q in range(m):
-        for p in bits(rows[q]):
-            if p != q:
-                down[p] |= 1 << q
-
-    def walk(i: int, forced_in: int, forced_out: int) -> None:
-        if cap is not None and len(out) > cap:
-            return
-        while i < m and ((forced_in >> i) & 1 or (forced_out >> i) & 1):
-            i += 1
-        if i == m:
-            out.add(forced_in)
-            return
-        closure_in = forced_in | rows[i]
-        pending = closure_in & ~forced_in
-        while True:
-            grew = 0
-            for p in bits(pending):
-                grew |= rows[p]
-            if grew & ~closure_in == 0:
-                break
-            pending = grew & ~closure_in
-            closure_in |= grew
-        if closure_in & forced_out == 0:
-            walk(i + 1, closure_in, forced_out)
-        closure_out = forced_out | (1 << i)
-        pending = 1 << i
-        while True:
-            grew = 0
-            for p in bits(pending):
-                grew |= down[p]
-            if grew & ~closure_out == 0:
-                break
-            pending = grew & ~closure_out
-            closure_out |= grew
-        if closure_out & forced_in == 0:
-            walk(i + 1, forced_in, closure_out)
-
-    walk(0, 0, 0)
-    return out
+def _enumerate_upsets(m: int, rows: tuple[int, ...]) -> Iterator[int]:
+    """All masks closed upward under the (reflexive) row relation, by DFS on
+    the lowest undecided point: it goes in with everything above it or out
+    with everything below it. The in-set stays an up-set and the out-set a
+    down-set, so neither branch can clash with what is decided, every leaf
+    is an answer, and the work is linear in the output. Each up-set is
+    yielded once, so callers that only count store nothing."""
+    above = [rows[q] | 1 << q for q in range(m)]
+    for k in range(m):  # transitive closure, Warshall on bitmasks
+        for q in range(m):
+            if (above[q] >> k) & 1:
+                above[q] |= above[k]
+    below = [sum(1 << q for q in range(m) if (above[q] >> p) & 1) for p in range(m)]
+    full = full_mask(m)
+    stack = [(0, 0)]
+    while stack:
+        forced_in, forced_out = stack.pop()
+        free = full & ~(forced_in | forced_out)
+        if not free:
+            yield forced_in
+            continue
+        i = (free & -free).bit_length() - 1
+        stack.append((forced_in, forced_out | below[i]))
+        stack.append((forced_in | above[i], forced_out))
 
 
 def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
@@ -299,8 +267,10 @@ def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
 
     A family on a finite ground is a topology iff it is exactly the up-set
     family of its own minimal-member relation; membership of 0 and full and
-    closure under union/intersection all follow. On failure a concrete
-    offending pair is dug out for the report.
+    closure under union/intersection all follow. Every member is such an
+    up-set, since rows[p] is the meet of the members holding p, so equal
+    counts decide it. On failure a concrete offending pair is dug out for
+    the report.
     """
     members = fam.members
     if 0 not in fam or full_mask(m) not in fam:
@@ -312,16 +282,8 @@ def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
             if (h >> p) & 1:
                 r &= h
         rows.append(r)
-    rows_t = tuple(rows)
-    for h in members:
-        for p in bits(h):
-            if rows_t[p] & ~h:
-                raise AxiomsViolated(
-                    f"{kind}: family is not union/intersection closed",
-                    _offending_pair(fam, m),
-                )
-    upsets = _enumerate_upsets(m, rows_t, cap=len(members))
-    if len(upsets) != len(members):
+    upsets = islice(_enumerate_upsets(m, tuple(rows)), len(members) + 1)
+    if sum(1 for _ in upsets) != len(members):
         raise AxiomsViolated(
             f"{kind}: family is not union/intersection closed",
             _offending_pair(fam, m),

@@ -4,8 +4,8 @@ generates, and the boundedness-style profile of that topology."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache, wraps
 from itertools import product as iproduct
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
@@ -104,10 +104,33 @@ def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     return SubsetFamily.of(y.size, fam)
 
 
-@lru_cache(maxsize=None)
+def _cached_without_labels(relabel):
+    """lru_cache for a function of (y, z) whose result carries y's labels.
+
+    FinSpace equality ignores labels, so a plain cache would hand back the
+    labels of whichever equal y came first. The wrapped function runs on a
+    labels-free y, and `relabel(result, labels)` puts the caller's back.
+    """
+
+    def wrap(fn):
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def call(y: FinSpace, z: FinSpace):
+            if y.labels is None:
+                return cached(y, z)
+            return relabel(cached(replace(y, labels=None), z), y.labels)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        return call
+
+    return wrap
+
+
+@_cached_without_labels(lambda top, labels: replace(top, labels=labels))
 def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
     """Topology on Y generated by the preimage family as a subbasis."""
-    return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
+    return generate_from_subbasis(y.size, o_z_family(y, z))
 
 
 @dataclass(frozen=True)
@@ -120,7 +143,9 @@ class RelativeProfile:
     regular_locally_z_compact: bool
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(
+    lambda prof, labels: replace(prof, z_top=replace(prof.z_top, labels=labels))
+)
 def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     oz = o_z_family(y, z)
     ztop = z_topology(y, z)

@@ -259,3 +259,100 @@ def literal_profile(x: FinSpace) -> LocalProfile:
         locally_bounded=literal_locally_bounded(x),
         corecompact=literal_corecompact(x),
     )
+
+
+@lru_cache(maxsize=None)
+def literal_cover_union_masks(
+    ground: tuple[Subset, ...], pool: int, full: Subset
+) -> tuple[int, ...]:
+    """For each minimal cover of `full` drawn from the pool (an index mask
+    over the ground), the index mask of every union of its nonempty
+    subfamilies; the inclusion-minimal such masks, sorted. Walks all
+    2^|pool| subfamilies."""
+    idx = list(bits(pool))
+    masks: list[int] = []
+    for sel in range(1, 1 << len(idx)):
+        union = 0
+        for t in bits(sel):
+            union |= ground[idx[t]]
+        if union != full:
+            continue
+        chosen = [idx[t] for t in bits(sel)]
+        redundant = False
+        for skip in range(len(chosen)):
+            rest = 0
+            for t, g in enumerate(chosen):
+                if t != skip:
+                    rest |= ground[g]
+            if rest == full:
+                redundant = True
+                break
+        if redundant:
+            continue
+        reach = 0
+        for sub in range(1, 1 << len(chosen)):
+            u = 0
+            for t in bits(sub):
+                u |= ground[chosen[t]]
+            reach |= 1 << ground.index(u)
+        masks.append(reach)
+    minimal = [
+        m for m in set(masks) if not any(o != m and o & ~m == 0 for o in set(masks))
+    ]
+    return tuple(sorted(minimal))
+
+
+@lru_cache(maxsize=None)
+def literal_filtration(
+    ground: tuple[Subset, ...], full: Subset, trigger: int, strong_pool: int | None
+) -> frozenset[int]:
+    """Hyperspace families over the open-set ground by scanning all 2^|ground|
+    masks: (alpha) upward closure fired from the trigger indices and, when a
+    strong pool is given, a member reachable from every minimal cover mask.
+    The empty family passes the strong test by fiat, as in the package."""
+    m = len(ground)
+    up = [
+        sum(1 << h for h, other in enumerate(ground) if g & ~other == 0) for g in ground
+    ]
+    cover_masks: tuple[int, ...] = ()
+    if strong_pool is not None:
+        cover_masks = literal_cover_union_masks(ground, strong_pool, full)
+    out = set()
+    for family in range(1 << m):
+        if any(up[g] & ~family for g in bits(family & trigger)):
+            continue
+        if strong_pool is not None and family != 0:
+            if any(family & cm == 0 for cm in cover_masks):
+                continue
+        out.add(family)
+    return frozenset(out)
+
+
+def literal_lift(maps, ground: tuple[Subset, ...], families) -> set[int]:
+    """Subbasics {f : preimage of u lies in the family}, one family at a time:
+    each family's members collected into a set, each map tested against it."""
+    subbasis = set()
+    for u in maps.codomain.opens:
+        rows = maps.preimage_rows[u]
+        for fam in families:
+            members = {ground[i] for i in bits(fam)}
+            mask = 0
+            for i, pre in enumerate(rows):
+                if pre in members:
+                    mask |= 1 << i
+            subbasis.add(mask)
+    return subbasis
+
+
+def literal_kset_subbasis(maps) -> set[int]:
+    """Subbasics {f : f(K) inside u} for every subset K of the domain."""
+    subbasis = set()
+    for u in maps.codomain.opens:
+        rows = maps.preimage_rows[u]
+        for k in range(maps.domain.full + 1):
+            mask = 0
+            for i, pre in enumerate(rows):
+                if k & ~pre == 0:
+                    mask |= 1 << i
+            subbasis.add(mask)
+    return subbasis

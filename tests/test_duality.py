@@ -16,6 +16,7 @@ from topolab.fntop import (
 from topolab.mapspace import enumerate_continuous, o_z_family
 
 from conftest import all_spaces_up_to
+from oracles import literal_lift
 
 
 def test_tau_of_compact_open_sierpinski_pinned(s):
@@ -43,6 +44,16 @@ def test_round_trip_never_shrinks_named(s, indisc2, disc2):
                 t = named_function_topology(name, y, z)
                 back = t_of_tau(tau_of_t(t), t.maps)
                 assert compare_topologies(t, back).verdict in ("equal", "a_coarser")
+
+
+def test_t_of_tau_matches_per_family_loop():
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            for name in ("co", "isbell", "t1sz"):
+                t = named_function_topology(name, y, z)
+                tau = tau_of_t(t)
+                want = literal_lift(t.maps, tau.ground, tau.opens)
+                assert t_of_tau(tau, t.maps).subbasis == tuple(sorted(want))
 
 
 def test_t_of_tau_on_indiscrete_dual(s):

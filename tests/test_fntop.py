@@ -18,12 +18,19 @@ from topolab.fntop import (
     lift_open_family,
     named_function_topology,
 )
-from topolab.hypertop import HyperSpace, compact_subbasis_topology, scott
+from topolab.hypertop import (
+    HyperSpace,
+    compact_subbasis_topology,
+    scott,
+    strong_scott,
+    strong_z_scott,
+    z_scott,
+)
 from topolab.hypertop import _validate_topology_family
 from topolab.mapspace import enumerate_continuous
 
 from conftest import all_spaces_up_to
-from oracles import literal_profile
+from oracles import literal_kset_subbasis, literal_lift, literal_profile
 
 
 def small_pairs():
@@ -91,6 +98,16 @@ def test_lift_of_indiscrete_hyperspace(s):
     )
     t = lift_open_family(h, enumerate_continuous(s, s))
     assert t.opens.members == (0, 0b111)
+
+
+def test_lift_bracket_matches_per_family_loops():
+    for y, z in small_pairs():
+        maps = enumerate_continuous(y, z)
+        for h in (scott(y), strong_scott(y), z_scott(y, z), strong_z_scott(y, z)):
+            want = literal_lift(maps, h.ground, h.opens)
+            assert lift_open_family(h, maps).subbasis == tuple(sorted(want))
+        want = tuple(sorted(literal_kset_subbasis(maps)))
+        assert kset_topology(maps, "plain").subbasis == want
 
 
 def test_named_guards(s, chain2):

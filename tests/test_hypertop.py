@@ -1,11 +1,20 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-from oracles import literal_scott_families
+from oracles import (
+    literal_cover_union_masks,
+    literal_filtration,
+    literal_scott_families,
+)
 from topolab.errors import AxiomsViolated, GroundTooLarge, NotZRepresentable
-from topolab.finspace import SubsetFamily, discrete, full_mask
+from topolab.finspace import SubsetFamily, discrete, enumerate_topologies, full_mask
 from topolab.hypertop import (
+    _enumerate_upsets,
+    _minimal_cover_union_masks,
+    _up_masks,
     _validate_topology_family,
     compact_subbasis_topology,
     scott,
@@ -44,6 +53,47 @@ def test_strong_scott_matches_literal_oracle_plus_fiat_empty():
         # the literal strong quantifier rejects the empty family outright;
         # the module adjoins it by fiat
         assert set(strong_scott(y).opens.members) == want | {0}
+
+
+def test_routes_match_literal_scan_and_cover_walk():
+    # the up-set walk and the cover search against the 2^m scan and the
+    # 2^|pool| walk they replaced (the scan was also scott()'s runtime
+    # cross-check): every space of at most 3 points and one per 4-point
+    # homeomorphism class, against each codomain of at most 2 points
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    assert len(ys) == 34 + 33
+    for y in ys:
+        ground = y.opens.members
+        everything = full_mask(len(ground))
+        assert scott(y).opens.members == tuple(
+            sorted(literal_filtration(ground, y.full, everything, None))
+        )
+        assert strong_scott(y).opens.members == tuple(
+            sorted(literal_filtration(ground, y.full, everything, everything))
+        )
+        for z in all_spaces_up_to(2):
+            oz = o_z_family(y, z)
+            pool = sum(1 << i for i, g in enumerate(ground) if g in oz)
+            assert _minimal_cover_union_masks(
+                ground, pool, y.full
+            ) == literal_cover_union_masks(ground, pool, y.full)
+            assert z_scott(y, z).opens.members == tuple(
+                sorted(literal_filtration(ground, y.full, pool, None))
+            )
+            assert strong_z_scott(y, z).opens.members == tuple(
+                sorted(literal_filtration(ground, y.full, pool, pool))
+            )
+
+
+def test_enumerate_upsets_leaves_no_cyclic_garbage():
+    rows = _up_masks(discrete(3).opens.members)
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(set(_enumerate_upsets(len(rows), rows))) == 20  # Dedekind M(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_z_scott_chain2_indiscrete_pinned(chain2, indisc2):

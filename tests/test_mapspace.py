@@ -4,7 +4,7 @@ import pytest
 
 from oracles import is_continuous_table, literal_locally_z_bounded, literal_z_corecompact
 from topolab.errors import BudgetExceeded, NotOpen, NotZRepresentable
-from topolab.finspace import discrete, indiscrete, sierpinski
+from topolab.finspace import discrete, indiscrete, make_space, sierpinski
 from topolab.mapspace import (
     enumerate_continuous,
     o_z_family,
@@ -63,6 +63,18 @@ def test_z_topology_generated(chain2, indisc2):
     assert zt.opens.members == (0, 0b11)
     for y in all_spaces_up_to(3):
         assert z_topology(y, sierpinski()).opens.members == y.opens.members
+
+
+def test_cached_results_keep_the_callers_labels():
+    # equal spaces with different labels share one cache entry
+    a = make_space(2, [0, 0b10, 0b11], ("a0", "a1"))
+    b = make_space(2, [0, 0b10, 0b11], ("b0", "b1"))
+    for z in (sierpinski(), indiscrete(2)):
+        assert z_topology(a, z).labels == ("a0", "a1")
+        assert z_topology(b, z).labels == ("b0", "b1")
+        assert relative_profile(a, z).z_top.labels == ("a0", "a1")
+        assert relative_profile(b, z).z_top.labels == ("b0", "b1")
+        assert z_topology(make_space(2, [0, 0b10, 0b11]), z).labels is None
 
 
 def test_relative_profile_pinned(chain2, indisc2):
