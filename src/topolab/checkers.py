@@ -17,7 +17,6 @@ values and are meant to stay red.
 from __future__ import annotations
 
 import random
-from itertools import product as assignments
 
 from .duality import is_admissible_on_ozy, t_of_tau, tau_of_t
 from .errors import BudgetExceeded, GroundTooLarge
@@ -29,6 +28,7 @@ from .finspace import (
     enumerate_topologies,
     indiscrete,
     local_profile,
+    popcount,
     separation_profile,
     sierpinski,
 )
@@ -45,6 +45,11 @@ from .reports import VerdictReport, fam_tag, pair_tag
 
 MAX_PRODUCT_GROUND = 32
 MAX_SPLITTING_X = 4
+MAX_SPLITTING_INSTANCES = 250_000
+# how many test spaces refute_splitting walks on n = 1..MAX_SPLITTING_X
+# points: all labeled topologies (OEIS A000798), or one per homeomorphism
+# class (OEIS A001930) under symmetry_reduction
+_TEST_SPACES = {False: (1, 4, 29, 355), True: (1, 3, 9, 33)}
 MAX_COMPOSE_GROUND = 4096
 MAX_SUITE_Y = 3
 MAX_SUITE_Z = 2
@@ -118,54 +123,105 @@ def refute_splitting(
     of X. Slice-wise continuity is automatic, and joint continuity reduces to
     preimage-row containment along the specialization of X, so the check is
     exact. Exhaustion proves nothing about larger X, hence inconclusive.
+
+    Every assignment of slices counts as an instance, Σ_X |maps|^n in all,
+    so the count is known, and held to MAX_SPLITTING_INSTANCES, before any X
+    is enumerated. The search itself only visits continuous assignments (see
+    `_continuous_slices`), in `itertools.product` order.
     """
     if max_x > MAX_SPLITTING_X:
         raise BudgetExceeded(f"max_x of {max_x} exceeds {MAX_SPLITTING_X}")
     maps = t.maps
     y = maps.domain
-    mins_t = t.min_opens
     nmaps = len(maps)
+    per_size = _TEST_SPACES[symmetry_reduction]
+    instances = sum(per_size[n - 1] * nmaps**n for n in range(1, max_x + 1))
+    if instances > MAX_SPLITTING_INSTANCES:
+        raise BudgetExceeded(
+            f"{instances} splitting instances exceed {MAX_SPLITTING_INSTANCES}"
+        )
     # below[i] holds j when every preimage row of i sits inside the matching
     # row of j; a slice may then specialize from i to j without breaking
-    # joint continuity
-    below = []
-    for i in range(nmaps):
-        m = 0
-        for j in range(nmaps):
-            if all(rows[i] & ~rows[j] == 0 for rows in maps.preimage_rows.values()):
-                m |= 1 << j
-        below.append(m)
-    examined = 0
+    # joint continuity. Packing the rows of a map side by side makes that
+    # one mask test.
+    packed = [
+        sum(rows[i] << (k * y.size) for k, rows in enumerate(maps.preimage_rows.values()))
+        for i in range(nmaps)
+    ]
+    below = [sum(1 << j for j, pj in enumerate(packed) if pi & ~pj == 0) for pi in packed]
+    joint = (below, _transpose(below))
+    into_t = (t.min_opens, _transpose(t.min_opens))
     continuous = 0
     witnesses = []
     for n in range(1, max_x + 1):
         for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-            xmins = xspace.min_opens
-            for combo in assignments(range(nmaps), repeat=n):
-                examined += 1
-                if not all(
-                    (below[combo[p]] >> combo[q]) & 1
-                    for p in range(n)
-                    for q in bits(xmins[p])
-                ):
-                    continue
-                continuous += 1
-                if all(
-                    (mins_t[combo[p]] >> combo[q]) & 1
-                    for p in range(n)
-                    for q in bits(xmins[p])
-                ):
-                    continue
-                table = tuple(maps[combo[p]](q) for p in range(n) for q in range(y.size))
-                witnesses.append((xspace.opens.members, table))
+            count, broken = _continuous_slices(xspace.min_opens, joint, into_t, nmaps)
+            continuous += count
+            for head, tails in broken:
+                prefix = sum((maps.tables[i] for i in head), ())
+                for i in bits(tails):
+                    witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
     return VerdictReport(
         claim=f"splitting:{t.provenance} {pair_tag(y, maps.codomain)}",
         status="fails" if witnesses else "inconclusive",
         hypothesis_true_count=continuous,
-        instance_count=examined,
+        instance_count=instances,
         witnesses=tuple(witnesses),
         budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
     )
+
+
+def _transpose(rel) -> list[int]:
+    return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
+
+
+def _continuous_slices(xmins, joint, into_t, nmaps: int) -> tuple[int, list]:
+    """Depth-first over the points 0..n-1 of X, each trying its maps in
+    ascending order. Returns the number of jointly continuous assignments
+    and, in `itertools.product` order, those whose transpose breaks t: one
+    (slices of points 0..n-2, mask of the last point's maps) pair each.
+
+    `joint` and `into_t` are (below, above) relation pairs: joint
+    continuity of F, and continuity of its transpose into t. Point k may
+    take map c when c is in below[combo[p]] for every earlier p whose
+    minimal open holds k, and in above[combo[q]] for every earlier q inside
+    k's minimal open. The last point's candidates are counted, not visited.
+    """
+    below, above = joint
+    t_below, t_above = into_t
+    last = len(xmins) - 1
+    links = [
+        (
+            [p for p in range(k) if (xmins[p] >> k) & 1],
+            [q for q in range(k) if (xmins[k] >> q) & 1],
+        )
+        for k in range(last + 1)
+    ]
+    full = (1 << nmaps) - 1
+    count = 0
+    broken_out = []
+    # (slices of points 0..k-1, whether they already break t)
+    stack = [((), False)]
+    while stack:
+        combo, broken = stack.pop()
+        ups, downs = links[len(combo)]
+        cand = t_cand = full
+        for p in ups:
+            cand &= below[combo[p]]
+            t_cand &= t_below[combo[p]]
+        for q in downs:
+            cand &= above[combo[q]]
+            t_cand &= t_above[combo[q]]
+        if len(combo) == last:
+            count += popcount(cand)
+            tails = cand if broken else cand & ~t_cand
+            if tails:
+                broken_out.append((combo, tails))
+            continue
+        # pushed high to low, so the lowest map comes off the stack first
+        for c in reversed(list(bits(cand))):
+            stack.append((combo + (c,), broken or not (t_cand >> c) & 1))
+    return count, broken_out
 
 
 def composition_check(

@@ -29,8 +29,8 @@ walk these replace live on as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -43,7 +43,7 @@ from .finspace import (
     full_mask,
     generate_from_subbasis,
 )
-from .mapspace import o_z_family, way_below_z
+from .mapspace import _cached_without_labels, o_z_family, way_below_z
 
 MAX_HYPER_GROUND = 16
 
@@ -73,6 +73,10 @@ class HyperSpace:
     def as_space(self) -> FinSpace:
         labels = tuple(f"{{{','.join(str(p) for p in bits(g))}}}" for g in self.ground)
         return FinSpace(len(self.ground), self.opens, labels)
+
+
+def _rebased(h: HyperSpace, y: FinSpace, *_) -> HyperSpace:
+    return replace(h, base=y)
 
 
 def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
@@ -170,26 +174,26 @@ def _filtration(
     return HyperSpace(base=y, ground=ground, opens=fam, kind=kind)
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(_rebased)
 def scott(y: FinSpace) -> HyperSpace:
     """Families upward-closed from every member, (beta) over all opens."""
     return _filtration(y, full_mask(len(y.opens)), None, "scott")
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(_rebased)
 def strong_scott(y: FinSpace) -> HyperSpace:
     everything = full_mask(len(y.opens))
     return _filtration(y, everything, everything, "sscott")
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(_rebased)
 def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """Like scott, but (alpha) fires only from preimage-family members and
     (beta) draws its collections from the preimage family."""
     return _filtration(y, _preimage_mask(y, z), None, "zscott")
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(_rebased)
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     pool = _preimage_mask(y, z)
     return _filtration(y, pool, pool, "zsscott")
@@ -212,7 +216,7 @@ def containment_families(y: FinSpace) -> set[int]:
     }
 
 
-@lru_cache(maxsize=None)
+@_cached_without_labels(_rebased)
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset."""
     ground = _check_ground(y)

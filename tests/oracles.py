@@ -9,8 +9,19 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from itertools import product as assignments
 
-from topolab.finspace import FinSpace, LocalProfile, Subset, SubsetFamily, bits, full_mask
+from topolab.errors import BudgetExceeded
+from topolab.finspace import (
+    FinSpace,
+    LocalProfile,
+    Subset,
+    SubsetFamily,
+    bits,
+    enumerate_topologies,
+    full_mask,
+)
+from topolab.reports import VerdictReport, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
 
@@ -356,3 +367,56 @@ def literal_kset_subbasis(maps) -> set[int]:
                     mask |= 1 << i
             subbasis.add(mask)
     return subbasis
+
+
+def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True) -> VerdictReport:
+    """The splitting refutation one slice assignment at a time: every member
+    of Σ_X |maps|^n in `itertools.product` order, each tested pair by pair
+    for joint continuity and then for continuity of its transpose."""
+    if max_x > 4:
+        raise BudgetExceeded(f"max_x of {max_x} exceeds 4")
+    maps = t.maps
+    y = maps.domain
+    mins_t = t.min_opens
+    nmaps = len(maps)
+    # below[i] holds j when every preimage row of i sits inside the matching
+    # row of j; a slice may then specialize from i to j without breaking
+    # joint continuity
+    below = []
+    for i in range(nmaps):
+        m = 0
+        for j in range(nmaps):
+            if all(rows[i] & ~rows[j] == 0 for rows in maps.preimage_rows.values()):
+                m |= 1 << j
+        below.append(m)
+    examined = 0
+    continuous = 0
+    witnesses = []
+    for n in range(1, max_x + 1):
+        for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
+            xmins = xspace.min_opens
+            for combo in assignments(range(nmaps), repeat=n):
+                examined += 1
+                if not all(
+                    (below[combo[p]] >> combo[q]) & 1
+                    for p in range(n)
+                    for q in bits(xmins[p])
+                ):
+                    continue
+                continuous += 1
+                if all(
+                    (mins_t[combo[p]] >> combo[q]) & 1
+                    for p in range(n)
+                    for q in bits(xmins[p])
+                ):
+                    continue
+                table = tuple(maps[combo[p]](q) for p in range(n) for q in range(y.size))
+                witnesses.append((xspace.opens.members, table))
+    return VerdictReport(
+        claim=f"splitting:{t.provenance} {pair_tag(y, maps.codomain)}",
+        status="fails" if witnesses else "inconclusive",
+        hypothesis_true_count=continuous,
+        instance_count=examined,
+        witnesses=tuple(witnesses),
+        budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
+    )

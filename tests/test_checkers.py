@@ -1,16 +1,33 @@
 from __future__ import annotations
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import all_spaces_up_to
+from oracles import literal_refute_splitting
+from topolab import checkers
 from topolab.checkers import (
+    MAX_SPLITTING_INSTANCES,
+    MAX_SPLITTING_X,
     composition_check,
     is_admissible,
     refute_splitting,
     theorem_suite,
 )
 from topolab.errors import BudgetExceeded, GroundTooLarge
-from topolab.finspace import discrete, make_space, product
-from topolab.fntop import FnTopology, named_function_topology
+from topolab.finspace import (
+    bits,
+    discrete,
+    enumerate_topologies,
+    indiscrete,
+    make_space,
+    product,
+    sierpinski,
+)
+from topolab.fntop import NAMED, FnTopology, named_function_topology
 from topolab.hypertop import strong_z_scott, z_scott
 from topolab.mapspace import ContMap, enumerate_continuous
 from topolab.reports import suite_to_json
@@ -110,6 +127,98 @@ def test_refute_splitting_symmetry_flag(s):
     full = refute_splitting(fn_discrete(maps), max_x=2, symmetry_reduction=False)
     assert reduced.status == full.status == "fails"
     assert reduced.instance_count < full.instance_count
+
+
+def test_refute_splitting_matches_literal_oracle():
+    # every named topology at (3,2), where no slice assignment refutes
+    ys, zs = all_spaces_up_to(3), all_spaces_up_to(2)
+    tops = [named_function_topology(k, y, z) for y in ys for z in zs for k in NAMED]
+    assert len(tops) == 1020
+    for t in tops:
+        for sym in (True, False):
+            assert refute_splitting(t, 2, sym).to_dict() == literal_refute_splitting(
+                t, 2, sym
+            ).to_dict()
+    # the discrete topology, and a random one, on one map set of each size:
+    # witness-heavy, so the order of the witnesses is checked too
+    by_size = {}
+    for y in ys:
+        for z in zs:
+            by_size.setdefault(len(enumerate_continuous(y, z)), (y, z))
+    assert sorted(by_size) == [1, 2, 3, 4, 5, 6, 8]
+    rng = random.Random(0)
+    witnesses = 0
+    for y, z in by_size.values():
+        maps = enumerate_continuous(y, z)
+        picked = FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(3)])
+        for t in (fn_discrete(maps), picked):
+            for sym in (True, False):
+                fast = refute_splitting(t, 3, sym).to_dict()
+                assert fast == literal_refute_splitting(t, 3, sym).to_dict()
+                witnesses += len(fast["witnesses"])
+    assert witnesses > 1000
+    # four-point test spaces, on a two-map set
+    maps = enumerate_continuous(make_space(1, [0, 1]), sierpinski())
+    for sym in (True, False):
+        fast = refute_splitting(fn_discrete(maps), MAX_SPLITTING_X, sym)
+        assert fast.to_dict() == literal_refute_splitting(
+            fn_discrete(maps), MAX_SPLITTING_X, sym
+        ).to_dict()
+        assert fast.instance_count == sum(
+            len(enumerate_topologies(n, up_to_iso=sym)) * 2**n
+            for n in range(1, MAX_SPLITTING_X + 1)
+        )
+
+
+def test_refute_splitting_instance_budget(monkeypatch):
+    # largest split3 instance set: the 8 maps of discrete(3) -> discrete(2)
+    big = named_function_topology("co", discrete(3), discrete(2))
+    assert refute_splitting(big, max_x=3).instance_count == 4808
+    # 16 maps on a 4-point domain, and the 256 maps of discrete(4) ->
+    # indiscrete(4) at max_x=2, stay admitted
+    sixteen = named_function_topology("co", discrete(4), sierpinski())
+    assert refute_splitting(sixteen, max_x=3).instance_count == 37_648
+    wide = named_function_topology("co", discrete(4), indiscrete(4))
+    assert len(wide.maps) == 256
+    assert refute_splitting(wide, max_x=2).instance_count == 196_864
+    assert 196_864 < MAX_SPLITTING_INSTANCES
+    # at max_x=3 the closed-form count rejects it before any X is enumerated
+    def no_test_spaces(*args, **kwargs):
+        raise AssertionError("test spaces enumerated past the budget")
+
+    monkeypatch.setattr(checkers, "enumerate_topologies", no_test_spaces)
+    with pytest.raises(BudgetExceeded, match="151"):
+        refute_splitting(wide, max_x=3)
+
+
+_SMALL_Y = all_spaces_up_to(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_refute_splitting_invariant_under_relabeling_y(data):
+    y = data.draw(st.sampled_from(_SMALL_Y))
+    perm = data.draw(st.permutations(range(y.size)))
+    moved = make_space(y.size, [sum(1 << perm[p] for p in bits(o)) for o in y.opens])
+    for z in all_spaces_up_to(2):
+        # the discrete topology rides along: at max_x=2 the named ones never
+        # refute, so it is the one with witnesses to count
+        pairs = [
+            (named_function_topology(kind, y, z), named_function_topology(kind, moved, z))
+            for kind in NAMED
+        ]
+        pairs.append(
+            (fn_discrete(enumerate_continuous(y, z)), fn_discrete(enumerate_continuous(moved, z)))
+        )
+        for t, t_moved in pairs:
+            a = refute_splitting(t, max_x=2)
+            b = refute_splitting(t_moved, max_x=2)
+            assert (a.status, a.instance_count, a.hypothesis_true_count) == (
+                b.status,
+                b.instance_count,
+                b.hypothesis_true_count,
+            )
+            assert len(a.witnesses) == len(b.witnesses)
 
 
 def test_composition_relative_compact_open_triple(s):

@@ -93,6 +93,21 @@ def test_check_splitting_finds_discrete_witness(tmp_path, capsys):
     assert json.loads(out)["status"] == "fails"
 
 
+def test_check_splitting_instance_budget_exits_two(tmp_path, capsys):
+    # discrete(4) -> indiscrete(4): 256 maps, about 151M instances at the
+    # default --max-x 3
+    y = {"points": 4, "opens": list(range(16))}
+    z = {"points": 4, "opens": [0, 15]}
+    wide = write(tmp_path, "wide.json", {"y": y, "z": z, "subbasis": []})
+    code, out, err = run(capsys, "check", "splitting", "--topology", wide)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
+    code, out, _ = run(capsys, "check", "splitting", "--topology", wide, "--max-x", "2")
+    assert code == 0
+    assert json.loads(out)["instance_count"] == 196_864
+
+
 def test_check_compose(tmp_path, capsys):
     spath = write(tmp_path, "s.json", S)
     ppath = write(tmp_path, "pt.json", PT)

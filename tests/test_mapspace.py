@@ -5,6 +5,14 @@ import pytest
 from oracles import is_continuous_table, literal_locally_z_bounded, literal_z_corecompact
 from topolab.errors import BudgetExceeded, NotOpen, NotZRepresentable
 from topolab.finspace import discrete, indiscrete, make_space, sierpinski
+from topolab.fntop import NAMED, named_function_topology
+from topolab.hypertop import (
+    compact_subbasis_topology,
+    scott,
+    strong_scott,
+    strong_z_scott,
+    z_scott,
+)
 from topolab.mapspace import (
     enumerate_continuous,
     o_z_family,
@@ -75,6 +83,28 @@ def test_cached_results_keep_the_callers_labels():
         assert relative_profile(a, z).z_top.labels == ("a0", "a1")
         assert relative_profile(b, z).z_top.labels == ("b0", "b1")
         assert z_topology(make_space(2, [0, 0b10, 0b11]), z).labels is None
+        for y, labels in ((a, ("a0", "a1")), (b, ("b0", "b1"))):
+            ms = enumerate_continuous(y, z)
+            assert ms.domain.labels == labels
+            assert {m.domain.labels for m in ms} == {labels}
+            for hyper in (scott(y), strong_scott(y), compact_subbasis_topology(y)):
+                assert hyper.base.labels == labels
+            assert z_scott(y, z).base.labels == labels
+            assert strong_z_scott(y, z).base.labels == labels
+            for kind in NAMED:
+                assert named_function_topology(kind, y, z).maps.domain.labels == labels
+        assert enumerate_continuous(make_space(2, [0, 0b10, 0b11]), z).domain.labels is None
+    for y, labels in ((a, ("a0", "a1")), (b, ("b0", "b1"))):
+        assert {m.domain.labels for _, m in sierpinski_correspondence(y)} == {labels}
+    # the codomain keeps its caller's labels as well
+    za = make_space(2, [0, 0b10, 0b11], ("za0", "za1"))
+    zb = make_space(2, [0, 0b10, 0b11], ("zb0", "zb1"))
+    assert enumerate_continuous(a, za).codomain.labels == ("za0", "za1")
+    assert enumerate_continuous(a, zb).codomain.labels == ("zb0", "zb1")
+    assert named_function_topology("co", a, zb).maps.codomain.labels == ("zb0", "zb1")
+    # spaces passed by keyword take the same route
+    assert scott(y=b).base.labels == ("b0", "b1")
+    assert enumerate_continuous(b, z=za, size_cap=2).domain.labels == ("b0", "b1")
 
 
 def test_relative_profile_pinned(chain2, indisc2):
