@@ -11,15 +11,17 @@ down.
 
 Admissibility of a topology on the preimage family quantifies over all
 spaces X and all maps X -> C(Y,Z), so the decision route converts it to an
-evaluation check on the dual map-set topology; the bounded literal search is
-kept as a cross-check that can refute but never certify.
+evaluation check on the dual map-set topology. The bounded search over small
+X is kept as a cross-check that can refute but never certify. It is the
+search `refute_splitting` runs, `mapspace._continuous_slices`, with the two
+relations swapped: continuity into the dual is now the hypothesis, and joint
+continuity of the adjoint is the conclusion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 
 from .errors import MismatchedBase
 from .finspace import (
@@ -29,11 +31,11 @@ from .finspace import (
     bits,
     enumerate_topologies,
     generate_from_subbasis,
-    product,
+    popcount,
 )
 from .fntop import FnTopology, evaluation_witness, lift_families
 from .hypertop import _validate_topology_family
-from .mapspace import ContMap, MapSet, o_z_family
+from .mapspace import MapSet, _continuous_slices, o_z_family, slice_instances
 from .reports import VerdictReport, pair_tag
 
 DEFAULT_DIRECT_MAX_X = 2
@@ -100,6 +102,11 @@ def is_admissible_on_ozy(
     mode: str = "via_dual",
     max_x: int = DEFAULT_DIRECT_MAX_X,
 ) -> VerdictReport:
+    """Admissibility of tau. "via_dual" decides it by the evaluation check
+    on `t_of_tau`. "direct_bounded" searches the test spaces on at most
+    `max_x` points, so it can refute but never certify; it shares the
+    instance count and budget of `refute_splitting` (MAX_SPLITTING_X,
+    MAX_SPLITTING_INSTANCES) and raises BudgetExceeded before any X."""
     if mode == "via_dual":
         return _admissible_via_dual(tau, maps)
     if mode == "direct_bounded":
@@ -127,64 +134,37 @@ def _admissible_via_dual(tau: DualSpace, maps: MapSet) -> VerdictReport:
     )
 
 
-def _monotone(xspace: FinSpace, targets_min: tuple[int, ...], row: tuple[int, ...]) -> bool:
-    # continuity between finite spaces = specialization monotonicity
-    mins = xspace.min_opens
-    for p in range(xspace.size):
-        for q in bits(mins[p]):
-            if not (targets_min[row[p]] >> row[q]) & 1:
-                return False
-    return True
-
-
 def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictReport:
-    """Literal bounded search for a violating (X, G): first-variable
-    continuity of the preimage map without continuity of the adjoint."""
-    y = tau.y
-    z = tau.z
-    dual_min = tau.as_space().min_opens
-    gidx = tau.ground_index
-    claim = f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(y, z)}"
-    instances = 0
-    hypothesis_true = 0
-    for n in range(1, max_x + 1):
-        for xspace in enumerate_topologies(n, up_to_iso=True):
-            prod = product(xspace, y)
-            for g in iproduct(range(len(maps)), repeat=n):
-                instances += 1
-                rows_ok = True
-                for u in z.opens:
-                    pre = maps.preimage_rows[u]
-                    row = tuple(gidx[pre[g[p]]] for p in range(n))
-                    if not _monotone(xspace, dual_min, row):
-                        rows_ok = False
-                        break
-                if not rows_ok:
-                    continue
-                hypothesis_true += 1
-                table = tuple(
-                    maps[g[p]](q) for p in range(n) for q in range(y.size)
-                )
-                if not ContMap(prod, z, table).is_continuous():
-                    return VerdictReport(
-                        claim=claim,
-                        status="fails",
-                        hypothesis_true_count=hypothesis_true,
-                        instance_count=instances,
-                        witnesses=(
-                            (
-                                "x_opens",
-                                tuple(xspace.opens.members),
-                                "assignment",
-                                tuple(maps[i].table for i in g),
-                            ),
-                        ),
-                        budget=(("max_x", max_x),),
-                    )
+    """Bounded search for a violating (X, G): continuity of the preimage
+    rows into tau without joint continuity of the adjoint. It is the slice
+    search of `refute_splitting` with hypothesis and conclusion swapped,
+    and reports up to its first violation in `itertools.product` order."""
+    nmaps = len(maps)
+    slice_instances(nmaps, max_x, True)
+    into_tau = maps.pull_relation(tau.ground_index, tau.as_space().min_opens)
+    instances = hypothesis_true = 0
+    witnesses = ()
+    xs = (x for n in range(1, max_x + 1) for x in enumerate_topologies(n, up_to_iso=True))
+    for xspace in xs:
+        count, broken = _continuous_slices(xspace.min_opens, into_tau, maps.joint, nmaps)
+        if not broken:
+            instances += nmaps**xspace.size
+            hypothesis_true += count
+            continue
+        head, tails, cand, before = broken[0]
+        c = (tails & -tails).bit_length() - 1
+        g = head + (c,)
+        # g's rank among the product-order assignments, and its candidates up to c
+        instances += sum(i * nmaps**k for k, i in enumerate(reversed(g))) + 1
+        hypothesis_true += before + popcount(cand & ((2 << c) - 1))
+        tables = tuple(maps.tables[i] for i in g)
+        witnesses = (("x_opens", xspace.opens.members, "assignment", tables),)
+        break
     return VerdictReport(
-        claim=claim,
-        status="inconclusive",
+        claim=f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}",
+        status="fails" if witnesses else "inconclusive",
         hypothesis_true_count=hypothesis_true,
         instance_count=instances,
+        witnesses=witnesses,
         budget=(("max_x", max_x),),
     )

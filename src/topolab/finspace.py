@@ -369,31 +369,21 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
         raise GroundTooLarge(f"enumeration capped at {MAX_ENUM_POINTS} points")
     if n == 0:
         return (FinSpace(0, SubsetFamily.of(0, [0])),)
-    rows = [0] * n
-    found: list[tuple[Subset, ...]] = []
-
-    def place(i: int) -> None:
+    encodings = set()
+    stack: list[tuple[Subset, ...]] = [()]  # rows of points 0..i-1
+    while stack:
+        rows = stack.pop()
+        i = len(rows)
         if i == n:
-            found.append(tuple(rows))
-            return
+            encodings.add(tuple(sorted(_enumerate_upsets(n, rows))))
+            continue
         for m in range(1 << n):
-            if not (m >> i) & 1:
-                continue
-            ok = True
-            for q in range(i):
-                if (m >> q) & 1 and rows[q] & ~m:
-                    ok = False
-                    break
-                if (rows[q] >> i) & 1 and m & ~rows[q]:
-                    ok = False
-                    break
-            if ok:
-                rows[i] = m
-                place(i + 1)
-        rows[i] = 0
-
-    place(0)
-    encodings = {_upset_encoding(n, r) for r in found}
+            # row i holds i and keeps the relation transitive with rows 0..i-1
+            if (m >> i) & 1 and not any(
+                (m >> q) & 1 and rows[q] & ~m or (rows[q] >> i) & 1 and m & ~rows[q]
+                for q in range(i)
+            ):
+                stack.append(rows + (m,))
     if up_to_iso:
         encodings = {_canonical_encoding(n, e) for e in encodings}
     return tuple(
@@ -401,12 +391,30 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     )
 
 
-def _upset_encoding(n: int, rows: tuple[Subset, ...]) -> tuple[Subset, ...]:
-    out = []
-    for o in range(1 << n):
-        if all(rows[p] & ~o == 0 for p in bits(o)):
-            out.append(o)
-    return tuple(out)
+def _enumerate_upsets(m: int, rows: tuple[int, ...]) -> Iterator[int]:
+    """All masks closed upward under the (reflexive) row relation, by DFS on
+    the lowest undecided point: it goes in with everything above it or out
+    with everything below it. The in-set stays an up-set and the out-set a
+    down-set, so neither branch can clash with what is decided, every leaf
+    is an answer, and the work is linear in the output. Each up-set is
+    yielded once, so callers that only count store nothing."""
+    above = [rows[q] | 1 << q for q in range(m)]
+    for k in range(m):  # transitive closure, Warshall on bitmasks
+        for q in range(m):
+            if (above[q] >> k) & 1:
+                above[q] |= above[k]
+    below = [sum(1 << q for q in range(m) if (above[q] >> p) & 1) for p in range(m)]
+    full = full_mask(m)
+    stack = [(0, 0)]
+    while stack:
+        forced_in, forced_out = stack.pop()
+        free = full & ~(forced_in | forced_out)
+        if not free:
+            yield forced_in
+            continue
+        i = (free & -free).bit_length() - 1
+        stack.append((forced_in, forced_out | below[i]))
+        stack.append((forced_in | above[i], forced_out))
 
 
 def _canonical_encoding(n: int, encoding: tuple[Subset, ...]) -> tuple[Subset, ...]:

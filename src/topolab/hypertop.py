@@ -32,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import AxiomsViolated, GroundTooLarge
 from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
+    _enumerate_upsets,
     bits,
     full_mask,
     generate_from_subbasis,
@@ -238,32 +239,6 @@ def up_family(
             y.size, [u for u in y.opens if way_below_z(y, z, a, u)]
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _enumerate_upsets(m: int, rows: tuple[int, ...]) -> Iterator[int]:
-    """All masks closed upward under the (reflexive) row relation, by DFS on
-    the lowest undecided point: it goes in with everything above it or out
-    with everything below it. The in-set stays an up-set and the out-set a
-    down-set, so neither branch can clash with what is decided, every leaf
-    is an answer, and the work is linear in the output. Each up-set is
-    yielded once, so callers that only count store nothing."""
-    above = [rows[q] | 1 << q for q in range(m)]
-    for k in range(m):  # transitive closure, Warshall on bitmasks
-        for q in range(m):
-            if (above[q] >> k) & 1:
-                above[q] |= above[k]
-    below = [sum(1 << q for q in range(m) if (above[q] >> p) & 1) for p in range(m)]
-    full = full_mask(m)
-    stack = [(0, 0)]
-    while stack:
-        forced_in, forced_out = stack.pop()
-        free = full & ~(forced_in | forced_out)
-        if not free:
-            yield forced_in
-            continue
-        i = (free & -free).bit_length() - 1
-        stack.append((forced_in, forced_out | below[i]))
-        stack.append((forced_in | above[i], forced_out))
 
 
 def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:

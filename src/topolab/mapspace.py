@@ -1,6 +1,8 @@
 """Continuous maps between finite spaces and the codomain-relative structure
 they induce on the domain: the family of open preimages, the topology it
-generates, and the boundedness-style profile of that topology."""
+generates, and the boundedness-style profile of that topology. Also the
+slice search over small test spaces X that both bounded X-checks run, with
+its closed-form instance count and budget."""
 
 from __future__ import annotations
 
@@ -14,13 +16,22 @@ from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
+    bits,
+    full_mask,
     generate_from_subbasis,
     local_profile,
+    popcount,
     separation_profile,
     sierpinski,
 )
 
 DEFAULT_SIZE_CAP = 4
+MAX_SPLITTING_X = 4
+MAX_SPLITTING_INSTANCES = 250_000
+# how many test spaces a slice search walks on n = 1..MAX_SPLITTING_X
+# points: all labeled topologies (OEIS A000798), or one per homeomorphism
+# class (OEIS A001930) under symmetry reduction
+_TEST_SPACES = {False: (1, 4, 29, 355), True: (1, 3, 9, 33)}
 
 
 @dataclass(frozen=True)
@@ -77,6 +88,30 @@ class MapSet:
         return {
             u: tuple(m.preimage(u) for m in self.maps) for u in self.codomain.opens
         }
+
+    def pull_relation(self, index: dict[Subset, int], rel) -> tuple[list[int], list[int]]:
+        """A relation on preimages, given by index, pulled back to the maps:
+        below[i] holds j when, for every codomain open u, rel[index[i's
+        preimage of u]] holds index[j's preimage of u]. Returns (below,
+        above), above being its transpose."""
+        below = [full_mask(len(self))] * len(self)
+        for rows in self.preimage_rows.values():
+            at = [index[r] for r in rows]
+            holding = [0] * len(rel)  # the maps whose preimage sits at each index
+            for j, a in enumerate(at):
+                holding[a] |= 1 << j
+            reach = [sum(holding[b] for b in bits(m)) for m in rel]
+            below = [m & reach[a] for m, a in zip(below, at)]
+        return below, _transpose(below)
+
+    @cached_property
+    def joint(self) -> tuple[list[int], list[int]]:
+        """Joint continuity of F : X x Y -> Z given by its slices: F may
+        specialize from slice i to slice j when every preimage of i sits
+        inside the matching preimage of j."""
+        pres = sorted({r for rows in self.preimage_rows.values() for r in rows})
+        up = [sum(1 << b for b, h in enumerate(pres) if g & ~h == 0) for g in pres]
+        return self.pull_relation({g: a for a, g in enumerate(pres)}, up)
 
 
 def _cached_without_labels(relabel):
@@ -219,3 +254,73 @@ def sierpinski_correspondence(y: FinSpace) -> tuple[tuple[Subset, ContMap], ...]
         table = tuple(1 if (v >> p) & 1 else 0 for p in range(y.size))
         pairs.append((v, ContMap(y, s, table)))
     return tuple(pairs)
+
+
+def _transpose(rel) -> list[int]:
+    return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
+
+
+def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
+    """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
+    assignments a bounded X-search counts as instances. Past
+    MAX_SPLITTING_X or MAX_SPLITTING_INSTANCES it raises, before any X is
+    enumerated."""
+    if max_x > MAX_SPLITTING_X:
+        raise BudgetExceeded(f"max_x of {max_x} exceeds {MAX_SPLITTING_X}")
+    per_size = _TEST_SPACES[up_to_iso]
+    instances = sum(per_size[n - 1] * nmaps**n for n in range(1, max_x + 1))
+    if instances > MAX_SPLITTING_INSTANCES:
+        raise BudgetExceeded(
+            f"{instances} slice assignments exceed {MAX_SPLITTING_INSTANCES}"
+        )
+    return instances
+
+
+def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:
+    """Depth-first over the points 0..n-1 of X, each trying its maps in
+    ascending order. Returns the number of assignments meeting the
+    hypothesis and, in `itertools.product` order, those breaking the
+    conclusion: one (slices of points 0..n-2, mask of the last point's
+    breaking maps, mask of all its candidates, count before them) each.
+
+    Both relations are (below, above) pairs, like `MapSet.joint`. Point k
+    may take map c when c is in below[combo[p]] for every earlier p whose
+    minimal open holds k, and in above[combo[q]] for every earlier q inside
+    k's minimal open. The last point's candidates are counted, not visited.
+    """
+    below, above = hypothesis
+    c_below, c_above = conclusion
+    last = len(xmins) - 1
+    links = [
+        (
+            [p for p in range(k) if (xmins[p] >> k) & 1],
+            [q for q in range(k) if (xmins[k] >> q) & 1],
+        )
+        for k in range(last + 1)
+    ]
+    full = full_mask(nmaps)
+    count = 0
+    broken_out = []
+    # (slices of points 0..k-1, whether they already break the conclusion)
+    stack = [((), False)]
+    while stack:
+        combo, broken = stack.pop()
+        ups, downs = links[len(combo)]
+        cand = c_cand = full
+        for p in ups:
+            cand &= below[combo[p]]
+            c_cand &= c_below[combo[p]]
+        for q in downs:
+            cand &= above[combo[q]]
+            c_cand &= c_above[combo[q]]
+        if len(combo) == last:
+            tails = cand if broken else cand & ~c_cand
+            if tails:
+                broken_out.append((combo, tails, cand, count))
+            count += popcount(cand)
+            continue
+        # pushed high to low, so the lowest map comes off the stack first
+        for c in reversed(list(bits(cand))):
+            stack.append((combo + (c,), broken or not (c_cand >> c) & 1))
+    return count, broken_out
+

@@ -20,7 +20,9 @@ from topolab.finspace import (
     bits,
     enumerate_topologies,
     full_mask,
+    product,
 )
+from topolab.mapspace import ContMap
 from topolab.reports import VerdictReport, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
@@ -419,4 +421,69 @@ def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True)
         instance_count=examined,
         witnesses=tuple(witnesses),
         budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
+    )
+
+
+def _monotone(xspace: FinSpace, targets_min: tuple[int, ...], row: tuple[int, ...]) -> bool:
+    # continuity between finite spaces = specialization monotonicity
+    mins = xspace.min_opens
+    for p in range(xspace.size):
+        for q in bits(mins[p]):
+            if not (targets_min[row[p]] >> row[q]) & 1:
+                return False
+    return True
+
+
+def literal_admissible_direct(tau, maps, max_x: int) -> VerdictReport:
+    """Direct admissibility of a dual one assignment at a time: each member of
+    Σ_X |maps|^n in `itertools.product` order, its preimage rows tested for
+    continuity into tau, and the adjoint built on the product space and tested
+    for continuity. Stops at the first violation."""
+    y = tau.y
+    z = tau.z
+    dual_min = tau.as_space().min_opens
+    gidx = tau.ground_index
+    claim = f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(y, z)}"
+    instances = 0
+    hypothesis_true = 0
+    for n in range(1, max_x + 1):
+        for xspace in enumerate_topologies(n, up_to_iso=True):
+            prod = product(xspace, y)
+            for g in assignments(range(len(maps)), repeat=n):
+                instances += 1
+                rows_ok = True
+                for u in z.opens:
+                    pre = maps.preimage_rows[u]
+                    row = tuple(gidx[pre[g[p]]] for p in range(n))
+                    if not _monotone(xspace, dual_min, row):
+                        rows_ok = False
+                        break
+                if not rows_ok:
+                    continue
+                hypothesis_true += 1
+                table = tuple(
+                    maps[g[p]](q) for p in range(n) for q in range(y.size)
+                )
+                if not ContMap(prod, z, table).is_continuous():
+                    return VerdictReport(
+                        claim=claim,
+                        status="fails",
+                        hypothesis_true_count=hypothesis_true,
+                        instance_count=instances,
+                        witnesses=(
+                            (
+                                "x_opens",
+                                tuple(xspace.opens.members),
+                                "assignment",
+                                tuple(maps[i].table for i in g),
+                            ),
+                        ),
+                        budget=(("max_x", max_x),),
+                    )
+    return VerdictReport(
+        claim=claim,
+        status="inconclusive",
+        hypothesis_true_count=hypothesis_true,
+        instance_count=instances,
+        budget=(("max_x", max_x),),
     )

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topolab.cli import main
+from conftest import all_spaces_up_to
+from topolab.cli import _fn_from, _space_from, main
+from topolab.fntop import NAMED, named_function_topology
 
 S = {"points": 2, "opens": [0, 2, 3]}
 PT = {"points": 1, "opens": [0, 1]}
@@ -226,3 +231,47 @@ def test_internal_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypat
     path = write(tmp_path, "s.json", S)
     with pytest.raises(ValueError, match="internal bug"):
         main(["space", "validate", path])
+
+
+@st.composite
+def maybe_labeled(draw, max_points):
+    x = draw(st.sampled_from(all_spaces_up_to(max_points)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.text(max_size=3), min_size=x.size, max_size=x.size))
+        x = replace(x, labels=tuple(labels))
+    return x
+
+
+def write_space(path, x):
+    obj = {"points": x.size, "opens": list(x.opens.members)}
+    if x.labels is not None:
+        obj["labels"] = list(x.labels)
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=maybe_labeled(3))
+def test_space_validate_round_trip(tmp_path_factory, x):
+    d = tmp_path_factory.mktemp("space")
+    out = d / "out.json"
+    assert main(["space", "validate", write_space(d / "x.json", x), "--out", str(out)]) == 0
+    back = _space_from(json.loads(out.read_text()))
+    assert back.opens.members == x.opens.members
+    assert back.labels == x.labels
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=maybe_labeled(3), z=maybe_labeled(2), kind=st.sampled_from(tuple(NAMED)))
+def test_topo_build_round_trip(tmp_path_factory, y, z, kind):
+    d = tmp_path_factory.mktemp("topo")
+    out = d / "out.json"
+    argv = ["topo", "build", "--kind", kind, "--out", str(out)]
+    argv += ["--y", write_space(d / "y.json", y), "--z", write_space(d / "z.json", z)]
+    assert main(argv) == 0
+    t = named_function_topology(kind, y, z)
+    back = _fn_from(json.loads(out.read_text()))
+    assert back.maps.tables == t.maps.tables
+    assert back.subbasis == t.subbasis
+    assert back.provenance == t.provenance == kind
+    assert (back.maps.domain.labels, back.maps.codomain.labels) == (y.labels, z.labels)

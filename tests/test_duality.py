@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from topolab import duality
+from topolab.checkers import MAX_SPLITTING_INSTANCES
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
-from topolab.errors import AxiomsViolated, MismatchedBase
-from topolab.finspace import enumerate_topologies, full_mask
+from topolab.errors import AxiomsViolated, BudgetExceeded, MismatchedBase
+from topolab.finspace import discrete, enumerate_topologies, full_mask, indiscrete
 from topolab.fntop import (
+    NAMED,
     FnTopology,
     compare_topologies,
     evaluation_witness,
@@ -16,7 +19,7 @@ from topolab.fntop import (
 from topolab.mapspace import enumerate_continuous, o_z_family
 
 from conftest import all_spaces_up_to
-from oracles import literal_lift
+from oracles import literal_admissible_direct, literal_lift
 
 
 def test_tau_of_compact_open_sierpinski_pinned(s):
@@ -228,3 +231,50 @@ def test_admissible_duals_of_named_topologies(s, chain2, indisc2, disc2):
                 assert is_admissible_on_ozy(tau, maps).status == "holds"
                 again = tau_of_t(t_of_tau(tau, maps))
                 assert is_admissible_on_ozy(again, maps).status == "holds"
+
+
+def test_direct_bounded_matches_literal_oracle():
+    # the six named duals and two sampled ones on every pair at (3,2)
+    rng = random.Random(5)
+    cases = []
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            duals = [tau_of_t(named_function_topology(k, y, z)) for k in NAMED]
+            cases += [(tau, maps) for tau in duals + sampled_duals(y, z, rng, count=2)]
+    assert len(cases) == 1360
+    failing = []
+    small = []
+    for tau, maps in cases:
+        fast = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2).to_dict()
+        assert fast == literal_admissible_direct(tau, maps, 2).to_dict()
+        if fast["status"] == "fails":
+            failing.append((tau, maps))
+        elif len(maps) <= 3:
+            small.append((tau, maps))
+    assert len(failing) == 164
+    # three-point test spaces: every failure, and a spread of clean duals
+    for tau, maps in failing + small[::10]:
+        fast = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3).to_dict()
+        assert fast == literal_admissible_direct(tau, maps, 3).to_dict()
+
+
+def test_direct_bounded_instance_budget(monkeypatch):
+    # the 256 maps of discrete(4) -> indiscrete(4) at max_x=2 stay admitted
+    y, z = discrete(4), indiscrete(4)
+    maps = enumerate_continuous(y, z)
+    assert len(maps) == 256
+    tau = tau_of_t(named_function_topology("co", y, z))
+    report = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
+    assert report.instance_count == 196_864 < MAX_SPLITTING_INSTANCES
+    # max_x=5 is past the test-space cap
+    with pytest.raises(BudgetExceeded):
+        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=5)
+
+    # at max_x=3 the closed-form count rejects it before any X is enumerated
+    def no_test_spaces(*args, **kwargs):
+        raise AssertionError("test spaces enumerated past the budget")
+
+    monkeypatch.setattr(duality, "enumerate_topologies", no_test_spaces)
+    with pytest.raises(BudgetExceeded, match="151"):
+        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3)

@@ -170,6 +170,7 @@ def test_enumerate_counts():
     assert len(enumerate_topologies(2)) == 4
     assert len(enumerate_topologies(3)) == 29
     assert len(enumerate_topologies(4)) == 355
+    assert len(enumerate_topologies(5)) == 6942  # OEIS A000798
 
 
 def test_enumerate_matches_filter_oracle():

@@ -92,6 +92,8 @@ def test_enumerate_upsets_leaves_no_cyclic_garbage():
     try:
         assert len(set(_enumerate_upsets(len(rows), rows))) == 20  # Dedekind M(3)
         assert gc.collect() == 0
+        assert len(enumerate_topologies.__wrapped__(3)) == 29
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
