@@ -9,6 +9,11 @@ the named topologies; `tau_of_t` is its transpose. Iterating the two need
 not return the start; it can only grow the topology, which the tests pin
 down.
 
+Both brackets commute with union, so each side is fed only the other's
+minimal opens. A DualSpace is carried by its minimal opens and lists its
+open family only when asked; only the public `t_of_tau` lifts every dual
+open, to keep the subbasis it prints.
+
 Admissibility of a topology on the preimage family quantifies over all
 spaces X and all maps X -> C(Y,Z), so the decision route converts it to an
 evaluation check on the dual map-set topology. The bounded search over small
@@ -28,9 +33,10 @@ from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
+    _enumerate_upsets,
     bits,
     enumerate_topologies,
-    generate_from_subbasis,
+    meets_by_point,
     popcount,
 )
 from .fntop import FnTopology, evaluation_witness, lift_families
@@ -43,23 +49,31 @@ DEFAULT_DIRECT_MAX_X = 2
 
 @dataclass(frozen=True)
 class DualSpace:
-    """A topology on the preimage family of a pair (Y, Z)."""
+    """A topology on the preimage family of a pair (Y, Z), carried by the
+    minimal open around each preimage; the open family is listed on first
+    use."""
 
     y: FinSpace
     z: FinSpace
     ground: tuple[Subset, ...]
-    opens: SubsetFamily
+    min_opens: tuple[int, ...]
 
     @classmethod
     def of(cls, y: FinSpace, z: FinSpace, opens) -> "DualSpace":
         ground = o_z_family(y, z).members
         fam = SubsetFamily.of(len(ground), opens)
         _validate_topology_family(len(ground), fam, "dual")
-        return cls(y, z, ground, fam)
+        return cls(y, z, ground, meets_by_point(len(ground), fam))
 
     @cached_property
     def ground_index(self) -> dict[Subset, int]:
         return {g: i for i, g in enumerate(self.ground)}
+
+    @cached_property
+    def opens(self) -> SubsetFamily:
+        """Every open: the families holding the minimal open of each member."""
+        m = len(self.ground)
+        return SubsetFamily(m, tuple(sorted(_enumerate_upsets(m, self.min_opens))))
 
     def as_space(self) -> FinSpace:
         labels = tuple(
@@ -70,7 +84,11 @@ class DualSpace:
 
 def tau_of_t(t: FnTopology) -> DualSpace:
     """Dual on the preimage family: one generator per (maps-open, codomain
-    open), collecting the preimages the open's maps actually take."""
+    open), collecting the preimages the open's maps actually take.
+
+    Collecting commutes with union and every t-open is a union of minimal
+    t-opens, so the minimal t-opens generate the same dual; the dual's
+    minimal opens are then the meets of those generators."""
     y = t.maps.domain
     z = t.maps.codomain
     ground = o_z_family(y, z).members
@@ -78,22 +96,36 @@ def tau_of_t(t: FnTopology) -> DualSpace:
     seeds = set()
     for u in z.opens:
         rows = t.maps.preimage_rows[u]
-        for h in t.opens:
+        for h in set(t.min_opens):
             fam = 0
             for i in bits(h):
                 fam |= 1 << index[rows[i]]
             seeds.add(fam)
-    opens = generate_from_subbasis(len(ground), seeds).opens
-    return DualSpace.of(y, z, opens)
+    return DualSpace(y, z, ground, meets_by_point(len(ground), seeds))
 
 
 def t_of_tau(tau: DualSpace, maps: MapSet) -> FnTopology:
     """Dual on the map set: a map joins a generator when its preimage of the
-    codomain open lies in the chosen dual-open family."""
-    if tau.y != maps.domain or tau.z != maps.codomain:
-        raise MismatchedBase("dual space pair differs from the map set pair")
+    codomain open lies in the chosen dual-open family. Every dual open is
+    lifted, so the subbasis is the one the dual-t-of-tau command prints;
+    `_lift_min_opens` gives the same topology from the minimal opens."""
+    _check_pair(tau, maps)
     subbasis = lift_families(maps, tau.ground_index, tau.opens)
     return FnTopology.of(maps, subbasis, "custom")
+
+
+def _lift_min_opens(tau: DualSpace, maps: MapSet) -> FnTopology:
+    """`t_of_tau` as a topology: lifting commutes with union and every dual
+    open is a union of minimal ones, so lifting only the distinct minimal
+    opens generates the same topology on fewer subbasics."""
+    _check_pair(tau, maps)
+    subbasis = lift_families(maps, tau.ground_index, set(tau.min_opens))
+    return FnTopology.of(maps, subbasis, "custom")
+
+
+def _check_pair(tau: DualSpace, maps: MapSet) -> None:
+    if tau.y != maps.domain or tau.z != maps.codomain:
+        raise MismatchedBase("dual space pair differs from the map set pair")
 
 
 def is_admissible_on_ozy(
@@ -115,8 +147,7 @@ def is_admissible_on_ozy(
 
 
 def _admissible_via_dual(tau: DualSpace, maps: MapSet) -> VerdictReport:
-    t = t_of_tau(tau, maps)
-    w = evaluation_witness(t)
+    w = evaluation_witness(_lift_min_opens(tau, maps))
     claim = f"ozy-admissible mode=via_dual {pair_tag(tau.y, tau.z)}"
     if w is None:
         return VerdictReport(
@@ -141,7 +172,7 @@ def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictRepor
     and reports up to its first violation in `itertools.product` order."""
     nmaps = len(maps)
     slice_instances(nmaps, max_x, True)
-    into_tau = maps.pull_relation(tau.ground_index, tau.as_space().min_opens)
+    into_tau = maps.pull_relation(tau.ground_index, tau.min_opens)
     instances = hypothesis_true = 0
     witnesses = ()
     xs = (x for n in range(1, max_x + 1) for x in enumerate_topologies(n, up_to_iso=True))

@@ -91,15 +91,15 @@ def _q1(max_y: int, max_z: int):
         for z in _spaces(max_z):
             if not separation_profile(z).regular:
                 continue
-            space = named_function_topology("t1z", y, z).as_space()
-            ok = separation_profile(space).regular
+            t = named_function_topology("t1z", y, z)
+            ok = t.profile.regular
             rows.append(
                 VerdictReport(
                     claim=f"q1:regular t1z {pair_tag(y, z)}",
                     status="holds" if ok else "fails",
                     hypothesis_true_count=1,
                     instance_count=1,
-                    witnesses=() if ok else (("function_space_opens", space.opens.members),),
+                    witnesses=() if ok else (("function_space_opens", t.opens.members),),
                 )
             )
     return rows, ""

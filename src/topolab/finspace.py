@@ -107,14 +107,7 @@ class FinSpace:
     @cached_property
     def min_opens(self) -> tuple[Subset, ...]:
         """Minimal open neighborhood of each point (finite spaces have them)."""
-        out = []
-        for p in range(self.size):
-            m = self.full
-            for o in self.opens:
-                if (o >> p) & 1:
-                    m &= o
-            out.append(m)
-        return tuple(out)
+        return meets_by_point(self.size, self.opens)
 
     @cached_property
     def closed_sets(self) -> tuple[Subset, ...]:
@@ -127,6 +120,17 @@ class FinSpace:
 
     def encoding(self) -> tuple[Subset, ...]:
         return self.opens.members
+
+
+def meets_by_point(size: int, family: Iterable[Subset]) -> tuple[Subset, ...]:
+    """For each point, the meet of the family's members holding it (the full
+    ground when none does). Over a subbasis, or over the opens themselves,
+    these are the minimal opens of the generated topology."""
+    out = [full_mask(size)] * size
+    for m in family:
+        for p in bits(m):
+            out[p] &= m
+    return tuple(out)
 
 
 def make_space(
@@ -264,28 +268,33 @@ def local_profile(x: FinSpace) -> LocalProfile:
     return _profile(x)
 
 
-@lru_cache(maxsize=None)
-def _profile(x: FinSpace) -> LocalProfile:
-    """Read the profile off the minimal opens U_p, in O(n^2).
+def min_open_profile(mins: tuple[Subset, ...]) -> LocalProfile:
+    """Read the profile off the minimal opens U_p, in O(n^2). Function-space
+    topologies share it, read off their subbasis meets, so no open family
+    is materialized.
 
     On a finite ground T1 and T2 both say every U_p is {p}. Regularity says
-    every U_p is closed: then q in U_p puts p in U_q, so the U_p partition the
-    ground, and conversely a regular space separates p from the closure of
-    any q outside U_p. The local predicates always hold, by the theorem
-    `compactness_verdict` cites. The definition-shaped searches live on as
-    test oracles.
+    every U_p is closed: then q in U_p puts p in U_q, so q in U_p forces
+    U_q = U_p and the U_p partition the ground; conversely a regular space
+    separates p from the closure of any q outside U_p. The local predicates
+    always hold, by the theorem `compactness_verdict` cites. The
+    definition-shaped searches live on as test oracles.
     """
-    mins = x.min_opens
     discrete = all(m == 1 << p for p, m in enumerate(mins))
     return LocalProfile(
-        t0=len(set(mins)) == x.size,
+        t0=len(set(mins)) == len(mins),
         t1=discrete,
         t2=discrete,
-        regular=all(x.is_closed(m) for m in mins),
+        regular=all(mins[q] == m for m in mins for q in bits(m)),
         locally_compact=True,
         locally_bounded=True,
         corecompact=True,
     )
+
+
+@lru_cache(maxsize=None)
+def _profile(x: FinSpace) -> LocalProfile:
+    return min_open_profile(x.min_opens)
 
 
 def compactness_verdict(

@@ -2,9 +2,13 @@
 
 The ground is a MapSet in its canonical order, opens are bit-vectors over map
 indices, and a topology is carried by its subbasis. Minimal neighborhoods are
-computable straight from the subbasis, so openness, comparison and the
-evaluation check all work without materializing the full open family; the
-family itself is built on demand under a budget.
+computable straight from the subbasis, and every verdict is read off them
+without materializing the open family: containment is one mask test per map
+each way, evaluation is continuous iff each minimal open lies inside the
+pointwise one (`MapSet.joint`), and the separation profile is the one
+`finspace` reads off a space's minimal opens. The slower walks run only to
+name the witnesses of a failing check. The family itself is built on demand
+under a budget.
 
 Two subbasis styles appear: restriction sets {f : f(K) included in U} with K a
 compact subset of the domain, and lifted sets {f : the preimage of U lies in a
@@ -22,12 +26,15 @@ from typing import Collection
 from .errors import MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
     FinSpace,
+    LocalProfile,
     Subset,
     SubsetFamily,
     bits,
     close_under_intersection,
     close_under_union,
     full_mask,
+    meets_by_point,
+    min_open_profile,
 )
 from .hypertop import (
     HyperSpace,
@@ -61,7 +68,7 @@ class FnTopology:
             raise NotATopology("subbasis member escapes the map ground", stray)
         return cls(maps, ordered, provenance)
 
-    @property
+    @cached_property
     def full(self) -> int:
         return full_mask(len(self.maps))
 
@@ -75,14 +82,13 @@ class FnTopology:
     def min_opens(self) -> tuple[int, ...]:
         """Smallest open around each map: the intersection of the subbasis
         members containing it. Exact, since that intersection is basic."""
-        out = []
-        for i in range(len(self.maps)):
-            m = self.full
-            for s in self.subbasis:
-                if (s >> i) & 1:
-                    m &= s
-            out.append(m)
-        return tuple(out)
+        return meets_by_point(len(self.maps), self.subbasis)
+
+    @cached_property
+    def profile(self) -> LocalProfile:
+        """The separation profile of the materialized space, read off the
+        minimal opens as `finspace` reads it for a FinSpace."""
+        return min_open_profile(self.min_opens)
 
     def is_open_mask(self, mask: int) -> bool:
         if mask < 0 or mask & ~self.full:
@@ -186,12 +192,19 @@ class Comparison:
 
 
 def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:
-    """Containment both ways, decided on subbasics: a is contained in b iff
-    every a-subbasic is b-open, since opens are unions of finite meets."""
+    """Containment both ways, decided on minimal opens: a is contained in b
+    iff b's minimal open around each map lies inside a's, since every a-open
+    is the union of a's minimal opens around its maps. Only a direction that
+    fails names its witnesses: the subbasics of one side that are not open
+    in the other, which exist exactly then, opens being unions of finite
+    meets of subbasics."""
     if a.maps != b.maps:
         raise MismatchedGround("topologies live on different map sets")
-    a_only = tuple(sorted(s for s in set(a.subbasis) if not b.is_open_mask(s)))
-    b_only = tuple(sorted(s for s in set(b.subbasis) if not a.is_open_mask(s)))
+    a_only = b_only = ()
+    if not _coarser(a, b):
+        a_only = tuple(sorted(s for s in set(a.subbasis) if not b.is_open_mask(s)))
+    if not _coarser(b, a):
+        b_only = tuple(sorted(s for s in set(b.subbasis) if not a.is_open_mask(s)))
     if not a_only and not b_only:
         return Comparison("equal", (), ())
     if not a_only:
@@ -201,6 +214,11 @@ def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:
     return Comparison("incomparable", a_only, b_only)
 
 
+def _coarser(a: FnTopology, b: FnTopology) -> bool:
+    """Whether every a-open is b-open."""
+    return all(bm & ~am == 0 for am, bm in zip(a.min_opens, b.min_opens))
+
+
 def evaluation_witness(t: FnTopology) -> int | None:
     """A codomain open whose evaluation preimage fails to be open in the
     product of the domain with t, or None when evaluation is continuous.
@@ -208,9 +226,17 @@ def evaluation_witness(t: FnTopology) -> int | None:
     The preimage is a union of rows {p in domain : f(p) in W} indexed by maps;
     it is product-open iff every row is contained in the rows of every map in
     the minimal t-neighborhood, rows themselves being domain-open already.
+    Over all W at once that says the minimal t-open around each map i lies
+    inside the maps whose every preimage contains the matching preimage of
+    i. That set is i's minimal open in the pointwise topology,
+    `MapSet.joint[0][i]`. So evaluation is continuous iff t contains the
+    pointwise topology, decided by one mask test per map; the per-W walk
+    runs only to name the first failing W.
     """
-    z = t.maps.codomain
     mins = t.min_opens
+    if all(m & ~pw == 0 for m, pw in zip(mins, t.maps.joint[0])):
+        return None
+    z = t.maps.codomain
     for w in z.opens:
         rows = t.maps.preimage_rows[w]
         ok = True

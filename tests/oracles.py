@@ -11,6 +11,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import product as assignments
 
+from topolab.checkers import _COMPOSE_HYPOTHESIS, MAX_COMPOSE_GROUND
 from topolab.errors import BudgetExceeded
 from topolab.finspace import (
     FinSpace,
@@ -20,10 +21,12 @@ from topolab.finspace import (
     bits,
     enumerate_topologies,
     full_mask,
+    generate_from_subbasis,
     product,
 )
-from topolab.mapspace import ContMap
-from topolab.reports import VerdictReport, pair_tag
+from topolab.fntop import Comparison, named_function_topology
+from topolab.mapspace import ContMap, o_z_family, relative_profile
+from topolab.reports import VerdictReport, fam_tag, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
 
@@ -487,3 +490,120 @@ def literal_admissible_direct(tau, maps, max_x: int) -> VerdictReport:
         instance_count=instances,
         budget=(("max_x", max_x),),
     )
+
+
+def literal_compare_topologies(a, b) -> Comparison:
+    """Containment both ways, every subbasic of each side tested for
+    openness in the other."""
+    a_only = tuple(sorted(s for s in set(a.subbasis) if not b.is_open_mask(s)))
+    b_only = tuple(sorted(s for s in set(b.subbasis) if not a.is_open_mask(s)))
+    if not a_only and not b_only:
+        return Comparison("equal", (), ())
+    if not a_only:
+        return Comparison("a_coarser", (), b_only)
+    if not b_only:
+        return Comparison("a_finer", a_only, ())
+    return Comparison("incomparable", a_only, b_only)
+
+
+def literal_evaluation_witness(t) -> int | None:
+    """The first codomain open W whose evaluation preimage is not open in
+    the product, each W tested by row containment over every map and every
+    map in its minimal t-neighborhood."""
+    z = t.maps.codomain
+    mins = t.min_opens
+    for w in z.opens:
+        rows = t.maps.preimage_rows[w]
+        ok = True
+        for i, row in enumerate(rows):
+            if not ok:
+                break
+            for j in bits(mins[i]):
+                if row & ~rows[j]:
+                    ok = False
+                    break
+        if not ok:
+            return w
+    return None
+
+
+def literal_composition_check(
+    x: FinSpace, y: FinSpace, z: FinSpace, kinds: tuple[str, str, str]
+) -> VerdictReport:
+    """Composition continuity one target subbasic, one pair (i, j) and one
+    neighbouring pair (i2, j2) at a time, each composite built by calling
+    the two maps point by point."""
+    if len(kinds) != 3:
+        raise ValueError(f"expected three topology kinds, got {kinds!r}")
+    t_xy = named_function_topology(kinds[0], x, y)
+    t_yz = named_function_topology(kinds[1], y, z)
+    t_xz = named_function_topology(kinds[2], x, z)
+    a, b, c = t_xy.maps, t_yz.maps, t_xz.maps
+    if len(a) * len(b) > MAX_COMPOSE_GROUND:
+        raise BudgetExceeded(
+            f"composition ground of {len(a) * len(b)} pairs exceeds {MAX_COMPOSE_GROUND}"
+        )
+    comp = [
+        [c.index[tuple(b[j](a[i](p)) for p in range(x.size))] for j in range(len(b))]
+        for i in range(len(a))
+    ]
+    mins_a = t_xy.min_opens
+    mins_b = t_yz.min_opens
+    witnesses = []
+    for s in t_xz.subbasis:
+        hit = None
+        for i in range(len(a)):
+            if hit:
+                break
+            for j in range(len(b)):
+                if not (s >> comp[i][j]) & 1:
+                    continue
+                escape = next(
+                    (
+                        (i2, j2)
+                        for i2 in bits(mins_a[i])
+                        for j2 in bits(mins_b[j])
+                        if not (s >> comp[i2][j2]) & 1
+                    ),
+                    None,
+                )
+                if escape is not None:
+                    hit = ("open", s, "at", (i, j), "escapes", escape)
+                    break
+        if hit:
+            witnesses.append(hit)
+    rp = relative_profile(y, z)
+    hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
+    return VerdictReport(
+        claim=(
+            f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
+        ),
+        status="fails" if witnesses else "holds",
+        hypothesis_true_count=int(getattr(rp, hyp_name)),
+        instance_count=1,
+        witnesses=tuple(witnesses),
+        budget=(
+            ("hypothesis", hyp_name),
+            ("locally_z_bounded", rp.locally_z_bounded),
+            ("locally_z_compact", rp.locally_z_compact),
+            ("z_corecompact", rp.z_corecompact),
+        ),
+    )
+
+
+def literal_tau_opens(t) -> tuple[Subset, ...]:
+    """The opens of the dual of t, generated from one seed per t-open and
+    codomain open, every t-open materialized."""
+    y = t.maps.domain
+    z = t.maps.codomain
+    ground = o_z_family(y, z).members
+    index = {g: i for i, g in enumerate(ground)}
+    seeds = set()
+    for u in z.opens:
+        rows = t.maps.preimage_rows[u]
+        for h in t.opens:
+            fam = 0
+            for i in bits(h):
+                fam |= 1 << index[rows[i]]
+            seeds.add(fam)
+    return generate_from_subbasis(len(ground), seeds).opens.members

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import all_spaces_up_to
-from oracles import literal_refute_splitting
+from oracles import literal_composition_check, literal_refute_splitting
 from topolab import checkers
 from topolab.checkers import (
     MAX_SPLITTING_INSTANCES,
@@ -247,6 +248,37 @@ def test_composition_kind_guards(s):
         composition_check(s, s, s, ("co", "co"))
     with pytest.raises(ValueError):
         composition_check(s, s, s, ("co", "co", "pointwise"))
+
+
+def test_composition_matches_literal_oracle(monkeypatch):
+    xs, ys, zs = all_spaces_up_to(2), all_spaces_up_to(3), all_spaces_up_to(2)
+    triples = [(x, y, z) for x in xs for y in ys for z in zs]
+    rng = random.Random(11)
+    # every q6/q7 triple, and mixed kinds on a spread of the same triples
+    cases = [(x, y, z, (k, k, k)) for k in ("t1sz", "t1z") for x, y, z in triples]
+    cases += [(*xyz, tuple(rng.choice(NAMED) for _ in range(3))) for xyz in triples]
+    for case in cases:
+        assert composition_check(*case).to_dict() == literal_composition_check(*case).to_dict()
+
+    # every named triple holds here, so each kind also stands for a seeded
+    # coarsening or refinement of its topology, which makes escapes occur
+    named = checkers.named_function_topology
+
+    def perturbed(name, y, z):
+        t = named(name, y, z)
+        pick = random.Random(f"{name}{y.opens.members}{z.opens.members}")
+        kept = [m for m in t.subbasis if pick.random() < 0.6]
+        extra = [pick.randrange(t.full + 1) for _ in range(pick.randint(0, 2))]
+        return FnTopology.of(t.maps, kept + extra)
+
+    monkeypatch.setattr(checkers, "named_function_topology", perturbed)
+    monkeypatch.setattr(oracles, "named_function_topology", perturbed)
+    failing = 0
+    for case in cases[::2]:
+        fast = composition_check(*case).to_dict()
+        assert fast == literal_composition_check(*case).to_dict()
+        failing += fast["status"] == "fails"
+    assert failing > 100
 
 
 def test_suite_rows_at_2_2(suite22):

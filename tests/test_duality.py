@@ -8,7 +8,13 @@ from topolab import duality
 from topolab.checkers import MAX_SPLITTING_INSTANCES
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
 from topolab.errors import AxiomsViolated, BudgetExceeded, MismatchedBase
-from topolab.finspace import discrete, enumerate_topologies, full_mask, indiscrete
+from topolab.finspace import (
+    discrete,
+    enumerate_topologies,
+    full_mask,
+    generate_from_subbasis,
+    indiscrete,
+)
 from topolab.fntop import (
     NAMED,
     FnTopology,
@@ -19,7 +25,7 @@ from topolab.fntop import (
 from topolab.mapspace import enumerate_continuous, o_z_family
 
 from conftest import all_spaces_up_to
-from oracles import literal_admissible_direct, literal_lift
+from oracles import literal_admissible_direct, literal_lift, literal_tau_opens
 
 
 def test_tau_of_compact_open_sierpinski_pinned(s):
@@ -57,6 +63,40 @@ def test_t_of_tau_matches_per_family_loop():
                 tau = tau_of_t(t)
                 want = literal_lift(t.maps, tau.ground, tau.opens)
                 assert t_of_tau(tau, t.maps).subbasis == tuple(sorted(want))
+
+
+def test_dual_routes_match_materialized_ones():
+    # the 1,020 named topologies at (3,2) and six sampled ones on each pair
+    rng = random.Random(9)
+    checked = 0
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            ts = [named_function_topology(k, y, z) for k in NAMED]
+            ts += [
+                FnTopology.of(
+                    maps, [rng.randrange(1 << len(maps)) for _ in range(rng.randrange(0, 4))]
+                )
+                for _ in range(6)
+            ]
+            for t in ts:
+                tau = tau_of_t(t)
+                # seeded from minimal opens, carried by its own minimal opens
+                assert tau.opens.members == literal_tau_opens(t)
+                assert tau.min_opens == tau.as_space().min_opens
+                # the minimal-open lift and the full lift give one topology
+                lifted = duality._lift_min_opens(tau, maps)
+                assert lifted.min_opens == t_of_tau(tau, maps).min_opens
+                checked += 1
+            m = len(o_z_family(y, z))
+            for _ in range(2):
+                seeds = [rng.randrange(1 << m) for _ in range(rng.randrange(1, 4))]
+                fam = generate_from_subbasis(m, seeds).opens
+                tau = DualSpace.of(y, z, fam)
+                assert tau.opens == fam
+                lifted = duality._lift_min_opens(tau, maps)
+                assert lifted.min_opens == t_of_tau(tau, maps).min_opens
+    assert checked == 2040
 
 
 def test_t_of_tau_on_indiscrete_dual(s):

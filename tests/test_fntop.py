@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from topolab.errors import (
@@ -30,7 +32,13 @@ from topolab.hypertop import _validate_topology_family
 from topolab.mapspace import enumerate_continuous
 
 from conftest import all_spaces_up_to
-from oracles import literal_kset_subbasis, literal_lift, literal_profile
+from oracles import (
+    literal_compare_topologies,
+    literal_evaluation_witness,
+    literal_kset_subbasis,
+    literal_lift,
+    literal_profile,
+)
 
 
 def small_pairs():
@@ -220,6 +228,36 @@ def test_function_space_profiles_match_literal_oracles():
     assert len(spaces) == 29
     for x in spaces:
         assert separation_profile(x) == literal_profile(x)
+    # the profile read off a topology's own minimal opens, never materialized
+    for y, z in small_pairs():
+        for name in NAMED:
+            t = named_function_topology(name, y, z)
+            assert t.profile == separation_profile(t.as_space())
+
+
+def test_compare_and_evaluation_match_literal_oracles():
+    # the 1,020 named topologies at (3,2) and every ordered pair of kinds on
+    # each pair; then seeded refinements drawn as the suite's refinement row
+    # and seeded coarsenings, since every named topology here is admissible,
+    # each against its named topology both ways
+    rng = random.Random(0)
+    failing = unequal = 0
+    for y, z in small_pairs():
+        named = [named_function_topology(name, y, z) for name in NAMED]
+        pairs = [(a, b) for a in named for b in named]
+        for t in named:
+            extra = tuple(rng.randrange(t.full + 1) for _ in range(rng.randint(1, 3)))
+            finer = FnTopology.of(t.maps, t.subbasis + extra)
+            coarser = FnTopology.of(t.maps, [m for m in t.subbasis if rng.random() < 0.5])
+            pairs += [(t, finer), (finer, t), (t, coarser), (coarser, t)]
+        for a, b in pairs:
+            got = compare_topologies(a, b)
+            assert got == literal_compare_topologies(a, b)
+            unequal += got.verdict != "equal"
+            w = evaluation_witness(a)
+            assert w == literal_evaluation_witness(a)
+            failing += w is not None
+    assert failing > 400 and unequal > 1000
 
 
 def test_fn_topologies_pass_axioms(s, chain2, indisc2):
