@@ -34,13 +34,14 @@ from .finspace import (
     Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _subset_labels,
+    _validate_topology_family,
     bits,
     enumerate_topologies,
     meets_by_point,
     popcount,
 )
 from .fntop import FnTopology, evaluation_witness, lift_families
-from .hypertop import _validate_topology_family
 from .mapspace import MapSet, _continuous_slices, o_z_family, slice_instances
 from .reports import VerdictReport, pair_tag
 
@@ -76,10 +77,7 @@ class DualSpace:
         return SubsetFamily(m, tuple(sorted(_enumerate_upsets(m, self.min_opens))))
 
     def as_space(self) -> FinSpace:
-        labels = tuple(
-            f"{{{','.join(str(p) for p in bits(g))}}}" for g in self.ground
-        )
-        return FinSpace(len(self.ground), self.opens, labels)
+        return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
 
 
 def tau_of_t(t: FnTopology) -> DualSpace:

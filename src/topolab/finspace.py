@@ -1,19 +1,26 @@
 """Finite topological spaces over bit-vector grounds.
 
-Points are 0..size-1, subsets are characteristic bit-vectors stored as plain
-ints, and a topology is the full list of its open sets. Everything is small
-enough to enumerate, which is the point: the checks stay literal.
+Points are 0..size-1 and subsets are characteristic bit-vectors stored as
+plain ints. A finite topology is fixed by the minimal open U_p around each
+point, and its opens are exactly the up-sets of the relation p -> U_p
+(Alexandrov; Stong 1966). That is the one route from generators to opens:
+`meets_by_point` turns a subbasis (or an open family) into the U_p, and
+`_enumerate_upsets` lists their up-sets. The one axiom check,
+`_axiom_gap`, behind `make_space` and `_validate_topology_family`, asks
+whether a family is exactly that list; closure and interior are read off
+the U_p. The literal closure loops and
+the pairwise axiom check live on as test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator
 
 from .errors import (
-    BudgetExceeded,
+    AxiomsViolated,
     CoverEnumerationBudgetExceeded,
     GroundTooLarge,
     NotATopology,
@@ -109,10 +116,6 @@ class FinSpace:
         """Minimal open neighborhood of each point (finite spaces have them)."""
         return meets_by_point(self.size, self.opens)
 
-    @cached_property
-    def closed_sets(self) -> tuple[Subset, ...]:
-        return tuple(sorted(self.full & ~o for o in self.opens))
-
     def label_of(self, p: int) -> str:
         if self.labels is not None:
             return self.labels[p]
@@ -128,9 +131,24 @@ def meets_by_point(size: int, family: Iterable[Subset]) -> tuple[Subset, ...]:
     these are the minimal opens of the generated topology."""
     out = [full_mask(size)] * size
     for m in family:
-        for p in bits(m):
-            out[p] &= m
+        rest = m
+        while rest:  # the bits of m, inlined: this runs under every validation
+            low = rest & -rest
+            out[low.bit_length() - 1] &= m
+            rest ^= low
     return tuple(out)
+
+
+def _up_masks(ground: tuple[Subset, ...]) -> tuple[int, ...]:
+    """For each ground index, the index mask of its supersets in the ground."""
+    return tuple(
+        sum(1 << h for h, other in enumerate(ground) if g & ~other == 0) for g in ground
+    )
+
+
+def _subset_labels(ground: Iterable[Subset]) -> tuple[str, ...]:
+    """Point labels for a ground of subsets, written "{0,1}"."""
+    return tuple(f"{{{','.join(str(p) for p in bits(g))}}}" for g in ground)
 
 
 def make_space(
@@ -140,72 +158,73 @@ def make_space(
     if size > MAX_GROUND:
         raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
     fam = SubsetFamily.of(size, opens)
-    full = full_mask(size)
+    x = FinSpace(size, fam, labels)
+    gap = _axiom_gap(fam, x.min_opens)
+    if len(gap) == 1:
+        absent = "empty set" if gap == (0,) else "full ground"
+        raise NotATopology(f"{absent} missing", gap)
+    if gap:
+        a, b, missing = gap
+        escapes = "union" if missing == a | b else "intersection"
+        raise NotATopology(f"{escapes} escapes the family", (a, b))
+    if labels is not None and len(labels) != size:
+        raise NotATopology("label count does not match ground size")
+    return x
+
+
+def _axiom_gap(fam: SubsetFamily, mins: tuple[Subset, ...]) -> tuple[Subset, ...]:
+    """() when the family is a topology with minimal opens `mins`, which
+    must be `meets_by_point` of its members. Otherwise (0,) or (full,) for
+    a missing empty set or ground, else the first pair in member order whose
+    union, or else intersection, escapes, as (a, b, missing).
+
+    Every member is an up-set of p -> mins[p], since mins[p] is the meet of
+    the members holding p, and a topology holds every such up-set; so equal
+    counts decide it in O(|fam| * m^2). Only a failure walks the pairs."""
+    upsets = islice(_enumerate_upsets(fam.ground_size, mins), len(fam) + 1)
+    if sum(1 for _ in upsets) == len(fam):
+        return ()
+    full = full_mask(fam.ground_size)
     if 0 not in fam:
-        raise NotATopology("empty set missing", (0,))
+        return (0,)
     if full not in fam:
-        raise NotATopology("full ground missing", (full,))
+        return (full,)
+    return _offending_pair(fam)
+
+
+def _offending_pair(fam: SubsetFamily) -> tuple[Subset, Subset, Subset]:
     members = fam.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             if (a | b) not in fam:
-                raise NotATopology("union escapes the family", (a, b))
+                return (a, b, a | b)
             if (a & b) not in fam:
-                raise NotATopology("intersection escapes the family", (a, b))
-    if labels is not None and len(labels) != size:
-        raise NotATopology("label count does not match ground size")
-    return FinSpace(size, fam, labels)
+                return (a, b, a & b)
+    raise AssertionError("a family closed under pairs is a topology")
+
+
+def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
+    """The axiom check for computed families: a failure raises
+    AxiomsViolated with its witness and is never repaired."""
+    gap = _axiom_gap(fam, meets_by_point(m, fam))
+    if len(gap) == 1:
+        raise AxiomsViolated(f"{kind}: empty or full family missing", (0,))
+    if gap:
+        raise AxiomsViolated(f"{kind}: family is not union/intersection closed", gap)
 
 
 def generate_from_subbasis(
     size: int, family: Iterable[Subset], labels: tuple[str, ...] | None = None
 ) -> FinSpace:
-    """Smallest topology containing the family.
-
-    Empty intersections contribute the full ground, empty unions the empty set,
+    """Smallest topology containing the family: the up-sets of its meets by
+    point. A point no member holds has the full ground as its minimal open,
     so an empty subbasis yields the indiscrete space.
     """
     if size > MAX_GROUND:
         raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
-    seeds = SubsetFamily.of(size, family).members
-    basis = close_under_intersection(size, seeds)
-    opens = close_under_union(basis)
-    return FinSpace(size, SubsetFamily.of(size, opens), labels)
-
-
-def close_under_intersection(size: int, seeds: tuple[Subset, ...]) -> frozenset[Subset]:
-    acc = {full_mask(size)}
-    work = list(seeds)
-    while work:
-        m = work.pop()
-        if m in acc:
-            continue
-        fresh = [m & a for a in acc if (m & a) not in acc and m & a != m]
-        acc.add(m)
-        work.extend(fresh)
-    return frozenset(acc)
-
-
-def close_under_union(
-    seeds: Iterable[Subset], budget: int | None = None
-) -> frozenset[Subset]:
-    """All unions of seeds, the empty set included; past `budget` members
-    it raises instead of growing further."""
-    acc = {0}
-    work = list(seeds)
-    while work:
-        m = work.pop()
-        if m in acc:
-            continue
-        fresh = [m | a for a in acc if (m | a) not in acc and m | a != m]
-        acc.add(m)
-        if budget is not None and len(acc) > budget:
-            raise BudgetExceeded(
-                f"open family exceeds {budget} members; raise the budget "
-                "to materialize"
-            )
-        work.extend(fresh)
-    return frozenset(acc)
+    seeds = SubsetFamily.of(size, family)
+    opens = sorted(_enumerate_upsets(size, meets_by_point(size, seeds)))
+    return FinSpace(size, SubsetFamily(size, tuple(opens)), labels)
 
 
 def product(a: FinSpace, b: FinSpace) -> FinSpace:
@@ -237,16 +256,13 @@ def subspace(x: FinSpace, carrier: Subset) -> FinSpace:
 
 
 def closure_of(x: FinSpace, a: Subset) -> Subset:
-    m = x.full
-    for c in x.closed_sets:
-        if a & ~c == 0:
-            m &= c
-    return m
+    """The points whose minimal open meets a."""
+    return mask_of(p for p, m in enumerate(x.min_opens) if m & a)
 
 
 def interior_of(x: FinSpace, a: Subset) -> Subset:
-    # dual to closure: largest open inside a
-    return x.full & ~closure_of(x, x.full & ~a)
+    """The points whose minimal open lies inside a."""
+    return mask_of(p for p, m in enumerate(x.min_opens) if m & ~a == 0)
 
 
 @dataclass(frozen=True)
@@ -301,13 +317,13 @@ def compactness_verdict(
     x: FinSpace,
     k: Subset,
     cover_budget: int = DEFAULT_COVER_BUDGET,
-    method: str = "literal",
+    method: str = "auto",
 ) -> tuple[bool, str]:
     """Decide compactness of k and report which route decided it.
 
-    "literal" walks every irredundant open cover of k and exhibits a finite
-    subcover; past the budget it raises. "auto" and "shortcut" take the
-    finite-shortcut: on a finite ground every cover is finite, hence its own
+    "literal", opt-in, walks every irredundant open cover of k and exhibits
+    a finite subcover; past the budget it raises. "auto", the default, and
+    "shortcut" take the finite-shortcut: on a finite ground every cover is finite, hence its own
     finite subcover, so the answer is always True. The shortcut is a theorem
     here, not an assumption; the literal route and the tests witness it.
     """
@@ -320,7 +336,7 @@ def boundedness_verdict(
     x: FinSpace,
     b: Subset,
     cover_budget: int = DEFAULT_COVER_BUDGET,
-    method: str = "literal",
+    method: str = "auto",
 ) -> tuple[bool, str]:
     """Decide boundedness of b in x (covers of the whole space admit a finite
     subcover of b) and report the deciding route, as `compactness_verdict`."""
@@ -358,11 +374,11 @@ def _literal_covers(x: FinSpace, covered: Subset, target: Subset, budget: int) -
     return True
 
 
-def is_compact_subset(x: FinSpace, k: Subset, method: str = "literal") -> bool:
+def is_compact_subset(x: FinSpace, k: Subset, method: str = "auto") -> bool:
     return compactness_verdict(x, k, method=method)[0]
 
 
-def is_bounded_in(x: FinSpace, b: Subset, method: str = "literal") -> bool:
+def is_bounded_in(x: FinSpace, b: Subset, method: str = "auto") -> bool:
     return boundedness_verdict(x, b, method=method)[0]
 
 

@@ -21,17 +21,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from typing import Collection
 
-from .errors import MismatchedBase, MismatchedGround, NotATopology
+from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
     FinSpace,
     LocalProfile,
     Subset,
     SubsetFamily,
+    _enumerate_upsets,
     bits,
-    close_under_intersection,
-    close_under_union,
     full_mask,
     meets_by_point,
     min_open_profile,
@@ -73,12 +73,6 @@ class FnTopology:
         return full_mask(len(self.maps))
 
     @cached_property
-    def basis(self) -> tuple[int, ...]:
-        """All finite intersections of subbasis members, full ground included.
-        Retained so comparison witnesses can be named."""
-        return tuple(sorted(close_under_intersection(len(self.maps), self.subbasis)))
-
-    @cached_property
     def min_opens(self) -> tuple[int, ...]:
         """Smallest open around each map: the intersection of the subbasis
         members containing it. Exact, since that intersection is basic."""
@@ -96,8 +90,16 @@ class FnTopology:
         return all(self.min_opens[i] & ~mask == 0 for i in bits(mask))
 
     def materialize(self, budget: int = DEFAULT_OPENS_BUDGET) -> SubsetFamily:
-        opens = close_under_union(self.basis, budget)
-        return SubsetFamily.of(len(self.maps), opens, cap=None)
+        """Every open, as an up-set of the minimal opens; past `budget`
+        members it raises instead of listing further."""
+        n = len(self.maps)
+        opens = sorted(islice(_enumerate_upsets(n, self.min_opens), budget + 1))
+        if len(opens) > budget:
+            raise BudgetExceeded(
+                f"open family exceeds {budget} members; raise the budget "
+                "to materialize"
+            )
+        return SubsetFamily(n, tuple(opens))
 
     @cached_property
     def opens(self) -> SubsetFamily:

@@ -31,15 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
 from typing import Iterable
 
-from .errors import AxiomsViolated, GroundTooLarge
+from .errors import GroundTooLarge
 from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _subset_labels,
+    _up_masks,
+    _validate_topology_family,
     bits,
     full_mask,
     generate_from_subbasis,
@@ -72,8 +74,7 @@ class HyperSpace:
         return tuple(self.ground[i] for i in bits(family))
 
     def as_space(self) -> FinSpace:
-        labels = tuple(f"{{{','.join(str(p) for p in bits(g))}}}" for g in self.ground)
-        return FinSpace(len(self.ground), self.opens, labels)
+        return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
 
 
 def _rebased(h: HyperSpace, y: FinSpace, *_) -> HyperSpace:
@@ -87,18 +88,6 @@ def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
             f"{len(ground)} opens exceed the hyperspace cap of {MAX_HYPER_GROUND}"
         )
     return ground
-
-
-def _up_masks(ground: tuple[Subset, ...]) -> tuple[int, ...]:
-    """For each ground index, the index mask of its supersets in the ground."""
-    out = []
-    for g in ground:
-        m = 0
-        for h, other in enumerate(ground):
-            if g & ~other == 0:
-                m |= 1 << h
-        out.append(m)
-    return tuple(out)
 
 
 def _minimal_cover_union_masks(
@@ -239,41 +228,3 @@ def up_family(
             y.size, [u for u in y.opens if way_below_z(y, z, a, u)]
         )
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
-    """Exact topology-axiom validation in O(|fam| * m^2).
-
-    A family on a finite ground is a topology iff it is exactly the up-set
-    family of its own minimal-member relation; membership of 0 and full and
-    closure under union/intersection all follow. Every member is such an
-    up-set, since rows[p] is the meet of the members holding p, so equal
-    counts decide it. On failure a concrete offending pair is dug out for
-    the report.
-    """
-    members = fam.members
-    if 0 not in fam or full_mask(m) not in fam:
-        raise AxiomsViolated(f"{kind}: empty or full family missing", (0,))
-    rows = []
-    for p in range(m):
-        r = full_mask(m)
-        for h in members:
-            if (h >> p) & 1:
-                r &= h
-        rows.append(r)
-    upsets = islice(_enumerate_upsets(m, tuple(rows)), len(members) + 1)
-    if sum(1 for _ in upsets) != len(members):
-        raise AxiomsViolated(
-            f"{kind}: family is not union/intersection closed",
-            _offending_pair(fam, m),
-        )
-
-
-def _offending_pair(fam: SubsetFamily, m: int) -> tuple[int, ...]:
-    for a in fam.members:
-        for b in fam.members:
-            if (a | b) not in fam:
-                return (a, b, a | b)
-            if (a & b) not in fam:
-                return (a, b, a & b)
-    return ()

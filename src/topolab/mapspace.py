@@ -16,6 +16,7 @@ from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
+    _up_masks,
     bits,
     full_mask,
     generate_from_subbasis,
@@ -109,9 +110,8 @@ class MapSet:
         """Joint continuity of F : X x Y -> Z given by its slices: F may
         specialize from slice i to slice j when every preimage of i sits
         inside the matching preimage of j."""
-        pres = sorted({r for rows in self.preimage_rows.values() for r in rows})
-        up = [sum(1 << b for b, h in enumerate(pres) if g & ~h == 0) for g in pres]
-        return self.pull_relation({g: a for a, g in enumerate(pres)}, up)
+        pres = tuple(sorted({r for rows in self.preimage_rows.values() for r in rows}))
+        return self.pull_relation({g: a for a, g in enumerate(pres)}, _up_masks(pres))
 
 
 def _cached_without_labels(relabel):

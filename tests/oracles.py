@@ -21,7 +21,6 @@ from topolab.finspace import (
     bits,
     enumerate_topologies,
     full_mask,
-    generate_from_subbasis,
     product,
 )
 from topolab.fntop import Comparison, named_function_topology
@@ -193,7 +192,7 @@ def literal_t2(x: FinSpace) -> bool:
 def literal_regular(x: FinSpace) -> bool:
     """A point outside a closed set and the set have disjoint open
     neighbourhoods."""
-    for c in x.closed_sets:
+    for c in {x.full & ~o for o in x.opens}:
         for p in range(x.size):
             if (c >> p) & 1:
                 continue
@@ -606,4 +605,57 @@ def literal_tau_opens(t) -> tuple[Subset, ...]:
             for i in bits(h):
                 fam |= 1 << index[rows[i]]
             seeds.add(fam)
-    return generate_from_subbasis(len(ground), seeds).opens.members
+    return literal_generate(len(ground), seeds)
+
+
+def literal_generate(size: int, family) -> tuple[Subset, ...]:
+    """The topology generated by a subbasis: every finite intersection of
+    its members (the full ground for the empty one), then every union of
+    those (the empty set for the empty one), each closed by a worklist."""
+    return tuple(sorted(_close_under_union(_close_under_intersection(size, tuple(family)))))
+
+
+def _close_under_intersection(size: int, seeds: tuple[Subset, ...]) -> frozenset[Subset]:
+    acc = {full_mask(size)}
+    work = list(seeds)
+    while work:
+        m = work.pop()
+        if m in acc:
+            continue
+        fresh = [m & a for a in acc if (m & a) not in acc and m & a != m]
+        acc.add(m)
+        work.extend(fresh)
+    return frozenset(acc)
+
+
+def _close_under_union(seeds) -> frozenset[Subset]:
+    acc = {0}
+    work = list(seeds)
+    while work:
+        m = work.pop()
+        if m in acc:
+            continue
+        fresh = [m | a for a in acc if (m | a) not in acc and m | a != m]
+        acc.add(m)
+        work.extend(fresh)
+    return frozenset(acc)
+
+
+def literal_space_check(size: int, opens) -> tuple[str, tuple[int, ...]] | None:
+    """None when the family is a topology, else the message and witness of
+    its first failing axiom: the empty set, the ground, then every pair of
+    members in order, union before intersection."""
+    fam = SubsetFamily.of(size, opens)
+    full = full_mask(size)
+    if 0 not in fam:
+        return "empty set missing", (0,)
+    if full not in fam:
+        return "full ground missing", (full,)
+    members = fam.members
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if (a | b) not in fam:
+                return "union escapes the family", (a, b)
+            if (a & b) not in fam:
+                return "intersection escapes the family", (a, b)
+    return None

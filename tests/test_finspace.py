@@ -4,12 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import filter_topologies, literal_profile
-from topolab.errors import CoverEnumerationBudgetExceeded, GroundTooLarge, NotATopology
+from oracles import (
+    filter_topologies,
+    literal_generate,
+    literal_profile,
+    literal_space_check,
+)
+from topolab.errors import (
+    AxiomsViolated,
+    CoverEnumerationBudgetExceeded,
+    GroundTooLarge,
+    NotATopology,
+)
 from topolab.finspace import (
     FinSpace,
     LocalProfile,
     SubsetFamily,
+    _validate_topology_family,
     boundedness_verdict,
     canonical_form,
     chain,
@@ -17,6 +28,7 @@ from topolab.finspace import (
     compactness_verdict,
     discrete,
     enumerate_topologies,
+    full_mask,
     generate_from_subbasis,
     indiscrete,
     interior_of,
@@ -70,6 +82,48 @@ def test_generate_output_passes_validation():
     for seeds in ([0b011, 0b110], [0b1, 0b10], [], [0b101]):
         x = generate_from_subbasis(3, seeds)
         make_space(x.size, x.opens.members)
+
+
+def test_generate_matches_literal_oracle():
+    # every subfamily of the opens of every space on at most 3 points
+    count = 0
+    for x in all_spaces_up_to(3):
+        opens = x.opens.members
+        for pick in range(1 << len(opens)):
+            seeds = [o for i, o in enumerate(opens) if (pick >> i) & 1]
+            got = generate_from_subbasis(x.size, seeds).opens.members
+            assert got == literal_generate(x.size, seeds)
+            count += 1
+    assert count == 1068
+
+
+def test_validator_matches_pairwise_oracle():
+    # every family holding the empty set and the ground, up to 4 points;
+    # make_space must reject with the oracle's message and witness, and the
+    # computed-family check must agree on the same pair
+    accepted = 0
+    for n in range(5):
+        full = full_mask(n)
+        inner = range(1, full)
+        for pick in range(1 << len(inner)):
+            fam = [0, full] + [m for i, m in enumerate(inner) if (pick >> i) & 1]
+            want = literal_space_check(n, fam)
+            try:
+                make_space(n, fam)
+                got = None
+            except NotATopology as exc:
+                got = (str(exc), exc.witness)
+            assert got == want
+            try:
+                _validate_topology_family(n, SubsetFamily.of(n, fam), "probe")
+                got = None
+            except AxiomsViolated as exc:
+                a, b, missing = exc.witness
+                assert missing == (a | b if want[0].startswith("union") else a & b)
+                got = (a, b)
+            assert got == (want and want[1])
+            accepted += want is None
+    assert accepted == 1 + 1 + 4 + 29 + 355
 
 
 def test_product_of_sierpinski(s):
@@ -150,6 +204,7 @@ def test_cover_budget_error():
     with pytest.raises(CoverEnumerationBudgetExceeded):
         is_compact_subset(x, x.full, method="literal")
     assert compactness_verdict(x, x.full, method="auto") == (True, "finite-shortcut")
+    assert is_compact_subset(x, x.full)
 
 
 def test_local_profile_all_true_on_small_spaces():

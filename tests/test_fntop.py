@@ -10,7 +10,12 @@ from topolab.errors import (
     MismatchedGround,
     NotATopology,
 )
-from topolab.finspace import SubsetFamily, discrete, separation_profile
+from topolab.finspace import (
+    SubsetFamily,
+    _validate_topology_family,
+    discrete,
+    separation_profile,
+)
 from topolab.fntop import (
     NAMED,
     FnTopology,
@@ -28,13 +33,13 @@ from topolab.hypertop import (
     strong_z_scott,
     z_scott,
 )
-from topolab.hypertop import _validate_topology_family
 from topolab.mapspace import enumerate_continuous
 
 from conftest import all_spaces_up_to
 from oracles import (
     literal_compare_topologies,
     literal_evaluation_witness,
+    literal_generate,
     literal_kset_subbasis,
     literal_lift,
     literal_profile,
@@ -266,6 +271,16 @@ def test_fn_topologies_pass_axioms(s, chain2, indisc2):
         for name in NAMED:
             t = named_function_topology(name, y, z)
             _validate_topology_family(len(t.maps), t.opens, name)
+
+
+def test_opens_match_literal_closure():
+    count = 0
+    for y, z in small_pairs():
+        for name in NAMED:
+            t = named_function_topology(name, y, z)
+            assert t.opens.members == literal_generate(len(t.maps), t.subbasis)
+            count += 1
+    assert count == 1020
 
 
 def test_is_open_mask_matches_materialized(s):

@@ -10,12 +10,17 @@ from oracles import (
     literal_scott_families,
 )
 from topolab.errors import AxiomsViolated, GroundTooLarge, NotZRepresentable
-from topolab.finspace import SubsetFamily, discrete, enumerate_topologies, full_mask
-from topolab.hypertop import (
+from topolab.finspace import (
+    SubsetFamily,
     _enumerate_upsets,
-    _minimal_cover_union_masks,
     _up_masks,
     _validate_topology_family,
+    discrete,
+    enumerate_topologies,
+    full_mask,
+)
+from topolab.hypertop import (
+    _minimal_cover_union_masks,
     compact_subbasis_topology,
     scott,
     strong_scott,
