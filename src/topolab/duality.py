@@ -41,7 +41,7 @@ from .finspace import (
     meets_by_point,
     popcount,
 )
-from .fntop import FnTopology, evaluation_witness, lift_families
+from .fntop import FnTopology, evaluation_witness, lift_families, lift_upsets
 from .mapspace import MapSet, _continuous_slices, o_z_family, slice_instances
 from .reports import VerdictReport, pair_tag
 
@@ -105,10 +105,11 @@ def tau_of_t(t: FnTopology) -> DualSpace:
 def t_of_tau(tau: DualSpace, maps: MapSet) -> FnTopology:
     """Dual on the map set: a map joins a generator when its preimage of the
     codomain open lies in the chosen dual-open family. Every dual open is
-    lifted, so the subbasis is the one the dual-t-of-tau command prints;
-    `_lift_min_opens` gives the same topology from the minimal opens."""
+    lifted, through its trace on the preimages that occur, listed off the
+    minimal opens, so the subbasis is the one the dual-t-of-tau command
+    prints; `_lift_min_opens` gives the same topology on fewer subbasics."""
     _check_pair(tau, maps)
-    subbasis = lift_families(maps, tau.ground_index, tau.opens)
+    subbasis = lift_upsets(maps, tau.ground_index, tau.min_opens)
     return FnTopology.of(maps, subbasis, "custom")
 
 

@@ -5,11 +5,13 @@ plain ints. A finite topology is fixed by the minimal open U_p around each
 point, and its opens are exactly the up-sets of the relation p -> U_p
 (Alexandrov; Stong 1966). That is the one route from generators to opens:
 `meets_by_point` turns a subbasis (or an open family) into the U_p, and
-`_enumerate_upsets` lists their up-sets. The one axiom check,
+`_enumerate_upsets` lists their up-sets. It takes rows that are already
+reflexive and transitive, as the U_p always are, and never closes them
+itself; a caller holding a raw relation closes it once. The one axiom check,
 `_axiom_gap`, behind `make_space` and `_validate_topology_family`, asks
 whether a family is exactly that list; closure and interior are read off
-the U_p. The literal closure loops and
-the pairwise axiom check live on as test oracles.
+the U_p. The literal closure loops and the pairwise axiom check live on as
+test oracles.
 """
 
 from __future__ import annotations
@@ -416,30 +418,36 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     )
 
 
-def _enumerate_upsets(m: int, rows: tuple[int, ...]) -> Iterator[int]:
-    """All masks closed upward under the (reflexive) row relation, by DFS on
-    the lowest undecided point: it goes in with everything above it or out
-    with everything below it. The in-set stays an up-set and the out-set a
-    down-set, so neither branch can clash with what is decided, every leaf
-    is an answer, and the work is linear in the output. Each up-set is
-    yielded once, so callers that only count store nothing."""
-    above = [rows[q] | 1 << q for q in range(m)]
-    for k in range(m):  # transitive closure, Warshall on bitmasks
-        for q in range(m):
-            if (above[q] >> k) & 1:
-                above[q] |= above[k]
-    below = [sum(1 << q for q in range(m) if (above[q] >> p) & 1) for p in range(m)]
-    full = full_mask(m)
+def _enumerate_upsets(
+    m: int, rows: tuple[int, ...], within: int | None = None
+) -> Iterator[int]:
+    """All masks closed upward under the row relation, by DFS on the lowest
+    undecided point: it goes in with everything above it or out with
+    everything below it. The rows must be reflexive and transitive (row q
+    holds q, and holds row p for each p it holds), as minimal opens and
+    preorders are; nothing here closes them. The in-set stays an up-set and
+    the out-set a down-set, so neither branch can clash with what is
+    decided, every leaf is an answer, and the work is linear in the output.
+    Each up-set is yielded once, so callers that only count store nothing.
+
+    With `within`, only its points are decided and each up-set is yielded
+    as its trace on `within`: the traces are the up-sets of the relation
+    restricted there, each yielded once."""
+    full = full_mask(m) if within is None else within
+    below = [0] * m
+    for q, row in enumerate(rows):
+        for p in bits(row):
+            below[p] |= 1 << q
     stack = [(0, 0)]
     while stack:
         forced_in, forced_out = stack.pop()
         free = full & ~(forced_in | forced_out)
         if not free:
-            yield forced_in
+            yield forced_in & full
             continue
         i = (free & -free).bit_length() - 1
         stack.append((forced_in, forced_out | below[i]))
-        stack.append((forced_in | above[i], forced_out))
+        stack.append((forced_in | rows[i], forced_out))
 
 
 def _canonical_encoding(n: int, encoding: tuple[Subset, ...]) -> tuple[Subset, ...]:

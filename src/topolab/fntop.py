@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Collection
+from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
@@ -115,23 +115,40 @@ def lift_families(
 ) -> set[int]:
     """The bracket shared by every lift: for each codomain open u and each
     family (a mask over the indices of `index`), the mask of the maps whose
-    preimage of u lies in the family.
+    preimage of u lies in the family."""
+    return _lift(maps, index, lambda occurring: {f & occurring for f in families})
 
-    Per u, the maps are grouped by the index of their preimage, so a family's
-    subbasic is the OR of the groups at its set bits; families that agree on
-    the indices that occur give the same subbasic and are lifted once.
-    """
+
+def lift_upsets(
+    maps: MapSet, index: dict[Subset, int], mins: tuple[int, ...]
+) -> set[int]:
+    """`lift_families` over every open of the topology with minimal opens
+    `mins` on the indices of `index`, without listing them: the traces of
+    its opens on a set of indices are the up-sets of `mins` restricted
+    there, listed straight off `mins`."""
+    m = len(mins)
+    return _lift(maps, index, lambda occurring: _enumerate_upsets(m, mins, occurring))
+
+
+def _lift(
+    maps: MapSet, index: dict[Subset, int], traces: Callable[[int], Iterable[int]]
+) -> set[int]:
+    """Per u, the maps are grouped by the index of their preimage, so a
+    family's subbasic is the OR of the groups at its set bits and depends
+    only on its trace on the indices that occur. `traces(occurring)` yields
+    the distinct traces, each lifted once."""
     subbasis = set()
     for u in maps.codomain.opens:
-        by_pre: dict[int, int] = {}
+        by_pre: dict[int, int] = {}  # keyed by the index's bit
         for i, pre in enumerate(maps.preimage_rows[u]):
-            g = index[pre]
+            g = 1 << index[pre]
             by_pre[g] = by_pre.get(g, 0) | (1 << i)
-        occurring = sum(1 << g for g in by_pre)
-        for proj in {fam & occurring for fam in families}:
+        for proj in traces(sum(by_pre)):
             mask = 0
-            for g in bits(proj):
-                mask |= by_pre[g]
+            while proj:  # the bits of proj, inlined: this runs once per trace
+                low = proj & -proj
+                mask |= by_pre[low]
+                proj ^= low
             subbasis.add(mask)
     return subbasis
 
@@ -143,7 +160,7 @@ def lift_open_family(
     for each open family of the hyperspace and each codomain open."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    return FnTopology.of(maps, lift_families(maps, h.ground_index, h.opens), provenance)
+    return FnTopology.of(maps, lift_upsets(maps, h.ground_index, h.min_opens), provenance)
 
 
 def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:

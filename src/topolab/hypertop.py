@@ -18,13 +18,23 @@ side conditions:
 (beta) quantifies over nonempty collections; the empty family of opens is
 adjoined to the strong-variant results by fiat.
 
-The families are enumerated, never filtered out of all 2^|ground|
-candidates: (alpha) makes them exactly the up-sets of one relation, which a
-DFS lists in time linear in their number, and the strong form keeps those
-that meet a union of every minimal cover, found by a search that visits
-only minimal covers. Results are then validated as topologies; a failure
-raises AxiomsViolated and is never repaired. The exhaustive scan and cover
-walk these replace live on as test oracles.
+A hyperspace is carried by its minimal opens, the least open family
+holding each ground index, and lists its open families only when asked;
+building one lists nothing, bar the fallback below. (alpha) makes the
+qualifying families exactly the up-sets of one relation, whose rows are
+already reflexive and transitive, so the rows are the minimal opens. The
+strong form keeps the up-sets that meet a union of every minimal cover,
+found by a search that visits only minimal covers, plus the empty family.
+That family is closed under union, so it is a topology exactly when the
+least member holding each index p is in it. The closed form meet_p, the
+union of up(p) with, for every cover mask that up(p) misses, the
+intersection of up(x) over the x in that mask, lies inside every member
+holding p, and is such a member once it meets every cover mask; then the
+meet_p are the minimal opens. Only when some meet_p misses a cover mask is
+the family listed and validated, so a failure raises AxiomsViolated with
+the listing validator's witness and is never repaired. The exhaustive
+scan, the cover walk and the listing route these replace live on as test
+oracles.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from .finspace import (
     _validate_topology_family,
     bits,
     full_mask,
-    generate_from_subbasis,
+    meets_by_point,
 )
 from .mapspace import _cached_without_labels, o_z_family, way_below_z
 
@@ -53,12 +63,32 @@ MAX_HYPER_GROUND = 16
 
 @dataclass(frozen=True)
 class HyperSpace:
-    """A topology whose points are the open sets of a base space."""
+    """A topology whose points are the open sets of a base space, carried by
+    the minimal open family around each ground index; the open families
+    are listed on first use."""
 
     base: FinSpace
     ground: tuple[Subset, ...]
-    opens: SubsetFamily
+    min_opens: tuple[int, ...]
     kind: str
+
+    @classmethod
+    def of(
+        cls, base: FinSpace, ground: tuple[Subset, ...], opens, kind: str
+    ) -> "HyperSpace":
+        """A hyperspace from an explicit open family, validated first."""
+        m = len(ground)
+        fam = SubsetFamily.of(m, opens)
+        _validate_topology_family(m, fam, kind)
+        h = cls(base, ground, meets_by_point(m, fam), kind)
+        h.__dict__["opens"] = fam
+        return h
+
+    @cached_property
+    def opens(self) -> SubsetFamily:
+        """Every open family: the up-sets of the minimal opens."""
+        m = len(self.ground)
+        return SubsetFamily(m, tuple(sorted(_enumerate_upsets(m, self.min_opens))))
 
     @cached_property
     def ground_index(self) -> dict[Subset, int]:
@@ -78,7 +108,10 @@ class HyperSpace:
 
 
 def _rebased(h: HyperSpace, y: FinSpace, *_) -> HyperSpace:
-    return replace(h, base=y)
+    out = replace(h, base=y)
+    if "opens" in h.__dict__:  # a family already listed comes along
+        out.__dict__["opens"] = h.opens
+    return out
 
 
 def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
@@ -144,24 +177,52 @@ def _filtration(
     y: FinSpace, trigger: int, strong_pool: int | None, kind: str
 ) -> HyperSpace:
     """(alpha) says exactly that the family is an up-set of the relation
-    up[g] for triggered g and {g} otherwise, so the qualifying families are
-    enumerated as those up-sets; the strong form then keeps the ones that
-    meet every cover mask, and the empty family by fiat."""
+    up[g] for triggered g and {g} otherwise. Those rows are reflexive and
+    already transitive, since up is and an untriggered row is one point, so
+    they are the minimal opens. The strong form's minimal opens are the
+    closed-form meets, checked against every cover mask; a miss falls back
+    to listing the family, which validates it or raises."""
     ground = _check_ground(y)
     m = len(ground)
     up = _up_masks(ground)
     rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(m))
-    qualifying = _enumerate_upsets(m, rows)
-    if strong_pool is not None:
-        cover_masks = _minimal_cover_union_masks(ground, strong_pool, y.full)
-        qualifying = [
-            family
-            for family in qualifying
-            if family == 0 or all(family & cm for cm in cover_masks)
-        ]
-    fam = SubsetFamily.of(m, qualifying)
-    _validate_topology_family(m, fam, kind)
-    return HyperSpace(base=y, ground=ground, opens=fam, kind=kind)
+    if strong_pool is None:
+        return HyperSpace(y, ground, rows, kind)
+    cover_masks = _minimal_cover_union_masks(ground, strong_pool, y.full)
+    meets = _strong_meets(rows, cover_masks)
+    if meets is not None:
+        return HyperSpace(y, ground, meets, kind)
+    qualifying = [
+        family
+        for family in _enumerate_upsets(m, rows)
+        if family == 0 or all(family & cm for cm in cover_masks)
+    ]
+    return HyperSpace.of(y, ground, qualifying, kind)
+
+
+def _strong_meets(
+    rows: tuple[int, ...], cover_masks: tuple[int, ...]
+) -> tuple[int, ...] | None:
+    """The least up-set of the rows holding each index p among those that
+    meet every cover mask: rows[p], joined, for each cover mask it misses,
+    with the meet of the rows of that mask, which every up-set meeting the
+    mask holds. None when one of them misses a cover mask itself."""
+    forced = []
+    for cm in cover_masks:
+        common = full_mask(len(rows))
+        for x in bits(cm):
+            common &= rows[x]
+        forced.append(common)
+    meets = []
+    for row in rows:
+        meet = row
+        for cm, common in zip(cover_masks, forced):
+            if not cm & row:
+                meet |= common
+        if not all(meet & cm for cm in cover_masks):
+            return None
+        meets.append(meet)
+    return tuple(meets)
 
 
 @_cached_without_labels(_rebased)
@@ -210,8 +271,8 @@ def containment_families(y: FinSpace) -> set[int]:
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset."""
     ground = _check_ground(y)
-    generated = generate_from_subbasis(len(ground), containment_families(y)).opens
-    return HyperSpace(base=y, ground=ground, opens=generated, kind="ksubbasis")
+    mins = meets_by_point(len(ground), containment_families(y))
+    return HyperSpace(y, ground, mins, "ksubbasis")
 
 
 def up_family(

@@ -359,6 +359,26 @@ def literal_lift(maps, ground: tuple[Subset, ...], families) -> set[int]:
     return subbasis
 
 
+def listed_family_lift(maps, index: dict[Subset, int], families) -> set[int]:
+    """The lift bracket over an explicitly listed family of families, as the
+    package ran it before topologies were lifted off their minimal opens:
+    per codomain open the maps are grouped by the index of their preimage,
+    and each family's trace on the occurring indices is lifted once."""
+    subbasis = set()
+    for u in maps.codomain.opens:
+        by_pre: dict[int, int] = {}
+        for i, pre in enumerate(maps.preimage_rows[u]):
+            g = index[pre]
+            by_pre[g] = by_pre.get(g, 0) | (1 << i)
+        occurring = sum(1 << g for g in by_pre)
+        for proj in {fam & occurring for fam in families}:
+            mask = 0
+            for g in bits(proj):
+                mask |= by_pre[g]
+            subbasis.add(mask)
+    return subbasis
+
+
 def literal_kset_subbasis(maps) -> set[int]:
     """Subbasics {f : f(K) inside u} for every subset K of the domain."""
     subbasis = set()

@@ -25,7 +25,12 @@ from topolab.fntop import (
 from topolab.mapspace import enumerate_continuous, o_z_family
 
 from conftest import all_spaces_up_to
-from oracles import literal_admissible_direct, literal_lift, literal_tau_opens
+from oracles import (
+    listed_family_lift,
+    literal_admissible_direct,
+    literal_lift,
+    literal_tau_opens,
+)
 
 
 def test_tau_of_compact_open_sierpinski_pinned(s):
@@ -318,3 +323,14 @@ def test_direct_bounded_instance_budget(monkeypatch):
     monkeypatch.setattr(duality, "enumerate_topologies", no_test_spaces)
     with pytest.raises(BudgetExceeded, match="151"):
         is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3)
+
+
+def test_t_of_tau_matches_the_listed_family_bracket():
+    # lifting off the dual's minimal opens against lifting every listed open
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            for tau in {tau_of_t(named_function_topology(n, y, z)) for n in NAMED}:
+                want = listed_family_lift(maps, tau.ground_index, tau.opens)
+                assert t_of_tau(tau, maps).subbasis == tuple(sorted(want))

@@ -20,7 +20,9 @@ from topolab.finspace import (
     FinSpace,
     LocalProfile,
     SubsetFamily,
+    _enumerate_upsets,
     _validate_topology_family,
+    bits,
     boundedness_verdict,
     canonical_form,
     chain,
@@ -36,6 +38,7 @@ from topolab.finspace import (
     is_compact_subset,
     local_profile,
     make_space,
+    meets_by_point,
     product,
     separation_profile,
     sierpinski,
@@ -280,6 +283,36 @@ def test_closure_distributes_over_union(xa, xb):
     _, b = xb
     b &= x.full
     assert closure_of(x, a | b) == closure_of(x, a) | closure_of(x, b)
+
+
+@st.composite
+def ground_and_family(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    family = draw(st.lists(st.integers(min_value=0, max_value=full_mask(n)), max_size=8))
+    return n, family
+
+
+@given(ground_and_family())
+@settings(max_examples=300, deadline=None)
+def test_meets_by_point_rows_are_reflexive_and_transitive(case):
+    # the precondition `_enumerate_upsets` states and no longer enforces
+    n, family = case
+    rows = meets_by_point(n, family)
+    for p, row in enumerate(rows):
+        assert (row >> p) & 1
+        for q in bits(row):
+            assert rows[q] & ~row == 0
+
+
+@given(ground_and_family(), st.integers(min_value=0, max_value=full_mask(6)))
+@settings(max_examples=300, deadline=None)
+def test_upsets_within_are_the_traces_of_the_upsets(case, within):
+    n, family = case
+    within &= full_mask(n)
+    rows = meets_by_point(n, family)
+    traces = list(_enumerate_upsets(n, rows, within))
+    assert len(traces) == len(set(traces))
+    assert set(traces) == {u & within for u in _enumerate_upsets(n, rows)}
 
 
 def test_min_opens_are_open_and_minimal():

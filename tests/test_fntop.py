@@ -14,6 +14,7 @@ from topolab.finspace import (
     SubsetFamily,
     _validate_topology_family,
     discrete,
+    enumerate_topologies,
     separation_profile,
 )
 from topolab.fntop import (
@@ -43,6 +44,7 @@ from oracles import (
     literal_kset_subbasis,
     literal_lift,
     literal_profile,
+    listed_family_lift,
 )
 
 
@@ -103,7 +105,7 @@ def test_lift_collapse_to_indiscrete(chain2, indisc2):
 
 
 def test_lift_of_indiscrete_hyperspace(s):
-    h = HyperSpace(
+    h = HyperSpace.of(
         base=s,
         ground=s.opens.members,
         opens=SubsetFamily.of(len(s.opens), [0, 0b111]),
@@ -305,3 +307,20 @@ def test_evaluation_witness(s):
     assert evaluation_witness(fn_discrete(co.maps)) is None
     # the indiscrete topology cannot track evaluation into the open point
     assert evaluation_witness(fn_indiscrete(co.maps)) == 0b10
+
+
+def test_lifts_match_the_listed_family_bracket():
+    # lifting off the minimal opens against lifting every listed open family
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            for h in (
+                scott(y),
+                strong_scott(y),
+                compact_subbasis_topology(y),
+                z_scott(y, z),
+                strong_z_scott(y, z),
+            ):
+                want = listed_family_lift(maps, h.ground_index, h.opens)
+                assert lift_open_family(h, maps).subbasis == tuple(sorted(want))

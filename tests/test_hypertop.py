@@ -7,8 +7,10 @@ import pytest
 from oracles import (
     literal_cover_union_masks,
     literal_filtration,
+    literal_generate,
     literal_scott_families,
 )
+from topolab import hypertop
 from topolab.errors import AxiomsViolated, GroundTooLarge, NotZRepresentable
 from topolab.finspace import (
     SubsetFamily,
@@ -18,10 +20,15 @@ from topolab.finspace import (
     discrete,
     enumerate_topologies,
     full_mask,
+    make_space,
+    meets_by_point,
 )
 from topolab.hypertop import (
+    HyperSpace,
+    _filtration,
     _minimal_cover_union_masks,
     compact_subbasis_topology,
+    containment_families,
     scott,
     strong_scott,
     strong_z_scott,
@@ -201,3 +208,84 @@ def test_as_space_labels(chain2):
     assert space.labels == ("{}", "{0}", "{0,1}")
     assert space.opens.members == (0, 0b100, 0b110, 0b111)
     assert full_mask(space.size) in space.opens
+
+
+def test_min_opens_are_the_meets_of_the_literal_families():
+    # what each construction carries against the family the 2^m scan lists
+    # (the closure of the containment families, for ksubbasis)
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    for y in ys:
+        ground = y.opens.members
+        m = len(ground)
+        everything = full_mask(m)
+
+        def meets(trigger, pool):
+            return meets_by_point(m, literal_filtration(ground, y.full, trigger, pool))
+
+        assert scott(y).min_opens == meets(everything, None)
+        assert strong_scott(y).min_opens == meets(everything, everything)
+        generated = literal_generate(m, containment_families(y))
+        assert compact_subbasis_topology(y).min_opens == meets_by_point(m, generated)
+        for z in all_spaces_up_to(2):
+            oz = o_z_family(y, z)
+            pool = sum(1 << i for i, g in enumerate(ground) if g in oz)
+            assert z_scott(y, z).min_opens == meets(pool, None)
+            assert strong_z_scott(y, z).min_opens == meets(pool, pool)
+
+
+def test_filtration_matches_the_listing_route_on_every_triple(monkeypatch):
+    # every trigger and every pool (or none) over the spaces of at most 3
+    # points and 6 opens: the same opens, or the same rejection, as listing
+    # the scanned family and validating it. The closed form decides every
+    # topology, so only a rejected family is listed on the way.
+    listed = []
+
+    def counted(m, fam, kind):
+        listed.append(fam)
+        _validate_topology_family(m, fam, kind)
+
+    monkeypatch.setattr(hypertop, "_validate_topology_family", counted)
+    triples = rejected = 0
+    for y in small_bases():
+        ground = y.opens.members
+        m = len(ground)
+        for pool in (None, *range(1 << m)):
+            for trigger in range(1 << m):
+                triples += 1
+                fam = SubsetFamily.of(m, literal_filtration(ground, y.full, trigger, pool))
+                try:
+                    _validate_topology_family(m, fam, "probe")
+                    want = fam
+                except AxiomsViolated as e:
+                    want = (str(e), e.witness)
+                    rejected += 1
+                try:
+                    got = _filtration(y, trigger, pool, "probe").opens
+                except AxiomsViolated as e:
+                    got = (str(e), e.witness)
+                assert got == want
+    assert (triples, rejected) == (34652, 3192)
+    assert len(listed) == rejected
+
+
+def test_of_round_trips_every_hyperspace(s):
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            for h in (
+                scott(y),
+                strong_scott(y),
+                compact_subbasis_topology(y),
+                z_scott(y, z),
+                strong_z_scott(y, z),
+            ):
+                assert HyperSpace.of(h.base, h.ground, h.opens, h.kind) == h
+    with pytest.raises(AxiomsViolated) as info:
+        HyperSpace.of(s, s.opens.members, [0, 0b001, 0b010, 0b111], "probe")
+    assert info.value.witness == (0b001, 0b010, 0b011)
+
+
+def test_relabeled_copy_keeps_a_listed_family(chain2):
+    listed = scott(chain2).opens
+    h = scott(make_space(2, chain2.opens.members, ("a", "b")))
+    assert h.base.labels == ("a", "b")
+    assert h.__dict__["opens"] is listed
