@@ -16,10 +16,10 @@ test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AxiomsViolated,
@@ -66,12 +66,9 @@ class SubsetFamily:
     members: tuple[Subset, ...]
 
     @classmethod
-    def of(
-        cls, ground_size: int, masks: Iterable[Subset], cap: int | None = MAX_GROUND
-    ) -> "SubsetFamily":
-        # map-index grounds legitimately exceed the point cap; they pass None
-        if cap is not None and ground_size > cap:
-            raise GroundTooLarge(f"ground of {ground_size} points exceeds {cap}")
+    def of(cls, ground_size: int, masks: Iterable[Subset]) -> "SubsetFamily":
+        if ground_size > MAX_GROUND:
+            raise GroundTooLarge(f"ground of {ground_size} points exceeds {MAX_GROUND}")
         full = full_mask(ground_size)
         ordered = sorted(set(masks))
         if ordered and (ordered[0] < 0 or ordered[-1] & ~full):
@@ -97,11 +94,14 @@ class SubsetFamily:
 
 @dataclass(frozen=True)
 class FinSpace:
-    """A finite topological space: ground size plus its open-set family."""
+    """A finite topological space: ground size, its open-set family and
+    optional point labels. The labels are part of its identity: spaces that
+    differ only in labels are unequal and hash apart, so a cache keyed on a
+    space hands back results that carry the caller's labels."""
 
     size: int
     opens: SubsetFamily
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
+    labels: tuple[str, ...] | None = None
 
     @property
     def full(self) -> Subset:
@@ -154,13 +154,13 @@ def _subset_labels(ground: Iterable[Subset]) -> tuple[str, ...]:
 
 
 def make_space(
-    size: int, opens: Iterable[Subset], labels: tuple[str, ...] | None = None
+    size: int, opens: Iterable[Subset], labels: Sequence[str] | None = None
 ) -> FinSpace:
     """Validate the axioms and build a space; the only unchecked path is internal."""
     if size > MAX_GROUND:
         raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
     fam = SubsetFamily.of(size, opens)
-    x = FinSpace(size, fam, labels)
+    x = FinSpace(size, fam, None if labels is None else tuple(labels))
     gap = _axiom_gap(fam, x.min_opens)
     if len(gap) == 1:
         absent = "empty set" if gap == (0,) else "full ground"
@@ -216,7 +216,7 @@ def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
 
 
 def generate_from_subbasis(
-    size: int, family: Iterable[Subset], labels: tuple[str, ...] | None = None
+    size: int, family: Iterable[Subset], labels: Sequence[str] | None = None
 ) -> FinSpace:
     """Smallest topology containing the family: the up-sets of its meets by
     point. A point no member holds has the full ground as its minimal open,
@@ -226,7 +226,9 @@ def generate_from_subbasis(
         raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
     seeds = SubsetFamily.of(size, family)
     opens = sorted(_enumerate_upsets(size, meets_by_point(size, seeds)))
-    return FinSpace(size, SubsetFamily(size, tuple(opens)), labels)
+    return FinSpace(
+        size, SubsetFamily(size, tuple(opens)), None if labels is None else tuple(labels)
+    )
 
 
 def product(a: FinSpace, b: FinSpace) -> FinSpace:

@@ -19,8 +19,8 @@ records which route produced a topology so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Callable, Collection, Iterable
 
@@ -44,7 +44,7 @@ from .hypertop import (
     strong_z_scott,
     z_scott,
 )
-from .mapspace import MapSet, _cached_without_labels, enumerate_continuous
+from .mapspace import MapSet, enumerate_continuous
 
 DEFAULT_OPENS_BUDGET = 1024
 
@@ -183,9 +183,7 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
     return FnTopology.of(maps, subbasis, provenance)
 
 
-@_cached_without_labels(
-    lambda t, name, y, z: replace(t, maps=enumerate_continuous(y, z))
-)
+@lru_cache(maxsize=None)
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     maps = enumerate_continuous(y, z)
     if name == "co":

@@ -39,8 +39,8 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import GroundTooLarge
@@ -56,7 +56,7 @@ from .finspace import (
     full_mask,
     meets_by_point,
 )
-from .mapspace import _cached_without_labels, o_z_family, way_below_z
+from .mapspace import o_z_family, way_below_z
 
 MAX_HYPER_GROUND = 16
 
@@ -105,13 +105,6 @@ class HyperSpace:
 
     def as_space(self) -> FinSpace:
         return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
-
-
-def _rebased(h: HyperSpace, y: FinSpace, *_) -> HyperSpace:
-    out = replace(h, base=y)
-    if "opens" in h.__dict__:  # a family already listed comes along
-        out.__dict__["opens"] = h.opens
-    return out
 
 
 def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
@@ -225,26 +218,26 @@ def _strong_meets(
     return tuple(meets)
 
 
-@_cached_without_labels(_rebased)
+@lru_cache(maxsize=None)
 def scott(y: FinSpace) -> HyperSpace:
     """Families upward-closed from every member, (beta) over all opens."""
     return _filtration(y, full_mask(len(y.opens)), None, "scott")
 
 
-@_cached_without_labels(_rebased)
+@lru_cache(maxsize=None)
 def strong_scott(y: FinSpace) -> HyperSpace:
     everything = full_mask(len(y.opens))
     return _filtration(y, everything, everything, "sscott")
 
 
-@_cached_without_labels(_rebased)
+@lru_cache(maxsize=None)
 def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """Like scott, but (alpha) fires only from preimage-family members and
     (beta) draws its collections from the preimage family."""
     return _filtration(y, _preimage_mask(y, z), None, "zscott")
 
 
-@_cached_without_labels(_rebased)
+@lru_cache(maxsize=None)
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     pool = _preimage_mask(y, z)
     return _filtration(y, pool, pool, "zsscott")
@@ -267,7 +260,7 @@ def containment_families(y: FinSpace) -> set[int]:
     }
 
 
-@_cached_without_labels(_rebased)
+@lru_cache(maxsize=None)
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset."""
     ground = _check_ground(y)

@@ -6,9 +6,8 @@ its closed-form instance count and budget."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, wraps
-from inspect import signature
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
@@ -114,58 +113,7 @@ class MapSet:
         return self.pull_relation({g: a for a, g in enumerate(pres)}, _up_masks(pres))
 
 
-def _cached_without_labels(relabel):
-    """lru_cache for a function of the spaces y (and z) whose result carries
-    their labels.
-
-    FinSpace equality ignores labels, so a plain cache would hand back the
-    labels of whichever equal space came first. The cache holds results for
-    labels-free spaces, and `relabel(result, *args)` puts the caller's back.
-    Each signature in use gets its own wrapper, which takes the spaces by
-    position or keyword, so a call without labels pays only the label tests.
-    """
-
-    def wrap(fn):
-        cached = lru_cache(maxsize=None)(fn)
-
-        def relabeled(*args, **kwargs):
-            bare = [replace(a, labels=None) if isinstance(a, FinSpace) else a for a in args]
-            return relabel(cached(*bare, **kwargs), *args)
-
-        params = tuple(signature(fn).parameters)
-        if params == ("y",):
-
-            def call(y):
-                if y.labels is None:
-                    return cached(y)
-                return relabeled(y)
-
-        elif params[:2] == ("y", "z"):
-
-            def call(y, z, *rest, **kwargs):
-                if y.labels is None and z.labels is None:
-                    return cached(y, z, *rest, **kwargs)
-                return relabeled(y, z, *rest, **kwargs)
-
-        elif params == ("name", "y", "z"):
-
-            def call(name, y, z):
-                if y.labels is None and z.labels is None:
-                    return cached(name, y, z)
-                return relabeled(name, y, z)
-
-        else:
-            raise TypeError(f"no label-free cache for {fn.__name__}{params}")
-        call = wraps(fn)(call)
-        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-        return call
-
-    return wrap
-
-
-@_cached_without_labels(
-    lambda ms, y, z, *_: MapSet(y, z, tuple(ContMap(y, z, m.table) for m in ms))
-)
+@lru_cache(maxsize=None)
 def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP) -> MapSet:
     """C(Y, Z) by filtering all value tables through the preimage test."""
     if y.size > size_cap or z.size > size_cap:
@@ -191,10 +139,10 @@ def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     return SubsetFamily.of(y.size, fam)
 
 
-@_cached_without_labels(lambda top, y, z: replace(top, labels=y.labels))
+@lru_cache(maxsize=None)
 def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
     """Topology on Y generated by the preimage family as a subbasis."""
-    return generate_from_subbasis(y.size, o_z_family(y, z))
+    return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
 
 
 @dataclass(frozen=True)
@@ -207,9 +155,7 @@ class RelativeProfile:
     regular_locally_z_compact: bool
 
 
-@_cached_without_labels(
-    lambda prof, y, z: replace(prof, z_top=replace(prof.z_top, labels=y.labels))
-)
+@lru_cache(maxsize=None)
 def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     oz = o_z_family(y, z)
     ztop = z_topology(y, z)
@@ -242,9 +188,7 @@ def way_below_z(y: FinSpace, z: FinSpace, a: Subset, u: Subset) -> bool:
     return a & ~u == 0
 
 
-@_cached_without_labels(
-    lambda pairs, y: tuple((v, replace(m, domain=y)) for v, m in pairs)
-)
+@lru_cache(maxsize=None)
 def sierpinski_correspondence(y: FinSpace) -> tuple[tuple[Subset, ContMap], ...]:
     """Opens of Y paired with their characteristic maps into the two-point
     space with one open point; a bijection onto C(Y, S)."""

@@ -20,7 +20,6 @@ from topolab.finspace import (
     discrete,
     enumerate_topologies,
     full_mask,
-    make_space,
     meets_by_point,
 )
 from topolab.hypertop import (
@@ -282,10 +281,3 @@ def test_of_round_trips_every_hyperspace(s):
     with pytest.raises(AxiomsViolated) as info:
         HyperSpace.of(s, s.opens.members, [0, 0b001, 0b010, 0b111], "probe")
     assert info.value.witness == (0b001, 0b010, 0b011)
-
-
-def test_relabeled_copy_keeps_a_listed_family(chain2):
-    listed = scott(chain2).opens
-    h = scott(make_space(2, chain2.opens.members, ("a", "b")))
-    assert h.base.labels == ("a", "b")
-    assert h.__dict__["opens"] is listed

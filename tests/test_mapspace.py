@@ -3,9 +3,16 @@ from __future__ import annotations
 import pytest
 
 from oracles import is_continuous_table, literal_locally_z_bounded, literal_z_corecompact
-from topolab.errors import BudgetExceeded, NotOpen, NotZRepresentable
-from topolab.finspace import discrete, indiscrete, make_space, sierpinski
-from topolab.fntop import NAMED, named_function_topology
+from topolab import finspace, fntop, hypertop, mapspace
+from topolab.errors import BudgetExceeded, MismatchedBase, NotOpen, NotZRepresentable
+from topolab.finspace import (
+    discrete,
+    generate_from_subbasis,
+    indiscrete,
+    make_space,
+    sierpinski,
+)
+from topolab.fntop import NAMED, lift_open_family, named_function_topology
 from topolab.hypertop import (
     compact_subbasis_topology,
     scott,
@@ -73,29 +80,58 @@ def test_z_topology_generated(chain2, indisc2):
         assert z_topology(y, sierpinski()).opens.members == y.opens.members
 
 
+def _clear_every_cache():
+    for mod in (finspace, mapspace, hypertop, fntop):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _build_everything(y, z):
+    enumerate_continuous(y, z)
+    z_topology(y, z)
+    relative_profile(y, z)
+    sierpinski_correspondence(y)
+    for hyper in (scott, strong_scott, compact_subbasis_topology):
+        hyper(y)
+    z_scott(y, z)
+    strong_z_scott(y, z)
+    for kind in NAMED:
+        named_function_topology(kind, y, z)
+
+
 def test_cached_results_keep_the_callers_labels():
-    # equal spaces with different labels share one cache entry
+    # labels are part of a space's identity: equal spaces with different
+    # labels are unequal, so each labeling has its own cache entry and gets
+    # back results built on it, whichever labeling was called first
     a = make_space(2, [0, 0b10, 0b11], ("a0", "a1"))
     b = make_space(2, [0, 0b10, 0b11], ("b0", "b1"))
-    for z in (sierpinski(), indiscrete(2)):
-        assert z_topology(a, z).labels == ("a0", "a1")
-        assert z_topology(b, z).labels == ("b0", "b1")
-        assert relative_profile(a, z).z_top.labels == ("a0", "a1")
-        assert relative_profile(b, z).z_top.labels == ("b0", "b1")
-        assert z_topology(make_space(2, [0, 0b10, 0b11]), z).labels is None
+    bare = make_space(2, [0, 0b10, 0b11])
+    assert a != bare and b != bare and a != b
+    for unlabeled_first in (False, True):
+        _clear_every_cache()
+        if unlabeled_first:
+            for z in (sierpinski(), indiscrete(2)):
+                _build_everything(bare, z)
+        for z in (sierpinski(), indiscrete(2)):
+            assert z_topology(a, z).labels == ("a0", "a1")
+            assert z_topology(b, z).labels == ("b0", "b1")
+            assert relative_profile(a, z).z_top.labels == ("a0", "a1")
+            assert relative_profile(b, z).z_top.labels == ("b0", "b1")
+            assert z_topology(bare, z).labels is None
+            for y, labels in ((a, ("a0", "a1")), (b, ("b0", "b1"))):
+                ms = enumerate_continuous(y, z)
+                assert ms.domain.labels == labels
+                assert {m.domain.labels for m in ms} == {labels}
+                for hyper in (scott(y), strong_scott(y), compact_subbasis_topology(y)):
+                    assert hyper.base.labels == labels
+                assert z_scott(y, z).base.labels == labels
+                assert strong_z_scott(y, z).base.labels == labels
+                for kind in NAMED:
+                    assert named_function_topology(kind, y, z).maps.domain.labels == labels
+            assert enumerate_continuous(bare, z).domain.labels is None
         for y, labels in ((a, ("a0", "a1")), (b, ("b0", "b1"))):
-            ms = enumerate_continuous(y, z)
-            assert ms.domain.labels == labels
-            assert {m.domain.labels for m in ms} == {labels}
-            for hyper in (scott(y), strong_scott(y), compact_subbasis_topology(y)):
-                assert hyper.base.labels == labels
-            assert z_scott(y, z).base.labels == labels
-            assert strong_z_scott(y, z).base.labels == labels
-            for kind in NAMED:
-                assert named_function_topology(kind, y, z).maps.domain.labels == labels
-        assert enumerate_continuous(make_space(2, [0, 0b10, 0b11]), z).domain.labels is None
-    for y, labels in ((a, ("a0", "a1")), (b, ("b0", "b1"))):
-        assert {m.domain.labels for _, m in sierpinski_correspondence(y)} == {labels}
+            assert {m.domain.labels for _, m in sierpinski_correspondence(y)} == {labels}
     # the codomain keeps its caller's labels as well
     za = make_space(2, [0, 0b10, 0b11], ("za0", "za1"))
     zb = make_space(2, [0, 0b10, 0b11], ("zb0", "zb1"))
@@ -105,6 +141,19 @@ def test_cached_results_keep_the_callers_labels():
     # spaces passed by keyword take the same route
     assert scott(y=b).base.labels == ("b0", "b1")
     assert enumerate_continuous(b, z=za, size_cap=2).domain.labels == ("b0", "b1")
+    # operands that differ only in labels are mismatched
+    with pytest.raises(MismatchedBase):
+        lift_open_family(scott(a), enumerate_continuous(bare, sierpinski()))
+
+
+def test_list_labels_are_stored_as_a_tuple():
+    y = make_space(2, [0, 2, 3], ["a", "b"])
+    assert y.labels == ("a", "b")
+    assert y == make_space(2, [0, 2, 3], ("a", "b"))
+    assert scott(y).base.labels == ("a", "b")
+    t = named_function_topology("co", y, sierpinski())
+    assert t.maps.domain.labels == ("a", "b")
+    assert generate_from_subbasis(2, [2], ["a", "b"]).labels == ("a", "b")
 
 
 def test_relative_profile_pinned(chain2, indisc2):
