@@ -12,6 +12,11 @@ itself; a caller holding a raw relation closes it once. The one axiom check,
 whether a family is exactly that list; closure and interior are read off
 the U_p. The literal closure loops and the pairwise axiom check live on as
 test oracles.
+
+`enumerate_topologies` lists the labeled topologies as the up-sets of every
+specialization preorder; up to homeomorphism it keeps one orbit per class,
+swept with one relabel table per permutation, and names each class by the
+least encoding in its orbit, which is `canonical_form` of any member.
 """
 
 from __future__ import annotations
@@ -91,6 +96,14 @@ class SubsetFamily:
     def __len__(self) -> int:
         return len(self.members)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: cache keys rehash every call."""
+        return hash((self.ground_size, self.members))
+
 
 @dataclass(frozen=True)
 class FinSpace:
@@ -125,6 +138,14 @@ class FinSpace:
 
     def encoding(self) -> tuple[Subset, ...]:
         return self.opens.members
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash, computed once: cache keys rehash every call."""
+        return hash((self.size, self.opens, self.labels))
 
 
 def meets_by_point(size: int, family: Iterable[Subset]) -> tuple[Subset, ...]:
@@ -393,6 +414,13 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     Enumeration goes through specialization preorders (reflexive transitive row
     masks); opens are then exactly the up-sets. The brute-force family filter
     lives in the test oracles and must agree at n <= 3.
+
+    With `up_to_iso`, one space per homeomorphism class, named by its
+    `canonical_form`. The sweep takes any labeled encoding left, relabels
+    it by every permutation's table to get its whole orbit (its class),
+    keeps the orbit's least member and drops the orbit from what is left:
+    n! table lookups per open of each class, not a permutation scan of
+    every labeled space.
     """
     if n > MAX_ENUM_POINTS:
         raise GroundTooLarge(f"enumeration capped at {MAX_ENUM_POINTS} points")
@@ -414,7 +442,15 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
             ):
                 stack.append(rows + (m,))
     if up_to_iso:
-        encodings = {_canonical_encoding(n, e) for e in encodings}
+        tables = list(_relabel_tables(n))
+        remaining, encodings = encodings, set()
+        while remaining:
+            # canonical_form(e) is the least relabeling of e, which is the
+            # least member of its orbit; the orbit is the class, so drop it
+            e = remaining.pop()
+            orbit = {tuple(sorted(tb[o] for o in e)) for tb in tables}
+            remaining -= orbit
+            encodings.add(min(orbit))
     return tuple(
         FinSpace(n, SubsetFamily(n, e)) for e in sorted(encodings)
     )
@@ -452,19 +488,28 @@ def _enumerate_upsets(
         stack.append((forced_in | rows[i], forced_out))
 
 
-def _canonical_encoding(n: int, encoding: tuple[Subset, ...]) -> tuple[Subset, ...]:
-    best = None
+def _relabel_tables(n: int) -> Iterator[list[Subset]]:
+    """For each permutation of the n points, the image of every mask."""
     for perm in permutations(range(n)):
-        relabeled = tuple(sorted(mask_of(perm[p] for p in bits(o)) for o in encoding))
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        yield table
+
+
+def canonical_form(x: FinSpace) -> tuple[Subset, ...]:
+    """Minimum open-family encoding over all relabelings of the points.
+
+    A plain scan over the permutations: it serves one space of any size,
+    where building `_relabel_tables` would cost more than the scan."""
+    best = None
+    for perm in permutations(range(x.size)):
+        relabeled = tuple(sorted(mask_of(perm[p] for p in bits(o)) for o in x.opens))
         if best is None or relabeled < best:
             best = relabeled
     assert best is not None
     return best
-
-
-def canonical_form(x: FinSpace) -> tuple[Subset, ...]:
-    """Minimum open-family encoding over all relabelings of the points."""
-    return _canonical_encoding(x.size, x.encoding())
 
 
 def sierpinski() -> FinSpace:

@@ -8,7 +8,7 @@ free of package internals beyond plain data types.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from itertools import product as assignments
 
 from topolab.checkers import _COMPOSE_HYPOTHESIS, MAX_COMPOSE_GROUND
@@ -21,6 +21,7 @@ from topolab.finspace import (
     bits,
     enumerate_topologies,
     full_mask,
+    mask_of,
     product,
 )
 from topolab.fntop import Comparison, named_function_topology
@@ -43,6 +44,18 @@ def filter_topologies(n: int) -> list[tuple[Subset, ...]]:
         if all((a | b) in fset and (a & b) in fset for a, b in combinations(fam, 2)):
             out.append(tuple(sorted(fam)))
     return sorted(out)
+
+
+def literal_canonical_encoding(n: int, encoding: tuple[Subset, ...]) -> tuple[Subset, ...]:
+    """The least relabeling of an open family, by a scan over every
+    permutation that relabels each open point by point."""
+    best = None
+    for perm in permutations(range(n)):
+        relabeled = tuple(sorted(mask_of(perm[p] for p in bits(o)) for o in encoding))
+        if best is None or relabeled < best:
+            best = relabeled
+    assert best is not None
+    return best
 
 
 def literal_alpha(h: frozenset[Subset], triggers: frozenset[Subset], opens: tuple[Subset, ...]) -> bool:

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     filter_topologies,
+    literal_canonical_encoding,
     literal_generate,
     literal_profile,
     literal_space_check,
@@ -244,9 +247,60 @@ def test_enumerate_canonical_order():
 
 
 def test_enumerate_iso_classes():
-    assert len(enumerate_topologies(2, up_to_iso=True)) == 3
-    assert len(enumerate_topologies(3, up_to_iso=True)) == 9
-    assert len(enumerate_topologies(4, up_to_iso=True)) == 33
+    counts = [len(enumerate_topologies(n, up_to_iso=True)) for n in range(6)]
+    assert counts == [1, 1, 3, 9, 33, 139]  # OEIS A001930
+
+
+def test_iso_listing_matches_literal_canonical_oracle():
+    for n in range(1, 5):
+        labeled = [x.encoding() for x in enumerate_topologies(n)]
+        oracle = sorted({literal_canonical_encoding(n, e) for e in labeled})
+        assert [x.encoding() for x in enumerate_topologies(n, up_to_iso=True)] == oracle
+
+
+# sha256 of one line "<n> <encoding>" per class, n = 0..5, taken while each
+# labeled topology was still canonicalized by its own permutation scan
+ISO_LISTING_SHA256 = "4d775281f1619737c53618b21b20d78b6636592c6d0d52ed01ceddafaf8094d9"
+
+
+def test_iso_listing_frozen_bytes():
+    lines = [
+        f"{n} {x.encoding()}" for n in range(6) for x in enumerate_topologies(n, up_to_iso=True)
+    ]
+    assert len(lines) == 186
+    listing = "\n".join(lines) + "\n"
+    assert hashlib.sha256(listing.encode()).hexdigest() == ISO_LISTING_SHA256
+
+
+@st.composite
+def relabeled_space(draw):
+    n = draw(st.integers(min_value=0, max_value=5))
+    x = draw(st.sampled_from(enumerate_topologies(n)))
+    perm = draw(st.permutations(range(n)))
+    image = [sum(1 << perm[p] for p in bits(o)) for o in x.opens]
+    return x, make_space(n, image)
+
+
+@given(relabeled_space())
+@settings(max_examples=200, deadline=None)
+def test_relabeling_keeps_the_canonical_form_of_a_listed_class(case):
+    x, y = case
+    assert canonical_form(y) == canonical_form(x)
+    assert canonical_form(x) in {c.encoding() for c in enumerate_topologies(x.size, up_to_iso=True)}
+
+
+def test_cached_hashes_equal_the_dataclass_hashes():
+    for x in [*all_spaces_up_to(3), make_space(2, [0, 2, 3], ("a", "b"))]:
+        assert hash(x) == hash((x.size, x.opens, x.labels))
+        assert hash(x.opens) == hash((x.opens.ground_size, x.opens.members))
+        twin = FinSpace(x.size, SubsetFamily(x.size, tuple(x.opens.members)), x.labels)
+        assert twin == x and twin is not x and twin.opens is not x.opens
+        assert hash(twin) == hash(x) and hash(twin.opens) == hash(x.opens)
+    # int tuples hash alike in every process and Python from 3.8 on; hash(None)
+    # is fixed only from 3.12, so the space is pinned to its plain-tuple twin
+    s = sierpinski()
+    assert hash(s.opens) == 1822973944830821731 == hash((2, (0, 2, 3)))
+    assert hash(s) == hash((2, (2, (0, 2, 3)), None))
 
 
 def test_canonical_form_identifies_relabeled_chain(s, chain2):
