@@ -11,6 +11,10 @@ minimal neighbourhoods; the escaping pair is searched only at a failure.
 The suite reads every per-pair verdict off minimal opens in the same way
 and never materializes a function space or a dual.
 
+Every report is built by `VerdictReport.of`, so its status follows from its
+witnesses: "fails" exactly when there are some, and otherwise "holds", or
+"inconclusive" for the bounded searches and the one tabulating row.
+
 Every implication a report covers is treated as a material conditional: the
 count of hypothesis-true instances rides along, so a vacuous pass is visible
 as one. The suite also carries three permanently failing rows marked
@@ -23,7 +27,7 @@ from __future__ import annotations
 import random
 
 from .duality import is_admissible_on_ozy, tau_of_t
-from .errors import BudgetExceeded, GroundTooLarge
+from .errors import BudgetExceeded
 from .finspace import (
     FinSpace,
     bits,
@@ -57,7 +61,6 @@ from .mapspace import (  # the two budget constants are public here too
 )
 from .reports import VerdictReport, fam_tag, pair_tag
 
-MAX_PRODUCT_GROUND = 32
 MAX_COMPOSE_GROUND = 4096
 MAX_SUITE_Y = 3
 MAX_SUITE_Z = 2
@@ -91,33 +94,20 @@ def is_admissible(t: FnTopology) -> VerdictReport:
 
     Decided by the row-containment lemma behind `evaluation_witness`; a
     failure pins the codomain open together with the literal product
-    preimage, so the witness can be replayed against `product()` directly.
+    preimage, so the witness can be replayed against `product()` directly
+    wherever the product fits its ground cap. No product is built here.
     """
     maps = t.maps
-    y = maps.domain
-    ground = len(maps) * y.size
-    if ground > MAX_PRODUCT_GROUND:
-        raise GroundTooLarge(
-            f"product ground of {ground} points exceeds {MAX_PRODUCT_GROUND}"
-        )
-    claim = f"admissible:{t.provenance} {pair_tag(y, maps.codomain)}"
-    budget = (("product_points", ground),)
+    witnesses = []
     w = evaluation_witness(t)
-    if w is None:
-        return VerdictReport(
-            claim=claim,
-            status="holds",
-            hypothesis_true_count=1,
-            instance_count=1,
-            budget=budget,
-        )
-    return VerdictReport(
-        claim=claim,
-        status="fails",
-        hypothesis_true_count=1,
-        instance_count=1,
-        witnesses=(("open", w, "product_preimage", _product_preimage(maps, w)),),
-        budget=budget,
+    if w is not None:
+        witnesses.append(("open", w, "product_preimage", _product_preimage(maps, w)))
+    return VerdictReport.of(
+        f"admissible:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
+        witnesses,
+        1,
+        1,
+        budget=(("product_points", len(maps) * maps.domain.size),),
     )
 
 
@@ -150,13 +140,13 @@ def refute_splitting(
                 prefix = sum((maps.tables[i] for i in head), ())
                 for i in bits(tails):
                     witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
-    return VerdictReport(
-        claim=f"splitting:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
-        status="fails" if witnesses else "inconclusive",
-        hypothesis_true_count=continuous,
-        instance_count=instances,
-        witnesses=tuple(witnesses),
+    return VerdictReport.of(
+        f"splitting:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
+        witnesses,
+        continuous,
+        instances,
         budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
+        clean="inconclusive",
     )
 
 
@@ -226,14 +216,11 @@ def composition_check(
             break
     rp = relative_profile(y, z)
     hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
-    return VerdictReport(
-        claim=(
-            f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
-        ),
-        status="fails" if witnesses else "holds",
-        hypothesis_true_count=int(getattr(rp, hyp_name)),
-        instance_count=1,
-        witnesses=tuple(witnesses),
+    return VerdictReport.of(
+        f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}",
+        witnesses,
+        int(getattr(rp, hyp_name)),
+        1,
         budget=(
             ("hypothesis", hyp_name),
             ("locally_z_bounded", rp.locally_z_bounded),
@@ -251,12 +238,7 @@ def theorem_suite(
 ) -> list[VerdictReport]:
     """Every statement the package tracks, re-checked over all labeled
     topology pairs within the bounds; one report per statement."""
-    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
-        raise BudgetExceeded(
-            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
-        )
-    ys = [sp for n in range(1, max_y + 1) for sp in enumerate_topologies(n)]
-    zs = [sp for n in range(1, max_z + 1) for sp in enumerate_topologies(n)]
+    ys, zs = suite_spaces(max_y, max_z)
     pairs = [(y, z) for y in ys for z in zs]
     out: list[VerdictReport] = []
     out.extend(_admissibility_rows(pairs))
@@ -268,6 +250,19 @@ def theorem_suite(
     out.append(_refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(_divergence_rows())
     return out
+
+
+def suite_spaces(max_y: int, max_z: int) -> tuple[list[FinSpace], list[FinSpace]]:
+    """Every labeled topology on 1..max_y points and on 1..max_z points, the
+    ground the suite and the question probes range over, within the caps."""
+    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
+        raise BudgetExceeded(
+            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
+        )
+    return tuple(
+        [sp for n in range(1, limit + 1) for sp in enumerate_topologies(n)]
+        for limit in (max_y, max_z)
+    )
 
 
 def _admissible_hypothesis(name: str, y: FinSpace, z: FinSpace) -> tuple[str, bool]:
@@ -289,6 +284,8 @@ def _admissible_hypothesis(name: str, y: FinSpace, z: FinSpace) -> tuple[str, bo
 
 
 def _admissibility_rows(pairs) -> list[VerdictReport]:
+    n = len(pairs)
+    budget = (("pairs", n),)
     rows = []
     for name in NAMED:
         label = ""
@@ -302,20 +299,14 @@ def _admissibility_rows(pairs) -> list[VerdictReport]:
             w = evaluation_witness(named_function_topology(name, y, z))
             if w is not None:
                 witnesses.append((pair_tag(y, z), "open", w))
-        rows.append(
-            VerdictReport(
-                claim=f"admissible:{name} when={label}",
-                status="fails" if witnesses else "holds",
-                hypothesis_true_count=true_count,
-                instance_count=len(pairs),
-                witnesses=tuple(witnesses),
-                budget=(("pairs", len(pairs)),),
-            )
-        )
+        claim = f"admissible:{name} when={label}"
+        rows.append(VerdictReport.of(claim, witnesses, true_count, n, budget=budget))
     return rows
 
 
 def _preservation_rows(pairs) -> list[VerdictReport]:
+    n = len(pairs)
+    budget = (("pairs", n),)
     rows = []
     for grade in ("t0", "t1", "t2"):
         for name in NAMED:
@@ -328,16 +319,8 @@ def _preservation_rows(pairs) -> list[VerdictReport]:
                 t = named_function_topology(name, y, z)
                 if not getattr(t.profile, grade):
                     witnesses.append((pair_tag(y, z),))
-            rows.append(
-                VerdictReport(
-                    claim=f"preserve:{grade} {name}",
-                    status="fails" if witnesses else "holds",
-                    hypothesis_true_count=true_count,
-                    instance_count=len(pairs),
-                    witnesses=tuple(witnesses),
-                    budget=(("pairs", len(pairs)),),
-                )
-            )
+            claim = f"preserve:{grade} {name}"
+            rows.append(VerdictReport.of(claim, witnesses, true_count, n, budget=budget))
     return rows
 
 
@@ -352,6 +335,7 @@ _GRID = (
 
 
 def _grid_rows(pairs) -> list[VerdictReport]:
+    n = len(pairs)
     rows = []
     for lo, hi in _GRID:
         witnesses = []
@@ -361,16 +345,8 @@ def _grid_rows(pairs) -> list[VerdictReport]:
             )
             if cmp.verdict not in ("equal", "a_coarser"):
                 witnesses.append((pair_tag(y, z), cmp.verdict))
-        rows.append(
-            VerdictReport(
-                claim=f"grid:{lo}<={hi}",
-                status="fails" if witnesses else "holds",
-                hypothesis_true_count=len(pairs),
-                instance_count=len(pairs),
-                witnesses=tuple(witnesses),
-                budget=(("pairs", len(pairs)),),
-            )
-        )
+        claim = f"grid:{lo}<={hi}"
+        rows.append(VerdictReport.of(claim, witnesses, n, n, budget=(("pairs", n),)))
     # the two upper-family topologies are compared but not ordered; the row
     # only tabulates verdicts and stays inconclusive
     counts = {"equal": 0, "a_coarser": 0, "a_finer": 0, "incomparable": 0}
@@ -379,15 +355,9 @@ def _grid_rows(pairs) -> list[VerdictReport]:
             named_function_topology("t1z", y, z), named_function_topology("t1sz", y, z)
         )
         counts[cmp.verdict] += 1
-    rows.append(
-        VerdictReport(
-            claim="grid:t1z-vs-t1sz",
-            status="inconclusive",
-            hypothesis_true_count=len(pairs),
-            instance_count=len(pairs),
-            budget=tuple(sorted(counts.items())),
-        )
-    )
+    budget = tuple(sorted(counts.items()))
+    claim = "grid:t1z-vs-t1sz"
+    rows.append(VerdictReport.of(claim, (), n, n, budget=budget, clean="inconclusive"))
     return rows
 
 
@@ -412,69 +382,53 @@ def _splitting_order_row(pairs) -> VerdictReport:
                 v = compare_topologies(t, t2).verdict
                 if v not in ("equal", "a_coarser"):
                     witnesses.append((pair_tag(y, z), t.provenance, t2.provenance, v))
-    return VerdictReport(
-        claim="grid:splitting-candidates-below-admissible",
-        status="fails" if witnesses else "holds",
-        hypothesis_true_count=checked,
-        instance_count=checked,
-        witnesses=tuple(witnesses),
+    return VerdictReport.of(
+        "grid:splitting-candidates-below-admissible",
+        witnesses,
+        checked,
+        checked,
         budget=(("max_x", 2), ("pairs", len(pairs))),
     )
 
 
 def _sierpinski_rows(ys) -> list[VerdictReport]:
     s = sierpinski()
-    rows = []
-    witnesses = [(fam_tag(y),) for y in ys if z_topology(y, s).opens != y.opens]
-    rows.append(
-        VerdictReport(
-            claim="sierpinski:z-topology-is-identity",
-            status="fails" if witnesses else "holds",
-            hypothesis_true_count=len(ys),
-            instance_count=len(ys),
-            witnesses=tuple(witnesses),
-        )
-    )
+    found = {
+        "sierpinski:z-topology-is-identity": [
+            (fam_tag(y),) for y in ys if z_topology(y, s).opens != y.opens
+        ]
+    }
     for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz")):
-        witnesses = []
+        witnesses = found[f"sierpinski:{lo}={hi}"] = []
         for y in ys:
             cmp = compare_topologies(
                 named_function_topology(lo, y, s), named_function_topology(hi, y, s)
             )
             if cmp.verdict != "equal":
                 witnesses.append((fam_tag(y), cmp.verdict))
-        rows.append(
-            VerdictReport(
-                claim=f"sierpinski:{lo}={hi}",
-                status="fails" if witnesses else "holds",
-                hypothesis_true_count=len(ys),
-                instance_count=len(ys),
-                witnesses=tuple(witnesses),
-            )
-        )
-    # f -> f^{-1}(open point) should carry the Z-relative compact-open
-    # topology onto the compact-subbasis hyperspace topology, open for open
-    witnesses = []
-    open_point = next(m for m in s.opens.members if m not in (0, s.full))
-    for y in ys:
-        t = named_function_topology("coZ", y, s)
-        hs = compact_subbasis_topology(y)
-        perm = [hs.ground_index[f.preimage(open_point)] for f in t.maps]
-        image = set()
-        for m in t.opens.members:
-            image.add(sum(1 << perm[i] for i in bits(m)))
-        if image != set(hs.opens.members):
-            witnesses.append((fam_tag(y),))
-    rows.append(
-        VerdictReport(
-            claim="sierpinski:characteristic-homeomorphism",
-            status="fails" if witnesses else "holds",
-            hypothesis_true_count=len(ys),
-            instance_count=len(ys),
-            witnesses=tuple(witnesses),
-        )
+    found["sierpinski:characteristic-homeomorphism"] = [
+        (fam_tag(y),) for y in ys if not _characteristic_homeomorphism(y, s)
+    ]
+    return [VerdictReport.of(c, w, len(ys), len(ys)) for c, w in found.items()]
+
+
+def _characteristic_homeomorphism(y: FinSpace, s: FinSpace) -> bool:
+    """Whether f -> f^{-1}(open point) carries the Z-relative compact-open
+    topology on C(y, s), s the Sierpinski space, onto the compact-subbasis
+    hyperspace topology of y.
+
+    A bijection carries one finite topology onto another exactly when it
+    carries the minimal open of each point onto that of its image, so
+    neither open family is listed."""
+    t = named_function_topology("coZ", y, s)
+    hs = compact_subbasis_topology(y)
+    perm = [hs.ground_index[f.preimage(0b10)] for f in t.maps]  # 0b10: the open point
+    if sorted(perm) != list(range(len(hs.ground))):
+        return False
+    return all(
+        sum(1 << perm[j] for j in bits(m)) == hs.min_opens[perm[i]]
+        for i, m in enumerate(t.min_opens)
     )
-    return rows
 
 
 def _dual_rows(pairs) -> list[VerdictReport]:
@@ -500,25 +454,10 @@ def _dual_rows(pairs) -> list[VerdictReport]:
                     forward_wit.append((pair_tag(y, z), name))
             if t_ok != tau_ok:
                 equiv_wit.append((pair_tag(y, z), name))
-    rows = [
-        VerdictReport(
-            claim="dual:admissible-implies-dual-admissible",
-            status="fails" if forward_wit else "holds",
-            hypothesis_true_count=forward_hyp,
-            instance_count=instances,
-            witnesses=tuple(forward_wit),
-        ),
-    ]
+    claim = "dual:admissible-implies-dual-admissible"
+    rows = [VerdictReport.of(claim, forward_wit, forward_hyp, instances)]
     for claim in ("dual:named-equivalence-t-tau", "dual:named-equivalence-t-round-trip"):
-        rows.append(
-            VerdictReport(
-                claim=claim,
-                status="fails" if equiv_wit else "holds",
-                hypothesis_true_count=instances,
-                instance_count=instances,
-                witnesses=tuple(equiv_wit),
-            )
-        )
+        rows.append(VerdictReport.of(claim, equiv_wit, instances, instances))
     return rows
 
 
@@ -546,12 +485,11 @@ def _refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictR
                 checked += 1
                 if evaluation_witness(finer) is not None:
                     witnesses.append((pair_tag(y, z), name, extra))
-    return VerdictReport(
-        claim="admissible:refinement-monotone",
-        status="fails" if witnesses else "holds",
-        hypothesis_true_count=checked,
-        instance_count=checked,
-        witnesses=tuple(witnesses),
+    return VerdictReport.of(
+        "admissible:refinement-monotone",
+        witnesses,
+        checked,
+        checked,
         budget=(("bases", admissible_bases), ("samples", samples), ("seed", seed)),
     )
 
@@ -560,6 +498,12 @@ def _divergence_rows() -> list[VerdictReport]:
     """Computed values that contradict previously tabulated ones; each row
     states the tabulated claim, fails against the computation, and is marked
     expected=False so suite consumers leave them red on purpose."""
+
+    def row(claim, gap, witness, budget):
+        # one fixed instance, whose witness counts only when the gap shows
+        witnesses = [witness] if gap else []
+        return VerdictReport.of(claim, witnesses, 1, 1, budget=budget, expected=not gap)
+
     y = chain(2)
     z = indiscrete(2)
     plain = z_scott(y, z)
@@ -569,31 +513,23 @@ def _divergence_rows() -> list[VerdictReport]:
     # its empty member is a codomain-trace trigger, so upward closure would
     # force {0} in as well
     pair_family = 0b101
-    gap = pair_family not in plain.opens
     rows.append(
-        VerdictReport(
-            claim="divergence:pair-family-open chain2/indiscrete2",
-            status="fails" if gap else "holds",
-            hypothesis_true_count=1,
-            instance_count=1,
-            witnesses=(("family", pair_family, "alpha_forces_index", 1),) if gap else (),
-            budget=(("ground", plain.ground),),
-            expected=not gap,
+        row(
+            "divergence:pair-family-open chain2/indiscrete2",
+            pair_family not in plain.opens,
+            ("family", pair_family, "alpha_forces_index", 1),
+            (("ground", plain.ground),),
         )
     )
     # {{0}} survives the plain variant but dies against the one-member cover
     # {whole} in the strong one
     lone = 0b010
-    split = lone in plain.opens and lone not in strong.opens
     rows.append(
-        VerdictReport(
-            claim="divergence:plain-equals-strong chain2/indiscrete2",
-            status="fails" if split else "holds",
-            hypothesis_true_count=1,
-            instance_count=1,
-            witnesses=(("family", lone, "cover_union_mask", 0b100),) if split else (),
-            budget=(("ground", plain.ground),),
-            expected=not split,
+        row(
+            "divergence:plain-equals-strong chain2/indiscrete2",
+            lone in plain.opens and lone not in strong.opens,
+            ("family", lone, "cover_union_mask", 0b100),
+            (("ground", plain.ground),),
         )
     )
     # an admissible dual does not force the source topology to be admissible:
@@ -603,18 +539,12 @@ def _divergence_rows() -> list[VerdictReport]:
     w = evaluation_witness(t)
     tau = tau_of_t(t)
     dual_ok = is_admissible_on_ozy(tau, maps).status == "holds"
-    reverse_gap = w is not None and dual_ok
     rows.append(
-        VerdictReport(
-            claim="divergence:dual-admissible-implies-admissible point/sierpinski",
-            status="fails" if reverse_gap else "holds",
-            hypothesis_true_count=1,
-            instance_count=1,
-            witnesses=(
-                (("eval_open", w, "dual_opens", tau.opens.members),) if reverse_gap else ()
-            ),
-            budget=(("subbasis", t.subbasis),),
-            expected=not reverse_gap,
+        row(
+            "divergence:dual-admissible-implies-admissible point/sierpinski",
+            w is not None and dual_ok,
+            ("eval_open", w, "dual_opens", tau.opens.members),
+            (("subbasis", t.subbasis),),
         )
     )
     return rows

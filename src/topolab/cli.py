@@ -11,13 +11,16 @@ family masks index the ground list of the object carrying them. Every
 command prints JSON to stdout unless --out names a file. Exit codes: 0 the
 check holds or stays inconclusive, 1 a failing witness was found, 2 bad
 input: usage, an unreadable or malformed file, or a value the package
-rejects. Any other exception is a bug and surfaces as a traceback.
+rejects, 141 stdout was closed before the output was written, as a shell
+reports a pipe writer killed by SIGPIPE. Any other exception is a bug and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -316,6 +319,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader left early: point stdout at devnull, so the flush at
+        # exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (TopolabError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),

@@ -147,20 +147,11 @@ def is_admissible_on_ozy(
 
 def _admissible_via_dual(tau: DualSpace, maps: MapSet) -> VerdictReport:
     w = evaluation_witness(_lift_min_opens(tau, maps))
-    claim = f"ozy-admissible mode=via_dual {pair_tag(tau.y, tau.z)}"
-    if w is None:
-        return VerdictReport(
-            claim=claim,
-            status="holds",
-            hypothesis_true_count=1,
-            instance_count=1,
-        )
-    return VerdictReport(
-        claim=claim,
-        status="fails",
-        hypothesis_true_count=1,
-        instance_count=1,
-        witnesses=(("eval_preimage_not_open", w),),
+    return VerdictReport.of(
+        f"ozy-admissible mode=via_dual {pair_tag(tau.y, tau.z)}",
+        [] if w is None else [("eval_preimage_not_open", w)],
+        1,
+        1,
     )
 
 
@@ -190,11 +181,11 @@ def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictRepor
         tables = tuple(maps.tables[i] for i in g)
         witnesses = (("x_opens", xspace.opens.members, "assignment", tables),)
         break
-    return VerdictReport(
-        claim=f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}",
-        status="fails" if witnesses else "inconclusive",
-        hypothesis_true_count=hypothesis_true,
-        instance_count=instances,
-        witnesses=witnesses,
+    return VerdictReport.of(
+        f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}",
+        witnesses,
+        hypothesis_true,
+        instances,
         budget=(("max_x", max_x),),
+        clean="inconclusive",
     )

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .checkers import MAX_SUITE_Y, MAX_SUITE_Z, composition_check, refute_splitting
-from .errors import BudgetExceeded, UnknownQuestion
-from .finspace import FinSpace, discrete, enumerate_topologies, separation_profile
+from .checkers import composition_check, refute_splitting, suite_spaces
+from .errors import UnknownQuestion
+from .finspace import discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
 from .reports import VerdictReport, pair_tag
 
@@ -79,29 +79,19 @@ class QuestionProbe:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _spaces(limit: int) -> list[FinSpace]:
-    return [sp for n in range(1, limit + 1) for sp in enumerate_topologies(n)]
-
-
-def _q1(max_y: int, max_z: int):
+def _q1(ys, zs):
     # one row per pair with a regular codomain: is the function space under
     # the upper-family topology regular as well?
     rows = []
-    for y in _spaces(max_y):
-        for z in _spaces(max_z):
+    for y in ys:
+        for z in zs:
             if not separation_profile(z).regular:
                 continue
             t = named_function_topology("t1z", y, z)
+            claim = f"q1:regular t1z {pair_tag(y, z)}"
             ok = t.profile.regular
-            rows.append(
-                VerdictReport(
-                    claim=f"q1:regular t1z {pair_tag(y, z)}",
-                    status="holds" if ok else "fails",
-                    hypothesis_true_count=1,
-                    instance_count=1,
-                    witnesses=() if ok else (("function_space_opens", t.opens.members),),
-                )
-            )
+            witnesses = [] if ok else [("function_space_opens", t.opens.members)]
+            rows.append(VerdictReport.of(claim, witnesses, 1, 1))
     return rows, ""
 
 
@@ -118,18 +108,12 @@ def _equality_row(
             )
             if cmp.verdict != "equal":
                 witnesses.append((pair_tag(y, z), cmp.verdict, cmp.a_only, cmp.b_only))
-    return VerdictReport(
-        claim=f"{qid}:{lo}={hi}{suffix}",
-        status="fails" if witnesses else "holds",
-        hypothesis_true_count=count,
-        instance_count=count,
-        witnesses=tuple(witnesses),
-    )
+    return VerdictReport.of(f"{qid}:{lo}={hi}{suffix}", witnesses, count, count)
 
 
 def _q3_runner(qid: str, lo: str, hi: str, explanation: str):
-    def run(max_y: int, max_z: int):
-        row = _equality_row(qid, lo, hi, _spaces(max_y), _spaces(max_z))
+    def run(ys, zs):
+        row = _equality_row(qid, lo, hi, ys, zs)
         return [row], explanation if row.status == "holds" else ""
 
     return run
@@ -138,33 +122,26 @@ def _q3_runner(qid: str, lo: str, hi: str, explanation: str):
 def _composition_runner(qid: str, kind: str):
     # the first factor stays small: its function-space ground multiplies the
     # check, and two points already give every specialization shape
-    def run(max_y: int, max_z: int):
-        rows = []
-        for x in _spaces(min(MAX_COMPOSE_X, max_y)):
-            for y in _spaces(max_y):
-                for z in _spaces(max_z):
-                    rows.append(composition_check(x, y, z, (kind, kind, kind)))
+    def run(ys, zs):
+        xs = [x for x in ys if x.size <= MAX_COMPOSE_X]
+        kinds = (kind, kind, kind)
+        rows = [composition_check(x, y, z, kinds) for x in xs for y in ys for z in zs]
         return rows, ""
 
     return run
 
 
 def _splitting_runner(kind: str):
-    def run(max_y: int, max_z: int):
-        rows = [
-            refute_splitting(named_function_topology(kind, y, z), max_x=2)
-            for y in _spaces(max_y)
-            for z in _spaces(max_z)
-        ]
-        return rows, ""
+    def run(ys, zs):
+        tops = (named_function_topology(kind, y, z) for y in ys for z in zs)
+        return [refute_splitting(t, max_x=2) for t in tops], ""
 
     return run
 
 
-def _q10(max_y: int, max_z: int):
-    del max_z  # the codomain is pinned by the question itself
+def _q10(ys, zs):
+    del zs  # the codomain is pinned by the question itself
     z2 = discrete(2)
-    ys = _spaces(max_y)
     rows = [
         _equality_row("q10", lo, hi, ys, [z2], suffix=" z=discrete2")
         for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz"))
@@ -210,11 +187,7 @@ def question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
         )
     if qid not in _RUNNERS:
         raise UnknownQuestion(f"{qid!r} is not registered; known ids: {QUESTION_IDS}")
-    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
-        raise BudgetExceeded(
-            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
-        )
-    rows, explanation = _RUNNERS[qid](max_y, max_z)
+    rows, explanation = _RUNNERS[qid](*suite_spaces(max_y, max_z))
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation
     )

@@ -100,9 +100,6 @@ class HyperSpace:
             m |= 1 << self.ground_index[mem]
         return m
 
-    def members_of(self, family: int) -> tuple[Subset, ...]:
-        return tuple(self.ground[i] for i in bits(family))
-
     def as_space(self) -> FinSpace:
         return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
 

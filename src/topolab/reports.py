@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Iterable
 
 STATUSES = ("holds", "fails", "inconclusive")
 
@@ -34,6 +35,30 @@ class VerdictReport:
             raise ValueError(f"status {self.status!r} not in {STATUSES}")
         if self.status == "fails" and not self.witnesses:
             raise ValueError("a failing report needs at least one witness")
+
+    @classmethod
+    def of(
+        cls,
+        claim: str,
+        witnesses: Iterable,
+        hypothesis_true_count: int,
+        instance_count: int,
+        budget: tuple[tuple[str, object], ...] = (),
+        clean: str = "holds",
+        expected: bool = True,
+    ) -> "VerdictReport":
+        """The report of a check: "fails" exactly when it found witnesses,
+        else `clean`, which is "inconclusive" for bounded searches."""
+        witnesses = tuple(witnesses)
+        return cls(
+            claim,
+            "fails" if witnesses else clean,
+            hypothesis_true_count,
+            instance_count,
+            witnesses,
+            budget,
+            expected,
+        )
 
     def to_dict(self) -> dict:
         return {

@@ -25,6 +25,7 @@ from topolab.finspace import (
     product,
 )
 from topolab.fntop import Comparison, named_function_topology
+from topolab.hypertop import compact_subbasis_topology
 from topolab.mapspace import ContMap, o_z_family, relative_profile
 from topolab.reports import VerdictReport, fam_tag, pair_tag
 
@@ -621,6 +622,17 @@ def literal_composition_check(
             ("z_corecompact", rp.z_corecompact),
         ),
     )
+
+
+def literal_characteristic_homeomorphism(y: FinSpace, s: FinSpace) -> bool:
+    """f -> f^{-1}(open point) of S against the compact-subbasis hyperspace
+    of y, open for open: both open families listed, every open carried."""
+    t = named_function_topology("coZ", y, s)
+    hs = compact_subbasis_topology(y)
+    open_point = next(m for m in s.opens.members if m not in (0, s.full))
+    perm = [hs.ground_index[f.preimage(open_point)] for f in t.maps]
+    image = {sum(1 << perm[i] for i in bits(m)) for m in t.opens.members}
+    return image == set(hs.opens.members)
 
 
 def literal_tau_opens(t) -> tuple[Subset, ...]:

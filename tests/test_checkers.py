@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import all_spaces_up_to
-from oracles import literal_composition_check, literal_refute_splitting
+from oracles import (
+    literal_characteristic_homeomorphism,
+    literal_composition_check,
+    literal_refute_splitting,
+)
 from topolab import checkers
 from topolab.checkers import (
     MAX_SPLITTING_INSTANCES,
@@ -26,10 +30,11 @@ from topolab.finspace import (
     indiscrete,
     make_space,
     product,
+    rectangle_mask,
     sierpinski,
 )
 from topolab.fntop import NAMED, FnTopology, named_function_topology
-from topolab.hypertop import strong_z_scott, z_scott
+from topolab.hypertop import HyperSpace, strong_z_scott, z_scott
 from topolab.mapspace import ContMap, enumerate_continuous
 from topolab.reports import suite_to_json
 
@@ -79,10 +84,42 @@ def test_admissible_into_indiscrete_always(chain2, indisc2):
     assert is_admissible(fn_discrete(maps)).status == "holds"
 
 
-def test_admissible_ground_guard():
-    maps = enumerate_continuous(discrete(3), discrete(3))
-    with pytest.raises(GroundTooLarge):
-        is_admissible(fn_indiscrete(maps))
+def _product_open(a, b, mask):
+    # open in a x b exactly when it holds the rectangle of minimal opens
+    # around each of its points
+    return all(
+        not rectangle_mask(a.min_opens[p // b.size], b.min_opens[p % b.size], b.size)
+        & ~mask
+        for p in bits(mask)
+    )
+
+
+def test_admissible_decides_past_product_ground_32(s):
+    sq = product(s, s)
+    assert all(_product_open(s, s, m) == sq.is_open(m) for m in range(16))
+    # 81 and 64 product points, more than product() builds; the check
+    # builds no product, only the evaluation preimage of the witness
+    for y, z in ((discrete(3), discrete(3)), (discrete(4), discrete(2))):
+        maps = enumerate_continuous(y, z)
+        ground = len(maps) * y.size
+        assert ground in (81, 64)
+        rep = is_admissible(named_function_topology("co", y, z))
+        assert rep.status == "holds"
+        assert rep.budget == (("product_points", ground),)
+        t = fn_indiscrete(maps)
+        rep = is_admissible(t)
+        assert rep.status == "fails"
+        ((tag, w, tag2, pre),) = rep.witnesses
+        assert (tag, tag2) == ("open", "product_preimage")
+        assert pre == sum(
+            1 << (i * y.size + q)
+            for i, f in enumerate(maps)
+            for q in range(y.size)
+            if (w >> f(q)) & 1
+        )
+        assert not _product_open(t.as_space(), y, pre)
+        with pytest.raises(GroundTooLarge):
+            product(t.as_space(), y)
 
 
 def test_refute_splitting_discrete_pinned(s):
@@ -334,3 +371,29 @@ def test_suite_json_deterministic():
     first = suite_to_json(theorem_suite(2, 2, refinement_samples=5, seed=3))
     second = suite_to_json(theorem_suite(2, 2, refinement_samples=5, seed=3))
     assert first == second
+
+
+def test_characteristic_homeomorphism_matches_listed_oracle():
+    # every labeled Y on at most four points; the suite row reads Y <= 3
+    s = sierpinski()
+    ys = all_spaces_up_to(4)
+    assert len(ys) == 389
+    for y in ys:
+        assert checkers._characteristic_homeomorphism(y, s)
+        assert literal_characteristic_homeomorphism(y, s)
+
+
+def test_characteristic_homeomorphism_refutes_a_discrete_hyperspace(monkeypatch):
+    # against the discrete topology on the same ground every Y fails, by
+    # both routes: the ground holds the empty set and Y, and every open
+    # around the empty set holds Y
+    def discrete_hyperspace(y):
+        ground = y.opens.members
+        return HyperSpace(y, ground, tuple(1 << i for i in range(len(ground))), "d")
+
+    monkeypatch.setattr(checkers, "compact_subbasis_topology", discrete_hyperspace)
+    monkeypatch.setattr(oracles, "compact_subbasis_topology", discrete_hyperspace)
+    s = sierpinski()
+    for y in all_spaces_up_to(3):
+        assert not checkers._characteristic_homeomorphism(y, s)
+        assert not literal_characteristic_homeomorphism(y, s)

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topolab
 from conftest import all_spaces_up_to
 from topolab.cli import _fn_from, _space_from, main
 from topolab.fntop import NAMED, named_function_topology
@@ -219,6 +224,25 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
         "--x", spath, "--y", spath, "--z", spath, "--kinds", "coZ,coZ",
     )
     assert code == 2 and "--kinds" in err
+
+
+def test_closed_stdout_exits_141_without_a_message():
+    # the enumeration of 6,942 spaces outgrows a pipe buffer, so the write
+    # meets the closed read end
+    src = str(Path(topolab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "topolab.cli", "space", "enum", "--points", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_internal_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypatch):

@@ -29,8 +29,12 @@ def test_unknown_question_rejected():
 
 
 def test_bounds_guard():
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"bounds \(4,2\) exceed \(3,2\)"):
         question_search("q3.1", 4, 2)
+    # out-of-scope ids answer before the bound check, unknown ones fail first
+    assert question_search("q2", 4, 3).status == "out_of_scope"
+    with pytest.raises(UnknownQuestion):
+        question_search("q13", 4, 3)
 
 
 def test_equality_probe_with_encoded_collapse():
