@@ -28,6 +28,7 @@ from .finspace import (
     interior_of,
     is_bounded_in,
     is_compact_subset,
+    is_open_in_product,
     local_profile,
     make_space,
     product,

@@ -6,10 +6,11 @@ refutation-only: its definition quantifies over every test space X, so a
 bounded search can fail a topology but never certify one, and the clean
 outcome is deliberately "inconclusive". Composition continuity is a direct
 product-openness check on the two function-space grounds, decided per
-target subbasic by one mask test per pair of maps against the meets of
-minimal neighbourhoods; the escaping pair is searched only at a failure.
-The suite reads every per-pair verdict off minimal opens in the same way
-and never materializes a function space or a dual.
+distinct target minimal open by one mask test per pair of maps against the
+meets of minimal neighbourhoods; the target's subbasics and the escaping
+pairs are walked only at a failure. The suite reads every per-pair verdict
+off minimal opens in the same way and never materializes a function space
+or a dual, nor lists a subbasis.
 
 Every report is built by `VerdictReport.of`, so its status follows from its
 witnesses: "fails" exactly when there are some, and otherwise "holds", or
@@ -94,8 +95,9 @@ def is_admissible(t: FnTopology) -> VerdictReport:
 
     Decided by the row-containment lemma behind `evaluation_witness`; a
     failure pins the codomain open together with the literal product
-    preimage, so the witness can be replayed against `product()` directly
-    wherever the product fits its ground cap. No product is built here.
+    preimage. `finspace.is_open_in_product(t, y, preimage)` replays the
+    witness at any size, building no product, as nothing here does;
+    `product()` itself stops at MAX_GROUND points.
     """
     maps = t.maps
     witnesses = []
@@ -156,13 +158,15 @@ def composition_check(
     """Continuity of (f, g) -> g o f from C(X,Y) x C(Y,Z) into C(X,Z), each
     factor carrying its named topology.
 
-    Checking the subbasics of the target suffices, since product-open sets
-    are closed under union and intersection. A subbasic's preimage is open
-    when every pair (i, j) in it keeps the product of their minimal opens
-    inside it; the first pair that does not, in (i, j) order, is reported
-    with the first pair it escapes to. The three relative hypothesis
-    flags of the middle pair ride along in the budget; the one matching the
-    middle kind sets the hypothesis count.
+    Checking the distinct minimal opens of the target suffices, since they
+    are a basis and product-open sets are closed under union. A mask's
+    preimage is open when every pair (i, j) in it keeps the product of
+    their minimal opens inside it. Only on a failure are the target's
+    subbasics walked, to report for each one whose preimage is not open
+    the first pair that escapes, in (i, j) order, with the first pair it
+    escapes to. The three relative hypothesis flags of the middle pair
+    ride along in the budget; the one matching the middle kind sets the
+    hypothesis count.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
@@ -188,8 +192,8 @@ def composition_check(
     mins_b = t_yz.min_opens
     around_a = [list(bits(m)) for m in mins_a]
     b_open: dict[int, bool] = {}
-    witnesses = []
-    for s in t_xz.subbasis:
+
+    def escape(s: int) -> tuple | None:
         # stay[i]: the j whose composite with i lies in s; keep: the j that
         # stay in s with every i2 around i. (i, j) escapes exactly when the
         # minimal open around j leaves keep, and some j does unless keep is
@@ -206,14 +210,18 @@ def composition_check(
                 if b_open[keep]:
                     continue
             j = next(j for j in bits(stay[i]) if mins_b[j] & ~keep)
-            escape = next(
+            at = next(
                 (i2, j2)
                 for i2 in around
                 for j2 in bits(mins_b[j])
                 if not (s >> comp[i2][j2]) & 1
             )
-            witnesses.append(("open", s, "at", (i, j), "escapes", escape))
-            break
+            return ("open", s, "at", (i, j), "escapes", at)
+        return None
+
+    witnesses = []
+    if any(escape(m) for m in set(t_xz.min_opens)):
+        witnesses = [w for w in map(escape, t_xz.subbasis) if w]
     rp = relative_profile(y, z)
     hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
     return VerdictReport.of(
@@ -370,11 +378,11 @@ def _splitting_order_row(pairs) -> VerdictReport:
         ts = [named_function_topology(name, y, z) for name in NAMED]
         verdicts = {}
         for t in ts:
-            # the refutation only depends on the subbasis, so share results
-            # across same-subbasis provenances
-            if t.subbasis not in verdicts:
-                verdicts[t.subbasis] = refute_splitting(t, max_x=2).status
-        candidates = [t for t in ts if verdicts[t.subbasis] == "inconclusive"]
+            # the refutation only depends on the minimal opens, so share
+            # results across provenances of one topology
+            if t.min_opens not in verdicts:
+                verdicts[t.min_opens] = refute_splitting(t, max_x=2).status
+        candidates = [t for t in ts if verdicts[t.min_opens] == "inconclusive"]
         admissible = [t for t in ts if evaluation_witness(t) is None]
         for t in candidates:
             for t2 in admissible:
@@ -481,7 +489,7 @@ def _refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictR
                 extra = tuple(
                     rng.randrange(t.full + 1) for _ in range(rng.randint(1, 3))
                 )
-                finer = FnTopology.of(t.maps, t.subbasis + extra)
+                finer = FnTopology.of(t.maps, t.min_opens + extra)
                 checked += 1
                 if evaluation_witness(finer) is not None:
                     witnesses.append((pair_tag(y, z), name, extra))

@@ -4,15 +4,16 @@ family, plus admissibility of the latter.
 Both directions share one bracket over a pair (Y, Z): a family of domain
 opens and a codomain open carve out the maps whose preimage lands in the
 family, and a set of maps with a codomain open produce the family of their
-preimages. The first is `fntop.lift_families`, the same lift that builds
-the named topologies; `tau_of_t` is its transpose. Iterating the two need
+preimages. The first is `FnTopology.lift`, the same lift that builds the
+named topologies; `tau_of_t` is its transpose. Iterating the two need
 not return the start; it can only grow the topology, which the tests pin
 down.
 
-Both brackets commute with union, so each side is fed only the other's
-minimal opens. A DualSpace is carried by its minimal opens and lists its
-open family only when asked; only the public `t_of_tau` lifts every dual
-open, to keep the subbasis it prints.
+Both brackets commute with union, so `tau_of_t` is fed only the minimal
+t-opens, and lifting commutes with meets, so `t_of_tau` pulls only the
+dual's minimal opens. A DualSpace is carried by its minimal opens and lists
+its open family only when asked; `t_of_tau` lists the subbasis it prints
+only when asked, too.
 
 Admissibility of a topology on the preimage family quantifies over all
 spaces X and all maps X -> C(Y,Z), so the decision route converts it to an
@@ -41,7 +42,7 @@ from .finspace import (
     meets_by_point,
     popcount,
 )
-from .fntop import FnTopology, evaluation_witness, lift_families, lift_upsets
+from .fntop import FnTopology, evaluation_witness
 from .mapspace import MapSet, _continuous_slices, o_z_family, slice_instances
 from .reports import VerdictReport, pair_tag
 
@@ -104,22 +105,13 @@ def tau_of_t(t: FnTopology) -> DualSpace:
 
 def t_of_tau(tau: DualSpace, maps: MapSet) -> FnTopology:
     """Dual on the map set: a map joins a generator when its preimage of the
-    codomain open lies in the chosen dual-open family. Every dual open is
-    lifted, through its trace on the preimages that occur, listed off the
-    minimal opens, so the subbasis is the one the dual-t-of-tau command
-    prints; `_lift_min_opens` gives the same topology on fewer subbasics."""
+    codomain open lies in the chosen dual-open family. Lifting commutes with
+    meets, so the minimal opens are one pull of the dual's minimal opens.
+    The subbasis, listed on first use, lifts every dual open through its
+    trace on the preimages that occur; it is what the dual-t-of-tau command
+    prints."""
     _check_pair(tau, maps)
-    subbasis = lift_upsets(maps, tau.ground_index, tau.min_opens)
-    return FnTopology.of(maps, subbasis, "custom")
-
-
-def _lift_min_opens(tau: DualSpace, maps: MapSet) -> FnTopology:
-    """`t_of_tau` as a topology: lifting commutes with union and every dual
-    open is a union of minimal ones, so lifting only the distinct minimal
-    opens generates the same topology on fewer subbasics."""
-    _check_pair(tau, maps)
-    subbasis = lift_families(maps, tau.ground_index, set(tau.min_opens))
-    return FnTopology.of(maps, subbasis, "custom")
+    return FnTopology.lift(tau, maps, "custom")
 
 
 def _check_pair(tau: DualSpace, maps: MapSet) -> None:
@@ -146,7 +138,7 @@ def is_admissible_on_ozy(
 
 
 def _admissible_via_dual(tau: DualSpace, maps: MapSet) -> VerdictReport:
-    w = evaluation_witness(_lift_min_opens(tau, maps))
+    w = evaluation_witness(t_of_tau(tau, maps))
     return VerdictReport.of(
         f"ozy-admissible mode=via_dual {pair_tag(tau.y, tau.z)}",
         [] if w is None else [("eval_preimage_not_open", w)],

@@ -264,6 +264,21 @@ def product(a: FinSpace, b: FinSpace) -> FinSpace:
     return generate_from_subbasis(size, rects, labels)
 
 
+def is_open_in_product(a, b, mask: Subset) -> bool:
+    """Whether the mask, indexed as `product` indexes pairs, is open in the
+    product of a and b, with no product built and so no ground cap: an open
+    holds the rectangle of minimal opens around each of its points. Only
+    the minimal opens of a and b are read, so a function-space topology
+    serves as it is, its opens never listed."""
+    ma, mb = a.min_opens, b.min_opens
+    n = len(mb)
+    if mask < 0 or mask >> (len(ma) * n):
+        return False
+    return all(
+        not rectangle_mask(ma[p // n], mb[p % n], n) & ~mask for p in bits(mask)
+    )
+
+
 def rectangle_mask(u: Subset, v: Subset, b_size: int) -> Subset:
     m = 0
     for i in bits(u):

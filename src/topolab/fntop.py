@@ -1,14 +1,17 @@
 """Topologies on sets of continuous maps.
 
 The ground is a MapSet in its canonical order, opens are bit-vectors over map
-indices, and a topology is carried by its subbasis. Minimal neighborhoods are
-computable straight from the subbasis, and every verdict is read off them
-without materializing the open family: containment is one mask test per map
-each way, evaluation is continuous iff each minimal open lies inside the
-pointwise one (`MapSet.joint`), and the separation profile is the one
-`finspace` reads off a space's minimal opens. The slower walks run only to
-name the witnesses of a failing check. The family itself is built on demand
-under a budget.
+indices, and a topology is carried by its minimal opens, the least open
+around each map; its subbasis is listed on demand. A named topology lifts a
+topology on the domain's opens through preimages, and a lift commutes with
+meets, so its minimal opens come in closed form from the hyperspace's: one
+`MapSet.pull`, with no subbasis listed. Every verdict is read off the
+minimal opens without materializing the open family: containment is one
+mask test per map each way, evaluation is continuous iff each minimal open
+lies inside the pointwise one (`MapSet.joint`), and the separation profile
+is the one `finspace` reads off a space's minimal opens. The subbasis walks
+run only to name the witnesses of a failing check. The family itself is
+built on demand under a budget.
 
 Two subbasis styles appear: restriction sets {f : f(K) included in U} with K a
 compact subset of the domain, and lifted sets {f : the preimage of U lies in a
@@ -19,7 +22,7 @@ records which route produced a topology so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Callable, Collection, Iterable
@@ -38,6 +41,7 @@ from .finspace import (
 )
 from .hypertop import (
     HyperSpace,
+    compact_subbasis_topology,
     containment_families,
     scott,
     strong_scott,
@@ -53,30 +57,67 @@ NAMED = ("co", "coZ", "isbell", "sisbell", "t1z", "t1sz")
 
 @dataclass(frozen=True)
 class FnTopology:
-    """A topology on a MapSet, generated by the stored subbasis."""
+    """A topology on a MapSet, carried by the minimal open around each map.
+    Two topologies are equal when their maps, minimal opens and provenance
+    are, whatever subbasis produced them.
+
+    `source` is what the subbasis comes from: the tuple `of` was given, a
+    space whose every open family is lifted (a HyperSpace, or the DualSpace
+    of `duality.t_of_tau`), or None for co and coZ, which lift the
+    containment families of the domain."""
 
     maps: MapSet
-    subbasis: tuple[int, ...]
+    min_opens: tuple[int, ...]
     provenance: str = "custom"
+    source: HyperSpace | tuple[int, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @classmethod
     def of(cls, maps: MapSet, subbasis, provenance: str = "custom") -> "FnTopology":
+        """The topology a subbasis generates: the minimal open around each
+        map is the meet of the subbasics holding it, exact since that meet
+        is basic."""
         full = full_mask(len(maps))
         ordered = tuple(sorted(set(subbasis)))
         stray = tuple(m for m in ordered if m < 0 or m & ~full)
         if stray:
             raise NotATopology("subbasis member escapes the map ground", stray)
-        return cls(maps, ordered, provenance)
+        return cls(maps, meets_by_point(len(maps), ordered), provenance, ordered)
+
+    @classmethod
+    def lift(
+        cls, h: HyperSpace, maps: MapSet, provenance: str, containment: bool = False
+    ) -> "FnTopology":
+        """The lift of h's open families through preimages, in closed form.
+        A lift commutes with meets, so the minimal open around map f is the
+        meet over codomain opens u of the maps whose preimage of u lies in
+        h's minimal open around f's preimage of u: `MapSet.pull` of h's
+        minimal opens. With `containment`, h is the topology the
+        containment families generate and they, not h's opens, are what
+        the subbasis lifts."""
+        mins = tuple(maps.pull(h.ground_index, h.min_opens))
+        return cls(maps, mins, provenance, None if containment else h)
+
+    @property
+    def subbasis(self) -> tuple[int, ...]:
+        """The subbasis, sorted. A lifted one is listed on each read and not
+        kept, so a topology holds one carrier, its minimal opens; it is
+        read only to print a topology or name a failing check's witnesses."""
+        h = self.source
+        if isinstance(h, tuple):
+            return h
+        if h is None:
+            y = self.maps.domain
+            index = {u: g for g, u in enumerate(y.opens)}
+            found = lift_families(self.maps, index, containment_families(y))
+        else:
+            found = lift_upsets(self.maps, h.ground_index, h.min_opens)
+        return tuple(sorted(found))
 
     @cached_property
     def full(self) -> int:
         return full_mask(len(self.maps))
-
-    @cached_property
-    def min_opens(self) -> tuple[int, ...]:
-        """Smallest open around each map: the intersection of the subbasis
-        members containing it. Exact, since that intersection is basic."""
-        return meets_by_point(len(self.maps), self.subbasis)
 
     @cached_property
     def profile(self) -> LocalProfile:
@@ -156,11 +197,12 @@ def _lift(
 def lift_open_family(
     h: HyperSpace, maps: MapSet, provenance: str = "custom"
 ) -> FnTopology:
-    """Subbasis sets {f : the preimage of U under f lies in the family}, one
-    for each open family of the hyperspace and each codomain open."""
+    """The topology with subbasis sets {f : the preimage of U under f lies
+    in the family}, one for each open family of the hyperspace and each
+    codomain open."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    return FnTopology.of(maps, lift_upsets(maps, h.ground_index, h.min_opens), provenance)
+    return FnTopology.lift(h, maps, provenance)
 
 
 def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
@@ -170,35 +212,36 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
     ranges over every subset of Y and the provenance records the route.
 
     f(K) lies in U exactly when the preimage of U contains K, so this is the
-    lift of the families {opens containing K}."""
-    y = maps.domain
+    lift of the families {opens containing K}, whose topology is
+    `compact_subbasis_topology`."""
     if compactness == "plain":
         provenance = "co"
     elif compactness == "z_relative":
         provenance = "coZ"
     else:
         raise ValueError(f"unknown compactness {compactness!r}")
-    index = {u: g for g, u in enumerate(y.opens)}
-    subbasis = lift_families(maps, index, containment_families(y))
-    return FnTopology.of(maps, subbasis, provenance)
+    h = compact_subbasis_topology(maps.domain)
+    return FnTopology.lift(h, maps, provenance, containment=True)
 
 
 @lru_cache(maxsize=None)
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
+    """One pull of the named hyperspace's minimal opens; nothing is listed."""
     maps = enumerate_continuous(y, z)
-    if name == "co":
-        return kset_topology(maps, "plain")
-    if name == "coZ":
-        return kset_topology(maps, "z_relative")
+    if name in ("co", "coZ"):
+        h = compact_subbasis_topology(y)
+        return FnTopology.lift(h, maps, name, containment=True)
     if name == "isbell":
-        return lift_open_family(scott(y), maps, "isbell")
-    if name == "sisbell":
-        return lift_open_family(strong_scott(y), maps, "sisbell")
-    if name == "t1z":
-        return lift_open_family(z_scott(y, z), maps, "t1z")
-    if name == "t1sz":
-        return lift_open_family(strong_z_scott(y, z), maps, "t1sz")
-    raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
+        h = scott(y)
+    elif name == "sisbell":
+        h = strong_scott(y)
+    elif name == "t1z":
+        h = z_scott(y, z)
+    elif name == "t1sz":
+        h = strong_z_scott(y, z)
+    else:
+        raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
+    return FnTopology.lift(h, maps, name)
 
 
 @dataclass(frozen=True)

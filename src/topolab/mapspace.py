@@ -89,19 +89,35 @@ class MapSet:
             u: tuple(m.preimage(u) for m in self.maps) for u in self.codomain.opens
         }
 
-    def pull_relation(self, index: dict[Subset, int], rel) -> tuple[list[int], list[int]]:
+    def pull(self, index: dict[Subset, int], rel) -> list[int]:
         """A relation on preimages, given by index, pulled back to the maps:
-        below[i] holds j when, for every codomain open u, rel[index[i's
-        preimage of u]] holds index[j's preimage of u]. Returns (below,
-        above), above being its transpose."""
+        row i holds j when, for every codomain open u, rel[index[i's
+        preimage of u]] holds index[j's preimage of u]. Per u only the
+        indices some preimage takes are visited."""
         below = [full_mask(len(self))] * len(self)
         for rows in self.preimage_rows.values():
-            at = [index[r] for r in rows]
-            holding = [0] * len(rel)  # the maps whose preimage sits at each index
-            for j, a in enumerate(at):
-                holding[a] |= 1 << j
-            reach = [sum(holding[b] for b in bits(m)) for m in rel]
-            below = [m & reach[a] for m, a in zip(below, at)]
+            holding: dict[int, int] = {}  # index bit -> the maps at that index
+            at = []
+            for j, r in enumerate(rows):
+                g = 1 << index[r]
+                holding[g] = holding.get(g, 0) | 1 << j
+                at.append(g)
+            occurring = sum(holding)
+            reach = {}
+            for g in holding:
+                rest = rel[g.bit_length() - 1] & occurring
+                mask = 0
+                while rest:  # the bits of rest, inlined: this runs per map set
+                    low = rest & -rest
+                    mask |= holding[low]
+                    rest ^= low
+                reach[g] = mask
+            below = [m & reach[g] for m, g in zip(below, at)]
+        return below
+
+    def pull_relation(self, index: dict[Subset, int], rel) -> tuple[list[int], list[int]]:
+        """`pull`, as (below, above), above being its transpose."""
+        below = self.pull(index, rel)
         return below, _transpose(below)
 
     @cached_property

@@ -25,8 +25,14 @@ from topolab.finspace import (
     product,
 )
 from topolab.fntop import Comparison, named_function_topology
-from topolab.hypertop import compact_subbasis_topology
-from topolab.mapspace import ContMap, o_z_family, relative_profile
+from topolab.hypertop import (
+    compact_subbasis_topology,
+    scott,
+    strong_scott,
+    strong_z_scott,
+    z_scott,
+)
+from topolab.mapspace import ContMap, enumerate_continuous, o_z_family, relative_profile
 from topolab.reports import VerdictReport, fam_tag, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
@@ -405,6 +411,43 @@ def literal_kset_subbasis(maps) -> set[int]:
                     mask |= 1 << i
             subbasis.add(mask)
     return subbasis
+
+
+def meets_of(n: int, subbasis) -> tuple[int, ...]:
+    """For each of n points, the intersection of the subbasics holding it,
+    the full ground when none does: the minimal opens they generate."""
+    out = []
+    for p in range(n):
+        meet = full_mask(n)
+        for m in subbasis:
+            if (m >> p) & 1:
+                meet &= m
+        out.append(meet)
+    return tuple(out)
+
+
+def listed_lift_min_opens(maps, index: dict[Subset, int], families) -> tuple[int, ...]:
+    """Minimal opens of a lift as the package found them before it pulled
+    them in closed form: every listed family lifted, then met per map."""
+    return meets_of(len(maps), listed_family_lift(maps, index, families))
+
+
+def listed_named_min_opens(name: str, y: FinSpace, z: FinSpace) -> tuple[int, ...]:
+    """Minimal opens of a named topology by its listed subbasis: the
+    containment subbasics for co and coZ, else every open family of the
+    named hyperspace, lifted and met per map."""
+    maps = enumerate_continuous(y, z)
+    if name in ("co", "coZ"):
+        return meets_of(len(maps), literal_kset_subbasis(maps))
+    if name == "isbell":
+        h = scott(y)
+    elif name == "sisbell":
+        h = strong_scott(y)
+    elif name == "t1z":
+        h = z_scott(y, z)
+    else:
+        h = strong_z_scott(y, z)
+    return listed_lift_min_opens(maps, h.ground_index, h.opens)
 
 
 def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True) -> VerdictReport:

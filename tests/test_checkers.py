@@ -28,9 +28,9 @@ from topolab.finspace import (
     discrete,
     enumerate_topologies,
     indiscrete,
+    is_open_in_product,
     make_space,
     product,
-    rectangle_mask,
     sierpinski,
 )
 from topolab.fntop import NAMED, FnTopology, named_function_topology
@@ -75,6 +75,9 @@ def test_admissible_indiscrete_witness_replays(s):
                 lit |= 1 << (i * s.size + q)
     assert lit == pre
     assert not product(t.as_space(), s).is_open(pre)
+    # the replay off minimal opens agrees with the built product here
+    sq = product(t.as_space(), s)
+    assert all(is_open_in_product(t, s, m) == sq.is_open(m) for m in range(1 << 6))
 
 
 def test_admissible_into_indiscrete_always(chain2, indisc2):
@@ -84,21 +87,12 @@ def test_admissible_into_indiscrete_always(chain2, indisc2):
     assert is_admissible(fn_discrete(maps)).status == "holds"
 
 
-def _product_open(a, b, mask):
-    # open in a x b exactly when it holds the rectangle of minimal opens
-    # around each of its points
-    return all(
-        not rectangle_mask(a.min_opens[p // b.size], b.min_opens[p % b.size], b.size)
-        & ~mask
-        for p in bits(mask)
-    )
-
-
-def test_admissible_decides_past_product_ground_32(s):
-    sq = product(s, s)
-    assert all(_product_open(s, s, m) == sq.is_open(m) for m in range(16))
+def test_admissible_decides_past_product_ground_32():
     # 81 and 64 product points, more than product() builds; the check
-    # builds no product, only the evaluation preimage of the witness
+    # builds no product, only the evaluation preimage of the witness, and
+    # is_open_in_product replays it off the minimal opens: for the
+    # indiscrete topology, and for every map isolated but the first, whose
+    # opens are too many to list
     for y, z in ((discrete(3), discrete(3)), (discrete(4), discrete(2))):
         maps = enumerate_continuous(y, z)
         ground = len(maps) * y.size
@@ -106,20 +100,23 @@ def test_admissible_decides_past_product_ground_32(s):
         rep = is_admissible(named_function_topology("co", y, z))
         assert rep.status == "holds"
         assert rep.budget == (("product_points", ground),)
-        t = fn_indiscrete(maps)
-        rep = is_admissible(t)
-        assert rep.status == "fails"
-        ((tag, w, tag2, pre),) = rep.witnesses
-        assert (tag, tag2) == ("open", "product_preimage")
-        assert pre == sum(
-            1 << (i * y.size + q)
-            for i, f in enumerate(maps)
-            for q in range(y.size)
-            if (w >> f(q)) & 1
-        )
-        assert not _product_open(t.as_space(), y, pre)
+        wide = FnTopology.of(maps, [1 << i for i in range(1, len(maps))])
+        for t in (fn_indiscrete(maps), wide):
+            rep = is_admissible(t)
+            assert rep.status == "fails"
+            ((tag, w, tag2, pre),) = rep.witnesses
+            assert (tag, tag2) == ("open", "product_preimage")
+            assert pre == sum(
+                1 << (i * y.size + q)
+                for i, f in enumerate(maps)
+                for q in range(y.size)
+                if (w >> f(q)) & 1
+            )
+            assert not is_open_in_product(t, y, pre)
         with pytest.raises(GroundTooLarge):
-            product(t.as_space(), y)
+            product(fn_indiscrete(maps).as_space(), y)
+        with pytest.raises(BudgetExceeded):
+            wide.as_space()
 
 
 def test_refute_splitting_discrete_pinned(s):
@@ -296,6 +293,12 @@ def test_composition_matches_literal_oracle(monkeypatch):
     cases += [(*xyz, tuple(rng.choice(NAMED) for _ in range(3))) for xyz in triples]
     for case in cases:
         assert composition_check(*case).to_dict() == literal_composition_check(*case).to_dict()
+    # the q6/q7 decisions run on the targets' distinct minimal opens, a
+    # basis, fewer than their subbasics
+    q67 = cases[: 2 * len(triples)]
+    targets = [named_function_topology(k, x, z) for x, _, z, (k, _, _) in q67]
+    assert sum(len(set(t.min_opens)) for t in targets) == 3400
+    assert sum(len(t.subbasis) for t in targets) == 5848
 
     # every named triple holds here, so each kind also stands for a seeded
     # coarsening or refinement of its topology, which makes escapes occur
@@ -316,6 +319,31 @@ def test_composition_matches_literal_oracle(monkeypatch):
         assert fast == literal_composition_check(*case).to_dict()
         failing += fast["status"] == "fails"
     assert failing > 100
+
+
+def test_composition_names_every_failing_subbasic(monkeypatch, s, chain2):
+    # an indiscrete middle factor, and a target whose subbasic {const1, id}
+    # is no minimal open: the decision runs on the minimal opens, and the
+    # witnesses still name every failing subbasic, that one included
+    def custom(name, y, z):
+        t = named_function_topology(name, y, z)
+        if (y, z) == (chain2, s):
+            return FnTopology.of(t.maps, ())
+        if (y, z) == (s, s):
+            return FnTopology.of(t.maps, (0b010, 0b100, 0b110))
+        return t
+
+    monkeypatch.setattr(checkers, "named_function_topology", custom)
+    monkeypatch.setattr(oracles, "named_function_topology", custom)
+    kinds = ("co", "co", "co")
+    assert 0b110 not in custom("co", s, s).min_opens
+    rep = composition_check(s, chain2, s, kinds)
+    assert rep.witnesses == (
+        ("open", 0b010, "at", (1, 1), "escapes", (0, 0)),
+        ("open", 0b100, "at", (0, 1), "escapes", (0, 0)),
+        ("open", 0b110, "at", (0, 1), "escapes", (0, 0)),
+    )
+    assert rep.to_dict() == literal_composition_check(s, chain2, s, kinds).to_dict()
 
 
 def test_suite_rows_at_2_2(suite22):

@@ -27,6 +27,7 @@ from topolab.mapspace import enumerate_continuous, o_z_family
 from conftest import all_spaces_up_to
 from oracles import (
     listed_family_lift,
+    listed_lift_min_opens,
     literal_admissible_direct,
     literal_lift,
     literal_tau_opens,
@@ -89,9 +90,9 @@ def test_dual_routes_match_materialized_ones():
                 # seeded from minimal opens, carried by its own minimal opens
                 assert tau.opens.members == literal_tau_opens(t)
                 assert tau.min_opens == tau.as_space().min_opens
-                # the minimal-open lift and the full lift give one topology
-                lifted = duality._lift_min_opens(tau, maps)
-                assert lifted.min_opens == t_of_tau(tau, maps).min_opens
+                # the closed-form lift and the listed one give one topology
+                want = listed_lift_min_opens(maps, tau.ground_index, tau.opens)
+                assert t_of_tau(tau, maps).min_opens == want
                 checked += 1
             m = len(o_z_family(y, z))
             for _ in range(2):
@@ -99,8 +100,8 @@ def test_dual_routes_match_materialized_ones():
                 fam = generate_from_subbasis(m, seeds).opens
                 tau = DualSpace.of(y, z, fam)
                 assert tau.opens == fam
-                lifted = duality._lift_min_opens(tau, maps)
-                assert lifted.min_opens == t_of_tau(tau, maps).min_opens
+                want = listed_lift_min_opens(maps, tau.ground_index, tau.opens)
+                assert t_of_tau(tau, maps).min_opens == want
     assert checked == 2040
 
 

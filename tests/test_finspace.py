@@ -39,6 +39,7 @@ from topolab.finspace import (
     interior_of,
     is_bounded_in,
     is_compact_subset,
+    is_open_in_product,
     local_profile,
     make_space,
     meets_by_point,
@@ -138,6 +139,30 @@ def test_product_of_sierpinski(s):
     # point (1,1) sits at index 1*2+1 = 3
     assert p.is_open(1 << 3)
     make_space(p.size, p.opens.members)
+
+
+def test_open_in_product_matches_the_built_product(s):
+    # every mask on the products of at most 8 points; on 32 points every
+    # open of the product with each of its points toggled, and masks
+    # escaping the ground
+    small = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    pairs = [(a, b) for a in small for b in all_spaces_up_to(2)]
+    for a, b in pairs:
+        built = product(a, b)
+        for m in range(1 << built.size):
+            assert is_open_in_product(a, b, m) == built.is_open(m)
+    grid = product(chain(4), chain(4))
+    bar = product(chain(4), indiscrete(4))
+    for a, b in ((bar, s), (s, bar), (grid, indiscrete(2)), (indiscrete(2), grid)):
+        built = product(a, b)
+        assert built.size == 32
+        for o in built.opens:
+            assert is_open_in_product(a, b, o)
+            for p in range(built.size):
+                m = o ^ (1 << p)
+                assert is_open_in_product(a, b, m) == built.is_open(m)
+        assert not is_open_in_product(a, b, 1 << built.size)
+        assert not is_open_in_product(a, b, -1)
 
 
 def test_subspace_diagonal_of_product(s):

@@ -4,7 +4,12 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topolab import duality, fntop
+from topolab.checkers import is_admissible
+from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import (
     BudgetExceeded,
     MismatchedBase,
@@ -14,8 +19,10 @@ from topolab.errors import (
 from topolab.finspace import (
     SubsetFamily,
     _validate_topology_family,
+    bits,
     discrete,
     enumerate_topologies,
+    make_space,
     separation_profile,
 )
 from topolab.fntop import (
@@ -39,6 +46,7 @@ from topolab.mapspace import enumerate_continuous
 
 from conftest import all_spaces_up_to
 from oracles import (
+    listed_named_min_opens,
     literal_compare_topologies,
     literal_evaluation_witness,
     literal_generate,
@@ -325,3 +333,80 @@ def test_lifts_match_the_listed_family_bracket():
             ):
                 want = listed_family_lift(maps, h.ground_index, h.opens)
                 assert lift_open_family(h, maps).subbasis == tuple(sorted(want))
+
+
+def test_closed_form_min_opens_match_the_listed_lift():
+    # the pulled minimal opens against every listed subbasic met per map:
+    # every pair at (3,2), and each 4-point class against every Z <= 2
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    count = 0
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            for name in NAMED:
+                t = named_function_topology(name, y, z)
+                assert t.min_opens == listed_named_min_opens(name, y, z)
+                count += 1
+    assert count == 6 * 5 * (34 + 33)
+
+
+def test_building_and_dual_admissibility_list_no_subbasis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("listed a subbasis")
+
+    y = enumerate_topologies(4, up_to_iso=True)[-1]
+    zs = all_spaces_up_to(2)
+    taus = [tau_of_t(named_function_topology(n, y, z)) for z in zs for n in NAMED]
+    for name in ("_lift", "lift_families", "lift_upsets", "meets_by_point"):
+        monkeypatch.setattr(fntop, name, refuse)
+    monkeypatch.setattr(duality, "meets_by_point", refuse)
+    build = named_function_topology.__wrapped__
+    for z in zs:
+        for name in NAMED:
+            evaluation_witness(build(name, y, z))
+    for tau in taus:
+        maps = enumerate_continuous(tau.y, tau.z)
+        assert is_admissible_on_ozy(tau, maps).status in ("holds", "fails")
+
+
+def test_equality_is_maps_min_opens_provenance(s):
+    maps = enumerate_continuous(s, s)
+    # {const1} and {const1, id} generate the compact-open topology, as do
+    # its three nonempty opens
+    a = FnTopology.of(maps, [0b100, 0b110])
+    b = FnTopology.of(maps, [0b100, 0b110, 0b111])
+    assert a.subbasis != b.subbasis
+    assert a == b and hash(a) == hash(b)
+    co = named_function_topology("co", s, s)
+    assert co.min_opens == a.min_opens
+    assert co != a  # provenance "co" against "custom"
+    assert co == FnTopology.of(maps, co.subbasis, "co")
+    assert FnTopology.of(maps, [0b100]) != a
+
+
+_SMALL_Y4 = all_spaces_up_to(4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_named_topologies_follow_a_relabeling_of_y(data):
+    y = data.draw(st.sampled_from(_SMALL_Y4))
+    perm = data.draw(st.permutations(range(y.size)))
+    moved = make_space(y.size, [sum(1 << perm[p] for p in bits(o)) for o in y.opens])
+    for z in all_spaces_up_to(2):
+        maps = enumerate_continuous(y, z)
+        moved_maps = enumerate_continuous(moved, z)
+        # map f goes to the map sending perm[p] to f(p)
+        sigma = []
+        for table in maps.tables:
+            out = [0] * y.size
+            for p, v in enumerate(table):
+                out[perm[p]] = v
+            sigma.append(moved_maps.index[tuple(out)])
+        assert sorted(sigma) == list(range(len(maps)))
+        for name in NAMED:
+            t = named_function_topology(name, y, z)
+            t_moved = named_function_topology(name, moved, z)
+            for i, m in enumerate(t.min_opens):
+                image = sum(1 << sigma[j] for j in bits(m))
+                assert t_moved.min_opens[sigma[i]] == image
+            assert is_admissible(t).status == is_admissible(t_moved).status
