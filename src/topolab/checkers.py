@@ -1,10 +1,17 @@
 """Decision procedures and the exhaustive small-scale suite.
 
-Three checks and one suite. Admissibility of a function-space topology is
-decided exactly by the evaluation lemma from `fntop`. Splitting is
-refutation-only: its definition quantifies over every test space X, so a
-bounded search can fail a topology but never certify one, and the clean
-outcome is deliberately "inconclusive". Composition continuity is a direct
+Four checks and one suite. Admissibility of a function-space topology is
+decided exactly by the evaluation lemma from `fntop`. Splitting quantifies
+over every test space X, so the bounded search `refute_splitting` can fail
+a topology but never certify one, and its clean outcome is deliberately
+"inconclusive". On a finite Y, though, t is splitting exactly when it lies
+below the pointwise topology, whose minimal opens are `MapSet.joint`;
+`splitting_verdict` decides that containment. `refute_splitting` tests the
+same containment first: when it holds no assignment can break the
+conclusion, so the search is skipped and its hypothesis count is read from
+`mapspace.continuous_slice_count`, cached once per joint relation. The full
+search runs only when the containment fails, and from max_x=2 on that is
+exactly when it has witnesses to list. Composition continuity is a direct
 product-openness check on the two function-space grounds, decided per
 distinct target minimal open by one mask test per pair of maps against the
 meets of minimal neighbourhoods; the target's subbasics and the escaping
@@ -55,7 +62,9 @@ from .mapspace import (  # the two budget constants are public here too
     MapSet,
     _continuous_slices,
     _transpose,
+    continuous_slice_count,
     enumerate_continuous,
+    first_escape,
     relative_profile,
     slice_instances,
     z_topology,
@@ -126,22 +135,33 @@ def refute_splitting(
 
     Every assignment of slices counts as an instance, Σ_X |maps|^n in all,
     so the count is known, and held to MAX_SPLITTING_INSTANCES, before any X
-    is enumerated. The search itself only visits continuous assignments (see
-    `mapspace._continuous_slices`), in `itertools.product` order.
+    is enumerated; max_x below 1 raises ValueError.
+
+    When t lies below the pointwise topology no assignment breaks the
+    conclusion, so the continuous ones are only counted, by
+    `mapspace.continuous_slice_count` on the joint relation. Otherwise the
+    search visits the continuous assignments (see
+    `mapspace._continuous_slices`) in `itertools.product` order and lists
+    every one whose transpose is discontinuous.
     """
     maps = t.maps
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
-    into_t = (t.min_opens, _transpose(t.min_opens))
-    continuous = 0
     witnesses = []
-    for n in range(1, max_x + 1):
-        for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-            count, broken = _continuous_slices(xspace.min_opens, maps.joint, into_t, len(maps))
-            continuous += count
-            for head, tails, _, _ in broken:
-                prefix = sum((maps.tables[i] for i in head), ())
-                for i in bits(tails):
-                    witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
+    if _pointwise_escape(t) is None:
+        continuous = continuous_slice_count(tuple(maps.joint[0]), max_x, symmetry_reduction)
+    else:
+        into_t = (t.min_opens, _transpose(t.min_opens))
+        continuous = 0
+        for n in range(1, max_x + 1):
+            for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
+                count, broken = _continuous_slices(
+                    xspace.min_opens, maps.joint, into_t, len(maps)
+                )
+                continuous += count
+                for head, tails, _, _ in broken:
+                    prefix = sum((maps.tables[i] for i in head), ())
+                    for i in bits(tails):
+                        witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
     return VerdictReport.of(
         f"splitting:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
         witnesses,
@@ -149,6 +169,41 @@ def refute_splitting(
         instances,
         budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
         clean="inconclusive",
+    )
+
+
+def _pointwise_escape(t: FnTopology) -> tuple[int, int] | None:
+    """The first map pair (i, j) with j in the pointwise minimal open of i
+    but outside its t-minimal open; None when t lies below the pointwise
+    topology."""
+    return first_escape(t.maps.joint[0], t.min_opens)
+
+
+def splitting_verdict(t: FnTopology) -> VerdictReport:
+    """Whether t is splitting, decided exactly.
+
+    On a finite Y every subset is compact, so the compact-open topology is
+    the pointwise one; it equals the Isbell topology, which is splitting
+    and admissible, and every splitting topology lies below every
+    admissible one. So t is splitting exactly when it lies below the
+    pointwise topology, whose minimal open around map i is
+    `MapSet.joint[0][i]`. A failure names the first pair (i, j) with j in
+    that pointwise minimal open but not in t's, with both value tables.
+    Slices i on the closed point and j on the open point of Sierpinski
+    space form a jointly continuous F whose transpose into t is not
+    continuous, a witness `refute_splitting(t, max_x=2)` lists too.
+    """
+    maps = t.maps
+    escape = _pointwise_escape(t)
+    witnesses = []
+    if escape is not None:
+        i, j = escape
+        witnesses.append(("maps", escape, "tables", (maps.tables[i], maps.tables[j])))
+    return VerdictReport.of(
+        f"splitting-exact:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
+        witnesses,
+        1,
+        1,
     )
 
 

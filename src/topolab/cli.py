@@ -24,7 +24,13 @@ import os
 import sys
 from pathlib import Path
 
-from .checkers import composition_check, is_admissible, refute_splitting, theorem_suite
+from .checkers import (
+    composition_check,
+    is_admissible,
+    refute_splitting,
+    splitting_verdict,
+    theorem_suite,
+)
 from .duality import DualSpace, t_of_tau, tau_of_t
 from .errors import MalformedInput, TopolabError
 from .finspace import FinSpace, canonical_form, enumerate_topologies, make_space
@@ -197,7 +203,8 @@ def _cmd_check_admissible(args) -> int:
 
 
 def _cmd_check_splitting(args) -> int:
-    rep = refute_splitting(_fn_from(_load(args.topology)), max_x=args.max_x)
+    t = _fn_from(_load(args.topology))
+    rep = splitting_verdict(t) if args.exact else refute_splitting(t, max_x=args.max_x)
     _emit(rep.to_dict(), args.out)
     return _verdict_exit([rep])
 
@@ -256,6 +263,16 @@ def _cmd_search_question(args) -> int:
     return _verdict_exit(probe.result)
 
 
+def _test_space_bound(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"test spaces need at least 1 point, got {n}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="topolab", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
@@ -288,7 +305,11 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", required=True)
     p = leaf(check, "splitting", _cmd_check_splitting)
     p.add_argument("--topology", required=True)
-    p.add_argument("--max-x", type=int, default=3)
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--max-x", type=_test_space_bound, default=3)
+    route.add_argument(
+        "--exact", action="store_true", help="decide it: t lies below the pointwise topology"
+    )
     p = leaf(check, "compose", _cmd_check_compose)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

@@ -21,7 +21,9 @@ evaluation check on the dual map-set topology. The bounded search over small
 X is kept as a cross-check that can refute but never certify. It is the
 search `refute_splitting` runs, `mapspace._continuous_slices`, with the two
 relations swapped: continuity into the dual is now the hypothesis, and joint
-continuity of the adjoint is the conclusion.
+continuity of the adjoint is the conclusion. When the first lies inside the
+second nothing can be violated, so the search is skipped and the hypothesis
+count comes from `mapspace.continuous_slice_count`, cached per relation.
 """
 
 from __future__ import annotations
@@ -43,7 +45,15 @@ from .finspace import (
     popcount,
 )
 from .fntop import FnTopology, evaluation_witness
-from .mapspace import MapSet, _continuous_slices, o_z_family, slice_instances
+from .mapspace import (
+    MapSet,
+    _continuous_slices,
+    _transpose,
+    continuous_slice_count,
+    first_escape,
+    o_z_family,
+    slice_instances,
+)
 from .reports import VerdictReport, pair_tag
 
 DEFAULT_DIRECT_MAX_X = 2
@@ -129,7 +139,8 @@ def is_admissible_on_ozy(
     on `t_of_tau`. "direct_bounded" searches the test spaces on at most
     `max_x` points, so it can refute but never certify; it shares the
     instance count and budget of `refute_splitting` (MAX_SPLITTING_X,
-    MAX_SPLITTING_INSTANCES) and raises BudgetExceeded before any X."""
+    MAX_SPLITTING_INSTANCES) and raises BudgetExceeded before any X, or
+    ValueError for a max_x below 1."""
     if mode == "via_dual":
         return _admissible_via_dual(tau, maps)
     if mode == "direct_bounded":
@@ -151,10 +162,22 @@ def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictRepor
     """Bounded search for a violating (X, G): continuity of the preimage
     rows into tau without joint continuity of the adjoint. It is the slice
     search of `refute_splitting` with hypothesis and conclusion swapped,
-    and reports up to its first violation in `itertools.product` order."""
+    and reports up to its first violation in `itertools.product` order.
+
+    When continuity into tau implies joint continuity map pair by map pair,
+    no assignment violates it: the report is then clean, counts every
+    instance, and reads its hypothesis count off
+    `mapspace.continuous_slice_count`, shared by every call on the same
+    relation. Otherwise the search runs."""
     nmaps = len(maps)
-    slice_instances(nmaps, max_x, True)
-    into_tau = maps.pull_relation(tau.ground_index, tau.min_opens)
+    total = slice_instances(nmaps, max_x, True)
+    below = maps.pull(tau.ground_index, tau.min_opens)
+    claim = f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}"
+    budget = (("max_x", max_x),)
+    if first_escape(below, maps.joint[0]) is None:
+        count = continuous_slice_count(tuple(below), max_x, True)
+        return VerdictReport.of(claim, (), count, total, budget=budget, clean="inconclusive")
+    into_tau = (below, _transpose(below))
     instances = hypothesis_true = 0
     witnesses = ()
     xs = (x for n in range(1, max_x + 1) for x in enumerate_topologies(n, up_to_iso=True))
@@ -174,10 +197,5 @@ def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictRepor
         witnesses = (("x_opens", xspace.opens.members, "assignment", tables),)
         break
     return VerdictReport.of(
-        f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}",
-        witnesses,
-        hypothesis_true,
-        instances,
-        budget=(("max_x", max_x),),
-        clean="inconclusive",
+        claim, witnesses, hypothesis_true, instances, budget=budget, clean="inconclusive"
     )

@@ -2,7 +2,8 @@
 they induce on the domain: the family of open preimages, the topology it
 generates, and the boundedness-style profile of that topology. Also the
 slice search over small test spaces X that both bounded X-checks run, with
-its closed-form instance count and budget."""
+its closed-form instance count and budget, the containment test that lets
+either check skip it, and its hypothesis count, cached once per relation."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .finspace import (
     SubsetFamily,
     _up_masks,
     bits,
+    enumerate_topologies,
     full_mask,
     generate_from_subbasis,
     local_profile,
@@ -115,18 +117,16 @@ class MapSet:
             below = [m & reach[g] for m, g in zip(below, at)]
         return below
 
-    def pull_relation(self, index: dict[Subset, int], rel) -> tuple[list[int], list[int]]:
-        """`pull`, as (below, above), above being its transpose."""
-        below = self.pull(index, rel)
-        return below, _transpose(below)
-
     @cached_property
     def joint(self) -> tuple[list[int], list[int]]:
-        """Joint continuity of F : X x Y -> Z given by its slices: F may
-        specialize from slice i to slice j when every preimage of i sits
-        inside the matching preimage of j."""
+        """Joint continuity of F : X x Y -> Z given by its slices, as
+        (below, above), above being the transpose: F may specialize from
+        slice i to slice j when every preimage of i sits inside the
+        matching preimage of j. Row i of below is the minimal open around
+        map i in the pointwise topology."""
         pres = tuple(sorted({r for rows in self.preimage_rows.values() for r in rows}))
-        return self.pull_relation({g: a for a, g in enumerate(pres)}, _up_masks(pres))
+        below = self.pull({g: a for a, g in enumerate(pres)}, _up_masks(pres))
+        return below, _transpose(below)
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +222,11 @@ def _transpose(rel) -> list[int]:
 
 def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
     """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
-    assignments a bounded X-search counts as instances. Past
-    MAX_SPLITTING_X or MAX_SPLITTING_INSTANCES it raises, before any X is
-    enumerated."""
+    assignments a bounded X-search counts as instances. Below one point it
+    raises ValueError; past MAX_SPLITTING_X or MAX_SPLITTING_INSTANCES it
+    raises BudgetExceeded, before any X is enumerated."""
+    if max_x < 1:
+        raise ValueError(f"max_x must be at least 1, got {max_x}")
     if max_x > MAX_SPLITTING_X:
         raise BudgetExceeded(f"max_x of {max_x} exceeds {MAX_SPLITTING_X}")
     per_size = _TEST_SPACES[up_to_iso]
@@ -234,6 +236,39 @@ def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
             f"{instances} slice assignments exceed {MAX_SPLITTING_INSTANCES}"
         )
     return instances
+
+
+def first_escape(sub, sup) -> tuple[int, int] | None:
+    """The first (i, j), by i and then j, with j in sub[i] but not in
+    sup[i]; None when sub lies inside sup row by row.
+
+    When the hypothesis relation of a slice search lies inside its
+    conclusion, no assignment can break the conclusion, so both bounded
+    X-checks test this first and skip the search when it returns None."""
+    for i, (a, b) in enumerate(zip(sub, sup)):
+        extra = a & ~b
+        if extra:
+            return i, (extra & -extra).bit_length() - 1
+    return None
+
+
+@lru_cache(maxsize=None)
+def continuous_slice_count(below: tuple[int, ...], max_x: int, up_to_iso: bool) -> int:
+    """How many slice assignments over the test spaces on 1..max_x points
+    respect the relation `below` and its transpose: the hypothesis count of
+    a slice search with no conclusion to break. It is `_continuous_slices`
+    with the relation as both hypothesis and conclusion, so no second walk
+    exists. The count depends on the relation alone, so the cache is keyed
+    on it rather than on a map set: the 170 map sets at (3,2) have 29
+    distinct `joint` relations. The budget of `slice_instances` applies."""
+    nmaps = len(below)
+    slice_instances(nmaps, max_x, up_to_iso)
+    rel = (below, _transpose(below))
+    return sum(
+        _continuous_slices(x.min_opens, rel, rel, nmaps)[0]
+        for n in range(1, max_x + 1)
+        for x in enumerate_topologies(n, up_to_iso=up_to_iso)
+    )
 
 
 def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:

@@ -2,7 +2,9 @@
 
 Everything here recomputes results by unoptimized, definition-shaped searches
 so the package's faster routes have something honest to agree with. Keep these
-free of package internals beyond plain data types.
+free of package internals beyond plain data types; the one exception,
+`searched_refute_splitting`, keeps the slice search the package now skips
+when a containment test settles the answer.
 """
 
 from __future__ import annotations
@@ -32,7 +34,15 @@ from topolab.hypertop import (
     strong_z_scott,
     z_scott,
 )
-from topolab.mapspace import ContMap, enumerate_continuous, o_z_family, relative_profile
+from topolab.mapspace import (
+    ContMap,
+    _continuous_slices,
+    _transpose,
+    enumerate_continuous,
+    o_z_family,
+    relative_profile,
+    slice_instances,
+)
 from topolab.reports import VerdictReport, fam_tag, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
@@ -500,6 +510,36 @@ def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True)
         instance_count=examined,
         witnesses=tuple(witnesses),
         budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
+    )
+
+
+def searched_refute_splitting(
+    t, max_x: int = 3, symmetry_reduction: bool = True
+) -> VerdictReport:
+    """The splitting refutation by the slice search on every call, the
+    route `refute_splitting` skips when t lies below the pointwise
+    topology: every test space is walked with joint continuity as the
+    hypothesis and continuity into t as the conclusion."""
+    maps = t.maps
+    instances = slice_instances(len(maps), max_x, symmetry_reduction)
+    into_t = (t.min_opens, _transpose(t.min_opens))
+    continuous = 0
+    witnesses = []
+    for n in range(1, max_x + 1):
+        for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
+            count, broken = _continuous_slices(xspace.min_opens, maps.joint, into_t, len(maps))
+            continuous += count
+            for head, tails, _, _ in broken:
+                prefix = sum((maps.tables[i] for i in head), ())
+                for i in bits(tails):
+                    witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
+    return VerdictReport.of(
+        f"splitting:{t.provenance} {pair_tag(maps.domain, maps.codomain)}",
+        witnesses,
+        continuous,
+        instances,
+        budget=(("max_x", max_x), ("symmetry_reduction", symmetry_reduction)),
+        clean="inconclusive",
     )
 
 

@@ -12,6 +12,7 @@ from oracles import (
     literal_characteristic_homeomorphism,
     literal_composition_check,
     literal_refute_splitting,
+    searched_refute_splitting,
 )
 from topolab import checkers
 from topolab.checkers import (
@@ -20,6 +21,7 @@ from topolab.checkers import (
     composition_check,
     is_admissible,
     refute_splitting,
+    splitting_verdict,
     theorem_suite,
 )
 from topolab.errors import BudgetExceeded, GroundTooLarge
@@ -33,9 +35,16 @@ from topolab.finspace import (
     product,
     sierpinski,
 )
-from topolab.fntop import NAMED, FnTopology, named_function_topology
+from topolab import mapspace
+from topolab.fntop import (
+    NAMED,
+    FnTopology,
+    compare_topologies,
+    evaluation_witness,
+    named_function_topology,
+)
 from topolab.hypertop import HyperSpace, strong_z_scott, z_scott
-from topolab.mapspace import ContMap, enumerate_continuous
+from topolab.mapspace import ContMap, continuous_slice_count, enumerate_continuous
 from topolab.reports import suite_to_json
 
 
@@ -222,8 +231,130 @@ def test_refute_splitting_instance_budget(monkeypatch):
         raise AssertionError("test spaces enumerated past the budget")
 
     monkeypatch.setattr(checkers, "enumerate_topologies", no_test_spaces)
+    monkeypatch.setattr(mapspace, "enumerate_topologies", no_test_spaces)
     with pytest.raises(BudgetExceeded, match="151"):
         refute_splitting(wide, max_x=3)
+    with pytest.raises(BudgetExceeded, match="151"):
+        continuous_slice_count(tuple(wide.maps.joint[0]), 3, True)
+
+
+@pytest.mark.parametrize("max_x", [0, -1, -2])
+def test_refute_splitting_rejects_empty_test_spaces(s, max_x):
+    # no test space has fewer than one point: a bound below 1 is refused,
+    # not answered with a vacuous 0/0 report
+    t = named_function_topology("co", s, s)
+    with pytest.raises(ValueError, match="max_x"):
+        refute_splitting(t, max_x=max_x)
+    with pytest.raises(ValueError, match="max_x"):
+        continuous_slice_count(tuple(t.maps.joint[0]), max_x, True)
+
+
+def _tops32():
+    return [
+        named_function_topology(k, y, z)
+        for y in all_spaces_up_to(3)
+        for z in all_spaces_up_to(2)
+        for k in NAMED
+    ]
+
+
+def test_refute_splitting_matches_searched_oracle():
+    # every named topology at (3,2) lies below the pointwise topology, so
+    # each report comes from the containment route; the search on every
+    # call must give the same bytes
+    tops = _tops32()
+    assert len(tops) == 1020
+    for t in tops:
+        for sym in (True, False):
+            assert refute_splitting(t, 3, sym) == searched_refute_splitting(t, 3, sym)
+
+
+def test_continuous_slice_count_matches_the_search():
+    # one map set of each size, each with a discrete and a random topology,
+    # which take the search route
+    by_size = {}
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            by_size.setdefault(len(enumerate_continuous(y, z)), (y, z))
+    assert sorted(by_size) == [1, 2, 3, 4, 5, 6, 8]
+    rng = random.Random(3)
+    for y, z in by_size.values():
+        maps = enumerate_continuous(y, z)
+        joint = tuple(maps.joint[0])
+        picked = FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(2)])
+        for t in (fn_discrete(maps), picked):
+            for sym in (True, False):
+                searched = searched_refute_splitting(t, 3, sym).hypothesis_true_count
+                assert continuous_slice_count(joint, 3, sym) == searched
+        # the answer does not depend on which call filled the cache first
+        continuous_slice_count.cache_clear()
+        labeled_first = [continuous_slice_count(joint, 3, sym) for sym in (False, True)]
+        continuous_slice_count.cache_clear()
+        class_first = [continuous_slice_count(joint, 3, sym) for sym in (True, False)]
+        assert labeled_first == class_first[::-1]
+
+
+def test_refute_splitting_takes_the_containment_route(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("slice search ran")
+
+    monkeypatch.setattr(checkers, "_continuous_slices", no_search)
+    for t in _tops32():
+        assert refute_splitting(t, 3).status == "inconclusive"
+    with pytest.raises(AssertionError, match="slice search ran"):
+        refute_splitting(fn_discrete(enumerate_continuous(sierpinski(), sierpinski())), 3)
+
+
+def test_splitting_verdict_matches_the_bounded_search_and_evaluation():
+    # splitting exactly when below the pointwise topology, which the named
+    # co topology is on a finite Y: against the one-assignment-at-a-time
+    # search at max_x=2, which builds its own joint relation from the
+    # preimage rows, and against evaluation, which holds exactly when t
+    # lies above the pointwise topology
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    rng = random.Random(7)
+    verdicts = {"holds": 0, "fails": 0}
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            pointwise = named_function_topology("co", y, z)
+            tops = [named_function_topology(k, y, z) for k in NAMED]
+            tops += [fn_discrete(maps), fn_indiscrete(maps)]
+            tops.append(FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(2)]))
+            for t in tops:
+                rep = splitting_verdict(t)
+                verdicts[rep.status] += 1
+                literal = literal_refute_splitting(t, 2).status
+                assert (rep.status == "holds") == (literal == "inconclusive")
+                both = rep.status == "holds" and evaluation_witness(t) is None
+                assert both == (compare_topologies(t, pointwise).verdict == "equal")
+    assert verdicts["holds"] > 0 and verdicts["fails"] > 0
+
+
+def test_splitting_verdict_pair_replays_on_sierpinski_x():
+    # the named pair (i, j): slice i on the closed point of Sierpinski
+    # space and slice j on its open point give a witness of the search
+    (sierpinski_x,) = [x for x in enumerate_topologies(2, up_to_iso=True) if len(x.opens) == 3]
+    closed = sierpinski_x.min_opens.index(0b11)
+    rng = random.Random(11)
+    failing = 0
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            picked = FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(2)])
+            for t in (fn_discrete(maps), picked):
+                rep = splitting_verdict(t)
+                if rep.status == "holds":
+                    continue
+                failing += 1
+                ((tag, (i, j), tag2, tables),) = rep.witnesses
+                assert (tag, tag2) == ("maps", "tables")
+                assert tables == (maps.tables[i], maps.tables[j])
+                assert (maps.joint[0][i] >> j) & 1 and not (t.min_opens[i] >> j) & 1
+                slices = (j, i) if closed == 1 else (i, j)
+                table = sum((maps.tables[k] for k in slices), ())
+                assert (sierpinski_x.opens.members, table) in refute_splitting(t, 2).witnesses
+    assert failing > 100
 
 
 _SMALL_Y = all_spaces_up_to(3)

@@ -103,6 +103,35 @@ def test_check_splitting_finds_discrete_witness(tmp_path, capsys):
     assert json.loads(out)["status"] == "fails"
 
 
+@pytest.mark.parametrize("bound", ["0", "-1", "two"])
+def test_check_splitting_refuses_a_bound_below_one(tmp_path, capsys, bound):
+    # refused while parsing, before the file is read: exit 2, stdout empty
+    co = write(tmp_path, "co.json", {"y": S, "z": S, "subbasis": [0, 4, 6, 7]})
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "splitting", "--topology", co, "--max-x", bound])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-x" in captured.err
+
+
+def test_check_splitting_exact(tmp_path, capsys):
+    co = write(tmp_path, "co.json", {"y": S, "z": S, "subbasis": [0, 4, 6, 7]})
+    code, out, _ = run(capsys, "check", "splitting", "--topology", co, "--exact")
+    assert code == 0
+    assert json.loads(out)["status"] == "holds"
+    disc = write(tmp_path, "disc.json", {"y": S, "z": S, "subbasis": [1, 2, 4]})
+    code, out, _ = run(capsys, "check", "splitting", "--topology", disc, "--exact")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "fails"
+    assert rep["witnesses"] == [["maps", [0, 1], "tables", [[0, 0], [0, 1]]]]
+    # one route per call
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "splitting", "--topology", co, "--exact", "--max-x", "2"])
+    assert exc.value.code == 2
+
+
 def test_check_splitting_instance_budget_exits_two(tmp_path, capsys):
     # discrete(4) -> indiscrete(4): 256 maps, about 151M instances at the
     # default --max-x 3

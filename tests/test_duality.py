@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from topolab import duality
+from topolab import duality, mapspace
 from topolab.checkers import MAX_SPLITTING_INSTANCES
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
 from topolab.errors import AxiomsViolated, BudgetExceeded, MismatchedBase
@@ -322,8 +322,37 @@ def test_direct_bounded_instance_budget(monkeypatch):
         raise AssertionError("test spaces enumerated past the budget")
 
     monkeypatch.setattr(duality, "enumerate_topologies", no_test_spaces)
+    monkeypatch.setattr(mapspace, "enumerate_topologies", no_test_spaces)
     with pytest.raises(BudgetExceeded, match="151"):
         is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3)
+
+
+def test_direct_bounded_takes_the_containment_route(monkeypatch, s):
+    # every named dual at (3,2) has continuity into tau inside joint
+    # continuity, so no search runs; the indiscrete dual is searched
+    def no_search(*args, **kwargs):
+        raise AssertionError("slice search ran")
+
+    monkeypatch.setattr(duality, "_continuous_slices", no_search)
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            for name in NAMED:
+                tau = tau_of_t(named_function_topology(name, y, z))
+                report = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
+                assert report.status == "inconclusive"
+    maps = enumerate_continuous(s, s)
+    coarse = DualSpace.of(s, s, [0, full_mask(len(o_z_family(s, s).members))])
+    with pytest.raises(AssertionError, match="slice search ran"):
+        is_admissible_on_ozy(coarse, maps, mode="direct_bounded", max_x=2)
+
+
+@pytest.mark.parametrize("max_x", [0, -1])
+def test_direct_bounded_rejects_empty_test_spaces(s, max_x):
+    maps = enumerate_continuous(s, s)
+    tau = tau_of_t(named_function_topology("co", s, s))
+    with pytest.raises(ValueError, match="max_x"):
+        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=max_x)
 
 
 def test_t_of_tau_matches_the_listed_family_bracket():
