@@ -4,7 +4,6 @@ hyperspaces of open sets."""
 from .errors import (
     AxiomsViolated,
     BudgetExceeded,
-    CoverEnumerationBudgetExceeded,
     GroundTooLarge,
     MalformedInput,
     MismatchedBase,

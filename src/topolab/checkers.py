@@ -11,17 +11,18 @@ same containment first: when it holds no assignment can break the
 conclusion, so the search is skipped and its hypothesis count is read from
 `mapspace.continuous_slice_count`, cached once per joint relation. The full
 search runs only when the containment fails, and from max_x=2 on that is
-exactly when it has witnesses to list. Composition continuity is a direct
-product-openness check on the two function-space grounds, decided per
-distinct target minimal open by one mask test per pair of maps against the
-meets of minimal neighbourhoods; the target's subbasics and the escaping
+exactly when it has witnesses to list; the suite's splitting-order row
+picks its candidates by that containment too. Composition continuity is a
+direct product-openness check on the two function-space grounds, decided
+per distinct target minimal open by one mask test per pair of maps against
+the meets of minimal neighbourhoods; the target's subbasics and the escaping
 pairs are walked only at a failure. The suite reads every per-pair verdict
 off minimal opens in the same way and never materializes a function space
 or a dual, nor lists a subbasis.
 
 Every report is built by `VerdictReport.of`, so its status follows from its
 witnesses: "fails" exactly when there are some, and otherwise "holds", or
-"inconclusive" for the bounded searches and the one tabulating row.
+"inconclusive" for the bounded search and the one tabulating row.
 
 Every implication a report covers is treated as a material conditional: the
 count of hypothesis-true instances rides along, so a vacuous pass is visible
@@ -158,7 +159,7 @@ def refute_splitting(
                     xspace.min_opens, maps.joint, into_t, len(maps)
                 )
                 continuous += count
-                for head, tails, _, _ in broken:
+                for head, tails in broken:
                     prefix = sum((maps.tables[i] for i in head), ())
                     for i in bits(tails):
                         witnesses.append((xspace.opens.members, prefix + maps.tables[i]))
@@ -317,7 +318,11 @@ def theorem_suite(
 
 def suite_spaces(max_y: int, max_z: int) -> tuple[list[FinSpace], list[FinSpace]]:
     """Every labeled topology on 1..max_y points and on 1..max_z points, the
-    ground the suite and the question probes range over, within the caps."""
+    ground the suite and the question probes range over, within the caps.
+    A bound below one point raises ValueError: it would leave every row
+    vacuous."""
+    if max_y < 1 or max_z < 1:
+        raise ValueError(f"bounds ({max_y},{max_z}) need at least 1 point each")
     if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
         raise BudgetExceeded(
             f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
@@ -425,19 +430,16 @@ def _grid_rows(pairs) -> list[VerdictReport]:
 
 
 def _splitting_order_row(pairs) -> VerdictReport:
-    """Whenever the bounded search does not refute t as splitting and t' is
-    admissible, t should compare at or below t'; violations are findings."""
+    """Whenever t is splitting and t' is admissible, t should compare at or
+    below t'; violations are findings. The candidates are the topologies
+    below the pointwise one, the test `splitting_verdict` makes; from
+    max_x=2 on they are exactly those `refute_splitting` leaves
+    inconclusive, so the row keeps its max_x=2 budget."""
     checked = 0
     witnesses = []
     for y, z in pairs:
         ts = [named_function_topology(name, y, z) for name in NAMED]
-        verdicts = {}
-        for t in ts:
-            # the refutation only depends on the minimal opens, so share
-            # results across provenances of one topology
-            if t.min_opens not in verdicts:
-                verdicts[t.min_opens] = refute_splitting(t, max_x=2).status
-        candidates = [t for t in ts if verdicts[t.min_opens] == "inconclusive"]
+        candidates = [t for t in ts if _pointwise_escape(t) is None]
         admissible = [t for t in ts if evaluation_witness(t) is None]
         for t in candidates:
             for t2 in admissible:

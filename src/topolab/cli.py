@@ -263,13 +263,14 @@ def _cmd_search_question(args) -> int:
     return _verdict_exit(probe.result)
 
 
-def _test_space_bound(text: str) -> int:
+def _point_bound(text: str) -> int:
+    """A --max-* bound: the spaces it ranges over have 1..n points, so n >= 1."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 1:
-        raise argparse.ArgumentTypeError(f"test spaces need at least 1 point, got {n}")
+        raise argparse.ArgumentTypeError(f"a point bound must be at least 1, got {n}")
     return n
 
 
@@ -306,7 +307,7 @@ def _parser() -> argparse.ArgumentParser:
     p = leaf(check, "splitting", _cmd_check_splitting)
     p.add_argument("--topology", required=True)
     route = p.add_mutually_exclusive_group()
-    route.add_argument("--max-x", type=_test_space_bound, default=3)
+    route.add_argument("--max-x", type=_point_bound, default=3)
     route.add_argument(
         "--exact", action="store_true", help="decide it: t lies below the pointwise topology"
     )
@@ -316,8 +317,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True)
     p.add_argument("--kinds", required=True, help="comma triple, e.g. coZ,coZ,coZ")
     p = leaf(check, "theorems", _cmd_check_theorems)
-    p.add_argument("--max-y", type=int, default=3)
-    p.add_argument("--max-z", type=int, default=2)
+    p.add_argument("--max-y", type=_point_bound, default=3)
+    p.add_argument("--max-z", type=_point_bound, default=2)
 
     dual = groups.add_parser("dual").add_subparsers(dest="cmd", required=True)
     p = leaf(dual, "tau-of-t", _cmd_dual_tau_of_t)
@@ -330,8 +331,8 @@ def _parser() -> argparse.ArgumentParser:
     search = groups.add_parser("search").add_subparsers(dest="cmd", required=True)
     p = leaf(search, "question", _cmd_search_question)
     p.add_argument("--id", required=True)
-    p.add_argument("--max-y", type=int, default=3)
-    p.add_argument("--max-z", type=int, default=2)
+    p.add_argument("--max-y", type=_point_bound, default=3)
+    p.add_argument("--max-z", type=_point_bound, default=2)
 
     return top
 

@@ -16,14 +16,10 @@ its open family only when asked; `t_of_tau` lists the subbasis it prints
 only when asked, too.
 
 Admissibility of a topology on the preimage family quantifies over all
-spaces X and all maps X -> C(Y,Z), so the decision route converts it to an
-evaluation check on the dual map-set topology. The bounded search over small
-X is kept as a cross-check that can refute but never certify. It is the
-search `refute_splitting` runs, `mapspace._continuous_slices`, with the two
-relations swapped: continuity into the dual is now the hypothesis, and joint
-continuity of the adjoint is the conclusion. When the first lies inside the
-second nothing can be violated, so the search is skipped and the hypothesis
-count comes from `mapspace.continuous_slice_count`, cached per relation.
+spaces X and all maps X -> C(Y,Z), so it is decided one way: as the
+evaluation check on the dual map-set topology `t_of_tau` (Escardó–Heckmann,
+Topology Proc. 26). The bounded search over small X, which could only
+refute it, lives on as a test oracle.
 """
 
 from __future__ import annotations
@@ -40,23 +36,11 @@ from .finspace import (
     _subset_labels,
     _validate_topology_family,
     bits,
-    enumerate_topologies,
     meets_by_point,
-    popcount,
 )
 from .fntop import FnTopology, evaluation_witness
-from .mapspace import (
-    MapSet,
-    _continuous_slices,
-    _transpose,
-    continuous_slice_count,
-    first_escape,
-    o_z_family,
-    slice_instances,
-)
+from .mapspace import MapSet, o_z_family
 from .reports import VerdictReport, pair_tag
-
-DEFAULT_DIRECT_MAX_X = 2
 
 
 @dataclass(frozen=True)
@@ -129,73 +113,14 @@ def _check_pair(tau: DualSpace, maps: MapSet) -> None:
         raise MismatchedBase("dual space pair differs from the map set pair")
 
 
-def is_admissible_on_ozy(
-    tau: DualSpace,
-    maps: MapSet,
-    mode: str = "via_dual",
-    max_x: int = DEFAULT_DIRECT_MAX_X,
-) -> VerdictReport:
-    """Admissibility of tau. "via_dual" decides it by the evaluation check
-    on `t_of_tau`. "direct_bounded" searches the test spaces on at most
-    `max_x` points, so it can refute but never certify; it shares the
-    instance count and budget of `refute_splitting` (MAX_SPLITTING_X,
-    MAX_SPLITTING_INSTANCES) and raises BudgetExceeded before any X, or
-    ValueError for a max_x below 1."""
-    if mode == "via_dual":
-        return _admissible_via_dual(tau, maps)
-    if mode == "direct_bounded":
-        return _admissible_direct(tau, maps, max_x)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _admissible_via_dual(tau: DualSpace, maps: MapSet) -> VerdictReport:
+def is_admissible_on_ozy(tau: DualSpace, maps: MapSet) -> VerdictReport:
+    """Admissibility of tau, decided by the evaluation check on
+    `t_of_tau(tau, maps)`: tau is admissible exactly when evaluation is
+    continuous on the map-set topology it induces."""
     w = evaluation_witness(t_of_tau(tau, maps))
     return VerdictReport.of(
         f"ozy-admissible mode=via_dual {pair_tag(tau.y, tau.z)}",
         [] if w is None else [("eval_preimage_not_open", w)],
         1,
         1,
-    )
-
-
-def _admissible_direct(tau: DualSpace, maps: MapSet, max_x: int) -> VerdictReport:
-    """Bounded search for a violating (X, G): continuity of the preimage
-    rows into tau without joint continuity of the adjoint. It is the slice
-    search of `refute_splitting` with hypothesis and conclusion swapped,
-    and reports up to its first violation in `itertools.product` order.
-
-    When continuity into tau implies joint continuity map pair by map pair,
-    no assignment violates it: the report is then clean, counts every
-    instance, and reads its hypothesis count off
-    `mapspace.continuous_slice_count`, shared by every call on the same
-    relation. Otherwise the search runs."""
-    nmaps = len(maps)
-    total = slice_instances(nmaps, max_x, True)
-    below = maps.pull(tau.ground_index, tau.min_opens)
-    claim = f"ozy-admissible mode=direct_bounded max_x={max_x} {pair_tag(tau.y, tau.z)}"
-    budget = (("max_x", max_x),)
-    if first_escape(below, maps.joint[0]) is None:
-        count = continuous_slice_count(tuple(below), max_x, True)
-        return VerdictReport.of(claim, (), count, total, budget=budget, clean="inconclusive")
-    into_tau = (below, _transpose(below))
-    instances = hypothesis_true = 0
-    witnesses = ()
-    xs = (x for n in range(1, max_x + 1) for x in enumerate_topologies(n, up_to_iso=True))
-    for xspace in xs:
-        count, broken = _continuous_slices(xspace.min_opens, into_tau, maps.joint, nmaps)
-        if not broken:
-            instances += nmaps**xspace.size
-            hypothesis_true += count
-            continue
-        head, tails, cand, before = broken[0]
-        c = (tails & -tails).bit_length() - 1
-        g = head + (c,)
-        # g's rank among the product-order assignments, and its candidates up to c
-        instances += sum(i * nmaps**k for k, i in enumerate(reversed(g))) + 1
-        hypothesis_true += before + popcount(cand & ((2 << c) - 1))
-        tables = tuple(maps.tables[i] for i in g)
-        witnesses = (("x_opens", xspace.opens.members, "assignment", tables),)
-        break
-    return VerdictReport.of(
-        claim, witnesses, hypothesis_true, instances, budget=budget, clean="inconclusive"
     )

@@ -25,10 +25,6 @@ class BudgetExceeded(TopolabError):
     """A configured search or enumeration budget was exceeded."""
 
 
-class CoverEnumerationBudgetExceeded(BudgetExceeded):
-    """Literal cover enumeration would exceed the configured bound."""
-
-
 class NotZRepresentable(TopolabError):
     """Subset is not a preimage of a codomain open under any continuous map."""
 

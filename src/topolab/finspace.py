@@ -24,20 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import islice, permutations
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    AxiomsViolated,
-    CoverEnumerationBudgetExceeded,
-    GroundTooLarge,
-    NotATopology,
-)
+from .errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
 
 Subset = int
 
 MAX_GROUND = 32
 MAX_ENUM_POINTS = 5
-DEFAULT_COVER_BUDGET = 4096  # max subfamilies the literal cover checkers will walk
+# the most relabeled opens, n! * |opens|, `canonical_form` will build
+MAX_CANONICAL_RELABELS = 1_000_000
 
 
 def full_mask(size: int) -> Subset:
@@ -353,73 +350,27 @@ def _profile(x: FinSpace) -> LocalProfile:
     return min_open_profile(x.min_opens)
 
 
-def compactness_verdict(
-    x: FinSpace,
-    k: Subset,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
-    method: str = "auto",
-) -> tuple[bool, str]:
-    """Decide compactness of k and report which route decided it.
-
-    "literal", opt-in, walks every irredundant open cover of k and exhibits
-    a finite subcover; past the budget it raises. "auto", the default, and
-    "shortcut" take the finite-shortcut: on a finite ground every cover is finite, hence its own
+def compactness_verdict(x: FinSpace, k: Subset) -> tuple[bool, str]:
+    """Decide compactness of k and report which route decided it: the
+    finite-shortcut. On a finite ground every cover is finite, hence its own
     finite subcover, so the answer is always True. The shortcut is a theorem
-    here, not an assumption; the literal route and the tests witness it.
-    """
-    if method in ("auto", "shortcut"):
-        return True, "finite-shortcut"
-    return _literal_covers(x, k, k, cover_budget), "literal-covers"
+    here, not an assumption; the literal cover walk lives on as a test
+    oracle and witnesses it."""
+    return True, "finite-shortcut"
 
 
-def boundedness_verdict(
-    x: FinSpace,
-    b: Subset,
-    cover_budget: int = DEFAULT_COVER_BUDGET,
-    method: str = "auto",
-) -> tuple[bool, str]:
+def boundedness_verdict(x: FinSpace, b: Subset) -> tuple[bool, str]:
     """Decide boundedness of b in x (covers of the whole space admit a finite
     subcover of b) and report the deciding route, as `compactness_verdict`."""
-    if method in ("auto", "shortcut"):
-        return True, "finite-shortcut"
-    return _literal_covers(x, x.full, b, cover_budget), "literal-covers"
+    return True, "finite-shortcut"
 
 
-def _literal_covers(x: FinSpace, covered: Subset, target: Subset, budget: int) -> bool:
-    """Whether every irredundant open cover of `covered` has a subfamily
-    covering `target`, by walking all 2^|opens| subfamilies.
-
-    On a finite ground the whole cover qualifies, so this search cannot fail;
-    it is kept as a search so the literal route decides, not a shortcut.
-    """
-    n = len(x.opens)
-    if (1 << n) > budget:
-        raise CoverEnumerationBudgetExceeded(
-            f"2^{n} subfamilies exceed the budget of {budget}"
-        )
-    members = x.opens.members
-    unions = [0] * (1 << n)  # union of each subfamily, indexed by its member mask
-    for sel in range(1, 1 << n):
-        low = sel & -sel
-        unions[sel] = unions[sel ^ low] | members[low.bit_length() - 1]
-        if covered & ~unions[sel]:
-            continue
-        if any(covered & ~unions[sel ^ (1 << i)] == 0 for i in bits(sel)):
-            continue  # redundant: some member can go
-        sub = low
-        while target & ~unions[sub]:
-            if sub == sel:
-                return False
-            sub = (sub - sel) & sel  # next nonempty subfamily of sel, ascending
-    return True
+def is_compact_subset(x: FinSpace, k: Subset) -> bool:
+    return compactness_verdict(x, k)[0]
 
 
-def is_compact_subset(x: FinSpace, k: Subset, method: str = "auto") -> bool:
-    return compactness_verdict(x, k, method=method)[0]
-
-
-def is_bounded_in(x: FinSpace, b: Subset, method: str = "auto") -> bool:
-    return boundedness_verdict(x, b, method=method)[0]
+def is_bounded_in(x: FinSpace, b: Subset) -> bool:
+    return boundedness_verdict(x, b)[0]
 
 
 @lru_cache(maxsize=None)
@@ -517,7 +468,14 @@ def canonical_form(x: FinSpace) -> tuple[Subset, ...]:
     """Minimum open-family encoding over all relabelings of the points.
 
     A plain scan over the permutations: it serves one space of any size,
-    where building `_relabel_tables` would cost more than the scan."""
+    where building `_relabel_tables` would cost more than the scan. The scan
+    relabels n! * |opens| opens; past MAX_CANONICAL_RELABELS it raises
+    BudgetExceeded before the first permutation."""
+    work = factorial(x.size) * len(x.opens)
+    if work > MAX_CANONICAL_RELABELS:
+        raise BudgetExceeded(
+            f"canonical form needs {work} relabeled opens, over {MAX_CANONICAL_RELABELS}"
+        )
     best = None
     for perm in permutations(range(x.size)):
         relabeled = tuple(sorted(mask_of(perm[p] for p in bits(o)) for o in x.opens))

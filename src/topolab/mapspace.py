@@ -1,9 +1,9 @@
 """Continuous maps between finite spaces and the codomain-relative structure
 they induce on the domain: the family of open preimages, the topology it
 generates, and the boundedness-style profile of that topology. Also the
-slice search over small test spaces X that both bounded X-checks run, with
+slice search over small test spaces X that `refute_splitting` runs, with
 its closed-form instance count and budget, the containment test that lets
-either check skip it, and its hypothesis count, cached once per relation."""
+it skip the search, and its hypothesis count, cached once per relation."""
 
 from __future__ import annotations
 
@@ -243,8 +243,9 @@ def first_escape(sub, sup) -> tuple[int, int] | None:
     sup[i]; None when sub lies inside sup row by row.
 
     When the hypothesis relation of a slice search lies inside its
-    conclusion, no assignment can break the conclusion, so both bounded
-    X-checks test this first and skip the search when it returns None."""
+    conclusion, no assignment can break the conclusion, so
+    `refute_splitting` tests this first and skips the search when it
+    returns None."""
     for i, (a, b) in enumerate(zip(sub, sup)):
         extra = a & ~b
         if extra:
@@ -276,7 +277,7 @@ def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, 
     ascending order. Returns the number of assignments meeting the
     hypothesis and, in `itertools.product` order, those breaking the
     conclusion: one (slices of points 0..n-2, mask of the last point's
-    breaking maps, mask of all its candidates, count before them) each.
+    breaking maps) each.
 
     Both relations are (below, above) pairs, like `MapSet.joint`. Point k
     may take map c when c is in below[combo[p]] for every earlier p whose
@@ -311,7 +312,7 @@ def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, 
         if len(combo) == last:
             tails = cand if broken else cand & ~c_cand
             if tails:
-                broken_out.append((combo, tails, cand, count))
+                broken_out.append((combo, tails))
             count += popcount(cand)
             continue
         # pushed high to low, so the lowest map comes off the stack first

@@ -529,7 +529,7 @@ def searched_refute_splitting(
         for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
             count, broken = _continuous_slices(xspace.min_opens, maps.joint, into_t, len(maps))
             continuous += count
-            for head, tails, _, _ in broken:
+            for head, tails in broken:
                 prefix = sum((maps.tables[i] for i in head), ())
                 for i in bits(tails):
                     witnesses.append((xspace.opens.members, prefix + maps.tables[i]))

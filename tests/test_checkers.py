@@ -492,6 +492,12 @@ def test_suite_rows_at_2_2(suite22):
     assert by_claim["dual:named-equivalence-t-tau"].hypothesis_true_count == 150
 
 
+@pytest.mark.parametrize("bounds", [(0, 2), (3, 0), (-1, -1)])
+def test_suite_spaces_refuses_a_bound_below_one(bounds):
+    with pytest.raises(ValueError, match="at least 1"):
+        checkers.suite_spaces(*bounds)
+
+
 def test_suite_preservation_rows_nonvacuous(suite22):
     rows = [r for r in suite22 if r.claim.startswith("preserve:")]
     assert len(rows) == 18

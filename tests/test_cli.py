@@ -115,6 +115,25 @@ def test_check_splitting_refuses_a_bound_below_one(tmp_path, capsys, bound):
     assert "--max-x" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "theorems", "--max-y", "0"],
+        ["check", "theorems", "--max-z", "-1"],
+        ["search", "question", "--id", "q1", "--max-y", "0"],
+        ["search", "question", "--id", "q1", "--max-z", "two"],
+    ],
+)
+def test_suite_bounds_below_one_exit_two(capsys, argv):
+    # refused while parsing, as --max-x is: no vacuous rows on stdout
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[-2] in captured.err
+
+
 def test_check_splitting_exact(tmp_path, capsys):
     co = write(tmp_path, "co.json", {"y": S, "z": S, "subbasis": [0, 4, 6, 7]})
     code, out, _ = run(capsys, "check", "splitting", "--topology", co, "--exact")
@@ -272,6 +291,20 @@ def test_closed_stdout_exits_141_without_a_message():
     assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_space_validate_refuses_a_space_past_the_canonical_cap(tmp_path, capsys, monkeypatch):
+    # 10! * 1024 relabeled opens: refused before any permutation is tried
+    import topolab.finspace
+
+    def no_scan(*args):
+        raise AssertionError("permutation scan started")
+
+    monkeypatch.setattr(topolab.finspace, "permutations", no_scan)
+    path = write(tmp_path, "d10.json", {"points": 10, "opens": list(range(1 << 10))})
+    code, out, err = run(capsys, "space", "validate", path)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BudgetExceeded"
 
 
 def test_internal_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypatch):

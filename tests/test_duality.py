@@ -4,17 +4,9 @@ import random
 
 import pytest
 
-from topolab import duality, mapspace
-from topolab.checkers import MAX_SPLITTING_INSTANCES
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
-from topolab.errors import AxiomsViolated, BudgetExceeded, MismatchedBase
-from topolab.finspace import (
-    discrete,
-    enumerate_topologies,
-    full_mask,
-    generate_from_subbasis,
-    indiscrete,
-)
+from topolab.errors import AxiomsViolated, MismatchedBase
+from topolab.finspace import enumerate_topologies, full_mask, generate_from_subbasis
 from topolab.fntop import (
     NAMED,
     FnTopology,
@@ -235,30 +227,27 @@ def test_dual_admissibility_reverse_gap(pt, s):
 
 
 def test_direct_bounded_agrees_with_via_dual(s, indisc2, disc2):
+    # the bounded direct search, kept as an oracle, never contradicts the
+    # decision: it finds nothing where via_dual holds
     rng = random.Random(3)
     for y in all_spaces_up_to(2):
         for z in (indisc2, disc2):
             maps = enumerate_continuous(y, z)
             for tau in sampled_duals(y, z, rng, count=3):
-                via = is_admissible_on_ozy(tau, maps, mode="via_dual")
-                direct = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
+                via = is_admissible_on_ozy(tau, maps)
+                direct = literal_admissible_direct(tau, maps, 2)
                 if via.status == "holds":
                     assert direct.status == "inconclusive"
                 if direct.status == "fails":
                     assert via.status == "fails"
                 assert direct.instance_count > 0
-    with pytest.raises(ValueError):
-        is_admissible_on_ozy(
-            sampled_duals(s, disc2, rng, count=1)[0],
-            enumerate_continuous(s, disc2),
-            mode="sideways",
-        )
 
 
 def test_direct_bounded_finds_concrete_violation(pt, s):
     maps = enumerate_continuous(pt, s)
     tau = DualSpace.of(pt, s, [0, 0b11])
-    report = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
+    assert is_admissible_on_ozy(tau, maps).status == "fails"
+    report = literal_admissible_direct(tau, maps, 2)
     assert report.status == "fails"
     label, x_opens, _, tables = report.witnesses[0]
     assert label == "x_opens"
@@ -280,7 +269,9 @@ def test_admissible_duals_of_named_topologies(s, chain2, indisc2, disc2):
 
 
 def test_direct_bounded_matches_literal_oracle():
-    # the six named duals and two sampled ones on every pair at (3,2)
+    # via_dual fails exactly when the direct search over test spaces of at
+    # most two points finds a violation: the six named duals and two
+    # sampled ones on every pair at (3,2)
     rng = random.Random(5)
     cases = []
     for y in all_spaces_up_to(3):
@@ -289,70 +280,13 @@ def test_direct_bounded_matches_literal_oracle():
             duals = [tau_of_t(named_function_topology(k, y, z)) for k in NAMED]
             cases += [(tau, maps) for tau in duals + sampled_duals(y, z, rng, count=2)]
     assert len(cases) == 1360
-    failing = []
-    small = []
+    failing = 0
     for tau, maps in cases:
-        fast = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2).to_dict()
-        assert fast == literal_admissible_direct(tau, maps, 2).to_dict()
-        if fast["status"] == "fails":
-            failing.append((tau, maps))
-        elif len(maps) <= 3:
-            small.append((tau, maps))
-    assert len(failing) == 164
-    # three-point test spaces: every failure, and a spread of clean duals
-    for tau, maps in failing + small[::10]:
-        fast = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3).to_dict()
-        assert fast == literal_admissible_direct(tau, maps, 3).to_dict()
-
-
-def test_direct_bounded_instance_budget(monkeypatch):
-    # the 256 maps of discrete(4) -> indiscrete(4) at max_x=2 stay admitted
-    y, z = discrete(4), indiscrete(4)
-    maps = enumerate_continuous(y, z)
-    assert len(maps) == 256
-    tau = tau_of_t(named_function_topology("co", y, z))
-    report = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
-    assert report.instance_count == 196_864 < MAX_SPLITTING_INSTANCES
-    # max_x=5 is past the test-space cap
-    with pytest.raises(BudgetExceeded):
-        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=5)
-
-    # at max_x=3 the closed-form count rejects it before any X is enumerated
-    def no_test_spaces(*args, **kwargs):
-        raise AssertionError("test spaces enumerated past the budget")
-
-    monkeypatch.setattr(duality, "enumerate_topologies", no_test_spaces)
-    monkeypatch.setattr(mapspace, "enumerate_topologies", no_test_spaces)
-    with pytest.raises(BudgetExceeded, match="151"):
-        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=3)
-
-
-def test_direct_bounded_takes_the_containment_route(monkeypatch, s):
-    # every named dual at (3,2) has continuity into tau inside joint
-    # continuity, so no search runs; the indiscrete dual is searched
-    def no_search(*args, **kwargs):
-        raise AssertionError("slice search ran")
-
-    monkeypatch.setattr(duality, "_continuous_slices", no_search)
-    for y in all_spaces_up_to(3):
-        for z in all_spaces_up_to(2):
-            maps = enumerate_continuous(y, z)
-            for name in NAMED:
-                tau = tau_of_t(named_function_topology(name, y, z))
-                report = is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=2)
-                assert report.status == "inconclusive"
-    maps = enumerate_continuous(s, s)
-    coarse = DualSpace.of(s, s, [0, full_mask(len(o_z_family(s, s).members))])
-    with pytest.raises(AssertionError, match="slice search ran"):
-        is_admissible_on_ozy(coarse, maps, mode="direct_bounded", max_x=2)
-
-
-@pytest.mark.parametrize("max_x", [0, -1])
-def test_direct_bounded_rejects_empty_test_spaces(s, max_x):
-    maps = enumerate_continuous(s, s)
-    tau = tau_of_t(named_function_topology("co", s, s))
-    with pytest.raises(ValueError, match="max_x"):
-        is_admissible_on_ozy(tau, maps, mode="direct_bounded", max_x=max_x)
+        via = is_admissible_on_ozy(tau, maps).status
+        direct = literal_admissible_direct(tau, maps, 2).status
+        assert (via == "fails") == (direct == "fails")
+        failing += via == "fails"
+    assert failing == 164
 
 
 def test_t_of_tau_matches_the_listed_family_bracket():

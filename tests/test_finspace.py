@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from oracles import (
     filter_topologies,
     literal_canonical_encoding,
+    literal_covers,
     literal_generate,
     literal_profile,
     literal_space_check,
 )
-from topolab.errors import (
-    AxiomsViolated,
-    CoverEnumerationBudgetExceeded,
-    GroundTooLarge,
-    NotATopology,
-)
+from topolab import finspace
+from topolab.errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,
     LocalProfile,
@@ -213,29 +210,18 @@ def test_discrete_is_t2():
 
 
 def test_compactness_literal_and_shortcut_agree():
+    # the one route answers the finite-shortcut; the cover walk agrees
     for x in all_spaces_up_to(3):
         for k in range(x.full + 1):
-            lit, how_l = compactness_verdict(x, k, method="literal")
-            cut, how_s = compactness_verdict(x, k, method="shortcut")
-            assert lit is cut is True
-            assert how_l == "literal-covers" and how_s == "finite-shortcut"
-            assert compactness_verdict(x, k, method="auto") == (True, "finite-shortcut")
+            assert compactness_verdict(x, k) == (True, "finite-shortcut")
+            assert is_compact_subset(x, k) is literal_covers(x.opens.members, k, k) is True
 
 
 def test_boundedness_literal_and_shortcut_agree():
     for x in all_spaces_up_to(3):
         for b in range(x.full + 1):
-            assert boundedness_verdict(x, b, method="literal")[0]
-            assert boundedness_verdict(x, b, method="shortcut")[0]
-            assert boundedness_verdict(x, b, method="auto") == (True, "finite-shortcut")
-
-
-def test_cover_budget_error():
-    x = discrete(4)  # 16 opens, 2^16 subfamilies
-    with pytest.raises(CoverEnumerationBudgetExceeded):
-        is_compact_subset(x, x.full, method="literal")
-    assert compactness_verdict(x, x.full, method="auto") == (True, "finite-shortcut")
-    assert is_compact_subset(x, x.full)
+            assert boundedness_verdict(x, b) == (True, "finite-shortcut")
+            assert is_bounded_in(x, b) is literal_covers(x.opens.members, x.full, b) is True
 
 
 def test_local_profile_all_true_on_small_spaces():
@@ -331,6 +317,21 @@ def test_cached_hashes_equal_the_dataclass_hashes():
 def test_canonical_form_identifies_relabeled_chain(s, chain2):
     assert canonical_form(s) == canonical_form(chain2)
     assert canonical_form(s) != canonical_form(discrete(2))
+
+
+def test_canonical_form_is_refused_past_its_relabel_cap(monkeypatch):
+    x = chain(3)  # 3! * 4 = 24 relabeled opens
+    want = canonical_form(x)
+    monkeypatch.setattr(finspace, "MAX_CANONICAL_RELABELS", 24)
+    assert canonical_form(x) == want
+    monkeypatch.setattr(finspace, "MAX_CANONICAL_RELABELS", 23)
+
+    def no_scan(*args):
+        raise AssertionError("permutation scan started past the cap")
+
+    monkeypatch.setattr(finspace, "permutations", no_scan)
+    with pytest.raises(BudgetExceeded, match="24"):
+        canonical_form(x)
 
 
 def test_enumerate_rejects_past_cap():

@@ -349,6 +349,18 @@ def test_closed_form_min_opens_match_the_listed_lift():
     assert count == 6 * 5 * (34 + 33)
 
 
+def test_named_topologies_collapse_to_the_pointwise_topology():
+    # on a finite Y all six named topologies are the pointwise one, whose
+    # minimal opens are joint[0]: every pair at (3,2), and each 4-point
+    # class against every Z <= 2
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            pointwise = tuple(enumerate_continuous(y, z).joint[0])
+            for name in NAMED:
+                assert named_function_topology(name, y, z).min_opens == pointwise
+
+
 def test_building_and_dual_admissibility_list_no_subbasis(monkeypatch):
     def refuse(*args):
         raise AssertionError("listed a subbasis")
