@@ -12,11 +12,15 @@ conclusion, so the search is skipped and its hypothesis count is read from
 `mapspace.continuous_slice_count`, cached once per joint relation. The full
 search runs only when the containment fails, and from max_x=2 on that is
 exactly when it has witnesses to list; the suite's splitting-order row
-picks its candidates by that containment too. Composition continuity is a
-direct product-openness check on the two function-space grounds, decided
-per distinct target minimal open by one mask test per pair of maps against
-the meets of minimal neighbourhoods; the target's subbasics and the escaping
-pairs are walked only at a failure. The suite reads every per-pair verdict
+picks its candidates by that containment too. Composition continuity
+holds whenever both factors contain the pointwise topology and the target
+lies below it, since composition of pointwise topologies is continuous;
+`composition_check` tests those three containments first and builds no
+composite then. Any other triple gets a direct product-openness check on
+the two function-space grounds, decided per distinct target minimal open
+by one mask test per pair of maps against the meets of minimal
+neighbourhoods; the target's subbasics and the escaping pairs are walked
+only at a failure. The suite reads every per-pair verdict
 off minimal opens in the same way and never materializes a function space
 or a dual, nor lists a subbasis.
 
@@ -214,21 +218,59 @@ def composition_check(
     """Continuity of (f, g) -> g o f from C(X,Y) x C(Y,Z) into C(X,Z), each
     factor carrying its named topology.
 
-    Checking the distinct minimal opens of the target suffices, since they
-    are a basis and product-open sets are closed under union. A mask's
-    preimage is open when every pair (i, j) in it keeps the product of
-    their minimal opens inside it. Only on a failure are the target's
-    subbasics walked, to report for each one whose preimage is not open
-    the first pair that escapes, in (i, j) order, with the first pair it
-    escapes to. The three relative hypothesis flags of the middle pair
-    ride along in the budget; the one matching the middle kind sets the
-    hypothesis count.
+    Composition of pointwise topologies is continuous: if f' lies in the
+    pointwise minimal open around f and g' in that around g, then
+    g(f'(p)) lies in the minimal open around g(f(p)), g being monotone,
+    and g'(f'(p)) in that around g(f'(p)). A finer domain or a coarser
+    target keeps it continuous. So when both factors contain the pointwise
+    topology (the test `evaluation_witness` makes) and the target lies
+    below it (the test `splitting_verdict` makes), the check holds with no
+    composite built. Any other triple goes to `_composition_witnesses`,
+    the only route MAX_COMPOSE_GROUND bounds. The three relative
+    hypothesis flags of the middle pair ride along in the budget; the one
+    matching the middle kind sets the hypothesis count.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
     t_xy = named_function_topology(kinds[0], x, y)
     t_yz = named_function_topology(kinds[1], y, z)
     t_xz = named_function_topology(kinds[2], x, z)
+    admissible = all(
+        first_escape(t.min_opens, t.maps.joint[0]) is None for t in (t_xy, t_yz)
+    )
+    witnesses = []
+    if not (admissible and _pointwise_escape(t_xz) is None):
+        witnesses = _composition_witnesses(t_xy, t_yz, t_xz)
+    rp = relative_profile(y, z)
+    hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
+    return VerdictReport.of(
+        f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}",
+        witnesses,
+        int(getattr(rp, hyp_name)),
+        1,
+        budget=(
+            ("hypothesis", hyp_name),
+            ("locally_z_bounded", rp.locally_z_bounded),
+            ("locally_z_compact", rp.locally_z_compact),
+            ("z_corecompact", rp.z_corecompact),
+        ),
+    )
+
+
+def _composition_witnesses(
+    t_xy: FnTopology, t_yz: FnTopology, t_xz: FnTopology
+) -> list[tuple]:
+    """The failing target subbasics of a composition, by a walk over the
+    composite table; raises BudgetExceeded past MAX_COMPOSE_GROUND pairs.
+
+    Checking the distinct minimal opens of the target suffices, since they
+    are a basis and product-open sets are closed under union. A mask's
+    preimage is open when every pair (i, j) in it keeps the product of
+    their minimal opens inside it. Only on a failure are the target's
+    subbasics walked, to report for each one whose preimage is not open
+    the first pair that escapes, in (i, j) order, with the first pair it
+    escapes to.
+    """
     a, b, c = t_xy.maps, t_yz.maps, t_xz.maps
     if len(a) * len(b) > MAX_COMPOSE_GROUND:
         raise BudgetExceeded(
@@ -275,23 +317,9 @@ def composition_check(
             return ("open", s, "at", (i, j), "escapes", at)
         return None
 
-    witnesses = []
-    if any(escape(m) for m in set(t_xz.min_opens)):
-        witnesses = [w for w in map(escape, t_xz.subbasis) if w]
-    rp = relative_profile(y, z)
-    hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
-    return VerdictReport.of(
-        f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}",
-        witnesses,
-        int(getattr(rp, hyp_name)),
-        1,
-        budget=(
-            ("hypothesis", hyp_name),
-            ("locally_z_bounded", rp.locally_z_bounded),
-            ("locally_z_compact", rp.locally_z_compact),
-            ("z_corecompact", rp.z_corecompact),
-        ),
-    )
+    if not any(escape(m) for m in set(t_xz.min_opens)):
+        return []
+    return [w for w in map(escape, t_xz.subbasis) if w]
 
 
 def theorem_suite(

@@ -477,6 +477,75 @@ def test_composition_names_every_failing_subbasic(monkeypatch, s, chain2):
     assert rep.to_dict() == literal_composition_check(s, chain2, s, kinds).to_dict()
 
 
+def test_composition_takes_the_containment_route(monkeypatch, s, chain2):
+    # every named topology here is the pointwise one, so both factors
+    # contain it and the target lies below it: no triple reaches the walk
+    def no_walk(*args, **kwargs):
+        raise AssertionError("composition walk ran")
+
+    monkeypatch.setattr(checkers, "_composition_witnesses", no_walk)
+    xs, ys, zs = all_spaces_up_to(2), all_spaces_up_to(3), all_spaces_up_to(2)
+    triples = [(x, y, z) for x in xs for y in ys for z in zs]
+    rng = random.Random(5)
+    cases = [(x, y, z, (k, k, k)) for k in ("t1sz", "t1z") for x, y, z in triples]
+    assert len(cases) == 1700
+    cases += [(*xyz, tuple(rng.choice(NAMED) for _ in range(3))) for xyz in triples]
+    for case in cases:
+        assert composition_check(*case).to_dict() == literal_composition_check(*case).to_dict()
+
+    # a middle factor coarser than the pointwise topology does reach it
+    def coarse_middle(name, y, z):
+        t = named_function_topology(name, y, z)
+        return fn_indiscrete(t.maps) if (y, z) == (chain2, s) else t
+
+    monkeypatch.setattr(checkers, "named_function_topology", coarse_middle)
+    with pytest.raises(AssertionError, match="composition walk ran"):
+        composition_check(s, chain2, s, ("co", "co", "co"))
+
+
+def test_composition_guard_bounds_only_the_walk(monkeypatch):
+    # 64 * 81 = 5,184 pairs: the containment test decides the named triple,
+    # and only the walk, reached through a coarser middle factor, is refused
+    d3, d4 = discrete(3), discrete(4)
+    kinds = ("co", "co", "co")
+    assert composition_check(d3, d4, d3, kinds).status == "holds"
+
+    def coarse_middle(name, y, z):
+        t = named_function_topology(name, y, z)
+        return fn_indiscrete(t.maps) if (y, z) == (d4, d3) else t
+
+    monkeypatch.setattr(checkers, "named_function_topology", coarse_middle)
+    with pytest.raises(
+        BudgetExceeded, match="composition ground of 5184 pairs exceeds 4096"
+    ):
+        composition_check(d3, d4, d3, kinds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_composition_matches_literal_oracle_on_random_subbases(data):
+    # each factor keeps its named topology or takes a drawn subbasis, so
+    # both routes run and failing triples compare their witness bytes
+    x = data.draw(st.sampled_from(all_spaces_up_to(2)))
+    y = data.draw(st.sampled_from(all_spaces_up_to(3)))
+    z = data.draw(st.sampled_from(all_spaces_up_to(2)))
+    kinds = tuple(data.draw(st.permutations(NAMED))[:3])
+    tops = {}
+    for name, (dom, cod) in zip(kinds, ((x, y), (y, z), (x, z))):
+        t = named_function_topology(name, dom, cod)
+        drawn = data.draw(st.none() | st.lists(st.integers(0, t.full), max_size=4))
+        tops[name] = t if drawn is None else FnTopology.of(t.maps, drawn)
+
+    def drawn_topology(name, dom, cod):
+        return tops[name]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checkers, "named_function_topology", drawn_topology)
+        mp.setattr(oracles, "named_function_topology", drawn_topology)
+        fast = composition_check(x, y, z, kinds).to_dict()
+        assert fast == literal_composition_check(x, y, z, kinds).to_dict()
+
+
 def test_suite_rows_at_2_2(suite22):
     by_claim = {r.claim: r for r in suite22}
     assert len(by_claim) == len(suite22)
