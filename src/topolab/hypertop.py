@@ -20,21 +20,17 @@ adjoined to the strong-variant results by fiat.
 
 A hyperspace is carried by its minimal opens, the least open family
 holding each ground index, and lists its open families only when asked;
-building one lists nothing, bar the fallback below. (alpha) makes the
-qualifying families exactly the up-sets of one relation, whose rows are
-already reflexive and transitive, so the rows are the minimal opens. The
-strong form keeps the up-sets that meet a union of every minimal cover,
-found by a search that visits only minimal covers, plus the empty family.
-That family is closed under union, so it is a topology exactly when the
-least member holding each index p is in it. The closed form meet_p, the
-union of up(p) with, for every cover mask that up(p) misses, the
-intersection of up(x) over the x in that mask, lies inside every member
-holding p, and is such a member once it meets every cover mask; then the
-meet_p are the minimal opens. Only when some meet_p misses a cover mask is
-the family listed and validated, so a failure raises AxiomsViolated with
-the listing validator's witness and is never repaired. The exhaustive
-scan, the cover walk and the listing route these replace live on as test
-oracles.
+building one lists nothing. (alpha) makes the qualifying families exactly
+the up-sets of one relation, whose rows are already reflexive and
+transitive, so the rows are the minimal opens. Both pools in use hold the
+whole space Y: all opens, and the preimage family, since Y is the preimage
+of Z. So {Y} is a minimal cover, and its one reachable union, Y, is reached
+by every cover, whose full union is Y. The strong condition therefore says
+"the family holds Y", and the strong minimal opens are the rows with Y's
+index added. The topology the containment families generate has the up-set
+of each open as its minimal opens, since the least containment family
+around g is the one for K = g. The cover search and the 2^m scans these
+replace live on as test oracles.
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .finspace import (
     _subset_labels,
     _up_masks,
     _validate_topology_family,
-    bits,
     full_mask,
     meets_by_point,
 )
@@ -113,131 +108,43 @@ def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
     return ground
 
 
-def _minimal_cover_union_masks(
-    ground: tuple[Subset, ...], pool: int, full: Subset
-) -> tuple[int, ...]:
-    """For each inclusion-minimal cover of the space drawn from the pool, the
-    index mask of every union reachable from its nonempty subfamilies.
-
-    The (beta) witness condition is monotone in the cover, so quantifying
-    over minimal covers is equivalent to quantifying over all covers. The
-    masks are reduced to the inclusion-minimal ones for the same reason.
-
-    The search branches on the pool members holding the lowest uncovered
-    point and drops a branch once one of its members has no private point
-    left. Every minimal cover is reached, since at each step some member of
-    it holds that point, and every cover reached is minimal.
-    """
-    index = {g: i for i, g in enumerate(ground)}
-    holders = [
-        [ground[i] for i in bits(pool) if (ground[i] >> p) & 1] for p in bits(full)
-    ]
-    covers: set[frozenset[Subset]] = set()
-    stack: list[tuple[Subset, ...]] = [()]
-    while stack:
-        chosen = stack.pop()
-        once = twice = 0  # points covered at least once, at least twice
-        for g in chosen:
-            twice |= once & g
-            once |= g
-        if not all(g & ~twice for g in chosen):
-            continue
-        if once == full:
-            if chosen:
-                covers.add(frozenset(chosen))
-            continue
-        low = full & ~once & -(full & ~once)
-        stack.extend(chosen + (g,) for g in holders[low.bit_length() - 1])
-    masks = set()
-    for cover in covers:
-        members = tuple(cover)
-        unions = [0] * (1 << len(members))  # union of each subfamily, by member mask
-        for sel in range(1, 1 << len(members)):
-            low = sel & -sel
-            unions[sel] = unions[sel ^ low] | members[low.bit_length() - 1]
-        reach = 0
-        for u in unions[1:]:
-            reach |= 1 << index[u]
-        masks.add(reach)
-    minimal = [m for m in masks if not any(o != m and o & ~m == 0 for o in masks)]
-    return tuple(sorted(minimal))
-
-
-def _filtration(
-    y: FinSpace, trigger: int, strong_pool: int | None, kind: str
-) -> HyperSpace:
+def _filtration(y: FinSpace, trigger: int, strong: bool, kind: str) -> HyperSpace:
     """(alpha) says exactly that the family is an up-set of the relation
     up[g] for triggered g and {g} otherwise. Those rows are reflexive and
     already transitive, since up is and an untriggered row is one point, so
-    they are the minimal opens. The strong form's minimal opens are the
-    closed-form meets, checked against every cover mask; a miss falls back
-    to listing the family, which validates it or raises."""
+    they are the minimal opens. The strong form's pool holds Y, so {Y} is
+    its only minimal cover mask, and its minimal opens are the rows with
+    Y's index added."""
     ground = _check_ground(y)
-    m = len(ground)
     up = _up_masks(ground)
-    rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(m))
-    if strong_pool is None:
-        return HyperSpace(y, ground, rows, kind)
-    cover_masks = _minimal_cover_union_masks(ground, strong_pool, y.full)
-    meets = _strong_meets(rows, cover_masks)
-    if meets is not None:
-        return HyperSpace(y, ground, meets, kind)
-    qualifying = [
-        family
-        for family in _enumerate_upsets(m, rows)
-        if family == 0 or all(family & cm for cm in cover_masks)
-    ]
-    return HyperSpace.of(y, ground, qualifying, kind)
-
-
-def _strong_meets(
-    rows: tuple[int, ...], cover_masks: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """The least up-set of the rows holding each index p among those that
-    meet every cover mask: rows[p], joined, for each cover mask it misses,
-    with the meet of the rows of that mask, which every up-set meeting the
-    mask holds. None when one of them misses a cover mask itself."""
-    forced = []
-    for cm in cover_masks:
-        common = full_mask(len(rows))
-        for x in bits(cm):
-            common &= rows[x]
-        forced.append(common)
-    meets = []
-    for row in rows:
-        meet = row
-        for cm, common in zip(cover_masks, forced):
-            if not cm & row:
-                meet |= common
-        if not all(meet & cm for cm in cover_masks):
-            return None
-        meets.append(meet)
-    return tuple(meets)
+    rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(len(ground)))
+    if strong:
+        top = 1 << ground.index(y.full)
+        rows = tuple(row | top for row in rows)
+    return HyperSpace(y, ground, rows, kind)
 
 
 @lru_cache(maxsize=None)
 def scott(y: FinSpace) -> HyperSpace:
     """Families upward-closed from every member, (beta) over all opens."""
-    return _filtration(y, full_mask(len(y.opens)), None, "scott")
+    return _filtration(y, full_mask(len(y.opens)), False, "scott")
 
 
 @lru_cache(maxsize=None)
 def strong_scott(y: FinSpace) -> HyperSpace:
-    everything = full_mask(len(y.opens))
-    return _filtration(y, everything, everything, "sscott")
+    return _filtration(y, full_mask(len(y.opens)), True, "sscott")
 
 
 @lru_cache(maxsize=None)
 def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """Like scott, but (alpha) fires only from preimage-family members and
     (beta) draws its collections from the preimage family."""
-    return _filtration(y, _preimage_mask(y, z), None, "zscott")
+    return _filtration(y, _preimage_mask(y, z), False, "zscott")
 
 
 @lru_cache(maxsize=None)
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
-    pool = _preimage_mask(y, z)
-    return _filtration(y, pool, pool, "zsscott")
+    return _filtration(y, _preimage_mask(y, z), True, "zsscott")
 
 
 def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
@@ -249,20 +156,18 @@ def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
 
 def containment_families(y: FinSpace) -> set[int]:
     """The families {opens containing K}, K any subset of y, as index masks
-    over the opens of y."""
-    ground = y.opens.members
-    return {
-        sum(1 << i for i, g in enumerate(ground) if k & ~g == 0)
-        for k in range(y.full + 1)
-    }
+    over the opens of y. The least open holding K is open on a finite
+    ground, so each family is the up-set of one open: the rows of up."""
+    return set(_up_masks(y.opens.members))
 
 
 @lru_cache(maxsize=None)
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
-    """Topology generated by the sets {opens containing K}, K any subset."""
+    """Topology generated by the sets {opens containing K}, K any subset.
+    The least of them holding g is the one for K = g, the up-set of g, so
+    the rows of up are the minimal opens."""
     ground = _check_ground(y)
-    mins = meets_by_point(len(ground), containment_families(y))
-    return HyperSpace(y, ground, mins, "ksubbasis")
+    return HyperSpace(y, ground, _up_masks(ground), "ksubbasis")
 
 
 def up_family(

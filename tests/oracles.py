@@ -306,6 +306,16 @@ def literal_profile(x: FinSpace) -> LocalProfile:
     )
 
 
+def literal_containment_families(y: FinSpace) -> set[int]:
+    """The families {opens containing K} for each of the 2^|Y| subsets K of
+    y, as index masks over the opens of y."""
+    ground = y.opens.members
+    return {
+        sum(1 << i for i, g in enumerate(ground) if k & ~g == 0)
+        for k in range(y.full + 1)
+    }
+
+
 @lru_cache(maxsize=None)
 def literal_cover_union_masks(
     ground: tuple[Subset, ...], pool: int, full: Subset

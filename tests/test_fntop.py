@@ -422,3 +422,25 @@ def test_named_topologies_follow_a_relabeling_of_y(data):
                 image = sum(1 << sigma[j] for j in bits(m))
                 assert t_moved.min_opens[sigma[i]] == image
             assert is_admissible(t).status == is_admissible(t_moved).status
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_hyperspaces_follow_a_relabeling_of_y(data):
+    y = data.draw(st.sampled_from(_SMALL_Y4))
+    perm = data.draw(st.permutations(range(y.size)))
+    moved = make_space(y.size, [sum(1 << perm[p] for p in bits(o)) for o in y.opens])
+    # open g goes to its image under perm, at its index in moved's ground
+    sigma = [
+        moved.opens.members.index(sum(1 << perm[p] for p in bits(g)))
+        for g in y.opens
+    ]
+    pairs = [(scott(y), scott(moved)), (strong_scott(y), strong_scott(moved))]
+    pairs.append((compact_subbasis_topology(y), compact_subbasis_topology(moved)))
+    for z in all_spaces_up_to(2):
+        pairs.append((z_scott(y, z), z_scott(moved, z)))
+        pairs.append((strong_z_scott(y, z), strong_z_scott(moved, z)))
+    for h, h_moved in pairs:
+        assert h.kind == h_moved.kind
+        for i, m in enumerate(h.min_opens):
+            assert h_moved.min_opens[sigma[i]] == sum(1 << sigma[j] for j in bits(m))

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from oracles import (
+    literal_containment_families,
     literal_cover_union_masks,
     literal_filtration,
     literal_generate,
@@ -25,7 +26,6 @@ from topolab.finspace import (
 from topolab.hypertop import (
     HyperSpace,
     _filtration,
-    _minimal_cover_union_masks,
     compact_subbasis_topology,
     containment_families,
     scott,
@@ -67,8 +67,8 @@ def test_strong_scott_matches_literal_oracle_plus_fiat_empty():
 
 
 def test_routes_match_literal_scan_and_cover_walk():
-    # the up-set walk and the cover search against the 2^m scan and the
-    # 2^|pool| walk they replaced (the scan was also scott()'s runtime
+    # the closed-form rows against the 2^m scan, whose strong form runs the
+    # 2^|pool| cover walk (the scan was also scott()'s runtime
     # cross-check): every space of at most 3 points and one per 4-point
     # homeomorphism class, against each codomain of at most 2 points
     ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
@@ -85,9 +85,6 @@ def test_routes_match_literal_scan_and_cover_walk():
         for z in all_spaces_up_to(2):
             oz = o_z_family(y, z)
             pool = sum(1 << i for i, g in enumerate(ground) if g in oz)
-            assert _minimal_cover_union_masks(
-                ground, pool, y.full
-            ) == literal_cover_union_masks(ground, pool, y.full)
             assert z_scott(y, z).opens.members == tuple(
                 sorted(literal_filtration(ground, y.full, pool, None))
             )
@@ -223,7 +220,7 @@ def test_min_opens_are_the_meets_of_the_literal_families():
 
         assert scott(y).min_opens == meets(everything, None)
         assert strong_scott(y).min_opens == meets(everything, everything)
-        generated = literal_generate(m, containment_families(y))
+        generated = literal_generate(m, literal_containment_families(y))
         assert compact_subbasis_topology(y).min_opens == meets_by_point(m, generated)
         for z in all_spaces_up_to(2):
             oz = o_z_family(y, z)
@@ -232,11 +229,39 @@ def test_min_opens_are_the_meets_of_the_literal_families():
             assert strong_z_scott(y, z).min_opens == meets(pool, pool)
 
 
+def test_containment_families_are_the_rows_of_up():
+    # the least open holding K is open, so each containment family is the
+    # up-set of one open; against the 2^|Y| scan on every labeled Y <= 4
+    ys = all_spaces_up_to(4)
+    assert len(ys) == 389
+    for y in ys:
+        assert containment_families(y) == literal_containment_families(y)
+
+
+def pools_holding_y(y):
+    top = 1 << y.opens.members.index(y.full)
+    return [pool for pool in range(1 << len(y.opens)) if pool & top]
+
+
+def test_every_pool_holding_y_has_the_one_cover_mask_y():
+    # {Y} is a minimal cover, and its reach {Y} lies inside every other
+    # cover's reach, since each cover's full union is Y
+    pools = 0
+    for y in small_bases():
+        ground = y.opens.members
+        for pool in pools_holding_y(y):
+            pools += 1
+            assert literal_cover_union_masks(ground, pool, y.full) == (
+                1 << ground.index(y.full),
+            )
+    assert (len(small_bases()), pools) == (33, 406)
+
+
 def test_filtration_matches_the_listing_route_on_every_triple(monkeypatch):
-    # every trigger and every pool (or none) over the spaces of at most 3
-    # points and 6 opens: the same opens, or the same rejection, as listing
-    # the scanned family and validating it. The closed form decides every
-    # topology, so only a rejected family is listed on the way.
+    # every trigger with every pool holding Y, and with no pool, over the
+    # spaces of at most 3 points and 6 opens: the same opens as listing the
+    # scanned family and validating it. Every such family is a topology,
+    # and the closed form lists nothing on the way.
     listed = []
 
     def counted(m, fam, kind):
@@ -244,27 +269,18 @@ def test_filtration_matches_the_listing_route_on_every_triple(monkeypatch):
         _validate_topology_family(m, fam, kind)
 
     monkeypatch.setattr(hypertop, "_validate_topology_family", counted)
-    triples = rejected = 0
+    triples = 0
     for y in small_bases():
         ground = y.opens.members
         m = len(ground)
-        for pool in (None, *range(1 << m)):
+        for pool in (None, *pools_holding_y(y)):
             for trigger in range(1 << m):
-                triples += 1
                 fam = SubsetFamily.of(m, literal_filtration(ground, y.full, trigger, pool))
-                try:
-                    _validate_topology_family(m, fam, "probe")
-                    want = fam
-                except AxiomsViolated as e:
-                    want = (str(e), e.witness)
-                    rejected += 1
-                try:
-                    got = _filtration(y, trigger, pool, "probe").opens
-                except AxiomsViolated as e:
-                    got = (str(e), e.witness)
-                assert got == want
-    assert (triples, rejected) == (34652, 3192)
-    assert len(listed) == rejected
+                _validate_topology_family(m, fam, "probe")
+                assert _filtration(y, trigger, pool is not None, "probe").opens == fam
+                triples += pool is not None
+    assert triples == 16920
+    assert listed == []
 
 
 def test_of_round_trips_every_hyperspace(s):
