@@ -22,15 +22,17 @@ A hyperspace is carried by its minimal opens, the least open family
 holding each ground index, and lists its open families only when asked;
 building one lists nothing. (alpha) makes the qualifying families exactly
 the up-sets of one relation, whose rows are already reflexive and
-transitive, so the rows are the minimal opens. Both pools in use hold the
-whole space Y: all opens, and the preimage family, since Y is the preimage
-of Z. So {Y} is a minimal cover, and its one reachable union, Y, is reached
-by every cover, whose full union is Y. The strong condition therefore says
-"the family holds Y", and the strong minimal opens are the rows with Y's
-index added. The topology the containment families generate has the up-set
-of each open as its minimal opens, since the least containment family
-around g is the one for K = g. The cover search and the 2^m scans these
-replace live on as test oracles.
+transitive, so the rows are the minimal opens. A strong pool holds the
+whole space Y or is empty: all opens hold Y, and the preimage family holds
+Y = f^-1(Z) when a continuous map f exists and is empty when none does.
+When the pool holds Y, {Y} is a minimal cover, and its one reachable union,
+Y, is reached by every cover, whose full union is Y. The strong condition
+then says "the family holds Y", and the strong minimal opens are the rows
+with Y's index added. An empty pool has no cover, so the condition is
+vacuous and the rows stand. The topology the containment families
+generate has the up-set of each open as its minimal opens, since the least
+containment family around g is the one for K = g. The cover search and
+the 2^m scans these replace live on as test oracles.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ def _filtration(y: FinSpace, trigger: int, strong: bool, kind: str) -> HyperSpac
     """(alpha) says exactly that the family is an up-set of the relation
     up[g] for triggered g and {g} otherwise. Those rows are reflexive and
     already transitive, since up is and an untriggered row is one point, so
-    they are the minimal opens. The strong form's pool holds Y, so {Y} is
-    its only minimal cover mask, and its minimal opens are the rows with
-    Y's index added."""
+    they are the minimal opens. With strong set, (beta) draws its covers
+    from a pool holding Y, so {Y} is its only minimal cover mask, and the
+    minimal opens are the rows with Y's index added."""
     ground = _check_ground(y)
     up = _up_masks(ground)
     rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(len(ground)))
@@ -144,7 +146,10 @@ def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
 
 @lru_cache(maxsize=None)
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
-    return _filtration(y, _preimage_mask(y, z), True, "zsscott")
+    """The pool is the preimage family. It holds Y when a continuous map
+    exists; otherwise it is empty, no cover exists, and this is z_scott."""
+    pool = _preimage_mask(y, z)
+    return _filtration(y, pool, pool != 0, "zsscott")
 
 
 def _preimage_mask(y: FinSpace, z: FinSpace) -> int:

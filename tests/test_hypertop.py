@@ -11,7 +11,6 @@ from oracles import (
     literal_generate,
     literal_scott_families,
 )
-from topolab import hypertop
 from topolab.errors import AxiomsViolated, GroundTooLarge, NotZRepresentable
 from topolab.finspace import (
     SubsetFamily,
@@ -70,7 +69,8 @@ def test_routes_match_literal_scan_and_cover_walk():
     # the closed-form rows against the 2^m scan, whose strong form runs the
     # 2^|pool| cover walk (the scan was also scott()'s runtime
     # cross-check): every space of at most 3 points and one per 4-point
-    # homeomorphism class, against each codomain of at most 2 points
+    # homeomorphism class, against each codomain of at most 2 points and
+    # the empty codomain, whose preimage family is empty: no map, no cover
     ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
     assert len(ys) == 34 + 33
     for y in ys:
@@ -82,7 +82,7 @@ def test_routes_match_literal_scan_and_cover_walk():
         assert strong_scott(y).opens.members == tuple(
             sorted(literal_filtration(ground, y.full, everything, everything))
         )
-        for z in all_spaces_up_to(2):
+        for z in [discrete(0)] + all_spaces_up_to(2):
             oz = o_z_family(y, z)
             pool = sum(1 << i for i, g in enumerate(ground) if g in oz)
             assert z_scott(y, z).opens.members == tuple(
@@ -222,7 +222,7 @@ def test_min_opens_are_the_meets_of_the_literal_families():
         assert strong_scott(y).min_opens == meets(everything, everything)
         generated = literal_generate(m, literal_containment_families(y))
         assert compact_subbasis_topology(y).min_opens == meets_by_point(m, generated)
-        for z in all_spaces_up_to(2):
+        for z in [discrete(0)] + all_spaces_up_to(2):
             oz = o_z_family(y, z)
             pool = sum(1 << i for i, g in enumerate(ground) if g in oz)
             assert z_scott(y, z).min_opens == meets(pool, None)
@@ -257,30 +257,22 @@ def test_every_pool_holding_y_has_the_one_cover_mask_y():
     assert (len(small_bases()), pools) == (33, 406)
 
 
-def test_filtration_matches_the_listing_route_on_every_triple(monkeypatch):
-    # every trigger with every pool holding Y, and with no pool, over the
-    # spaces of at most 3 points and 6 opens: the same opens as listing the
-    # scanned family and validating it. Every such family is a topology,
-    # and the closed form lists nothing on the way.
-    listed = []
-
-    def counted(m, fam, kind):
-        listed.append(fam)
-        _validate_topology_family(m, fam, kind)
-
-    monkeypatch.setattr(hypertop, "_validate_topology_family", counted)
-    triples = 0
+def test_filtration_matches_the_listing_route_on_every_triple():
+    # every trigger with no pool, the empty pool (no cover, so the strong
+    # condition is vacuous) and every pool holding Y, over the spaces of at
+    # most 3 points and 6 opens: the same opens as listing the scanned
+    # family and validating it, and every such family is a topology
+    triples = [0, 0]
     for y in small_bases():
         ground = y.opens.members
         m = len(ground)
-        for pool in (None, *pools_holding_y(y)):
+        for pool in (None, 0, *pools_holding_y(y)):
             for trigger in range(1 << m):
                 fam = SubsetFamily.of(m, literal_filtration(ground, y.full, trigger, pool))
                 _validate_topology_family(m, fam, "probe")
-                assert _filtration(y, trigger, pool is not None, "probe").opens == fam
-                triples += pool is not None
-    assert triples == 16920
-    assert listed == []
+                assert _filtration(y, trigger, bool(pool), "probe").opens == fam
+                triples[bool(pool)] += pool is not None
+    assert triples == [812, 16920]
 
 
 def test_of_round_trips_every_hyperspace(s):
