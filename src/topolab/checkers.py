@@ -5,13 +5,14 @@ decided exactly by the evaluation lemma from `fntop`. Splitting quantifies
 over every test space X, so the bounded search `refute_splitting` can fail
 a topology but never certify one, and its clean outcome is deliberately
 "inconclusive". On a finite Y, though, t is splitting exactly when it lies
-below the pointwise topology, whose minimal opens are `MapSet.joint`;
-`splitting_verdict` decides that containment. `refute_splitting` tests the
-same containment first: when it holds no assignment can break the
-conclusion, so the search is skipped and its hypothesis count is read from
-`mapspace.continuous_slice_count`, cached once per joint relation. The full
-search runs only when the containment fails, and from max_x=2 on that is
-exactly when it has witnesses to list; the suite's splitting-order row
+below the pointwise topology, whose minimal opens are
+`MapSet.pointwise`; `splitting_verdict` decides that containment.
+`refute_splitting` tests the same containment first: when it holds no
+assignment can break the conclusion, so the search is skipped and its
+hypothesis count is read from `mapspace.continuous_slice_count`, cached
+once per pointwise relation. The full search runs only when the
+containment fails, and from max_x=2 on that is exactly when it has
+witnesses to list; the suite's splitting-order row
 picks its candidates by that containment too. Composition continuity
 holds whenever both factors contain the pointwise topology and the target
 lies below it, since composition of pointwise topologies is continuous;
@@ -144,7 +145,7 @@ def refute_splitting(
 
     When t lies below the pointwise topology no assignment breaks the
     conclusion, so the continuous ones are only counted, by
-    `mapspace.continuous_slice_count` on the joint relation. Otherwise the
+    `mapspace.continuous_slice_count` on the pointwise relation. Otherwise the
     search visits the continuous assignments (see
     `mapspace._continuous_slices`) in `itertools.product` order and lists
     every one whose transpose is discontinuous.
@@ -153,14 +154,15 @@ def refute_splitting(
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
     witnesses = []
     if _pointwise_escape(t) is None:
-        continuous = continuous_slice_count(tuple(maps.joint[0]), max_x, symmetry_reduction)
+        continuous = continuous_slice_count(maps.pointwise, max_x, symmetry_reduction)
     else:
+        joint = (maps.pointwise, _transpose(maps.pointwise))
         into_t = (t.min_opens, _transpose(t.min_opens))
         continuous = 0
         for n in range(1, max_x + 1):
             for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
                 count, broken = _continuous_slices(
-                    xspace.min_opens, maps.joint, into_t, len(maps)
+                    xspace.min_opens, joint, into_t, len(maps)
                 )
                 continuous += count
                 for head, tails in broken:
@@ -181,7 +183,7 @@ def _pointwise_escape(t: FnTopology) -> tuple[int, int] | None:
     """The first map pair (i, j) with j in the pointwise minimal open of i
     but outside its t-minimal open; None when t lies below the pointwise
     topology."""
-    return first_escape(t.maps.joint[0], t.min_opens)
+    return first_escape(t.maps.pointwise, t.min_opens)
 
 
 def splitting_verdict(t: FnTopology) -> VerdictReport:
@@ -192,7 +194,7 @@ def splitting_verdict(t: FnTopology) -> VerdictReport:
     and admissible, and every splitting topology lies below every
     admissible one. So t is splitting exactly when it lies below the
     pointwise topology, whose minimal open around map i is
-    `MapSet.joint[0][i]`. A failure names the first pair (i, j) with j in
+    `MapSet.pointwise[i]`. A failure names the first pair (i, j) with j in
     that pointwise minimal open but not in t's, with both value tables.
     Slices i on the closed point and j on the open point of Sierpinski
     space form a jointly continuous F whose transpose into t is not
@@ -236,7 +238,7 @@ def composition_check(
     t_yz = named_function_topology(kinds[1], y, z)
     t_xz = named_function_topology(kinds[2], x, z)
     admissible = all(
-        first_escape(t.min_opens, t.maps.joint[0]) is None for t in (t_xy, t_yz)
+        first_escape(t.min_opens, t.maps.pointwise) is None for t in (t_xy, t_yz)
     )
     witnesses = []
     if not (admissible and _pointwise_escape(t_xz) is None):

@@ -4,8 +4,8 @@ family, plus admissibility of the latter.
 Both directions share one bracket over a pair (Y, Z): a family of domain
 opens and a codomain open carve out the maps whose preimage lands in the
 family, and a set of maps with a codomain open produce the family of their
-preimages. The first is `FnTopology.lift`, the same lift that builds the
-named topologies; `tau_of_t` is its transpose. Iterating the two need
+preimages. The first is `FnTopology.lift`, the lift `lift_open_family`
+runs; `tau_of_t` is its transpose. Iterating the two need
 not return the start; it can only grow the topology, which the tests pin
 down.
 

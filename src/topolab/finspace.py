@@ -128,6 +128,12 @@ class FinSpace:
         """Minimal open neighborhood of each point (finite spaces have them)."""
         return meets_by_point(self.size, self.opens)
 
+    @cached_property
+    def tag(self) -> str:
+        """The open family as a claim fragment, built once per space: report
+        claims name their spaces by it."""
+        return ",".join(str(m) for m in self.opens.members)
+
     def label_of(self, p: int) -> str:
         if self.labels is not None:
             return self.labels[p]

@@ -3,12 +3,14 @@
 The ground is a MapSet in its canonical order, opens are bit-vectors over map
 indices, and a topology is carried by its minimal opens, the least open
 around each map; its subbasis is listed on demand. A named topology lifts a
-topology on the domain's opens through preimages, and a lift commutes with
-meets, so its minimal opens come in closed form from the hyperspace's: one
-`MapSet.pull`, with no subbasis listed. Every verdict is read off the
+topology on the domain's opens through preimages. On a finite domain all
+six are the pointwise topology (README "The finite collapse"), so each
+carries `MapSet.pointwise` and its hyperspace only lists the subbasis.
+Any other lift commutes with meets, so its minimal opens are one
+`MapSet.pull` of the hyperspace's. Every verdict is read off the
 minimal opens without materializing the open family: containment is one
 mask test per map each way, evaluation is continuous iff each minimal open
-lies inside the pointwise one (`MapSet.joint`), and the separation profile
+lies inside the pointwise one, and the separation profile
 is the one `finspace` reads off a space's minimal opens. The subbasis walks
 run only to name the witnesses of a failing check. The family itself is
 built on demand under a budget.
@@ -41,7 +43,6 @@ from .finspace import (
 )
 from .hypertop import (
     HyperSpace,
-    compact_subbasis_topology,
     containment_families,
     scott,
     strong_scott,
@@ -86,18 +87,14 @@ class FnTopology:
         return cls(maps, meets_by_point(len(maps), ordered), provenance, ordered)
 
     @classmethod
-    def lift(
-        cls, h: HyperSpace, maps: MapSet, provenance: str, containment: bool = False
-    ) -> "FnTopology":
+    def lift(cls, h: HyperSpace, maps: MapSet, provenance: str) -> "FnTopology":
         """The lift of h's open families through preimages, in closed form.
         A lift commutes with meets, so the minimal open around map f is the
         meet over codomain opens u of the maps whose preimage of u lies in
         h's minimal open around f's preimage of u: `MapSet.pull` of h's
-        minimal opens. With `containment`, h is the topology the
-        containment families generate and they, not h's opens, are what
-        the subbasis lifts."""
+        minimal opens."""
         mins = tuple(maps.pull(h.ground_index, h.min_opens))
-        return cls(maps, mins, provenance, None if containment else h)
+        return cls(maps, mins, provenance, h)
 
     @property
     def subbasis(self) -> tuple[int, ...]:
@@ -213,35 +210,38 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
 
     f(K) lies in U exactly when the preimage of U contains K, so this is the
     lift of the families {opens containing K}, whose topology is
-    `compact_subbasis_topology`."""
+    `compact_subbasis_topology`. Each such subbasic is the meet of the
+    point subbasics {f : f(p) in U} over p in K, so this is the pointwise
+    topology, carried by `MapSet.pointwise`."""
     if compactness == "plain":
         provenance = "co"
     elif compactness == "z_relative":
         provenance = "coZ"
     else:
         raise ValueError(f"unknown compactness {compactness!r}")
-    h = compact_subbasis_topology(maps.domain)
-    return FnTopology.lift(h, maps, provenance, containment=True)
+    return FnTopology(maps, maps.pointwise, provenance)
 
 
 @lru_cache(maxsize=None)
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
-    """One pull of the named hyperspace's minimal opens; nothing is listed."""
-    maps = enumerate_continuous(y, z)
-    if name in ("co", "coZ"):
-        h = compact_subbasis_topology(y)
-        return FnTopology.lift(h, maps, name, containment=True)
-    if name == "isbell":
-        h = scott(y)
-    elif name == "sisbell":
-        h = strong_scott(y)
-    elif name == "t1z":
-        h = z_scott(y, z)
-    elif name == "t1sz":
-        h = strong_z_scott(y, z)
-    else:
+    """The named topology on C(Y, Z). On a finite Y every name is the
+    pointwise topology, so each carries `MapSet.pointwise` as its minimal
+    opens; the named hyperspace is built only as the source its subbasis
+    is listed from."""
+    if name not in NAMED:
         raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
-    return FnTopology.lift(h, maps, name)
+    maps = enumerate_continuous(y, z)
+    if name == "isbell":
+        source = scott(y)
+    elif name == "sisbell":
+        source = strong_scott(y)
+    elif name == "t1z":
+        source = z_scott(y, z)
+    elif name == "t1sz":
+        source = strong_z_scott(y, z)
+    else:
+        source = None
+    return FnTopology(maps, maps.pointwise, name, source)
 
 
 @dataclass(frozen=True)
@@ -257,9 +257,11 @@ def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:
     is the union of a's minimal opens around its maps. Only a direction that
     fails names its witnesses: the subbasics of one side that are not open
     in the other, which exist exactly then, opens being unions of finite
-    meets of subbasics."""
+    meets of subbasics. Equal minimal opens answer "equal" at once."""
     if a.maps != b.maps:
         raise MismatchedGround("topologies live on different map sets")
+    if a.min_opens == b.min_opens:
+        return Comparison("equal", (), ())
     a_only = b_only = ()
     if not _coarser(a, b):
         a_only = tuple(sorted(s for s in set(a.subbasis) if not b.is_open_mask(s)))
@@ -289,12 +291,12 @@ def evaluation_witness(t: FnTopology) -> int | None:
     Over all W at once that says the minimal t-open around each map i lies
     inside the maps whose every preimage contains the matching preimage of
     i. That set is i's minimal open in the pointwise topology,
-    `MapSet.joint[0][i]`. So evaluation is continuous iff t contains the
+    `MapSet.pointwise[i]`. So evaluation is continuous iff t contains the
     pointwise topology, decided by one mask test per map; the per-W walk
     runs only to name the first failing W.
     """
     mins = t.min_opens
-    if all(m & ~pw == 0 for m, pw in zip(mins, t.maps.joint[0])):
+    if all(m & ~pw == 0 for m, pw in zip(mins, t.maps.pointwise)):
         return None
     z = t.maps.codomain
     for w in z.opens:

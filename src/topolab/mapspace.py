@@ -16,7 +16,6 @@ from .finspace import (
     FinSpace,
     Subset,
     SubsetFamily,
-    _up_masks,
     bits,
     enumerate_topologies,
     full_mask,
@@ -118,15 +117,21 @@ class MapSet:
         return below
 
     @cached_property
-    def joint(self) -> tuple[list[int], list[int]]:
-        """Joint continuity of F : X x Y -> Z given by its slices, as
-        (below, above), above being the transpose: F may specialize from
-        slice i to slice j when every preimage of i sits inside the
-        matching preimage of j. Row i of below is the minimal open around
-        map i in the pointwise topology."""
-        pres = tuple(sorted({r for rows in self.preimage_rows.values() for r in rows}))
-        below = self.pull({g: a for a, g in enumerate(pres)}, _up_masks(pres))
-        return below, _transpose(below)
+    def pointwise(self) -> tuple[int, ...]:
+        """The minimal opens of the pointwise topology: row i holds the maps
+        j with j(p) in the codomain's minimal open around i(p) at every
+        point p, the meet of the subbasics {f : f(p) in U} holding i. So j
+        is in row i iff every preimage under i lies inside j's, which is
+        also when F : X x Y -> Z may specialize from slice i to slice j."""
+        zmins = self.codomain.min_opens
+        rows = [full_mask(len(self))] * len(self)
+        for p in range(self.domain.size):
+            at = [0] * self.codomain.size  # the maps by their value at p
+            for j, table in enumerate(self.tables):
+                at[table[p]] |= 1 << j
+            near = [sum(at[w] for w in bits(m)) for m in zmins]
+            rows = [row & near[table[p]] for row, table in zip(rows, self.tables)]
+        return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -261,7 +266,7 @@ def continuous_slice_count(below: tuple[int, ...], max_x: int, up_to_iso: bool) 
     with the relation as both hypothesis and conclusion, so no second walk
     exists. The count depends on the relation alone, so the cache is keyed
     on it rather than on a map set: the 170 map sets at (3,2) have 29
-    distinct `joint` relations. The budget of `slice_instances` applies."""
+    distinct `pointwise` relations. The budget of `slice_instances` applies."""
     nmaps = len(below)
     slice_instances(nmaps, max_x, up_to_iso)
     rel = (below, _transpose(below))
@@ -279,7 +284,8 @@ def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, 
     conclusion: one (slices of points 0..n-2, mask of the last point's
     breaking maps) each.
 
-    Both relations are (below, above) pairs, like `MapSet.joint`. Point k
+    Both relations are (below, above) pairs, a relation and its transpose,
+    the hypothesis being `MapSet.pointwise` and its transpose. Point k
     may take map c when c is in below[combo[p]] for every earlier p whose
     minimal open holds k, and in above[combo[q]] for every earlier q inside
     k's minimal open. The last point's candidates are counted, not visited.

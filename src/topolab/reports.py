@@ -80,8 +80,8 @@ def suite_to_json(reports: list[VerdictReport]) -> str:
 
 
 def fam_tag(x) -> str:
-    """Claim fragment naming a space by its open family."""
-    return ",".join(str(m) for m in x.opens.members)
+    """Claim fragment naming a space by its open family, `FinSpace.tag`."""
+    return x.tag
 
 
 def pair_tag(y, z) -> str:

@@ -452,6 +452,20 @@ def listed_lift_min_opens(maps, index: dict[Subset, int], families) -> tuple[int
     return meets_of(len(maps), listed_family_lift(maps, index, families))
 
 
+def named_hyperspace(name: str, y: FinSpace, z: FinSpace):
+    """The hyperspace a named topology lifts: for co and coZ, the topology
+    the containment families generate."""
+    if name in ("co", "coZ"):
+        return compact_subbasis_topology(y)
+    if name == "isbell":
+        return scott(y)
+    if name == "sisbell":
+        return strong_scott(y)
+    if name == "t1z":
+        return z_scott(y, z)
+    return strong_z_scott(y, z)
+
+
 def listed_named_min_opens(name: str, y: FinSpace, z: FinSpace) -> tuple[int, ...]:
     """Minimal opens of a named topology by its listed subbasis: the
     containment subbasics for co and coZ, else every open family of the
@@ -459,15 +473,22 @@ def listed_named_min_opens(name: str, y: FinSpace, z: FinSpace) -> tuple[int, ..
     maps = enumerate_continuous(y, z)
     if name in ("co", "coZ"):
         return meets_of(len(maps), literal_kset_subbasis(maps))
-    if name == "isbell":
-        h = scott(y)
-    elif name == "sisbell":
-        h = strong_scott(y)
-    elif name == "t1z":
-        h = z_scott(y, z)
-    else:
-        h = strong_z_scott(y, z)
+    h = named_hyperspace(name, y, z)
     return listed_lift_min_opens(maps, h.ground_index, h.opens)
+
+
+def literal_pointwise(maps) -> tuple[int, ...]:
+    """The pointwise minimal opens by preimages: j is in row i iff each
+    preimage under map i lies inside map j's preimage of the same open."""
+    opens = maps.codomain.opens
+    return tuple(
+        sum(
+            1 << j
+            for j, g in enumerate(maps)
+            if all(f.preimage(u) & ~g.preimage(u) == 0 for u in opens)
+        )
+        for f in maps
+    )
 
 
 def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True) -> VerdictReport:
@@ -532,12 +553,13 @@ def searched_refute_splitting(
     hypothesis and continuity into t as the conclusion."""
     maps = t.maps
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
+    joint = (maps.pointwise, _transpose(maps.pointwise))
     into_t = (t.min_opens, _transpose(t.min_opens))
     continuous = 0
     witnesses = []
     for n in range(1, max_x + 1):
         for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-            count, broken = _continuous_slices(xspace.min_opens, maps.joint, into_t, len(maps))
+            count, broken = _continuous_slices(xspace.min_opens, joint, into_t, len(maps))
             continuous += count
             for head, tails in broken:
                 prefix = sum((maps.tables[i] for i in head), ())

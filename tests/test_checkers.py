@@ -41,9 +41,11 @@ from topolab.fntop import (
     FnTopology,
     compare_topologies,
     evaluation_witness,
+    kset_topology,
+    lift_open_family,
     named_function_topology,
 )
-from topolab.hypertop import HyperSpace, strong_z_scott, z_scott
+from topolab.hypertop import HyperSpace, scott, strong_z_scott, z_scott
 from topolab.mapspace import ContMap, continuous_slice_count, enumerate_continuous
 from topolab.reports import suite_to_json
 
@@ -235,7 +237,7 @@ def test_refute_splitting_instance_budget(monkeypatch):
     with pytest.raises(BudgetExceeded, match="151"):
         refute_splitting(wide, max_x=3)
     with pytest.raises(BudgetExceeded, match="151"):
-        continuous_slice_count(tuple(wide.maps.joint[0]), 3, True)
+        continuous_slice_count(wide.maps.pointwise, 3, True)
 
 
 @pytest.mark.parametrize("max_x", [0, -1, -2])
@@ -246,7 +248,7 @@ def test_refute_splitting_rejects_empty_test_spaces(s, max_x):
     with pytest.raises(ValueError, match="max_x"):
         refute_splitting(t, max_x=max_x)
     with pytest.raises(ValueError, match="max_x"):
-        continuous_slice_count(tuple(t.maps.joint[0]), max_x, True)
+        continuous_slice_count(t.maps.pointwise, max_x, True)
 
 
 def _tops32():
@@ -280,17 +282,17 @@ def test_continuous_slice_count_matches_the_search():
     rng = random.Random(3)
     for y, z in by_size.values():
         maps = enumerate_continuous(y, z)
-        joint = tuple(maps.joint[0])
+        pointwise = maps.pointwise
         picked = FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(2)])
         for t in (fn_discrete(maps), picked):
             for sym in (True, False):
                 searched = searched_refute_splitting(t, 3, sym).hypothesis_true_count
-                assert continuous_slice_count(joint, 3, sym) == searched
+                assert continuous_slice_count(pointwise, 3, sym) == searched
         # the answer does not depend on which call filled the cache first
         continuous_slice_count.cache_clear()
-        labeled_first = [continuous_slice_count(joint, 3, sym) for sym in (False, True)]
+        labeled_first = [continuous_slice_count(pointwise, 3, sym) for sym in (False, True)]
         continuous_slice_count.cache_clear()
-        class_first = [continuous_slice_count(joint, 3, sym) for sym in (True, False)]
+        class_first = [continuous_slice_count(pointwise, 3, sym) for sym in (True, False)]
         assert labeled_first == class_first[::-1]
 
 
@@ -331,6 +333,38 @@ def test_splitting_verdict_matches_the_bounded_search_and_evaluation():
     assert verdicts["holds"] > 0 and verdicts["fails"] > 0
 
 
+def test_named_routes_run_no_pull(monkeypatch):
+    # the named topologies, kset_topology, both splitting checks and the
+    # q6/q7 composition checks read MapSet.pointwise: with pull refusing
+    # and the named-topology cache bypassed, each answers as before
+    pairs = [(y, z) for y in all_spaces_up_to(3) for z in all_spaces_up_to(2)]
+    small = all_spaces_up_to(2)
+    triples = [(x, y, z) for x in small for y in small for z in small]
+    kinds = [(k, k, k) for k in ("t1sz", "t1z")]
+    build = named_function_topology.__wrapped__
+
+    def answers():
+        out = []
+        for y, z in pairs:
+            maps = enumerate_continuous(y, z)
+            for t in [build(k, y, z) for k in NAMED] + [kset_topology(maps), fn_discrete(maps)]:
+                out.append((t, splitting_verdict(t), refute_splitting(t, 2)))
+        out += [composition_check(*xyz, k) for xyz in triples for k in kinds]
+        return out
+
+    want = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("MapSet.pull ran")
+
+    monkeypatch.setattr(mapspace.MapSet, "pull", refuse)
+    monkeypatch.setattr(checkers, "named_function_topology", build)
+    assert answers() == want
+    maps = enumerate_continuous(sierpinski(), sierpinski())
+    with pytest.raises(AssertionError, match="pull"):
+        lift_open_family(scott(sierpinski()), maps)
+
+
 def test_splitting_verdict_pair_replays_on_sierpinski_x():
     # the named pair (i, j): slice i on the closed point of Sierpinski
     # space and slice j on its open point give a witness of the search
@@ -350,7 +384,7 @@ def test_splitting_verdict_pair_replays_on_sierpinski_x():
                 ((tag, (i, j), tag2, tables),) = rep.witnesses
                 assert (tag, tag2) == ("maps", "tables")
                 assert tables == (maps.tables[i], maps.tables[j])
-                assert (maps.joint[0][i] >> j) & 1 and not (t.min_opens[i] >> j) & 1
+                assert (maps.pointwise[i] >> j) & 1 and not (t.min_opens[i] >> j) & 1
                 slices = (j, i) if closed == 1 else (i, j)
                 table = sum((maps.tables[k] for k in slices), ())
                 assert (sierpinski_x.opens.members, table) in refute_splitting(t, 2).witnesses

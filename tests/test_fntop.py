@@ -54,6 +54,7 @@ from oracles import (
     literal_lift,
     literal_profile,
     listed_family_lift,
+    named_hyperspace,
 )
 
 
@@ -276,6 +277,33 @@ def test_compare_and_evaluation_match_literal_oracles():
     assert failing > 400 and unequal > 1000
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compare_matches_literal_oracle_on_random_subbases(data):
+    # b adds opens of a to a's subbasis, so it is the same topology unless
+    # a stray member rides along; c is drawn with no tie to a
+    y, z = data.draw(st.sampled_from(small_pairs()))
+    maps = enumerate_continuous(y, z)
+    member = st.integers(0, (1 << len(maps)) - 1)
+    sub_a = data.draw(st.lists(member, max_size=4))
+    a = FnTopology.of(maps, sub_a)
+    extra = data.draw(st.lists(st.sampled_from(a.opens.members), max_size=3))
+    b = FnTopology.of(maps, sub_a + extra + data.draw(st.lists(member, max_size=1)))
+    c = FnTopology.of(maps, data.draw(st.lists(member, max_size=4)))
+    for one, other in ((a, b), (b, a), (a, c), (c, a)):
+        got = compare_topologies(one, other)
+        assert got == literal_compare_topologies(one, other)
+        assert (got.verdict == "equal") == (one.min_opens == other.min_opens)
+
+
+def test_unknown_name_is_refused_before_maps_are_enumerated():
+    # discrete(5) is past the map enumeration cap, which a bad name must
+    # not reach
+    for y in (discrete(2), discrete(5)):
+        with pytest.raises(ValueError, match="bogus"):
+            named_function_topology("bogus", y, discrete(2))
+
+
 def test_fn_topologies_pass_axioms(s, chain2, indisc2):
     pairs = [(s, s), (chain2, indisc2), (discrete(3), discrete(2))]
     for y, z in pairs:
@@ -350,15 +378,18 @@ def test_closed_form_min_opens_match_the_listed_lift():
 
 
 def test_named_topologies_collapse_to_the_pointwise_topology():
-    # on a finite Y all six named topologies are the pointwise one, whose
-    # minimal opens are joint[0]: every pair at (3,2), and each 4-point
+    # on a finite Y the literal lift of each named hyperspace (the
+    # containment topology for co and coZ) is the pointwise topology, which
+    # every named topology carries: every pair at (3,2), and each 4-point
     # class against every Z <= 2
     ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
     for y in ys:
         for z in all_spaces_up_to(2):
-            pointwise = tuple(enumerate_continuous(y, z).joint[0])
+            maps = enumerate_continuous(y, z)
             for name in NAMED:
-                assert named_function_topology(name, y, z).min_opens == pointwise
+                lifted = FnTopology.lift(named_hyperspace(name, y, z), maps, name)
+                assert lifted.min_opens == maps.pointwise
+                assert named_function_topology(name, y, z) == lifted
 
 
 def test_building_and_dual_admissibility_list_no_subbasis(monkeypatch):

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import is_continuous_table, literal_locally_z_bounded, literal_z_corecompact
+from oracles import (
+    is_continuous_table,
+    literal_locally_z_bounded,
+    literal_pointwise,
+    literal_z_corecompact,
+)
 from topolab import finspace, fntop, hypertop, mapspace
 from topolab.errors import BudgetExceeded, MismatchedBase, NotOpen, NotZRepresentable
 from topolab.finspace import (
     discrete,
+    enumerate_topologies,
     generate_from_subbasis,
     indiscrete,
     make_space,
@@ -219,3 +225,19 @@ def test_preimage_rows_cache(s):
     ms = enumerate_continuous(s, s)
     rows = ms.preimage_rows
     assert rows[0b10] == (0, 0b10, 0b11)
+
+
+def test_pointwise_rows_match_the_preimage_test():
+    # every labeled pair with Y <= 4 and Z <= 2, or Y <= 3 and Z <= 3, and
+    # the 0-point ends: no map into an empty Z, one empty map out of an
+    # empty Y
+    pairs = [(y, z) for y in all_spaces_up_to(4) for z in all_spaces_up_to(2)]
+    pairs += [(y, z) for y in all_spaces_up_to(3) for z in enumerate_topologies(3)]
+    empty = discrete(0)
+    pairs += [(empty, empty), (empty, sierpinski()), (sierpinski(), empty)]
+    for y, z in pairs:
+        maps = enumerate_continuous(y, z)
+        assert maps.pointwise == literal_pointwise(maps)
+    assert len(pairs) == 389 * 5 + 34 * 29 + 3
+    assert enumerate_continuous(empty, sierpinski()).pointwise == (1,)
+    assert enumerate_continuous(sierpinski(), empty).pointwise == ()
