@@ -25,8 +25,6 @@ from .finspace import (
     generate_from_subbasis,
     indiscrete,
     interior_of,
-    is_bounded_in,
-    is_compact_subset,
     is_open_in_product,
     local_profile,
     make_space,

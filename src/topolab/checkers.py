@@ -15,13 +15,11 @@ containment fails, and from max_x=2 on that is exactly when it has
 witnesses to list; the suite's splitting-order row
 picks its candidates by that containment too. Composition continuity
 holds whenever both factors contain the pointwise topology and the target
-lies below it, since composition of pointwise topologies is continuous;
-`composition_check` tests those three containments first and builds no
-composite then. Any other triple gets a direct product-openness check on
-the two function-space grounds, decided per distinct target minimal open
-by one mask test per pair of maps against the meets of minimal
-neighbourhoods; the target's subbasics and the escaping pairs are walked
-only at a failure. The suite reads every per-pair verdict
+lies below it, since composition of pointwise topologies is continuous.
+Every named topology is the pointwise one, so `composition_check` tests
+those three containments and builds no composite; a containment that
+fails is a defect of the named constructions, raised as AssertionError.
+The suite reads every per-pair verdict
 off minimal opens in the same way and never materializes a function space
 or a dual, nor lists a subbasis.
 
@@ -48,7 +46,6 @@ from .finspace import (
     chain,
     discrete,
     enumerate_topologies,
-    full_mask,
     indiscrete,
     local_profile,
     separation_profile,
@@ -77,7 +74,6 @@ from .mapspace import (  # the two budget constants are public here too
 )
 from .reports import VerdictReport, fam_tag, pair_tag
 
-MAX_COMPOSE_GROUND = 4096
 MAX_SUITE_Y = 3
 MAX_SUITE_Z = 2
 DEFAULT_REFINEMENT_SAMPLES = 100
@@ -227,27 +223,35 @@ def composition_check(
     target keeps it continuous. So when both factors contain the pointwise
     topology (the test `evaluation_witness` makes) and the target lies
     below it (the test `splitting_verdict` makes), the check holds with no
-    composite built. Any other triple goes to `_composition_witnesses`,
-    the only route MAX_COMPOSE_GROUND bounds. The three relative
-    hypothesis flags of the middle pair ride along in the budget; the one
-    matching the middle kind sets the hypothesis count.
+    composite built. On a finite ground every named topology is the
+    pointwise one, so the three containments always hold; one that fails
+    is a defect in `named_function_topology`, raised as AssertionError,
+    not a verdict. The literal walk over the composite table is the test
+    oracle `literal_composition_check`. The three relative hypothesis
+    flags of the middle pair ride along in the budget; the one matching
+    the middle kind sets the hypothesis count.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
     t_xy = named_function_topology(kinds[0], x, y)
     t_yz = named_function_topology(kinds[1], y, z)
     t_xz = named_function_topology(kinds[2], x, z)
-    admissible = all(
-        first_escape(t.min_opens, t.maps.pointwise) is None for t in (t_xy, t_yz)
+    claim = f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
+    containments = (
+        ("C(X,Y) contains", first_escape(t_xy.min_opens, t_xy.maps.pointwise)),
+        ("C(Y,Z) contains", first_escape(t_yz.min_opens, t_yz.maps.pointwise)),
+        ("C(X,Z) lies below", _pointwise_escape(t_xz)),
     )
-    witnesses = []
-    if not (admissible and _pointwise_escape(t_xz) is None):
-        witnesses = _composition_witnesses(t_xy, t_yz, t_xz)
+    for containment, escape in containments:
+        if escape is not None:
+            raise AssertionError(
+                f"{claim}: {containment} the pointwise topology fails at maps {escape}"
+            )
     rp = relative_profile(y, z)
     hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
     return VerdictReport.of(
-        f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}",
-        witnesses,
+        claim,
+        [],
         int(getattr(rp, hyp_name)),
         1,
         budget=(
@@ -257,71 +261,6 @@ def composition_check(
             ("z_corecompact", rp.z_corecompact),
         ),
     )
-
-
-def _composition_witnesses(
-    t_xy: FnTopology, t_yz: FnTopology, t_xz: FnTopology
-) -> list[tuple]:
-    """The failing target subbasics of a composition, by a walk over the
-    composite table; raises BudgetExceeded past MAX_COMPOSE_GROUND pairs.
-
-    Checking the distinct minimal opens of the target suffices, since they
-    are a basis and product-open sets are closed under union. A mask's
-    preimage is open when every pair (i, j) in it keeps the product of
-    their minimal opens inside it. Only on a failure are the target's
-    subbasics walked, to report for each one whose preimage is not open
-    the first pair that escapes, in (i, j) order, with the first pair it
-    escapes to.
-    """
-    a, b, c = t_xy.maps, t_yz.maps, t_xz.maps
-    if len(a) * len(b) > MAX_COMPOSE_GROUND:
-        raise BudgetExceeded(
-            f"composition ground of {len(a) * len(b)} pairs exceeds {MAX_COMPOSE_GROUND}"
-        )
-    comp = [
-        [c.index[tuple(map(g.__getitem__, f))] for g in b.tables] for f in a.tables
-    ]
-    # the pairs (i, j), as bit i * |b| + j, whose composite is map k
-    nb = len(b)
-    pairs_at: dict[int, int] = {}
-    for i, row in enumerate(comp):
-        for j, k in enumerate(row):
-            pairs_at[k] = pairs_at.get(k, 0) | 1 << (i * nb + j)
-    row_mask = full_mask(nb)
-    mins_a = t_xy.min_opens
-    mins_b = t_yz.min_opens
-    around_a = [list(bits(m)) for m in mins_a]
-    b_open: dict[int, bool] = {}
-
-    def escape(s: int) -> tuple | None:
-        # stay[i]: the j whose composite with i lies in s; keep: the j that
-        # stay in s with every i2 around i. (i, j) escapes exactly when the
-        # minimal open around j leaves keep, and some j does unless keep is
-        # all of stay[i] and open in t_yz
-        inside = sum(m for k, m in pairs_at.items() if (s >> k) & 1)
-        stay = [(inside >> (i * nb)) & row_mask for i in range(len(a))]
-        for i, around in enumerate(around_a):
-            keep = stay[i]
-            for i2 in around:
-                keep &= stay[i2]
-            if keep == stay[i]:
-                if keep not in b_open:
-                    b_open[keep] = t_yz.is_open_mask(keep)
-                if b_open[keep]:
-                    continue
-            j = next(j for j in bits(stay[i]) if mins_b[j] & ~keep)
-            at = next(
-                (i2, j2)
-                for i2 in around
-                for j2 in bits(mins_b[j])
-                if not (s >> comp[i2][j2]) & 1
-            )
-            return ("open", s, "at", (i, j), "escapes", at)
-        return None
-
-    if not any(escape(m) for m in set(t_xz.min_opens)):
-        return []
-    return [w for w in map(escape, t_xz.subbasis) if w]
 
 
 def theorem_suite(

@@ -120,8 +120,8 @@ def _q3_runner(qid: str, lo: str, hi: str, explanation: str):
 
 
 def _composition_runner(qid: str, kind: str):
-    # the first factor stays small: its function-space ground multiplies the
-    # check, and two points already give every specialization shape
+    # the first factor stays at two points, which give every specialization
+    # shape; the frozen q6/q7 expectations fix MAX_COMPOSE_X
     def run(ys, zs):
         xs = [x for x in ys if x.size <= MAX_COMPOSE_X]
         kinds = (kind, kind, kind)

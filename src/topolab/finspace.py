@@ -371,14 +371,6 @@ def boundedness_verdict(x: FinSpace, b: Subset) -> tuple[bool, str]:
     return True, "finite-shortcut"
 
 
-def is_compact_subset(x: FinSpace, k: Subset) -> bool:
-    return compactness_verdict(x, k)[0]
-
-
-def is_bounded_in(x: FinSpace, b: Subset) -> bool:
-    return boundedness_verdict(x, b)[0]
-
-
 @lru_cache(maxsize=None)
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...]:
     """All topologies on n labeled points, canonically ordered.

@@ -49,7 +49,7 @@ from .hypertop import (
     strong_z_scott,
     z_scott,
 )
-from .mapspace import MapSet, enumerate_continuous
+from .mapspace import MapSet, enumerate_continuous, first_escape
 
 DEFAULT_OPENS_BUDGET = 1024
 
@@ -263,9 +263,9 @@ def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:
     if a.min_opens == b.min_opens:
         return Comparison("equal", (), ())
     a_only = b_only = ()
-    if not _coarser(a, b):
+    if first_escape(b.min_opens, a.min_opens) is not None:
         a_only = tuple(sorted(s for s in set(a.subbasis) if not b.is_open_mask(s)))
-    if not _coarser(b, a):
+    if first_escape(a.min_opens, b.min_opens) is not None:
         b_only = tuple(sorted(s for s in set(b.subbasis) if not a.is_open_mask(s)))
     if not a_only and not b_only:
         return Comparison("equal", (), ())
@@ -274,11 +274,6 @@ def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:
     if not b_only:
         return Comparison("a_finer", a_only, ())
     return Comparison("incomparable", a_only, b_only)
-
-
-def _coarser(a: FnTopology, b: FnTopology) -> bool:
-    """Whether every a-open is b-open."""
-    return all(bm & ~am == 0 for am, bm in zip(a.min_opens, b.min_opens))
 
 
 def evaluation_witness(t: FnTopology) -> int | None:
@@ -296,7 +291,7 @@ def evaluation_witness(t: FnTopology) -> int | None:
     runs only to name the first failing W.
     """
     mins = t.min_opens
-    if all(m & ~pw == 0 for m, pw in zip(mins, t.maps.pointwise)):
+    if first_escape(mins, t.maps.pointwise) is None:
         return None
     z = t.maps.codomain
     for w in z.opens:

@@ -247,10 +247,11 @@ def first_escape(sub, sup) -> tuple[int, int] | None:
     """The first (i, j), by i and then j, with j in sub[i] but not in
     sup[i]; None when sub lies inside sup row by row.
 
-    When the hypothesis relation of a slice search lies inside its
-    conclusion, no assignment can break the conclusion, so
-    `refute_splitting` tests this first and skips the search when it
-    returns None."""
+    This is the one row-containment test on minimal opens: comparison,
+    evaluation, splitting and composition all read it. When the hypothesis
+    relation of a slice search lies inside its conclusion, no assignment
+    can break the conclusion, so `refute_splitting` tests this first and
+    skips the search when it returns None."""
     for i, (a, b) in enumerate(zip(sub, sup)):
         extra = a & ~b
         if extra:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from itertools import product as assignments
 
-from topolab.checkers import _COMPOSE_HYPOTHESIS, MAX_COMPOSE_GROUND
+from topolab.checkers import _COMPOSE_HYPOTHESIS
 from topolab.errors import BudgetExceeded
 from topolab.finspace import (
     FinSpace,
@@ -46,6 +46,7 @@ from topolab.mapspace import (
 from topolab.reports import VerdictReport, fam_tag, pair_tag
 
 COVER_BUDGET = 4096  # subfamilies; the walk below is skipped past this
+MAX_COMPOSE_GROUND = 4096  # map pairs; the composite table is refused past this
 
 
 def filter_topologies(n: int) -> list[tuple[Subset, ...]]:
@@ -680,7 +681,9 @@ def literal_composition_check(
 ) -> VerdictReport:
     """Composition continuity one target subbasic, one pair (i, j) and one
     neighbouring pair (i2, j2) at a time, each composite built by calling
-    the two maps point by point."""
+    the two maps point by point; raises BudgetExceeded past
+    MAX_COMPOSE_GROUND pairs. `checkers.composition_check` decides the
+    named triples by three containments instead and keeps no walk."""
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
     t_xy = named_function_topology(kinds[0], x, y)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import topolab
 from conftest import all_spaces_up_to
+from topolab import checkers
 from topolab.cli import _fn_from, _space_from, main
-from topolab.fntop import NAMED, named_function_topology
+from topolab.fntop import NAMED, FnTopology, named_function_topology
 
 S = {"points": 2, "opens": [0, 2, 3]}
 PT = {"points": 1, "opens": [0, 1]}
@@ -175,6 +176,19 @@ def test_check_compose(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "holds"
+
+
+def test_check_compose_defect_is_no_bad_input(tmp_path, capsys, monkeypatch):
+    # a named factor off the pointwise topology is a bug, not bad input: it
+    # propagates as AssertionError, with no report and no exit 2
+    def coarse(name, y, z):
+        return FnTopology.of(named_function_topology(name, y, z).maps, ())
+
+    monkeypatch.setattr(checkers, "named_function_topology", coarse)
+    spath = write(tmp_path, "s.json", S)
+    with pytest.raises(AssertionError, match="compose:co,co,co .*C\\(X,Y\\) contains"):
+        main(["check", "compose", "--x", spath, "--y", spath, "--z", spath, "--kinds", "co,co,co"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_check_theorems_skips_expected_divergences(tmp_path, capsys):

@@ -34,8 +34,6 @@ from topolab.finspace import (
     generate_from_subbasis,
     indiscrete,
     interior_of,
-    is_bounded_in,
-    is_compact_subset,
     is_open_in_product,
     local_profile,
     make_space,
@@ -214,14 +212,14 @@ def test_compactness_literal_and_shortcut_agree():
     for x in all_spaces_up_to(3):
         for k in range(x.full + 1):
             assert compactness_verdict(x, k) == (True, "finite-shortcut")
-            assert is_compact_subset(x, k) is literal_covers(x.opens.members, k, k) is True
+            assert compactness_verdict(x, k)[0] is literal_covers(x.opens.members, k, k) is True
 
 
 def test_boundedness_literal_and_shortcut_agree():
     for x in all_spaces_up_to(3):
         for b in range(x.full + 1):
             assert boundedness_verdict(x, b) == (True, "finite-shortcut")
-            assert is_bounded_in(x, b) is literal_covers(x.opens.members, x.full, b) is True
+            assert boundedness_verdict(x, b)[0] is literal_covers(x.opens.members, x.full, b) is True
 
 
 def test_local_profile_all_true_on_small_spaces():
