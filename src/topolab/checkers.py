@@ -67,7 +67,6 @@ from .mapspace import (  # the two budget constants are public here too
     _transpose,
     continuous_slice_count,
     enumerate_continuous,
-    first_escape,
     relative_profile,
     slice_instances,
     z_topology,
@@ -178,8 +177,8 @@ def refute_splitting(
 def _pointwise_escape(t: FnTopology) -> tuple[int, int] | None:
     """The first map pair (i, j) with j in the pointwise minimal open of i
     but outside its t-minimal open; None when t lies below the pointwise
-    topology."""
-    return first_escape(t.maps.pointwise, t.min_opens)
+    topology. Read once per topology, `FnTopology.pointwise_escapes`."""
+    return t.pointwise_escapes[1]
 
 
 def splitting_verdict(t: FnTopology) -> VerdictReport:
@@ -238,9 +237,9 @@ def composition_check(
     t_xz = named_function_topology(kinds[2], x, z)
     claim = f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
     containments = (
-        ("C(X,Y) contains", first_escape(t_xy.min_opens, t_xy.maps.pointwise)),
-        ("C(Y,Z) contains", first_escape(t_yz.min_opens, t_yz.maps.pointwise)),
-        ("C(X,Z) lies below", _pointwise_escape(t_xz)),
+        ("C(X,Y) contains", t_xy.pointwise_escapes[0]),
+        ("C(Y,Z) contains", t_yz.pointwise_escapes[0]),
+        ("C(X,Z) lies below", t_xz.pointwise_escapes[1]),
     )
     for containment, escape in containments:
         if escape is not None:
@@ -341,20 +340,37 @@ def _admissibility_rows(pairs) -> list[VerdictReport]:
     return rows
 
 
+def _per_carrier(y: FinSpace, z: FinSpace, decide) -> dict:
+    """decide(t) for each named topology t of the pair, computed once per
+    distinct carrier: exact for any decide that reads only t.maps and
+    t.min_opens, the maps being the pair's. It assumes nothing about which
+    names share a carrier."""
+    by_carrier = {}
+    out = {}
+    for name in NAMED:
+        t = named_function_topology(name, y, z)
+        if t.min_opens not in by_carrier:
+            by_carrier[t.min_opens] = decide(t)
+        out[name] = by_carrier[t.min_opens]
+    return out
+
+
 def _preservation_rows(pairs) -> list[VerdictReport]:
+    """The separation grades of Z carry over to each named topology; each
+    pair's profiles are read once per carrier."""
     n = len(pairs)
     budget = (("pairs", n),)
+    profiles = [_per_carrier(y, z, lambda t: t.profile) for y, z in pairs]
     rows = []
     for grade in ("t0", "t1", "t2"):
         for name in NAMED:
             true_count = 0
             witnesses = []
-            for y, z in pairs:
+            for (y, z), profile in zip(pairs, profiles):
                 if not getattr(separation_profile(z), grade):
                     continue
                 true_count += 1
-                t = named_function_topology(name, y, z)
-                if not getattr(t.profile, grade):
+                if not getattr(profile[name], grade):
                     witnesses.append((pair_tag(y, z),))
             claim = f"preserve:{grade} {name}"
             rows.append(VerdictReport.of(claim, witnesses, true_count, n, budget=budget))
@@ -470,18 +486,20 @@ def _dual_rows(pairs) -> list[VerdictReport]:
 
     The last two rows coincide by construction: "via_dual" admissibility of
     tau is the evaluation check on t_of_tau(tau), the round trip itself, so
-    one computation serves both and both claims stay on record.
+    one computation serves both and both claims stay on record. Both
+    verdicts read only t's maps and minimal opens, so each pair decides
+    one dual per distinct carrier, however many names share it; every
+    name still counts as an instance.
     """
     forward_wit = []
     equiv_wit = []
     forward_hyp = 0
     instances = 0
     for y, z in pairs:
+        verdicts = _per_carrier(y, z, _dual_verdicts)
         for name in NAMED:
             instances += 1
-            t = named_function_topology(name, y, z)
-            t_ok = evaluation_witness(t) is None
-            tau_ok = is_admissible_on_ozy(tau_of_t(t), t.maps).status == "holds"
+            t_ok, tau_ok = verdicts[name]
             if t_ok:
                 forward_hyp += 1
                 if not tau_ok:
@@ -493,6 +511,12 @@ def _dual_rows(pairs) -> list[VerdictReport]:
     for claim in ("dual:named-equivalence-t-tau", "dual:named-equivalence-t-round-trip"):
         rows.append(VerdictReport.of(claim, equiv_wit, instances, instances))
     return rows
+
+
+def _dual_verdicts(t: FnTopology) -> tuple[bool, bool]:
+    """Whether t is admissible, and whether its dual tau_of_t(t) is."""
+    tau_ok = is_admissible_on_ozy(tau_of_t(t), t.maps).status == "holds"
+    return evaluation_witness(t) is None, tau_ok
 
 
 def _refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictReport:

@@ -5,12 +5,14 @@ indices, and a topology is carried by its minimal opens, the least open
 around each map; its subbasis is listed on demand. A named topology lifts a
 topology on the domain's opens through preimages. On a finite domain all
 six are the pointwise topology (README "The finite collapse"), so each
-carries `MapSet.pointwise` and its hyperspace only lists the subbasis.
+carries `MapSet.pointwise` and records only its name; its hyperspace is
+built when the subbasis is read, and no verdict reads it.
 Any other lift commutes with meets, so its minimal opens are one
 `MapSet.pull` of the hyperspace's. Every verdict is read off the
 minimal opens without materializing the open family: containment is one
 mask test per map each way, evaluation is continuous iff each minimal open
-lies inside the pointwise one, and the separation profile
+lies inside the pointwise one (both pointwise containments are read once
+per topology, `FnTopology.pointwise_escapes`), and the separation profile
 is the one `finspace` reads off a space's minimal opens. The subbasis walks
 run only to name the witnesses of a failing check. The family itself is
 built on demand under a budget.
@@ -55,6 +57,16 @@ DEFAULT_OPENS_BUDGET = 1024
 
 NAMED = ("co", "coZ", "isbell", "sisbell", "t1z", "t1sz")
 
+# the hyperspace each named topology lifts, built from the name when its
+# subbasis is read; co and coZ lift the containment families instead. The
+# constructors are looked up at call time, so a patched one is seen.
+_NAMED_HYPERSPACES = {
+    "isbell": lambda y, z: scott(y),
+    "sisbell": lambda y, z: strong_scott(y),
+    "t1z": lambda y, z: z_scott(y, z),
+    "t1sz": lambda y, z: strong_z_scott(y, z),
+}
+
 
 @dataclass(frozen=True)
 class FnTopology:
@@ -64,13 +76,14 @@ class FnTopology:
 
     `source` is what the subbasis comes from: the tuple `of` was given, a
     space whose every open family is lifted (a HyperSpace, or the DualSpace
-    of `duality.t_of_tau`), or None for co and coZ, which lift the
-    containment families of the domain."""
+    of `duality.t_of_tau`), the name of a named topology whose hyperspace
+    is built only when the subbasis is read, or None for co and coZ, which
+    lift the containment families of the domain. No verdict reads it."""
 
     maps: MapSet
     min_opens: tuple[int, ...]
     provenance: str = "custom"
-    source: HyperSpace | tuple[int, ...] | None = field(
+    source: HyperSpace | tuple[int, ...] | str | None = field(
         default=None, compare=False, repr=False
     )
 
@@ -100,21 +113,40 @@ class FnTopology:
     def subbasis(self) -> tuple[int, ...]:
         """The subbasis, sorted. A lifted one is listed on each read and not
         kept, so a topology holds one carrier, its minimal opens; it is
-        read only to print a topology or name a failing check's witnesses."""
+        read only to print a topology or name a failing check's witnesses.
+        A named source is resolved here, through the cached hyperspace
+        constructors."""
         h = self.source
         if isinstance(h, tuple):
             return h
+        y = self.maps.domain
         if h is None:
-            y = self.maps.domain
             index = {u: g for g, u in enumerate(y.opens)}
             found = lift_families(self.maps, index, containment_families(y))
         else:
+            if isinstance(h, str):
+                h = _NAMED_HYPERSPACES[h](y, self.maps.codomain)
             found = lift_upsets(self.maps, h.ground_index, h.min_opens)
         return tuple(sorted(found))
 
     @cached_property
     def full(self) -> int:
         return full_mask(len(self.maps))
+
+    @cached_property
+    def pointwise_escapes(self) -> tuple[tuple[int, int] | None, ...]:
+        """Both containments against the pointwise topology, read once:
+        the first escape of the minimal opens from `MapSet.pointwise`
+        (None when t contains the pointwise topology, so evaluation is
+        continuous) and that of `MapSet.pointwise` from them (None when t
+        lies below it, so t is splitting)."""
+        pointwise = self.maps.pointwise
+        if self.min_opens == pointwise:  # every named topology's carrier
+            return None, None
+        return (
+            first_escape(self.min_opens, pointwise),
+            first_escape(pointwise, self.min_opens),
+        )
 
     @cached_property
     def profile(self) -> LocalProfile:
@@ -226,21 +258,14 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     """The named topology on C(Y, Z). On a finite Y every name is the
     pointwise topology, so each carries `MapSet.pointwise` as its minimal
-    opens; the named hyperspace is built only as the source its subbasis
-    is listed from."""
+    opens. The named hyperspace is not built here: the name is recorded
+    and `FnTopology.subbasis` builds it on first read. Its GroundTooLarge
+    check runs at that read and cannot fire: `enumerate_continuous` caps Y
+    at 4 points, which have at most 16 opens, MAX_HYPER_GROUND."""
     if name not in NAMED:
         raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
     maps = enumerate_continuous(y, z)
-    if name == "isbell":
-        source = scott(y)
-    elif name == "sisbell":
-        source = strong_scott(y)
-    elif name == "t1z":
-        source = z_scott(y, z)
-    elif name == "t1sz":
-        source = strong_z_scott(y, z)
-    else:
-        source = None
+    source = name if name in _NAMED_HYPERSPACES else None
     return FnTopology(maps, maps.pointwise, name, source)
 
 
@@ -287,12 +312,13 @@ def evaluation_witness(t: FnTopology) -> int | None:
     inside the maps whose every preimage contains the matching preimage of
     i. That set is i's minimal open in the pointwise topology,
     `MapSet.pointwise[i]`. So evaluation is continuous iff t contains the
-    pointwise topology, decided by one mask test per map; the per-W walk
-    runs only to name the first failing W.
+    pointwise topology, decided by one mask test per map
+    (`FnTopology.pointwise_escapes`, read once per topology); the per-W
+    walk runs only to name the first failing W.
     """
-    mins = t.min_opens
-    if first_escape(mins, t.maps.pointwise) is None:
+    if t.pointwise_escapes[0] is None:
         return None
+    mins = t.min_opens
     z = t.maps.codomain
     for w in z.opens:
         rows = t.maps.preimage_rows[w]

@@ -153,11 +153,10 @@ def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_
 @lru_cache(maxsize=None)
 def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     """Every preimage of a codomain open under a continuous map, canonically
-    ordered. Always contains the empty set and the full ground when maps
-    exist."""
-    maps = enumerate_continuous(y, z)
-    fam = {m.preimage(u) for m in maps for u in z.opens}
-    return SubsetFamily.of(y.size, fam)
+    ordered: the union of the map set's preimage rows, none recomputed.
+    Always contains the empty set and the full ground when maps exist."""
+    rows = enumerate_continuous(y, z).preimage_rows
+    return SubsetFamily.of(y.size, set().union(*rows.values()))
 
 
 @lru_cache(maxsize=None)

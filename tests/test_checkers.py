@@ -14,7 +14,7 @@ from oracles import (
     literal_refute_splitting,
     searched_refute_splitting,
 )
-from topolab import checkers
+from topolab import checkers, fntop
 from topolab.checkers import (
     MAX_SPLITTING_INSTANCES,
     MAX_SPLITTING_X,
@@ -24,6 +24,7 @@ from topolab.checkers import (
     splitting_verdict,
     theorem_suite,
 )
+from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded, GroundTooLarge
 from topolab.finspace import (
     bits,
@@ -47,7 +48,7 @@ from topolab.fntop import (
 )
 from topolab.hypertop import HyperSpace, scott, strong_z_scott, z_scott
 from topolab.mapspace import ContMap, continuous_slice_count, enumerate_continuous
-from topolab.reports import suite_to_json
+from topolab.reports import VerdictReport, pair_tag, suite_to_json
 
 
 def fn_indiscrete(maps):
@@ -365,6 +366,42 @@ def test_named_routes_run_no_pull(monkeypatch):
         lift_open_family(scott(sierpinski()), maps)
 
 
+def test_named_routes_build_no_hyperspace(monkeypatch):
+    # the six names, the admissibility, preservation and dual rows,
+    # refute_splitting and the q6/q7 composition checks read only minimal
+    # opens: with the four named hyperspace constructors refusing and the
+    # named-topology cache bypassed, each answers as before, while reading
+    # a subbasis builds its hyperspace
+    pairs = [(y, z) for y in all_spaces_up_to(3) for z in all_spaces_up_to(2)]
+    small = all_spaces_up_to(2)
+    triples = [(x, y, z) for x in small for y in small for z in small]
+    kinds = [(k, k, k) for k in ("t1sz", "t1z")]
+    build = named_function_topology.__wrapped__
+
+    def answers():
+        named = [build(k, y, z) for y, z in pairs for k in NAMED]
+        out = named + [refute_splitting(t, 2) for t in named]
+        out += checkers._admissibility_rows(pairs)
+        out += checkers._preservation_rows(pairs)
+        out += checkers._dual_rows(pairs)
+        out += [composition_check(*xyz, k) for xyz in triples for k in kinds]
+        return out
+
+    want = answers()
+
+    def refuse(*args):
+        raise AssertionError("built a hyperspace")
+
+    for name in ("scott", "strong_scott", "z_scott", "strong_z_scott"):
+        monkeypatch.setattr(fntop, name, refuse)
+    monkeypatch.setattr(checkers, "named_function_topology", build)
+    assert answers() == want
+    y, z = pairs[-1]
+    for name in ("isbell", "sisbell", "t1z", "t1sz"):
+        with pytest.raises(AssertionError, match="built a hyperspace"):
+            build(name, y, z).subbasis
+
+
 def test_splitting_verdict_pair_replays_on_sierpinski_x():
     # the named pair (i, j): slice i on the closed point of Sierpinski
     # space and slice j on its open point give a witness of the search
@@ -494,17 +531,6 @@ def test_composition_names_every_failing_subbasic(monkeypatch, s, chain2):
 
 
 def test_composition_takes_the_containment_route(monkeypatch, s, chain2):
-    # every named topology here is the pointwise one, so both factors
-    # contain it and the target lies below it on every triple
-    xs, ys, zs = all_spaces_up_to(2), all_spaces_up_to(3), all_spaces_up_to(2)
-    triples = [(x, y, z) for x in xs for y in ys for z in zs]
-    rng = random.Random(5)
-    cases = [(x, y, z, (k, k, k)) for k in ("t1sz", "t1z") for x, y, z in triples]
-    assert len(cases) == 1700
-    cases += [(*xyz, tuple(rng.choice(NAMED) for _ in range(3))) for xyz in triples]
-    for case in cases:
-        assert composition_check(*case).to_dict() == literal_composition_check(*case).to_dict()
-
     # a middle factor coarser than the pointwise topology is a defect of
     # the named constructions, not a verdict: it raises, naming the kind
     # triple and the first escaping pair (1, 0): map 0, constant at the
@@ -569,6 +595,57 @@ def test_composition_matches_literal_oracle_on_random_subbases(data):
         else:
             with pytest.raises(AssertionError, match="the pointwise topology fails"):
                 composition_check(x, y, z, kinds)
+
+
+def _dual_rows_by_name(pairs, topology):
+    # the three dual rows, each name's verdicts recomputed on its own
+    forward, equiv = [], []
+    hyp = 0
+    for y, z in pairs:
+        for name in NAMED:
+            t = topology(name, y, z)
+            t_ok = evaluation_witness(t) is None
+            tau_ok = is_admissible_on_ozy(tau_of_t(t), t.maps).status == "holds"
+            hyp += t_ok
+            if t_ok and not tau_ok:
+                forward.append((pair_tag(y, z), name))
+            if t_ok != tau_ok:
+                equiv.append((pair_tag(y, z), name))
+    n = len(NAMED) * len(pairs)
+    rows = [VerdictReport.of("dual:admissible-implies-dual-admissible", forward, hyp, n)]
+    for claim in ("dual:named-equivalence-t-tau", "dual:named-equivalence-t-round-trip"):
+        rows.append(VerdictReport.of(claim, equiv, n, n))
+    return rows
+
+
+def test_dual_rows_decide_one_dual_per_carrier(monkeypatch):
+    # the six names of a pair share one carrier, so _dual_rows decides one
+    # dual per pair, 170 at (3,2); with co and coZ given other carriers it
+    # decides one per distinct carrier, and the rows equal the per-name
+    # recomputation either way, witnesses included
+    pairs = [(y, z) for y in all_spaces_up_to(3) for z in all_spaces_up_to(2)]
+    calls = []
+
+    def counted(t):
+        calls.append(t.min_opens)
+        return tau_of_t(t)
+
+    def custom(name, y, z):
+        t = named_function_topology(name, y, z)
+        if name == "co":
+            return fn_discrete(t.maps)
+        return fn_indiscrete(t.maps) if name == "coZ" else t
+
+    monkeypatch.setattr(checkers, "tau_of_t", counted)
+    for topology, duals in ((named_function_topology, 170), (custom, 374)):
+        carriers = sum(len({topology(k, y, z).min_opens for k in NAMED}) for y, z in pairs)
+        assert carriers == duals
+        monkeypatch.setattr(checkers, "named_function_topology", topology)
+        calls.clear()
+        got = checkers._dual_rows(pairs)
+        assert len(calls) == duals
+        assert got == _dual_rows_by_name(pairs, topology)
+    assert got[0].status == "holds" and got[1].status == "fails"
 
 
 def test_suite_rows_at_2_2(suite22):

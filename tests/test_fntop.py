@@ -32,6 +32,7 @@ from topolab.fntop import (
     evaluation_witness,
     kset_topology,
     lift_open_family,
+    lift_upsets,
     named_function_topology,
 )
 from topolab.hypertop import (
@@ -390,6 +391,26 @@ def test_named_topologies_collapse_to_the_pointwise_topology():
                 lifted = FnTopology.lift(named_hyperspace(name, y, z), maps, name)
                 assert lifted.min_opens == maps.pointwise
                 assert named_function_topology(name, y, z) == lifted
+
+
+def test_named_subbasis_is_read_from_the_recorded_name():
+    # a named topology records its name and lists the subbasis from the
+    # hyperspace built on that read: the lift of every open of the oracle's
+    # named hyperspace, on every pair at (3,2). co and coZ record nothing
+    # and lift only the containment families, the literal K-subbasis, not
+    # every open of the topology those generate
+    for y, z in small_pairs():
+        maps = enumerate_continuous(y, z)
+        for name in NAMED:
+            t = named_function_topology(name, y, z)
+            if name in ("co", "coZ"):
+                assert t.source is None
+                want = literal_kset_subbasis(maps)
+            else:
+                assert t.source == name
+                h = named_hyperspace(name, y, z)
+                want = lift_upsets(maps, h.ground_index, h.min_opens)
+            assert t.subbasis == tuple(sorted(want))
 
 
 def test_building_and_dual_admissibility_list_no_subbasis(monkeypatch):

@@ -79,6 +79,21 @@ def test_o_z_family_pinned(s, chain2, disc2, indisc2):
         assert o_z_family(y, sierpinski()).members == y.opens.members
 
 
+def test_o_z_family_is_the_union_of_the_preimage_rows():
+    # against every preimage of every codomain open under every map,
+    # recomputed, on every pair up to (4,2), the 0-point spaces included: a
+    # nonempty Y into the 0-point Z has no map and an empty family
+    spaces = [sp for n in range(5) for sp in enumerate_topologies(n)]
+    mapless = 0
+    for y in spaces:
+        for z in spaces[: 1 + 1 + 4]:
+            maps = enumerate_continuous(y, z)
+            mapless += not len(maps)
+            want = {m.preimage(u) for m in maps for u in z.opens}
+            assert o_z_family(y, z) == finspace.SubsetFamily.of(y.size, want)
+    assert mapless == 1 + 4 + 29 + 355
+
+
 def test_z_topology_generated(chain2, indisc2):
     zt = z_topology(chain2, indisc2)
     assert zt.opens.members == (0, 0b11)
