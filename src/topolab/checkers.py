@@ -67,6 +67,7 @@ from .mapspace import (  # the two budget constants are public here too
     _transpose,
     continuous_slice_count,
     enumerate_continuous,
+    first_escape,
     relative_profile,
     slice_instances,
     z_topology,
@@ -148,7 +149,7 @@ def refute_splitting(
     maps = t.maps
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
     witnesses = []
-    if _pointwise_escape(t) is None:
+    if first_escape(maps.pointwise, t.min_opens) is None:
         continuous = continuous_slice_count(maps.pointwise, max_x, symmetry_reduction)
     else:
         joint = (maps.pointwise, _transpose(maps.pointwise))
@@ -174,13 +175,6 @@ def refute_splitting(
     )
 
 
-def _pointwise_escape(t: FnTopology) -> tuple[int, int] | None:
-    """The first map pair (i, j) with j in the pointwise minimal open of i
-    but outside its t-minimal open; None when t lies below the pointwise
-    topology. Read once per topology, `FnTopology.pointwise_escapes`."""
-    return t.pointwise_escapes[1]
-
-
 def splitting_verdict(t: FnTopology) -> VerdictReport:
     """Whether t is splitting, decided exactly.
 
@@ -196,7 +190,7 @@ def splitting_verdict(t: FnTopology) -> VerdictReport:
     continuous, a witness `refute_splitting(t, max_x=2)` lists too.
     """
     maps = t.maps
-    escape = _pointwise_escape(t)
+    escape = first_escape(maps.pointwise, t.min_opens)
     witnesses = []
     if escape is not None:
         i, j = escape
@@ -237,9 +231,9 @@ def composition_check(
     t_xz = named_function_topology(kinds[2], x, z)
     claim = f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
     containments = (
-        ("C(X,Y) contains", t_xy.pointwise_escapes[0]),
-        ("C(Y,Z) contains", t_yz.pointwise_escapes[0]),
-        ("C(X,Z) lies below", t_xz.pointwise_escapes[1]),
+        ("C(X,Y) contains", first_escape(t_xy.min_opens, t_xy.maps.pointwise)),
+        ("C(Y,Z) contains", first_escape(t_yz.min_opens, t_yz.maps.pointwise)),
+        ("C(X,Z) lies below", first_escape(t_xz.maps.pointwise, t_xz.min_opens)),
     )
     for containment, escape in containments:
         if escape is not None:
@@ -424,7 +418,9 @@ def _splitting_order_row(pairs) -> VerdictReport:
     witnesses = []
     for y, z in pairs:
         ts = [named_function_topology(name, y, z) for name in NAMED]
-        candidates = [t for t in ts if _pointwise_escape(t) is None]
+        candidates = [
+            t for t in ts if first_escape(t.maps.pointwise, t.min_opens) is None
+        ]
         admissible = [t for t in ts if evaluation_witness(t) is None]
         for t in candidates:
             for t2 in admissible:

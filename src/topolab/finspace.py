@@ -60,6 +60,17 @@ def popcount(mask: Subset) -> int:
     return mask.bit_count()
 
 
+def gather(groups: dict[int, int], mask: Subset) -> int:
+    """The OR of `groups[b]` over the set bits b of mask, each bit keyed as
+    its power of two, as `MapSet.bracket` keys its groups."""
+    out = 0
+    while mask:  # the bits of mask, inlined: this runs once per lifted trace
+        low = mask & -mask
+        out |= groups[low]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class SubsetFamily:
     """A set of subsets of a fixed ground, kept sorted by numeric value."""

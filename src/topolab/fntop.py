@@ -7,12 +7,15 @@ topology on the domain's opens through preimages. On a finite domain all
 six are the pointwise topology (README "The finite collapse"), so each
 carries `MapSet.pointwise` and records only its name; its hyperspace is
 built when the subbasis is read, and no verdict reads it.
-Any other lift commutes with meets, so its minimal opens are one
-`MapSet.pull` of the hyperspace's. Every verdict is read off the
-minimal opens without materializing the open family: containment is one
-mask test per map each way, evaluation is continuous iff each minimal open
-lies inside the pointwise one (both pointwise containments are read once
-per topology, `FnTopology.pointwise_escapes`), and the separation profile
+Any other lift, `lift_open_family` and the dual's `t_of_tau`, commutes
+with meets, so its minimal opens are one `MapSet.pull` of the
+hyperspace's. The pull and the subbasis listing both read the maps grouped
+by preimage from `MapSet.bracket`, the one place that groups them. Every
+verdict is read off the minimal opens without materializing the open
+family: containment is one mask test per map each way (`first_escape`,
+for the one direction a caller reads, answered at once when a topology
+carries `MapSet.pointwise` itself), evaluation is continuous iff each
+minimal open lies inside the pointwise one, and the separation profile
 is the one `finspace` reads off a space's minimal opens. The subbasis walks
 run only to name the witnesses of a failing check. The family itself is
 built on demand under a budget.
@@ -40,6 +43,7 @@ from .finspace import (
     _enumerate_upsets,
     bits,
     full_mask,
+    gather,
     meets_by_point,
     min_open_profile,
 )
@@ -74,11 +78,12 @@ class FnTopology:
     Two topologies are equal when their maps, minimal opens and provenance
     are, whatever subbasis produced them.
 
-    `source` is what the subbasis comes from: the tuple `of` was given, a
-    space whose every open family is lifted (a HyperSpace, or the DualSpace
-    of `duality.t_of_tau`), the name of a named topology whose hyperspace
-    is built only when the subbasis is read, or None for co and coZ, which
-    lift the containment families of the domain. No verdict reads it."""
+    `source` is what the subbasis comes from: the tuple `of` was given, the
+    HyperSpace whose every open family `lift_open_family` lifts (a
+    DualSpace, for `duality.t_of_tau`, is one), the name of a named
+    topology whose hyperspace is built only when the subbasis is read, or
+    None for co and coZ, which lift the containment families of the
+    domain. No verdict reads it."""
 
     maps: MapSet
     min_opens: tuple[int, ...]
@@ -98,16 +103,6 @@ class FnTopology:
         if stray:
             raise NotATopology("subbasis member escapes the map ground", stray)
         return cls(maps, meets_by_point(len(maps), ordered), provenance, ordered)
-
-    @classmethod
-    def lift(cls, h: HyperSpace, maps: MapSet, provenance: str) -> "FnTopology":
-        """The lift of h's open families through preimages, in closed form.
-        A lift commutes with meets, so the minimal open around map f is the
-        meet over codomain opens u of the maps whose preimage of u lies in
-        h's minimal open around f's preimage of u: `MapSet.pull` of h's
-        minimal opens."""
-        mins = tuple(maps.pull(h.ground_index, h.min_opens))
-        return cls(maps, mins, provenance, h)
 
     @property
     def subbasis(self) -> tuple[int, ...]:
@@ -132,21 +127,6 @@ class FnTopology:
     @cached_property
     def full(self) -> int:
         return full_mask(len(self.maps))
-
-    @cached_property
-    def pointwise_escapes(self) -> tuple[tuple[int, int] | None, ...]:
-        """Both containments against the pointwise topology, read once:
-        the first escape of the minimal opens from `MapSet.pointwise`
-        (None when t contains the pointwise topology, so evaluation is
-        continuous) and that of `MapSet.pointwise` from them (None when t
-        lies below it, so t is splitting)."""
-        pointwise = self.maps.pointwise
-        if self.min_opens == pointwise:  # every named topology's carrier
-            return None, None
-        return (
-            first_escape(self.min_opens, pointwise),
-            first_escape(pointwise, self.min_opens),
-        )
 
     @cached_property
     def profile(self) -> LocalProfile:
@@ -183,7 +163,7 @@ class FnTopology:
 def lift_families(
     maps: MapSet, index: dict[Subset, int], families: Collection[int]
 ) -> set[int]:
-    """The bracket shared by every lift: for each codomain open u and each
+    """The lift through `MapSet.bracket`: for each codomain open u and each
     family (a mask over the indices of `index`), the mask of the maps whose
     preimage of u lies in the family."""
     return _lift(maps, index, lambda occurring: {f & occurring for f in families})
@@ -203,24 +183,15 @@ def lift_upsets(
 def _lift(
     maps: MapSet, index: dict[Subset, int], traces: Callable[[int], Iterable[int]]
 ) -> set[int]:
-    """Per u, the maps are grouped by the index of their preimage, so a
-    family's subbasic is the OR of the groups at its set bits and depends
-    only on its trace on the indices that occur. `traces(occurring)` yields
-    the distinct traces, each lifted once."""
-    subbasis = set()
-    for u in maps.codomain.opens:
-        by_pre: dict[int, int] = {}  # keyed by the index's bit
-        for i, pre in enumerate(maps.preimage_rows[u]):
-            g = 1 << index[pre]
-            by_pre[g] = by_pre.get(g, 0) | (1 << i)
-        for proj in traces(sum(by_pre)):
-            mask = 0
-            while proj:  # the bits of proj, inlined: this runs once per trace
-                low = proj & -proj
-                mask |= by_pre[low]
-                proj ^= low
-            subbasis.add(mask)
-    return subbasis
+    """Per u, `MapSet.bracket` groups the maps by the index of their
+    preimage, so a family's subbasic is the OR of the groups at its set bits
+    and depends only on its trace on the indices that occur.
+    `traces(occurring)` yields the distinct traces, each lifted once."""
+    return {
+        gather(groups, proj)
+        for _, groups in maps.bracket(index)
+        for proj in traces(sum(groups))
+    }
 
 
 def lift_open_family(
@@ -228,10 +199,14 @@ def lift_open_family(
 ) -> FnTopology:
     """The topology with subbasis sets {f : the preimage of U under f lies
     in the family}, one for each open family of the hyperspace and each
-    codomain open."""
+    codomain open, in closed form. A lift commutes with meets, so the
+    minimal open around map f is the meet over codomain opens u of the maps
+    whose preimage of u lies in h's minimal open around f's preimage of u:
+    `MapSet.pull` of h's minimal opens."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    return FnTopology.lift(h, maps, provenance)
+    mins = tuple(maps.pull(h.ground_index, h.min_opens))
+    return FnTopology(maps, mins, provenance, h)
 
 
 def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
@@ -312,24 +287,15 @@ def evaluation_witness(t: FnTopology) -> int | None:
     inside the maps whose every preimage contains the matching preimage of
     i. That set is i's minimal open in the pointwise topology,
     `MapSet.pointwise[i]`. So evaluation is continuous iff t contains the
-    pointwise topology, decided by one mask test per map
-    (`FnTopology.pointwise_escapes`, read once per topology); the per-W
+    pointwise topology, decided by one mask test per map (`first_escape`,
+    at once for a topology carrying `MapSet.pointwise` itself); the per-W
     walk runs only to name the first failing W.
     """
-    if t.pointwise_escapes[0] is None:
+    if first_escape(t.min_opens, t.maps.pointwise) is None:
         return None
     mins = t.min_opens
-    z = t.maps.codomain
-    for w in z.opens:
-        rows = t.maps.preimage_rows[w]
-        ok = True
-        for i, row in enumerate(rows):
-            if not ok:
-                break
-            for j in bits(mins[i]):
-                if row & ~rows[j]:
-                    ok = False
-                    break
-        if not ok:
+    for w in t.maps.codomain.opens:
+        rows = [f.preimage(w) for f in t.maps]
+        if any(rows[i] & ~rows[j] for i, m in enumerate(mins) for j in bits(m)):
             return w
     return None

@@ -1,6 +1,8 @@
 """Continuous maps between finite spaces and the codomain-relative structure
 they induce on the domain: the family of open preimages, the topology it
-generates, and the boundedness-style profile of that topology. Also the
+generates, and the boundedness-style profile of that topology. A MapSet
+groups its maps by preimage in one place, `MapSet.bracket`, which every
+lift onto C(Y,Z), its dual on O_Z(Y) and `MapSet.pull` read. Also the
 slice search over small test spaces X that `refute_splitting` runs, with
 its closed-form instance count and budget, the containment test that lets
 it skip the search, and its hypothesis count, cached once per relation."""
@@ -19,6 +21,7 @@ from .finspace import (
     bits,
     enumerate_topologies,
     full_mask,
+    gather,
     generate_from_subbasis,
     local_profile,
     popcount,
@@ -90,29 +93,36 @@ class MapSet:
             u: tuple(m.preimage(u) for m in self.maps) for u in self.codomain.opens
         }
 
+    def bracket(
+        self, index: dict[Subset, int]
+    ) -> tuple[tuple[list[int], dict[int, int]], ...]:
+        """The one grouping of maps by preimage. Per codomain open u, in the
+        codomain's order: the bit 1 << index[f's preimage of u] of each map
+        f, and, for each such bit, the mask of the maps at that index. Only
+        the indices some preimage takes appear as keys. Every lift, `pull`
+        and `duality.tau_of_t` read it."""
+        out = []
+        for rows in self.preimage_rows.values():
+            # a list: stored as tuples, these rows raised the peak RSS of a
+            # process running the suite repeatedly by about 0.5 MB
+            at = [1 << index[r] for r in rows]
+            groups: dict[int, int] = {}
+            for j, g in enumerate(at):
+                groups[g] = groups.get(g, 0) | 1 << j
+            out.append((at, groups))
+        return tuple(out)
+
     def pull(self, index: dict[Subset, int], rel) -> list[int]:
         """A relation on preimages, given by index, pulled back to the maps:
         row i holds j when, for every codomain open u, rel[index[i's
         preimage of u]] holds index[j's preimage of u]. Per u only the
         indices some preimage takes are visited."""
         below = [full_mask(len(self))] * len(self)
-        for rows in self.preimage_rows.values():
-            holding: dict[int, int] = {}  # index bit -> the maps at that index
-            at = []
-            for j, r in enumerate(rows):
-                g = 1 << index[r]
-                holding[g] = holding.get(g, 0) | 1 << j
-                at.append(g)
-            occurring = sum(holding)
-            reach = {}
-            for g in holding:
-                rest = rel[g.bit_length() - 1] & occurring
-                mask = 0
-                while rest:  # the bits of rest, inlined: this runs per map set
-                    low = rest & -rest
-                    mask |= holding[low]
-                    rest ^= low
-                reach[g] = mask
+        for at, groups in self.bracket(index):
+            occurring = sum(groups)
+            reach = {
+                g: gather(groups, rel[g.bit_length() - 1] & occurring) for g in groups
+            }
             below = [m & reach[g] for m, g in zip(below, at)]
         return below
 
@@ -247,10 +257,14 @@ def first_escape(sub, sup) -> tuple[int, int] | None:
     sup[i]; None when sub lies inside sup row by row.
 
     This is the one row-containment test on minimal opens: comparison,
-    evaluation, splitting and composition all read it. When the hypothesis
-    relation of a slice search lies inside its conclusion, no assignment
-    can break the conclusion, so `refute_splitting` tests this first and
-    skips the search when it returns None."""
+    evaluation, splitting and composition all read it, each for the one
+    direction it needs. A topology carrying `MapSet.pointwise` itself, as
+    every named one does, is answered at once by identity. When the
+    hypothesis relation of a slice search lies inside its conclusion, no
+    assignment can break the conclusion, so `refute_splitting` tests this
+    first and skips the search when it returns None."""
+    if sub is sup:
+        return None
     for i, (a, b) in enumerate(zip(sub, sup)):
         extra = a & ~b
         if extra:

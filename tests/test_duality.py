@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
 from topolab.errors import AxiomsViolated, MismatchedBase
-from topolab.finspace import enumerate_topologies, full_mask, generate_from_subbasis
+from topolab.finspace import (
+    enumerate_topologies,
+    full_mask,
+    generate_from_subbasis,
+    make_space,
+)
 from topolab.fntop import (
     NAMED,
     FnTopology,
@@ -14,6 +20,7 @@ from topolab.fntop import (
     evaluation_witness,
     named_function_topology,
 )
+from topolab.hypertop import HyperSpace
 from topolab.mapspace import enumerate_continuous, o_z_family
 
 from conftest import all_spaces_up_to
@@ -129,6 +136,59 @@ def test_mismatched_base(s, chain2):
 def test_dual_of_validates(s):
     with pytest.raises(AxiomsViolated):
         DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])  # union 0b011 missing
+
+
+def test_dual_of_rejects_a_non_topology_with_its_witness(s):
+    # the HyperSpace validation, under the "dual" kind
+    with pytest.raises(
+        AxiomsViolated, match="^dual: family is not union/intersection closed$"
+    ) as err:
+        DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])
+    assert err.value.witness == (0b001, 0b010, 0b011)
+    with pytest.raises(
+        AxiomsViolated, match="^dual: empty or full family missing$"
+    ) as err:
+        DualSpace.of(s, s, [0b001, 0b111])
+    assert err.value.witness == (0,)
+
+
+def test_t_of_tau_names_a_mismatched_y_or_z(s, chain2, disc2):
+    # a Y mismatch and two Z mismatches, one of them with the same
+    # preimage family as Z, so the hyperspace base alone would not catch it
+    tau = tau_of_t(named_function_topology("co", s, s))
+    flipped = make_space(2, [0, 0b01, 0b11])  # Sierpinski with 0 open
+    assert o_z_family(s, flipped) == o_z_family(s, s)
+    for y, z in ((chain2, s), (s, disc2), (s, flipped)):
+        with pytest.raises(
+            MismatchedBase, match="^dual space pair differs from the map set pair$"
+        ):
+            t_of_tau(tau, enumerate_continuous(y, z))
+
+
+def test_duals_differing_only_in_z_are_unequal():
+    # a DualSpace is a HyperSpace over O_Z(Y) that also records Z: on every
+    # Y <= 2 with two Z <= 2 of one preimage family, the two duals agree in
+    # every HyperSpace field yet compare unequal and hash apart
+    spaces = all_spaces_up_to(2)
+    found = [
+        (y, z1, z2)
+        for y in spaces
+        for z1, z2 in combinations(spaces, 2)
+        if o_z_family(y, z1) == o_z_family(y, z2)
+    ]
+    assert found
+    for y, z1, z2 in found:
+        m = len(o_z_family(y, z1))
+        a, b = (DualSpace.of(y, z, [0, full_mask(m)]) for z in (z1, z2))
+        assert isinstance(a, HyperSpace)
+        assert (a.base, a.ground, a.min_opens, a.kind) == (
+            b.base,
+            b.ground,
+            b.min_opens,
+            b.kind,
+        )
+        assert a != b and hash(a) != hash(b)
+        assert len({a, b}) == 2
 
 
 def test_admissible_via_dual_pinned(s):

@@ -388,7 +388,7 @@ def test_named_topologies_collapse_to_the_pointwise_topology():
         for z in all_spaces_up_to(2):
             maps = enumerate_continuous(y, z)
             for name in NAMED:
-                lifted = FnTopology.lift(named_hyperspace(name, y, z), maps, name)
+                lifted = lift_open_family(named_hyperspace(name, y, z), maps, name)
                 assert lifted.min_opens == maps.pointwise
                 assert named_function_topology(name, y, z) == lifted
 

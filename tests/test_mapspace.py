@@ -256,3 +256,31 @@ def test_pointwise_rows_match_the_preimage_test():
     assert len(pairs) == 389 * 5 + 34 * 29 + 3
     assert enumerate_continuous(empty, sierpinski()).pointwise == (1,)
     assert enumerate_continuous(sierpinski(), empty).pointwise == ()
+
+
+def test_bracket_groups_the_maps_by_preimage():
+    # MapSet.bracket against ContMap.preimage on every labeled pair up to
+    # (4,2), 0-point spaces included, for both grounds it serves: the opens
+    # of Y and the preimage family O_Z(Y)
+    empty = discrete(0)
+    ys = [empty] + all_spaces_up_to(4)
+    zs = [empty] + all_spaces_up_to(2)
+    pairs = [(y, z) for y in ys for z in zs]
+    checked = 0
+    for y, z in pairs:
+        maps = enumerate_continuous(y, z)
+        for ground in (y.opens.members, o_z_family(y, z).members):
+            index = {g: k for k, g in enumerate(ground)}
+            brackets = maps.bracket(index)
+            assert len(brackets) == len(z.opens)
+            for u, (at, groups) in zip(z.opens, brackets):
+                pre = [f.preimage(u) for f in maps]
+                assert at == [1 << ground.index(p) for p in pre]
+                want = {
+                    1 << k: sum(1 << j for j, p in enumerate(pre) if p == g)
+                    for k, g in enumerate(ground)
+                }
+                assert groups == {b: m for b, m in want.items() if m}
+                checked += 1
+    assert len(pairs) == 390 * 6
+    assert checked > 2 * len(pairs)
