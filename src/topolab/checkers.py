@@ -516,8 +516,10 @@ def _dual_verdicts(t: FnTopology) -> tuple[bool, bool]:
 
 
 def _refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictReport:
-    """Anything finer than an admissible topology stays admissible; sampled
-    rather than exhausted, the refinement lattice being far too wide."""
+    """Anything finer than an admissible topology stays admissible. The
+    refinements are sampled, not exhausted, though the two bases carry only
+    3 and 2 maps (29 and 4 topologies): the frozen expectations pin the
+    sampled row's budget, so an exhaustive row can only come beside it."""
     rng = random.Random(seed)
     bases = []
     if max_y >= 2 and max_z >= 2:

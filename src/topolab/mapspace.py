@@ -1,17 +1,21 @@
 """Continuous maps between finite spaces and the codomain-relative structure
 they induce on the domain: the family of open preimages, the topology it
-generates, and the boundedness-style profile of that topology. A MapSet
-groups its maps by preimage in one place, `MapSet.bracket`, which every
-lift onto C(Y,Z), its dual on O_Z(Y) and `MapSet.pull` read. Also the
-slice search over small test spaces X that `refute_splitting` runs, with
-its closed-form instance count and budget, the containment test that lets
-it skip the search, and its hypothesis count, cached once per relation."""
+generates, and the boundedness-style profile of that topology. A map of
+finite spaces is continuous exactly when it is monotone for the
+specialization orders, so C(Y,Z) is listed by a walk over Y's points that
+tries only the values its earlier points allow; no value table is built
+and then rejected. The same walk, over the points of a test space X,
+drives the slice search that `refute_splitting` runs, with its
+closed-form instance count and budget, the containment test that lets it
+skip the search, and its hypothesis count, cached once per relation. Both
+walks read a specialization order through one link table, `_links`. A
+MapSet groups its maps by preimage in one place, `MapSet.bracket`, which
+every lift onto C(Y,Z), its dual on O_Z(Y) and `MapSet.pull` read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iproduct
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
@@ -146,17 +150,42 @@ class MapSet:
 
 @lru_cache(maxsize=None)
 def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP) -> MapSet:
-    """C(Y, Z) by filtering all value tables through the preimage test."""
+    """C(Y, Z) in lexicographic table order, by a depth-first walk over the
+    points 0..n-1 of Y. A table is continuous exactly when f(q) lies in the
+    minimal open of f(p) for every q in p's minimal open, so point k may
+    take value w when w is in the minimal open of f(p) for every earlier p
+    whose minimal open holds k, and f(q) is in w's minimal open for every
+    earlier q inside k's minimal open. Values are pushed high to low and the
+    last point's are expanded in place, so the tables come out in
+    `itertools.product` order, the map index every witness names."""
     if y.size > size_cap or z.size > size_cap:
         raise BudgetExceeded(
             f"map enumeration capped at {size_cap} points per factor; "
             f"got {y.size} and {z.size}"
         )
-    maps = []
-    for table in iproduct(range(z.size), repeat=y.size):
-        cand = ContMap(y, z, table)
-        if cand.is_continuous():
-            maps.append(cand)
+    zmins = z.min_opens
+    zups = _transpose(zmins)
+    links = _links(y.min_opens)
+    last = y.size - 1
+    full = full_mask(z.size)
+    maps = [] if y.size else [ContMap(y, z, ())]  # a 0-point Y has one map
+    stack: list[tuple[int, ...]] = [()] if y.size else []
+    while stack:
+        combo = stack.pop()
+        ups, downs = links[len(combo)]
+        cand = full
+        for p in ups:
+            cand &= zmins[combo[p]]
+        for q in downs:
+            cand &= zups[combo[q]]
+        if len(combo) == last:
+            maps.extend(ContMap(y, z, combo + (w,)) for w in bits(cand))
+            continue
+        # pushed high to low, so the lowest value comes off the stack first
+        while cand:
+            w = cand.bit_length() - 1
+            stack.append(combo + (w,))
+            cand ^= 1 << w
     return MapSet(y, z, tuple(maps))
 
 
@@ -234,6 +263,19 @@ def _transpose(rel) -> list[int]:
     return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
 
 
+def _links(mins) -> list[tuple[list[int], list[int]]]:
+    """A specialization order as the two walks over it read it: for each
+    point k of a space given by its minimal opens, the earlier points p
+    whose minimal open holds k, and the earlier points q inside k's."""
+    return [
+        (
+            [p for p in range(k) if (mins[p] >> k) & 1],
+            [q for q in range(k) if (mins[k] >> q) & 1],
+        )
+        for k in range(len(mins))
+    ]
+
+
 def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
     """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
     assignments a bounded X-search counts as instances. Below one point it
@@ -307,13 +349,7 @@ def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, 
     below, above = hypothesis
     c_below, c_above = conclusion
     last = len(xmins) - 1
-    links = [
-        (
-            [p for p in range(k) if (xmins[p] >> k) & 1],
-            [q for q in range(k) if (xmins[k] >> q) & 1],
-        )
-        for k in range(last + 1)
-    ]
+    links = _links(xmins)
     full = full_mask(nmaps)
     count = 0
     broken_out = []

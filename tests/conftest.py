@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -41,3 +43,12 @@ def all_spaces_up_to(n: int) -> list[FinSpace]:
     for k in range(1, n + 1):
         out.extend(enumerate_topologies(k))
     return out
+
+
+@st.composite
+def maybe_labeled(draw, max_points):
+    x = draw(st.sampled_from(all_spaces_up_to(max_points)))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.text(max_size=3), min_size=x.size, max_size=x.size))
+        x = replace(x, labels=tuple(labels))
+    return x

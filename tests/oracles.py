@@ -36,6 +36,7 @@ from topolab.hypertop import (
 )
 from topolab.mapspace import (
     ContMap,
+    MapSet,
     _continuous_slices,
     _transpose,
     enumerate_continuous,
@@ -158,6 +159,13 @@ def is_continuous_table(y: FinSpace, z: FinSpace, table: tuple[int, ...]) -> boo
         if not y.is_open(pre):
             return False
     return True
+
+
+def literal_continuous(y: FinSpace, z: FinSpace) -> MapSet:
+    """C(Y, Z) by filtering all |Z|^|Y| value tables, in `itertools.product`
+    order, through the preimage test."""
+    tables = assignments(range(z.size), repeat=y.size)
+    return MapSet(y, z, tuple(ContMap(y, z, t) for t in tables if is_continuous_table(y, z, t)))
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topolab
-from conftest import all_spaces_up_to
+from conftest import maybe_labeled
 from topolab import checkers
 from topolab.cli import _fn_from, _space_from, main
 from topolab.fntop import NAMED, FnTopology, named_function_topology
@@ -331,15 +330,6 @@ def test_internal_error_is_not_reported_as_bad_input(tmp_path, capsys, monkeypat
     path = write(tmp_path, "s.json", S)
     with pytest.raises(ValueError, match="internal bug"):
         main(["space", "validate", path])
-
-
-@st.composite
-def maybe_labeled(draw, max_points):
-    x = draw(st.sampled_from(all_spaces_up_to(max_points)))
-    if draw(st.booleans()):
-        labels = draw(st.lists(st.text(max_size=3), min_size=x.size, max_size=x.size))
-        x = replace(x, labels=tuple(labels))
-    return x
 
 
 def write_space(path, x):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
-    is_continuous_table,
+    literal_continuous,
     literal_locally_z_bounded,
     literal_pointwise,
     literal_z_corecompact,
@@ -11,6 +13,8 @@ from oracles import (
 from topolab import finspace, fntop, hypertop, mapspace
 from topolab.errors import BudgetExceeded, MismatchedBase, NotOpen, NotZRepresentable
 from topolab.finspace import (
+    bits,
+    chain,
     discrete,
     enumerate_topologies,
     generate_from_subbasis,
@@ -35,7 +39,7 @@ from topolab.mapspace import (
     z_topology,
 )
 
-from conftest import all_spaces_up_to
+from conftest import all_spaces_up_to, maybe_labeled
 
 
 def test_self_maps_of_sierpinski(s):
@@ -44,18 +48,76 @@ def test_self_maps_of_sierpinski(s):
 
 
 def test_lexicographic_order_and_oracle_agreement():
-    for y in all_spaces_up_to(3):
-        for z in all_spaces_up_to(2):
-            ms = enumerate_continuous(y, z)
-            assert list(ms.tables) == sorted(ms.tables)
-            from itertools import product as iproduct
+    # the walk against the filter over all |Z|^|Y| tables: every labeled
+    # pair up to (4,2) and up to (3,3), 0-point spaces on both sides, each
+    # 4-point class against every labeled Z of at most 3 points, and three
+    # 5-point spaces into Sierpinski
+    spaces = [sp for n in range(5) for sp in enumerate_topologies(n)]
+    upto = {n: [sp for sp in spaces if sp.size <= n] for n in (2, 3, 4)}
+    pairs = {(y, z) for y in upto[4] for z in upto[2]}
+    pairs |= {(y, z) for y in upto[3] for z in upto[3]}
+    pairs |= {(y, z) for y in enumerate_topologies(4, up_to_iso=True) for z in upto[3]}
+    assert len(pairs) == 390 * 6 + 35 * 29 + 33 * 29
+    for y, z in pairs:
+        ms = enumerate_continuous(y, z)
+        assert list(ms.tables) == sorted(ms.tables)
+        assert ms == literal_continuous(y, z)
+    for y in (discrete(5), chain(5), indiscrete(5)):
+        ms = enumerate_continuous(y, sierpinski(), size_cap=5)
+        assert ms == literal_continuous(y, sierpinski())
+        assert len(ms) == len(y.opens)
 
-            expected = [
-                t
-                for t in iproduct(range(z.size), repeat=y.size)
-                if is_continuous_table(y, z, t)
-            ]
-            assert list(ms.tables) == expected
+
+def test_the_walk_never_filters(monkeypatch):
+    # every 4-point class against every Z of at most 2 points, the 0-point Z
+    # included: the map sets and the six named topologies built with
+    # ContMap.is_continuous raising equal those built with it in place
+    pairs = [
+        (y, z)
+        for y in enumerate_topologies(4, up_to_iso=True)
+        for z in (discrete(0), *all_spaces_up_to(2))
+    ]
+
+    def build():
+        _clear_every_cache()
+        return [
+            (enumerate_continuous(y, z), [named_function_topology(k, y, z) for k in NAMED])
+            for y, z in pairs
+        ]
+
+    want = build()
+
+    def no_filter(self):
+        raise AssertionError("a value table was filtered")
+
+    monkeypatch.setattr(mapspace.ContMap, "is_continuous", no_filter)
+    assert build() == want
+
+
+@given(y=maybe_labeled(4), z=maybe_labeled(3), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_relabeling_permutes_the_tables(y, z, data):
+    # moving Y's point p to sigma[p] and Z's point w to tau[w] sends each
+    # table t to the table p -> tau[t[p]] read at sigma[p], and the listing
+    # to those tables re-sorted
+    sigma = data.draw(st.permutations(range(y.size)))
+    tau = data.draw(st.permutations(range(z.size)))
+
+    def relabel(x, perm):
+        opens = [sum(1 << perm[p] for p in bits(o)) for o in x.opens]
+        labels = None
+        if x.labels is not None:
+            labels = [x.labels[perm.index(q)] for q in range(x.size)]
+        return make_space(x.size, opens, labels)
+
+    y2, z2 = relabel(y, sigma), relabel(z, tau)
+    moved = [
+        tuple(tau[t[sigma.index(q)]] for q in range(y.size))
+        for t in enumerate_continuous(y, z).tables
+    ]
+    ms = enumerate_continuous(y2, z2)
+    assert ms.tables == tuple(sorted(moved))
+    assert (ms.domain, ms.codomain) == (y2, z2)
 
 
 def test_constants_always_present():
