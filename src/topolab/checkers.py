@@ -157,9 +157,7 @@ def refute_splitting(
         continuous = 0
         for n in range(1, max_x + 1):
             for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-                count, broken = _continuous_slices(
-                    xspace.min_opens, joint, into_t, len(maps)
-                )
+                count, broken = _continuous_slices(xspace, joint, into_t, len(maps))
                 continuous += count
                 for head, tails in broken:
                     prefix = sum((maps.tables[i] for i in head), ())
@@ -468,7 +466,7 @@ def _characteristic_homeomorphism(y: FinSpace, s: FinSpace) -> bool:
     neither open family is listed."""
     t = named_function_topology("coZ", y, s)
     hs = compact_subbasis_topology(y)
-    perm = [hs.ground_index[f.preimage(0b10)] for f in t.maps]  # 0b10: the open point
+    perm = [hs.ground_index[v] for v in t.maps.preimage_rows[0b10]]  # 0b10: the open point
     if sorted(perm) != list(range(len(hs.ground))):
         return False
     return all(

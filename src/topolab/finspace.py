@@ -140,6 +140,26 @@ class FinSpace:
         return meets_by_point(self.size, self.opens)
 
     @cached_property
+    def ups(self) -> tuple[Subset, ...]:
+        """For each point q, the points whose minimal open holds q: the
+        transpose of `min_opens`, the specialization order read upward."""
+        out = [0] * self.size
+        for p, m in enumerate(self.min_opens):
+            for q in bits(m):
+                out[q] |= 1 << p
+        return tuple(out)
+
+    @cached_property
+    def links(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """The specialization order as the walks over the points 0..n-1 read
+        it, built once per space: for each point k, the earlier points p
+        whose minimal open holds k, and the earlier points q inside k's."""
+        return tuple(
+            (tuple(bits(up & ((1 << k) - 1))), tuple(bits(m & ((1 << k) - 1))))
+            for k, (up, m) in enumerate(zip(self.ups, self.min_opens))
+        )
+
+    @cached_property
     def tag(self) -> str:
         """The open family as a claim fragment, built once per space: report
         claims name their spaces by it."""

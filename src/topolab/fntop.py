@@ -294,8 +294,7 @@ def evaluation_witness(t: FnTopology) -> int | None:
     if first_escape(t.min_opens, t.maps.pointwise) is None:
         return None
     mins = t.min_opens
-    for w in t.maps.codomain.opens:
-        rows = [f.preimage(w) for f in t.maps]
+    for w, rows in t.maps.preimage_rows.items():
         if any(rows[i] & ~rows[j] for i, m in enumerate(mins) for j in bits(m)):
             return w
     return None

@@ -4,13 +4,17 @@ generates, and the boundedness-style profile of that topology. A map of
 finite spaces is continuous exactly when it is monotone for the
 specialization orders, so C(Y,Z) is listed by a walk over Y's points that
 tries only the values its earlier points allow; no value table is built
-and then rejected. The same walk, over the points of a test space X,
-drives the slice search that `refute_splitting` runs, with its
-closed-form instance count and budget, the containment test that lets it
-skip the search, and its hypothesis count, cached once per relation. Both
-walks read a specialization order through one link table, `_links`. A
-MapSet groups its maps by preimage in one place, `MapSet.bracket`, which
-every lift onto C(Y,Z), its dual on O_Z(Y) and `MapSet.pull` read."""
+and then rejected. A MapSet holds the listing as the value tables the walk
+forms: the preimage rows, the pointwise relation and every lift read the
+tables, and a `ContMap` is built only when someone iterates or indexes
+the set. The same walk, over the points of a test space X, drives the
+slice search that `refute_splitting` runs, with its closed-form instance
+count and budget, the containment test that lets it skip the search, and
+its hypothesis count, cached once per relation. Both walks read a
+specialization order through `FinSpace.links` and `FinSpace.ups`, built
+once per space. A MapSet groups its maps by preimage in one place,
+`MapSet.bracket`, which every lift onto C(Y,Z), its dual on O_Z(Y) and
+`MapSet.pull` read."""
 
 from __future__ import annotations
 
@@ -67,14 +71,16 @@ class ContMap:
 
 @dataclass(frozen=True)
 class MapSet:
-    """All continuous maps for a fixed pair, in lexicographic table order."""
+    """All continuous maps for a fixed pair, stored as their value tables in
+    lexicographic order. Iterating or indexing the set hands out `ContMap`s,
+    built on first use; nothing that decides a verdict asks for them."""
 
     domain: FinSpace
     codomain: FinSpace
-    maps: tuple[ContMap, ...]
+    tables: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
-        return len(self.maps)
+        return len(self.tables)
 
     def __iter__(self):
         return iter(self.maps)
@@ -83,8 +89,8 @@ class MapSet:
         return self.maps[i]
 
     @cached_property
-    def tables(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(m.table for m in self.maps)
+    def maps(self) -> tuple[ContMap, ...]:
+        return tuple(ContMap(self.domain, self.codomain, t) for t in self.tables)
 
     @cached_property
     def index(self) -> dict[tuple[int, ...], int]:
@@ -92,10 +98,19 @@ class MapSet:
 
     @cached_property
     def preimage_rows(self) -> dict[Subset, tuple[Subset, ...]]:
-        """For each codomain open u, the tuple of preimages map-by-map."""
-        return {
-            u: tuple(m.preimage(u) for m in self.maps) for u in self.codomain.opens
-        }
+        """For each codomain open u, the tuple of preimages map-by-map, read
+        off the tables as `ContMap.preimage` reads one."""
+        out = {}
+        for u in self.codomain.opens:
+            row = []
+            for table in self.tables:
+                pre = 0
+                for p, v in enumerate(table):
+                    if (u >> v) & 1:
+                        pre |= 1 << p
+                row.append(pre)
+            out[u] = tuple(row)
+        return out
 
     def bracket(
         self, index: dict[Subset, int]
@@ -155,20 +170,22 @@ def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_
     minimal open of f(p) for every q in p's minimal open, so point k may
     take value w when w is in the minimal open of f(p) for every earlier p
     whose minimal open holds k, and f(q) is in w's minimal open for every
-    earlier q inside k's minimal open. Values are pushed high to low and the
-    last point's are expanded in place, so the tables come out in
-    `itertools.product` order, the map index every witness names."""
+    earlier q inside k's minimal open: Y's `links` name those points and
+    Z's minimal opens and `ups` the values they allow. Values are pushed
+    high to low and the last point's are expanded in place, so the tables
+    come out in `itertools.product` order, the map index every witness
+    names. The tables are kept as the walk forms them; no ContMap is built."""
     if y.size > size_cap or z.size > size_cap:
         raise BudgetExceeded(
             f"map enumeration capped at {size_cap} points per factor; "
             f"got {y.size} and {z.size}"
         )
     zmins = z.min_opens
-    zups = _transpose(zmins)
-    links = _links(y.min_opens)
+    zups = z.ups
+    links = y.links
     last = y.size - 1
     full = full_mask(z.size)
-    maps = [] if y.size else [ContMap(y, z, ())]  # a 0-point Y has one map
+    tables = [] if y.size else [()]  # a 0-point Y has one map
     stack: list[tuple[int, ...]] = [()] if y.size else []
     while stack:
         combo = stack.pop()
@@ -179,14 +196,14 @@ def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_
         for q in downs:
             cand &= zups[combo[q]]
         if len(combo) == last:
-            maps.extend(ContMap(y, z, combo + (w,)) for w in bits(cand))
+            tables.extend(combo + (w,) for w in bits(cand))
             continue
         # pushed high to low, so the lowest value comes off the stack first
         while cand:
             w = cand.bit_length() - 1
             stack.append(combo + (w,))
             cand ^= 1 << w
-    return MapSet(y, z, tuple(maps))
+    return MapSet(y, z, tuple(tables))
 
 
 @lru_cache(maxsize=None)
@@ -263,19 +280,6 @@ def _transpose(rel) -> list[int]:
     return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
 
 
-def _links(mins) -> list[tuple[list[int], list[int]]]:
-    """A specialization order as the two walks over it read it: for each
-    point k of a space given by its minimal opens, the earlier points p
-    whose minimal open holds k, and the earlier points q inside k's."""
-    return [
-        (
-            [p for p in range(k) if (mins[p] >> k) & 1],
-            [q for q in range(k) if (mins[k] >> q) & 1],
-        )
-        for k in range(len(mins))
-    ]
-
-
 def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
     """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
     assignments a bounded X-search counts as instances. Below one point it
@@ -327,13 +331,13 @@ def continuous_slice_count(below: tuple[int, ...], max_x: int, up_to_iso: bool) 
     slice_instances(nmaps, max_x, up_to_iso)
     rel = (below, _transpose(below))
     return sum(
-        _continuous_slices(x.min_opens, rel, rel, nmaps)[0]
+        _continuous_slices(x, rel, rel, nmaps)[0]
         for n in range(1, max_x + 1)
         for x in enumerate_topologies(n, up_to_iso=up_to_iso)
     )
 
 
-def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:
+def _continuous_slices(x: FinSpace, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:
     """Depth-first over the points 0..n-1 of X, each trying its maps in
     ascending order. Returns the number of assignments meeting the
     hypothesis and, in `itertools.product` order, those breaking the
@@ -344,12 +348,13 @@ def _continuous_slices(xmins, hypothesis, conclusion, nmaps: int) -> tuple[int, 
     the hypothesis being `MapSet.pointwise` and its transpose. Point k
     may take map c when c is in below[combo[p]] for every earlier p whose
     minimal open holds k, and in above[combo[q]] for every earlier q inside
-    k's minimal open. The last point's candidates are counted, not visited.
+    k's minimal open, the points X's `links` name. The last point's
+    candidates are counted, not visited.
     """
     below, above = hypothesis
     c_below, c_above = conclusion
-    last = len(xmins) - 1
-    links = _links(xmins)
+    links = x.links
+    last = len(links) - 1
     full = full_mask(nmaps)
     count = 0
     broken_out = []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from topolab import finspace, fntop, hypertop, mapspace
 from topolab.finspace import FinSpace, chain, discrete, enumerate_topologies, indiscrete, make_space, sierpinski
 
 
@@ -52,3 +53,12 @@ def maybe_labeled(draw, max_points):
         labels = draw(st.lists(st.text(max_size=3), min_size=x.size, max_size=x.size))
         x = replace(x, labels=tuple(labels))
     return x
+
+
+def clear_every_cache() -> None:
+    """Empty every module-level cache of the package, so what follows runs
+    cold: the four modules below hold all of them."""
+    for mod in (finspace, mapspace, hypertop, fntop):
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

@@ -65,6 +65,19 @@ def filter_topologies(n: int) -> list[tuple[Subset, ...]]:
     return sorted(out)
 
 
+def literal_links(mins: tuple[Subset, ...]) -> list[tuple[list[int], list[int]]]:
+    """For each point k of a space given by its minimal opens, the earlier
+    points p whose minimal open holds k, and the earlier points q inside
+    k's, each read by a bit test."""
+    return [
+        (
+            [p for p in range(k) if (mins[p] >> k) & 1],
+            [q for q in range(k) if (mins[k] >> q) & 1],
+        )
+        for k in range(len(mins))
+    ]
+
+
 def literal_canonical_encoding(n: int, encoding: tuple[Subset, ...]) -> tuple[Subset, ...]:
     """The least relabeling of an open family, by a scan over every
     permutation that relabels each open point by point."""
@@ -165,7 +178,7 @@ def literal_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     """C(Y, Z) by filtering all |Z|^|Y| value tables, in `itertools.product`
     order, through the preimage test."""
     tables = assignments(range(z.size), repeat=y.size)
-    return MapSet(y, z, tuple(ContMap(y, z, t) for t in tables if is_continuous_table(y, z, t)))
+    return MapSet(y, z, tuple(t for t in tables if is_continuous_table(y, z, t)))
 
 
 @lru_cache(maxsize=None)
@@ -568,7 +581,7 @@ def searched_refute_splitting(
     witnesses = []
     for n in range(1, max_x + 1):
         for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-            count, broken = _continuous_slices(xspace.min_opens, joint, into_t, len(maps))
+            count, broken = _continuous_slices(xspace, joint, into_t, len(maps))
             continuous += count
             for head, tails in broken:
                 prefix = sum((maps.tables[i] for i in head), ())

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import all_spaces_up_to
+from conftest import all_spaces_up_to, clear_every_cache
 from oracles import (
     literal_characteristic_homeomorphism,
     literal_composition_check,
@@ -26,6 +27,7 @@ from topolab.checkers import (
 )
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded, GroundTooLarge
+from topolab.explorer import QUESTION_IDS, question_search
 from topolab.finspace import (
     bits,
     discrete,
@@ -295,6 +297,44 @@ def test_continuous_slice_count_matches_the_search():
         continuous_slice_count.cache_clear()
         class_first = [continuous_slice_count(pointwise, 3, sym) for sym in (True, False)]
         assert labeled_first == class_first[::-1]
+
+
+def test_no_verdict_path_builds_a_contmap(monkeypatch):
+    # a map set is held as its tables: with ContMap raising wherever the
+    # package names it, the suite, every probe, the six named topologies of
+    # each 4-point class against each Z of at most 2 points, and the
+    # splitting refutations at (3,2) give what they give with it in place
+    fours = [
+        (y, z)
+        for y in enumerate_topologies(4, up_to_iso=True)
+        for z in (discrete(0), *all_spaces_up_to(2))
+    ]
+
+    def run():
+        clear_every_cache()
+        return (
+            theorem_suite(3, 2),
+            [question_search(qid, 3, 2) for qid in QUESTION_IDS],
+            [named_function_topology(k, y, z) for y, z in fours for k in NAMED],
+            [refute_splitting(t, max_x=3) for t in _tops32()],
+        )
+
+    want = run()
+
+    def no_contmap(*args, **kwargs):
+        raise AssertionError("a ContMap was built")
+
+    naming = [
+        m
+        for name, m in sys.modules.items()
+        if name.split(".")[0] == "topolab" and vars(m).get("ContMap") is mapspace.ContMap
+    ]
+    assert {m.__name__ for m in naming} >= {"topolab", "topolab.mapspace"}
+    for module in naming:
+        monkeypatch.setattr(module, "ContMap", no_contmap)
+    with pytest.raises(AssertionError, match="a ContMap was built"):
+        mapspace.MapSet(sierpinski(), sierpinski(), ((0, 0),))[0]
+    assert run() == want
 
 
 def test_refute_splitting_takes_the_containment_route(monkeypatch):

@@ -11,10 +11,12 @@ from oracles import (
     literal_canonical_encoding,
     literal_covers,
     literal_generate,
+    literal_links,
     literal_profile,
     literal_space_check,
 )
 from topolab import finspace
+from topolab.mapspace import _transpose
 from topolab.errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,
@@ -126,6 +128,17 @@ def test_validator_matches_pairwise_oracle():
             assert got == (want and want[1])
             accepted += want is None
     assert accepted == 1 + 1 + 4 + 29 + 355
+
+
+def test_links_and_ups_match_the_literal_order():
+    # every topology on at most 5 points, the 0-point space included: the
+    # cached walk links and ups against the bit tests over the minimal opens
+    spaces = [x for n in range(6) for x in enumerate_topologies(n)]
+    assert len(spaces) == 1 + 1 + 4 + 29 + 355 + 6942
+    for x in spaces:
+        assert x.ups == tuple(_transpose(x.min_opens))
+        want = literal_links(x.min_opens)
+        assert [(list(ups), list(downs)) for ups, downs in x.links] == want
 
 
 def test_product_of_sierpinski(s):

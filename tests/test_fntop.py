@@ -482,17 +482,25 @@ def test_hyperspaces_follow_a_relabeling_of_y(data):
     y = data.draw(st.sampled_from(_SMALL_Y4))
     perm = data.draw(st.permutations(range(y.size)))
     moved = make_space(y.size, [sum(1 << perm[p] for p in bits(o)) for o in y.opens])
-    # open g goes to its image under perm, at its index in moved's ground
-    sigma = [
-        moved.opens.members.index(sum(1 << perm[p] for p in bits(g)))
-        for g in y.opens
-    ]
     pairs = [(scott(y), scott(moved)), (strong_scott(y), strong_scott(moved))]
     pairs.append((compact_subbasis_topology(y), compact_subbasis_topology(moved)))
     for z in all_spaces_up_to(2):
         pairs.append((z_scott(y, z), z_scott(moved, z)))
         pairs.append((strong_z_scott(y, z), strong_z_scott(moved, z)))
+        # the dual on O_Z(Y), a sixth kind: its ground moves with Y's
+        # opens, and its verdict stays
+        for name in NAMED:
+            t, t_moved = (named_function_topology(name, x, z) for x in (y, moved))
+            tau, tau_moved = tau_of_t(t), tau_of_t(t_moved)
+            pairs.append((tau, tau_moved))
+            verdict = is_admissible_on_ozy(tau, t.maps).status
+            assert is_admissible_on_ozy(tau_moved, t_moved.maps).status == verdict
     for h, h_moved in pairs:
         assert h.kind == h_moved.kind
+        # ground member g goes to its image under perm, at its index in the
+        # moved ground
+        sigma = [
+            h_moved.ground.index(sum(1 << perm[p] for p in bits(g))) for g in h.ground
+        ]
         for i, m in enumerate(h.min_opens):
             assert h_moved.min_opens[sigma[i]] == sum(1 << sigma[j] for j in bits(m))

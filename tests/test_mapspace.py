@@ -10,7 +10,7 @@ from oracles import (
     literal_pointwise,
     literal_z_corecompact,
 )
-from topolab import finspace, fntop, hypertop, mapspace
+from topolab import finspace, mapspace
 from topolab.errors import BudgetExceeded, MismatchedBase, NotOpen, NotZRepresentable
 from topolab.finspace import (
     bits,
@@ -31,6 +31,8 @@ from topolab.hypertop import (
     z_scott,
 )
 from topolab.mapspace import (
+    ContMap,
+    MapSet,
     enumerate_continuous,
     o_z_family,
     relative_profile,
@@ -39,7 +41,7 @@ from topolab.mapspace import (
     z_topology,
 )
 
-from conftest import all_spaces_up_to, maybe_labeled
+from conftest import all_spaces_up_to, clear_every_cache, maybe_labeled
 
 
 def test_self_maps_of_sierpinski(s):
@@ -68,6 +70,27 @@ def test_lexicographic_order_and_oracle_agreement():
         assert len(ms) == len(y.opens)
 
 
+def test_a_map_set_is_held_as_its_tables():
+    # every labeled pair up to (4,2) and up to (3,3), 0-point spaces on both
+    # sides: the ContMaps, built only when asked for, wrap the tables in
+    # order, and the preimage rows read off the tables are ContMap.preimage
+    spaces = [sp for n in range(5) for sp in enumerate_topologies(n)]
+    upto = {n: [sp for sp in spaces if sp.size <= n] for n in (2, 3, 4)}
+    pairs = {(y, z) for y in upto[4] for z in upto[2]}
+    pairs |= {(y, z) for y in upto[3] for z in upto[3]}
+    assert len(pairs) == 390 * 6 + 35 * (35 - 6)
+    for y, z in pairs:
+        ms = MapSet(y, z, enumerate_continuous(y, z).tables)
+        assert ms == enumerate_continuous(y, z)
+        rows = ms.preimage_rows
+        assert "maps" not in vars(ms)  # no ContMap built so far
+        assert ms.maps == tuple(ContMap(y, z, t) for t in ms.tables)
+        assert tuple(ms) == ms.maps and len(ms) == len(ms.tables)
+        assert all(ms[i].table == t for i, t in enumerate(ms.tables))
+        for u in z.opens:
+            assert rows[u] == tuple(f.preimage(u) for f in ms.maps)
+
+
 def test_the_walk_never_filters(monkeypatch):
     # every 4-point class against every Z of at most 2 points, the 0-point Z
     # included: the map sets and the six named topologies built with
@@ -79,7 +102,7 @@ def test_the_walk_never_filters(monkeypatch):
     ]
 
     def build():
-        _clear_every_cache()
+        clear_every_cache()
         return [
             (enumerate_continuous(y, z), [named_function_topology(k, y, z) for k in NAMED])
             for y, z in pairs
@@ -163,13 +186,6 @@ def test_z_topology_generated(chain2, indisc2):
         assert z_topology(y, sierpinski()).opens.members == y.opens.members
 
 
-def _clear_every_cache():
-    for mod in (finspace, mapspace, hypertop, fntop):
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def _build_everything(y, z):
     enumerate_continuous(y, z)
     z_topology(y, z)
@@ -192,7 +208,7 @@ def test_cached_results_keep_the_callers_labels():
     bare = make_space(2, [0, 0b10, 0b11])
     assert a != bare and b != bare and a != b
     for unlabeled_first in (False, True):
-        _clear_every_cache()
+        clear_every_cache()
         if unlabeled_first:
             for z in (sierpinski(), indiscrete(2)):
                 _build_everything(bare, z)
