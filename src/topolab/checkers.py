@@ -7,10 +7,10 @@ a topology but never certify one, and its clean outcome is deliberately
 "inconclusive". On a finite Y, though, t is splitting exactly when it lies
 below the pointwise topology, whose minimal opens are
 `MapSet.pointwise`; `splitting_verdict` decides that containment.
-`refute_splitting` tests the same containment first: when it holds no
-assignment can break the conclusion, so the search is skipped and its
-hypothesis count is read from `mapspace.continuous_slice_count`, cached
-once per pointwise relation. The full search runs only when the
+`refute_splitting` reads its hypothesis count from
+`mapspace.continuous_slice_count`, cached once per pointwise relation, and
+tests the same containment: when it holds no assignment can break
+continuity into t, so the search is skipped. The search runs only when the
 containment fails, and from max_x=2 on that is exactly when it has
 witnesses to list; the suite's splitting-order row
 picks its candidates by that containment too. Composition continuity
@@ -50,6 +50,7 @@ from .finspace import (
     local_profile,
     separation_profile,
     sierpinski,
+    transpose,
 )
 from .fntop import (
     NAMED,
@@ -63,11 +64,10 @@ from .mapspace import (  # the two budget constants are public here too
     MAX_SPLITTING_INSTANCES,
     MAX_SPLITTING_X,
     MapSet,
-    _continuous_slices,
-    _transpose,
     continuous_slice_count,
     enumerate_continuous,
     first_escape,
+    monotone_prefixes,
     relative_profile,
     slice_instances,
     z_topology,
@@ -139,27 +139,34 @@ def refute_splitting(
     so the count is known, and held to MAX_SPLITTING_INSTANCES, before any X
     is enumerated; max_x below 1 raises ValueError.
 
-    When t lies below the pointwise topology no assignment breaks the
-    conclusion, so the continuous ones are only counted, by
-    `mapspace.continuous_slice_count` on the pointwise relation. Otherwise the
-    search visits the continuous assignments (see
-    `mapspace._continuous_slices`) in `itertools.product` order and lists
-    every one whose transpose is discontinuous.
+    The jointly continuous assignments are counted by
+    `mapspace.continuous_slice_count` on the pointwise relation. When t lies
+    below the pointwise topology none has a discontinuous transpose, and
+    nothing more is done. Otherwise each X is walked twice by
+    `mapspace.monotone_prefixes`: into the pointwise relation, and into its
+    meet with t's minimal opens, which an assignment respects exactly when
+    it is jointly continuous and continuous into t. Per head of the first
+    walk, the last-point maps the second walk does not keep are the
+    witnesses, listed in `itertools.product` order; a head the second walk
+    never reaches already breaks t, so all of its maps are.
     """
     maps = t.maps
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
+    pointwise = maps.pointwise
+    continuous = continuous_slice_count(pointwise, max_x, symmetry_reduction)
     witnesses = []
-    if first_escape(maps.pointwise, t.min_opens) is None:
-        continuous = continuous_slice_count(maps.pointwise, max_x, symmetry_reduction)
-    else:
-        joint = (maps.pointwise, _transpose(maps.pointwise))
-        into_t = (t.min_opens, _transpose(t.min_opens))
-        continuous = 0
+    if first_escape(pointwise, t.min_opens) is not None:
+        above = transpose(pointwise)
+        both = [a & b for a, b in zip(pointwise, t.min_opens)]
+        both_above = transpose(both)
         for n in range(1, max_x + 1):
             for xspace in enumerate_topologies(n, up_to_iso=symmetry_reduction):
-                count, broken = _continuous_slices(xspace, joint, into_t, len(maps))
-                continuous += count
-                for head, tails in broken:
+                links = xspace.links
+                kept = dict(monotone_prefixes(links, both, both_above, len(maps)))
+                for head, cand in monotone_prefixes(links, pointwise, above, len(maps)):
+                    tails = cand & ~kept.get(head, 0)
+                    if not tails:
+                        continue
                     prefix = sum((maps.tables[i] for i in head), ())
                     for i in bits(tails):
                         witnesses.append((xspace.opens.members, prefix + maps.tables[i]))

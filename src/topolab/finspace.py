@@ -60,6 +60,16 @@ def popcount(mask: Subset) -> int:
     return mask.bit_count()
 
 
+def transpose(rows: Sequence[Subset]) -> tuple[Subset, ...]:
+    """The transpose of a relation on 0..n-1 given by its rows: row q holds
+    p exactly when row p holds q."""
+    out = [0] * len(rows)
+    for p, row in enumerate(rows):
+        for q in bits(row):
+            out[q] |= 1 << p
+    return tuple(out)
+
+
 def gather(groups: dict[int, int], mask: Subset) -> int:
     """The OR of `groups[b]` over the set bits b of mask, each bit keyed as
     its power of two, as `MapSet.bracket` keys its groups."""
@@ -143,11 +153,7 @@ class FinSpace:
     def ups(self) -> tuple[Subset, ...]:
         """For each point q, the points whose minimal open holds q: the
         transpose of `min_opens`, the specialization order read upward."""
-        out = [0] * self.size
-        for p, m in enumerate(self.min_opens):
-            for q in bits(m):
-                out[q] |= 1 << p
-        return tuple(out)
+        return transpose(self.min_opens)
 
     @cached_property
     def links(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -2,24 +2,28 @@
 they induce on the domain: the family of open preimages, the topology it
 generates, and the boundedness-style profile of that topology. A map of
 finite spaces is continuous exactly when it is monotone for the
-specialization orders, so C(Y,Z) is listed by a walk over Y's points that
-tries only the values its earlier points allow; no value table is built
-and then rejected. A MapSet holds the listing as the value tables the walk
-forms: the preimage rows, the pointwise relation and every lift read the
-tables, and a `ContMap` is built only when someone iterates or indexes
-the set. The same walk, over the points of a test space X, drives the
-slice search that `refute_splitting` runs, with its closed-form instance
-count and budget, the containment test that lets it skip the search, and
-its hypothesis count, cached once per relation. Both walks read a
-specialization order through `FinSpace.links` and `FinSpace.ups`, built
-once per space. A MapSet groups its maps by preimage in one place,
-`MapSet.bracket`, which every lift onto C(Y,Z), its dual on O_Z(Y) and
-`MapSet.pull` read."""
+specialization orders, and one depth-first walk, `monotone_prefixes`,
+lists the monotone assignments of a space's points into a relation,
+trying at each point only the values its earlier points allow. Over Y
+into Z's order it lists C(Y,Z): no value table is built and then
+rejected. Over a test space X into `MapSet.pointwise` it counts the
+jointly continuous F : X x Y -> Z for `refute_splitting`, cached once per
+relation, and, with a second walk into the meet of that relation and t's,
+finds the F whose transpose breaks t. Next to it sit the search's
+closed-form instance count and budget and the containment test that lets
+it skip the search. The walk reads a space's order through
+`FinSpace.links`, built once per space. A MapSet holds the listing as the
+value tables the walk forms: the preimage rows, the pointwise relation
+and every lift read the tables, and a `ContMap` is built only when
+someone iterates or indexes the set. A MapSet groups its maps by preimage
+in one place, `MapSet.bracket`, which every lift onto C(Y,Z), its dual on
+O_Z(Y) and `MapSet.pull` read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Iterator
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
@@ -35,6 +39,7 @@ from .finspace import (
     popcount,
     separation_profile,
     sierpinski,
+    transpose,
 )
 
 DEFAULT_SIZE_CAP = 4
@@ -163,47 +168,59 @@ class MapSet:
         return tuple(rows)
 
 
+def monotone_prefixes(
+    links, below, above, width: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The one depth-first walk over a specialization order. It assigns the
+    points 0..n-1 of a space with n >= 1, given by its `FinSpace.links`,
+    values in 0..width-1: point k may take w when w is in below[v] for the
+    value v of every earlier point whose minimal open holds k, and in
+    above[v] for the value v of every earlier point inside k's minimal
+    open, `above` being the transpose of `below`. Every pair of distinct
+    points is so tested once; a point against itself is not. For each
+    assignment of points 0..n-2 that passes, it yields that head and the
+    mask of values the last point may take, in `itertools.product` order.
+    Values are pushed high to low, so the lowest comes off the stack first.
+    The candidate step stays inline, with no call per node: this loop is
+    the hot path of listing C(Y,Z)."""
+    last = len(links) - 1
+    full = full_mask(width)
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        head = stack.pop()
+        ups, downs = links[len(head)]
+        cand = full
+        for p in ups:
+            cand &= below[head[p]]
+        for q in downs:
+            cand &= above[head[q]]
+        if len(head) == last:
+            yield head, cand
+            continue
+        while cand:
+            w = cand.bit_length() - 1
+            stack.append(head + (w,))
+            cand ^= 1 << w
+
+
 @lru_cache(maxsize=None)
 def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP) -> MapSet:
-    """C(Y, Z) in lexicographic table order, by a depth-first walk over the
-    points 0..n-1 of Y. A table is continuous exactly when f(q) lies in the
-    minimal open of f(p) for every q in p's minimal open, so point k may
-    take value w when w is in the minimal open of f(p) for every earlier p
-    whose minimal open holds k, and f(q) is in w's minimal open for every
-    earlier q inside k's minimal open: Y's `links` name those points and
-    Z's minimal opens and `ups` the values they allow. Values are pushed
-    high to low and the last point's are expanded in place, so the tables
-    come out in `itertools.product` order, the map index every witness
-    names. The tables are kept as the walk forms them; no ContMap is built."""
+    """C(Y, Z) in lexicographic table order: `monotone_prefixes` over Y's
+    `links` into Z's minimal opens and `ups`, each head's last values
+    expanded in place. A table is continuous exactly when f(q) lies in the
+    minimal open of f(p) for every q in p's minimal open, which is what the
+    walk tests. The tables come out in `itertools.product` order, the map
+    index every witness names, and are kept as the walk forms them; no
+    ContMap is built."""
     if y.size > size_cap or z.size > size_cap:
         raise BudgetExceeded(
             f"map enumeration capped at {size_cap} points per factor; "
             f"got {y.size} and {z.size}"
         )
-    zmins = z.min_opens
-    zups = z.ups
-    links = y.links
-    last = y.size - 1
-    full = full_mask(z.size)
-    tables = [] if y.size else [()]  # a 0-point Y has one map
-    stack: list[tuple[int, ...]] = [()] if y.size else []
-    while stack:
-        combo = stack.pop()
-        ups, downs = links[len(combo)]
-        cand = full
-        for p in ups:
-            cand &= zmins[combo[p]]
-        for q in downs:
-            cand &= zups[combo[q]]
-        if len(combo) == last:
-            tables.extend(combo + (w,) for w in bits(cand))
-            continue
-        # pushed high to low, so the lowest value comes off the stack first
-        while cand:
-            w = cand.bit_length() - 1
-            stack.append(combo + (w,))
-            cand ^= 1 << w
-    return MapSet(y, z, tuple(tables))
+    if not y.size:
+        return MapSet(y, z, ((),))  # a 0-point Y has one map
+    walk = monotone_prefixes(y.links, z.min_opens, z.ups, z.size)
+    return MapSet(y, z, tuple([head + (w,) for head, cand in walk for w in bits(cand)]))
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +293,6 @@ def sierpinski_correspondence(y: FinSpace) -> tuple[tuple[Subset, ContMap], ...]
     return tuple(pairs)
 
 
-def _transpose(rel) -> list[int]:
-    return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
-
-
 def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
     """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
     assignments a bounded X-search counts as instances. Below one point it
@@ -322,62 +335,16 @@ def first_escape(sub, sup) -> tuple[int, int] | None:
 def continuous_slice_count(below: tuple[int, ...], max_x: int, up_to_iso: bool) -> int:
     """How many slice assignments over the test spaces on 1..max_x points
     respect the relation `below` and its transpose: the hypothesis count of
-    a slice search with no conclusion to break. It is `_continuous_slices`
-    with the relation as both hypothesis and conclusion, so no second walk
-    exists. The count depends on the relation alone, so the cache is keyed
+    a slice search, the popcounts of the last-point masks `monotone_prefixes`
+    yields. The count depends on the relation alone, so the cache is keyed
     on it rather than on a map set: the 170 map sets at (3,2) have 29
     distinct `pointwise` relations. The budget of `slice_instances` applies."""
     nmaps = len(below)
     slice_instances(nmaps, max_x, up_to_iso)
-    rel = (below, _transpose(below))
+    above = transpose(below)
     return sum(
-        _continuous_slices(x, rel, rel, nmaps)[0]
+        popcount(cand)
         for n in range(1, max_x + 1)
         for x in enumerate_topologies(n, up_to_iso=up_to_iso)
+        for _, cand in monotone_prefixes(x.links, below, above, nmaps)
     )
-
-
-def _continuous_slices(x: FinSpace, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:
-    """Depth-first over the points 0..n-1 of X, each trying its maps in
-    ascending order. Returns the number of assignments meeting the
-    hypothesis and, in `itertools.product` order, those breaking the
-    conclusion: one (slices of points 0..n-2, mask of the last point's
-    breaking maps) each.
-
-    Both relations are (below, above) pairs, a relation and its transpose,
-    the hypothesis being `MapSet.pointwise` and its transpose. Point k
-    may take map c when c is in below[combo[p]] for every earlier p whose
-    minimal open holds k, and in above[combo[q]] for every earlier q inside
-    k's minimal open, the points X's `links` name. The last point's
-    candidates are counted, not visited.
-    """
-    below, above = hypothesis
-    c_below, c_above = conclusion
-    links = x.links
-    last = len(links) - 1
-    full = full_mask(nmaps)
-    count = 0
-    broken_out = []
-    # (slices of points 0..k-1, whether they already break the conclusion)
-    stack = [((), False)]
-    while stack:
-        combo, broken = stack.pop()
-        ups, downs = links[len(combo)]
-        cand = c_cand = full
-        for p in ups:
-            cand &= below[combo[p]]
-            c_cand &= c_below[combo[p]]
-        for q in downs:
-            cand &= above[combo[q]]
-            c_cand &= c_above[combo[q]]
-        if len(combo) == last:
-            tails = cand if broken else cand & ~c_cand
-            if tails:
-                broken_out.append((combo, tails))
-            count += popcount(cand)
-            continue
-        # pushed high to low, so the lowest map comes off the stack first
-        for c in reversed(list(bits(cand))):
-            stack.append((combo + (c,), broken or not (c_cand >> c) & 1))
-    return count, broken_out
-

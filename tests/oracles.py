@@ -3,8 +3,10 @@
 Everything here recomputes results by unoptimized, definition-shaped searches
 so the package's faster routes have something honest to agree with. Keep these
 free of package internals beyond plain data types; the one exception,
-`searched_refute_splitting`, keeps the slice search the package now skips
-when a containment test settles the answer.
+`searched_refute_splitting`, keeps the interleaved slice search the package
+replaced by two walks of `mapspace.monotone_prefixes`, and runs it on every
+call, where the package skips it when a containment test settles the
+answer.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from topolab.finspace import (
     enumerate_topologies,
     full_mask,
     mask_of,
+    popcount,
     product,
 )
 from topolab.fntop import Comparison, named_function_topology
@@ -37,8 +40,6 @@ from topolab.hypertop import (
 from topolab.mapspace import (
     ContMap,
     MapSet,
-    _continuous_slices,
-    _transpose,
     enumerate_continuous,
     o_z_family,
     relative_profile,
@@ -75,6 +76,25 @@ def literal_links(mins: tuple[Subset, ...]) -> list[tuple[list[int], list[int]]]
             [q for q in range(k) if (mins[k] >> q) & 1],
         )
         for k in range(len(mins))
+    ]
+
+
+def literal_monotone(x: FinSpace, below, width: int) -> list[tuple[int, ...]]:
+    """Every assignment v of values 0..width-1 to the points of x, in
+    `itertools.product` order, with v[q] in below[v[p]] for every point p
+    and every other point q in p's minimal open. The relation need not be
+    a preorder; a point is never tested against itself, so reflexivity is
+    left to the relation."""
+    mins = x.min_opens
+    return [
+        v
+        for v in assignments(range(width), repeat=x.size)
+        if all(
+            (below[v[p]] >> v[q]) & 1
+            for p in range(x.size)
+            for q in bits(mins[p])
+            if q != p
+        )
     ]
 
 
@@ -566,13 +586,62 @@ def literal_refute_splitting(t, max_x: int = 3, symmetry_reduction: bool = True)
     )
 
 
+def _transpose(rel) -> list[int]:
+    return [sum(1 << i for i, row in enumerate(rel) if (row >> j) & 1) for j in range(len(rel))]
+
+
+def _continuous_slices(x: FinSpace, hypothesis, conclusion, nmaps: int) -> tuple[int, list]:
+    """Depth-first over the points 0..n-1 of X, each trying its maps in
+    ascending order. Returns the number of assignments meeting the
+    hypothesis and, in `itertools.product` order, those breaking the
+    conclusion: one (slices of points 0..n-2, mask of the last point's
+    breaking maps) each.
+
+    Both relations are (below, above) pairs, a relation and its transpose,
+    the hypothesis being `MapSet.pointwise` and its transpose. Point k
+    may take map c when c is in below[combo[p]] for every earlier p whose
+    minimal open holds k, and in above[combo[q]] for every earlier q inside
+    k's minimal open, the points X's `links` name. The last point's
+    candidates are counted, not visited.
+    """
+    below, above = hypothesis
+    c_below, c_above = conclusion
+    links = x.links
+    last = len(links) - 1
+    full = full_mask(nmaps)
+    count = 0
+    broken_out = []
+    # (slices of points 0..k-1, whether they already break the conclusion)
+    stack = [((), False)]
+    while stack:
+        combo, broken = stack.pop()
+        ups, downs = links[len(combo)]
+        cand = c_cand = full
+        for p in ups:
+            cand &= below[combo[p]]
+            c_cand &= c_below[combo[p]]
+        for q in downs:
+            cand &= above[combo[q]]
+            c_cand &= c_above[combo[q]]
+        if len(combo) == last:
+            tails = cand if broken else cand & ~c_cand
+            if tails:
+                broken_out.append((combo, tails))
+            count += popcount(cand)
+            continue
+        # pushed high to low, so the lowest map comes off the stack first
+        for c in reversed(list(bits(cand))):
+            stack.append((combo + (c,), broken or not (c_cand >> c) & 1))
+    return count, broken_out
+
+
 def searched_refute_splitting(
     t, max_x: int = 3, symmetry_reduction: bool = True
 ) -> VerdictReport:
-    """The splitting refutation by the slice search on every call, the
-    route `refute_splitting` skips when t lies below the pointwise
-    topology: every test space is walked with joint continuity as the
-    hypothesis and continuity into t as the conclusion."""
+    """The splitting refutation by the slice search on every call, with
+    its own count: every test space is walked once by `_continuous_slices`,
+    with joint continuity as the hypothesis and continuity into t as the
+    conclusion tracked along the same walk."""
     maps = t.maps
     instances = slice_instances(len(maps), max_x, symmetry_reduction)
     joint = (maps.pointwise, _transpose(maps.pointwise))

@@ -49,7 +49,7 @@ from topolab.fntop import (
     named_function_topology,
 )
 from topolab.hypertop import HyperSpace, scott, strong_z_scott, z_scott
-from topolab.mapspace import ContMap, continuous_slice_count, enumerate_continuous
+from topolab.mapspace import ContMap, continuous_slice_count, enumerate_continuous, first_escape
 from topolab.reports import VerdictReport, pair_tag, suite_to_json
 
 
@@ -265,13 +265,26 @@ def _tops32():
 
 def test_refute_splitting_matches_searched_oracle():
     # every named topology at (3,2) lies below the pointwise topology, so
-    # each report comes from the containment route; the search on every
-    # call must give the same bytes
+    # each report comes from the containment route; the discrete topology
+    # and one random topology of every (3,2) map set take the search route,
+    # two walks of the slice order. The interleaved walk on every call must
+    # give the same bytes, witness order included
     tops = _tops32()
     assert len(tops) == 1020
+    rng = random.Random(23)
+    searched = 0
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            picked = FnTopology.of(maps, [rng.randrange(1 << len(maps)) for _ in range(2)])
+            tops += [fn_discrete(maps), picked]
+    assert len(tops) == 1020 + 2 * 170
     for t in tops:
+        searched += first_escape(t.maps.pointwise, t.min_opens) is not None
         for sym in (True, False):
             assert refute_splitting(t, 3, sym) == searched_refute_splitting(t, 3, sym)
+    # 102 discrete and 94 random topologies are not below the pointwise one
+    assert searched == 196
 
 
 def test_continuous_slice_count_matches_the_search():
@@ -341,7 +354,7 @@ def test_refute_splitting_takes_the_containment_route(monkeypatch):
     def no_search(*args, **kwargs):
         raise AssertionError("slice search ran")
 
-    monkeypatch.setattr(checkers, "_continuous_slices", no_search)
+    monkeypatch.setattr(checkers, "monotone_prefixes", no_search)
     for t in _tops32():
         assert refute_splitting(t, 3).status == "inconclusive"
     with pytest.raises(AssertionError, match="slice search ran"):

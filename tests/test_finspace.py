@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _transpose,
     filter_topologies,
     literal_canonical_encoding,
     literal_covers,
@@ -16,7 +17,6 @@ from oracles import (
     literal_space_check,
 )
 from topolab import finspace
-from topolab.mapspace import _transpose
 from topolab.errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,

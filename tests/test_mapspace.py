@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     literal_continuous,
     literal_locally_z_bounded,
+    literal_monotone,
     literal_pointwise,
     literal_z_corecompact,
 )
@@ -17,10 +18,12 @@ from topolab.finspace import (
     chain,
     discrete,
     enumerate_topologies,
+    full_mask,
     generate_from_subbasis,
     indiscrete,
     make_space,
     sierpinski,
+    transpose,
 )
 from topolab.fntop import NAMED, lift_open_family, named_function_topology
 from topolab.hypertop import (
@@ -34,6 +37,7 @@ from topolab.mapspace import (
     ContMap,
     MapSet,
     enumerate_continuous,
+    monotone_prefixes,
     o_z_family,
     relative_profile,
     sierpinski_correspondence,
@@ -115,6 +119,23 @@ def test_the_walk_never_filters(monkeypatch):
 
     monkeypatch.setattr(mapspace.ContMap, "is_continuous", no_filter)
     assert build() == want
+
+
+@given(x=maybe_labeled(4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_walk_lists_the_monotone_assignments(x, data):
+    # any rows on 0..width-1, preorder or not, with their transpose: the
+    # last-point masks, expanded, are the product tables in which every
+    # point's minimal open maps into the row of its value
+    width = data.draw(st.integers(0, 5))
+    row = st.integers(0, full_mask(width))
+    below = data.draw(st.lists(row, min_size=width, max_size=width))
+    leaves = [
+        head + (w,)
+        for head, cand in monotone_prefixes(x.links, below, transpose(below), width)
+        for w in bits(cand)
+    ]
+    assert leaves == literal_monotone(x, below, width)
 
 
 @given(y=maybe_labeled(4), z=maybe_labeled(3), data=st.data())
