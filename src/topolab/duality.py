@@ -70,7 +70,7 @@ def tau_of_t(t: FnTopology) -> DualSpace:
     hs = set(t.min_opens)
     seeds = {
         sum(g for g, group in groups.items() if group & h)
-        for _, groups in t.maps.bracket(index)
+        for groups in t.maps.bracket(index)
         for h in hs
     }
     return DualSpace(y, ground, meets_by_point(len(ground), seeds), "dual", z)

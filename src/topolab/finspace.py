@@ -142,6 +142,8 @@ class FinSpace:
         return mask in self.opens
 
     def is_closed(self, mask: Subset) -> bool:
+        if mask < 0 or mask & ~self.full:
+            return False
         return (self.full & ~mask) in self.opens
 
     @cached_property
@@ -327,7 +329,11 @@ def rectangle_mask(u: Subset, v: Subset, b_size: int) -> Subset:
 
 
 def subspace(x: FinSpace, carrier: Subset) -> FinSpace:
-    """Trace topology on the carrier, points re-indexed ascending."""
+    """Trace topology on the carrier, points re-indexed ascending; a carrier
+    with bits outside the ground raises NotATopology, naming them."""
+    stray = carrier & ~x.full
+    if stray:
+        raise NotATopology(f"carrier escapes the {x.size}-point ground", (stray,))
     kept = list(bits(carrier))
     pos = {p: k for k, p in enumerate(kept)}
     traces = {mask_of(pos[p] for p in bits(o & carrier)) for o in x.opens}

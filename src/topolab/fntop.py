@@ -189,7 +189,7 @@ def _lift(
     `traces(occurring)` yields the distinct traces, each lifted once."""
     return {
         gather(groups, proj)
-        for _, groups in maps.bracket(index)
+        for groups in maps.bracket(index)
         for proj in traces(sum(groups))
     }
 

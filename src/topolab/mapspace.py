@@ -117,23 +117,19 @@ class MapSet:
             out[u] = tuple(row)
         return out
 
-    def bracket(
-        self, index: dict[Subset, int]
-    ) -> tuple[tuple[list[int], dict[int, int]], ...]:
+    def bracket(self, index: dict[Subset, int]) -> tuple[dict[int, int], ...]:
         """The one grouping of maps by preimage. Per codomain open u, in the
-        codomain's order: the bit 1 << index[f's preimage of u] of each map
-        f, and, for each such bit, the mask of the maps at that index. Only
-        the indices some preimage takes appear as keys. Every lift, `pull`
-        and `duality.tau_of_t` read it."""
+        codomain's order: for each bit 1 << index[p], p a preimage of u
+        that some map takes, the mask of the maps whose preimage of u is p.
+        Only the indices some preimage takes appear as keys. Every lift,
+        `pull` and `duality.tau_of_t` read it."""
         out = []
         for rows in self.preimage_rows.values():
-            # a list: stored as tuples, these rows raised the peak RSS of a
-            # process running the suite repeatedly by about 0.5 MB
-            at = [1 << index[r] for r in rows]
             groups: dict[int, int] = {}
-            for j, g in enumerate(at):
+            for j, r in enumerate(rows):
+                g = 1 << index[r]
                 groups[g] = groups.get(g, 0) | 1 << j
-            out.append((at, groups))
+            out.append(groups)
         return tuple(out)
 
     def pull(self, index: dict[Subset, int], rel) -> list[int]:
@@ -142,12 +138,12 @@ class MapSet:
         preimage of u]] holds index[j's preimage of u]. Per u only the
         indices some preimage takes are visited."""
         below = [full_mask(len(self))] * len(self)
-        for at, groups in self.bracket(index):
+        for rows, groups in zip(self.preimage_rows.values(), self.bracket(index)):
             occurring = sum(groups)
             reach = {
                 g: gather(groups, rel[g.bit_length() - 1] & occurring) for g in groups
             }
-            below = [m & reach[g] for m, g in zip(below, at)]
+            below = [m & reach[1 << index[r]] for m, r in zip(below, rows)]
         return below
 
     @cached_property
@@ -256,10 +252,10 @@ def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     # Both predicates ask, for every point p and open u around p, for an a in
     # the preimage family with p in a inside u that is bounded in the
     # generated topology (or in its trace on u). Boundedness always holds on
-    # a finite ground, and the smallest u around p is its minimal open.
-    shrinks = all(
-        any((a >> p) & 1 and a & ~m == 0 for a in oz) for p, m in enumerate(y.min_opens)
-    )
+    # a finite ground, and the smallest u around p is its minimal open U_p.
+    # A preimage a is open, so p in a inside U_p makes a = U_p: both hold
+    # exactly when every minimal open of Y is a preimage.
+    shrinks = all(m in oz for m in y.min_opens)
     return RelativeProfile(
         o_z=oz,
         z_top=ztop,

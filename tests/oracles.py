@@ -2,15 +2,20 @@
 
 Everything here recomputes results by unoptimized, definition-shaped searches
 so the package's faster routes have something honest to agree with. Keep these
-free of package internals beyond plain data types; the one exception,
-`searched_refute_splitting`, keeps the interleaved slice search the package
-replaced by two walks of `mapspace.monotone_prefixes`, and runs it on every
-call, where the package skips it when a containment test settles the
-answer.
+free of package internals beyond plain data types. The exceptions keep
+searches the package replaced: `searched_refute_splitting` keeps the
+interleaved slice search the package replaced by two walks of
+`mapspace.monotone_prefixes`, and runs it on every call, where the package
+skips it when a containment test settles the answer; the two suite-row
+oracles, `literal_splitting_order_row` and `literal_refinement_row`, keep
+the comparisons and sampled refinements the suite replaced by the
+pointwise sandwich, and run them through the package's own comparison and
+evaluation check.
 """
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 from itertools import product as assignments
@@ -23,13 +28,23 @@ from topolab.finspace import (
     Subset,
     SubsetFamily,
     bits,
+    chain,
+    discrete,
     enumerate_topologies,
     full_mask,
     mask_of,
     popcount,
     product,
+    sierpinski,
 )
-from topolab.fntop import Comparison, named_function_topology
+from topolab.fntop import (
+    NAMED,
+    Comparison,
+    FnTopology,
+    compare_topologies,
+    evaluation_witness,
+    named_function_topology,
+)
 from topolab.hypertop import (
     compact_subbasis_topology,
     scott,
@@ -41,6 +56,7 @@ from topolab.mapspace import (
     ContMap,
     MapSet,
     enumerate_continuous,
+    first_escape,
     o_z_family,
     relative_profile,
     slice_instances,
@@ -764,6 +780,65 @@ def literal_evaluation_witness(t) -> int | None:
         if not ok:
             return w
     return None
+
+
+def literal_splitting_order_row(pairs) -> VerdictReport:
+    """The suite's splitting-order row by search: every topology below the
+    pointwise one compared with every admissible one, pair by pair."""
+    checked = 0
+    witnesses = []
+    for y, z in pairs:
+        ts = [named_function_topology(name, y, z) for name in NAMED]
+        candidates = [
+            t for t in ts if first_escape(t.maps.pointwise, t.min_opens) is None
+        ]
+        admissible = [t for t in ts if evaluation_witness(t) is None]
+        for t in candidates:
+            for t2 in admissible:
+                checked += 1
+                v = compare_topologies(t, t2).verdict
+                if v not in ("equal", "a_coarser"):
+                    witnesses.append((pair_tag(y, z), t.provenance, t2.provenance, v))
+    return VerdictReport.of(
+        "grid:splitting-candidates-below-admissible",
+        witnesses,
+        checked,
+        checked,
+        budget=(("max_x", 2), ("pairs", len(pairs))),
+    )
+
+
+def literal_refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictReport:
+    """The suite's refinement row by sampling: seeded random refinements of
+    each admissible named base, each built and checked for admissibility."""
+    rng = random.Random(seed)
+    bases = []
+    if max_y >= 2 and max_z >= 2:
+        bases = [(sierpinski(), sierpinski()), (chain(2), discrete(2))]
+    checked = 0
+    admissible_bases = 0
+    witnesses = []
+    for y, z in bases:
+        for name in NAMED:
+            t = named_function_topology(name, y, z)
+            if evaluation_witness(t) is not None:
+                continue
+            admissible_bases += 1
+            for _ in range(samples):
+                extra = tuple(
+                    rng.randrange(t.full + 1) for _ in range(rng.randint(1, 3))
+                )
+                finer = FnTopology.of(t.maps, t.min_opens + extra)
+                checked += 1
+                if evaluation_witness(finer) is not None:
+                    witnesses.append((pair_tag(y, z), name, extra))
+    return VerdictReport.of(
+        "admissible:refinement-monotone",
+        witnesses,
+        checked,
+        checked,
+        budget=(("bases", admissible_bases), ("samples", samples), ("seed", seed)),
+    )
 
 
 def literal_composition_check(

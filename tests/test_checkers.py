@@ -11,8 +11,12 @@ import oracles
 from conftest import all_spaces_up_to, clear_every_cache
 from oracles import (
     literal_characteristic_homeomorphism,
+    literal_compare_topologies,
     literal_composition_check,
+    literal_evaluation_witness,
+    literal_refinement_row,
     literal_refute_splitting,
+    literal_splitting_order_row,
     searched_refute_splitting,
 )
 from topolab import checkers, fntop
@@ -734,6 +738,95 @@ def test_suite_refinement_row(suite22):
     # two base pairs, six admissible topologies each, ten samples apiece
     assert row.hypothesis_true_count == 120
     assert dict(row.budget)["bases"] == 12
+
+
+def test_sandwich_rows_match_their_search_oracles(monkeypatch):
+    # the whole suite's JSON against the suite whose two order rows run the
+    # comparisons and sampled refinements the sandwich replaced: every
+    # bound up to (3,2), seeds 0-5, sample counts from -1 to 100
+    configs = 0
+    for max_y in (1, 2, 3):
+        for max_z in (1, 2):
+            for seed in range(6):
+                for samples in (-1, 0, 1, 7, 100):
+                    got = suite_to_json(theorem_suite(max_y, max_z, samples, seed))
+                    with monkeypatch.context() as m:
+                        m.setattr(checkers, "_splitting_order_row", literal_splitting_order_row)
+                        m.setattr(checkers, "_refinement_row", literal_refinement_row)
+                        want = suite_to_json(theorem_suite(max_y, max_z, samples, seed))
+                    assert got == want
+                    configs += 1
+    assert configs == 180
+
+
+def test_sandwich_rows_run_no_search(monkeypatch):
+    # with every comparison and every built refinement refused, both rows
+    # at (3,2) still give what their search oracles give
+    ys, zs = checkers.suite_spaces(3, 2)
+    pairs = [(y, z) for y in ys for z in zs]
+    want = (literal_splitting_order_row(pairs), literal_refinement_row(100, 0, 3, 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sandwich row searched")
+
+    monkeypatch.setattr(checkers, "compare_topologies", refuse)
+    monkeypatch.setattr(FnTopology, "of", refuse)
+    got = (checkers._splitting_order_row(pairs), checkers._refinement_row(100, 0, 3, 2))
+    assert got == want
+    assert [r.instance_count for r in got] == [6120, 1200]
+    assert "random" not in vars(checkers)
+
+
+def _union_of(masks) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def test_the_pointwise_sandwich_off_the_named_topologies():
+    # below P, the pointwise topology: what some unions of its minimal opens
+    # generate; above it: P's rows with arbitrary masks added. Every such
+    # coarsening lies below every such refinement, and every refinement of
+    # such a refinement is admissible, by the package and the literal routes
+    rng = random.Random(24)
+    strict_below = strict_above = 0
+    for y in all_spaces_up_to(3):
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            p = maps.pointwise
+            full = (1 << len(maps)) - 1
+            coarser = [
+                FnTopology.of(
+                    maps,
+                    [
+                        _union_of(rng.sample(p, rng.randint(1, len(p))))
+                        for _ in range(rng.randint(0, 3))
+                    ],
+                )
+                for _ in range(3)
+            ]
+            finer = [
+                FnTopology.of(
+                    maps, p + tuple(rng.randrange(full + 1) for _ in range(rng.randint(0, 3)))
+                )
+                for _ in range(3)
+            ]
+            for c in coarser:
+                strict_below += c.min_opens != p
+                for f in finer:
+                    got = compare_topologies(c, f)
+                    assert got == literal_compare_topologies(c, f)
+                    assert got.verdict in ("equal", "a_coarser")
+            for f in finer:
+                strict_above += f.min_opens != p
+                extra = tuple(rng.randrange(full + 1) for _ in range(rng.randint(1, 3)))
+                for t in (f, FnTopology.of(maps, f.min_opens + extra)):
+                    assert evaluation_witness(t) is None
+                    assert literal_evaluation_witness(t) is None
+    # 510 of each were drawn; the seed makes 283 strict coarsenings and 201
+    # strict refinements, so most comparisons are not the trivial P with P
+    assert strict_below > 200 and strict_above > 150
 
 
 def test_suite_divergence_rows_replay(suite22, chain2, indisc2):

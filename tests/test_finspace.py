@@ -186,6 +186,35 @@ def test_subspace_empty_carrier(s):
     assert e.opens.members == (0,)
 
 
+def test_subspace_refuses_a_carrier_outside_the_ground(s):
+    # a stray bit would drop the full ground from the trace family, and a
+    # negative carrier has endless bits; both name the escaping bits
+    for carrier, stray in ((0b110, 0b100), (0b100, 0b100), (-1, -4), (-3, -4)):
+        with pytest.raises(NotATopology, match="escapes") as err:
+            subspace(s, carrier)
+        assert err.value.witness == (stray,)
+    for x in [discrete(0)] + all_spaces_up_to(3):
+        with pytest.raises(NotATopology):
+            subspace(x, x.full + 1)
+        with pytest.raises(NotATopology):
+            subspace(x, -1)
+
+
+def test_is_closed_refuses_masks_outside_the_ground(s):
+    # every space on at most 3 points, 0 points included: a mask is closed
+    # exactly when it lies in the ground and its complement is open, so a
+    # negative mask or a stray bit is neither open nor closed
+    assert not s.is_closed(0b100) and not s.is_closed(-1)
+    spaces = [discrete(0)] + all_spaces_up_to(3)
+    assert len(spaces) == 1 + 1 + 4 + 29
+    for x in spaces:
+        for mask in range(-(2 << x.size), 2 << x.size):
+            inside = 0 <= mask <= x.full
+            assert x.is_closed(mask) == (inside and x.is_open(x.full ^ mask))
+            if not inside:
+                assert not x.is_open(mask)
+
+
 def test_closure_pinned(s):
     assert closure_of(s, 0b10) == 0b11
     assert closure_of(s, 0b01) == 0b01

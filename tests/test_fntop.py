@@ -255,7 +255,7 @@ def test_function_space_profiles_match_literal_oracles():
 
 def test_compare_and_evaluation_match_literal_oracles():
     # the 1,020 named topologies at (3,2) and every ordered pair of kinds on
-    # each pair; then seeded refinements drawn as the suite's refinement row
+    # each pair; then seeded refinements (up to three random masks added)
     # and seeded coarsenings, since every named topology here is admissible,
     # each against its named topology both ways
     rng = random.Random(0)
