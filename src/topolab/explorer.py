@@ -16,11 +16,10 @@ bounds cannot change those outcomes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .checkers import composition_check, refute_splitting, suite_spaces
 from .errors import UnknownQuestion
-from .finspace import discrete, separation_profile
+from .finspace import Frozen, _set_field, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
 from .reports import VerdictReport, pair_tag
 
@@ -51,8 +50,7 @@ _COLLAPSE_Q10 = (
 )
 
 
-@dataclass(frozen=True)
-class QuestionProbe:
+class QuestionProbe(Frozen):
     """Outcome of one registered question at fixed bounds."""
 
     id: str
@@ -60,6 +58,15 @@ class QuestionProbe:
     result: tuple[VerdictReport, ...]
     explanation: str = ""
     out_of_scope_reason: str = ""
+
+    def __init__(
+        self, id, bounds, result, explanation="", out_of_scope_reason=""
+    ) -> None:
+        _set_field(self, "id", id)
+        _set_field(self, "bounds", bounds)
+        _set_field(self, "result", result)
+        _set_field(self, "explanation", explanation)
+        _set_field(self, "out_of_scope_reason", out_of_scope_reason)
 
     @property
     def status(self) -> str:

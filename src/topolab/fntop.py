@@ -29,7 +29,6 @@ records which route produced a topology so reports can say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
 from typing import Callable, Collection, Iterable
@@ -37,10 +36,12 @@ from typing import Callable, Collection, Iterable
 from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
     FinSpace,
+    Frozen,
     LocalProfile,
     Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _set_field,
     bits,
     full_mask,
     gather,
@@ -72,8 +73,7 @@ _NAMED_HYPERSPACES = {
 }
 
 
-@dataclass(frozen=True)
-class FnTopology:
+class FnTopology(Frozen, uncompared=("source",)):
     """A topology on a MapSet, carried by the minimal open around each map.
     Two topologies are equal when their maps, minimal opens and provenance
     are, whatever subbasis produced them.
@@ -88,9 +88,13 @@ class FnTopology:
     maps: MapSet
     min_opens: tuple[int, ...]
     provenance: str = "custom"
-    source: HyperSpace | tuple[int, ...] | str | None = field(
-        default=None, compare=False, repr=False
-    )
+    source: HyperSpace | tuple[int, ...] | str | None = None
+
+    def __init__(self, maps, min_opens, provenance="custom", source=None) -> None:
+        _set_field(self, "maps", maps)
+        _set_field(self, "min_opens", min_opens)
+        _set_field(self, "provenance", provenance)
+        _set_field(self, "source", source)
 
     @classmethod
     def of(cls, maps: MapSet, subbasis, provenance: str = "custom") -> "FnTopology":
@@ -244,11 +248,15 @@ def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     return FnTopology(maps, maps.pointwise, name, source)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Frozen):
     verdict: str  # equal | a_coarser | a_finer | incomparable
     a_only: tuple[int, ...]  # opens of a that b lacks
     b_only: tuple[int, ...]
+
+    def __init__(self, verdict, a_only, b_only) -> None:
+        _set_field(self, "verdict", verdict)
+        _set_field(self, "a_only", a_only)
+        _set_field(self, "b_only", b_only)
 
 
 def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:

@@ -37,16 +37,17 @@ the 2^m scans these replace live on as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import GroundTooLarge
 from .finspace import (
     FinSpace,
+    Frozen,
     Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _set_field,
     _subset_labels,
     _up_masks,
     _validate_topology_family,
@@ -58,8 +59,7 @@ from .mapspace import o_z_family, way_below_z
 MAX_HYPER_GROUND = 16
 
 
-@dataclass(frozen=True)
-class HyperSpace:
+class HyperSpace(Frozen):
     """A topology whose points are the open sets of a base space, carried by
     the minimal open family around each ground index; the open families
     are listed on first use."""
@@ -68,6 +68,12 @@ class HyperSpace:
     ground: tuple[Subset, ...]
     min_opens: tuple[int, ...]
     kind: str
+
+    def __init__(self, base, ground, min_opens, kind) -> None:
+        _set_field(self, "base", base)
+        _set_field(self, "ground", ground)
+        _set_field(self, "min_opens", min_opens)
+        _set_field(self, "kind", kind)
 
     @classmethod
     def of(

@@ -21,15 +21,16 @@ O_Z(Y) and `MapSet.pull` read."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
     FinSpace,
+    Frozen,
     Subset,
     SubsetFamily,
+    _set_field,
     bits,
     enumerate_topologies,
     full_mask,
@@ -51,14 +52,18 @@ MAX_SPLITTING_INSTANCES = 250_000
 _TEST_SPACES = {False: (1, 4, 29, 355), True: (1, 3, 9, 33)}
 
 
-@dataclass(frozen=True)
-class ContMap:
+class ContMap(Frozen):
     """A continuous map stored as its value table, one codomain point per
     domain point."""
 
     domain: FinSpace
     codomain: FinSpace
     table: tuple[int, ...]
+
+    def __init__(self, domain, codomain, table) -> None:
+        _set_field(self, "domain", domain)
+        _set_field(self, "codomain", codomain)
+        _set_field(self, "table", table)
 
     def __call__(self, p: int) -> int:
         return self.table[p]
@@ -74,8 +79,7 @@ class ContMap:
         return all(self.domain.is_open(self.preimage(u)) for u in self.codomain.opens)
 
 
-@dataclass(frozen=True)
-class MapSet:
+class MapSet(Frozen):
     """All continuous maps for a fixed pair, stored as their value tables in
     lexicographic order. Iterating or indexing the set hands out `ContMap`s,
     built on first use; nothing that decides a verdict asks for them."""
@@ -83,6 +87,11 @@ class MapSet:
     domain: FinSpace
     codomain: FinSpace
     tables: tuple[tuple[int, ...], ...]
+
+    def __init__(self, domain, codomain, tables) -> None:
+        _set_field(self, "domain", domain)
+        _set_field(self, "codomain", codomain)
+        _set_field(self, "tables", tables)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -234,14 +243,29 @@ def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
     return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
 
 
-@dataclass(frozen=True)
-class RelativeProfile:
+class RelativeProfile(Frozen):
     o_z: SubsetFamily
     z_top: FinSpace
     locally_z_compact: bool
     locally_z_bounded: bool
     z_corecompact: bool
     regular_locally_z_compact: bool
+
+    def __init__(
+        self,
+        o_z,
+        z_top,
+        locally_z_compact,
+        locally_z_bounded,
+        z_corecompact,
+        regular_locally_z_compact,
+    ) -> None:
+        _set_field(self, "o_z", o_z)
+        _set_field(self, "z_top", z_top)
+        _set_field(self, "locally_z_compact", locally_z_compact)
+        _set_field(self, "locally_z_bounded", locally_z_bounded)
+        _set_field(self, "z_corecompact", z_corecompact)
+        _set_field(self, "regular_locally_z_compact", regular_locally_z_compact)
 
 
 @lru_cache(maxsize=None)

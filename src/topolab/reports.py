@@ -8,14 +8,14 @@ drift) so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable
+
+from .finspace import Frozen, _set_field
 
 STATUSES = ("holds", "fails", "inconclusive")
 
 
-@dataclass(frozen=True)
-class VerdictReport:
+class VerdictReport(Frozen):
     """Outcome of one check or one suite row.
 
     `expected` stays True for ordinary rows; a False marks a recorded
@@ -30,11 +30,27 @@ class VerdictReport:
     budget: tuple[tuple[str, object], ...] = ()
     expected: bool = True
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"status {self.status!r} not in {STATUSES}")
-        if self.status == "fails" and not self.witnesses:
+    def __init__(
+        self,
+        claim,
+        status,
+        hypothesis_true_count=0,
+        instance_count=0,
+        witnesses=(),
+        budget=(),
+        expected=True,
+    ) -> None:
+        if status not in STATUSES:
+            raise ValueError(f"status {status!r} not in {STATUSES}")
+        if status == "fails" and not witnesses:
             raise ValueError("a failing report needs at least one witness")
+        _set_field(self, "claim", claim)
+        _set_field(self, "status", status)
+        _set_field(self, "hypothesis_true_count", hypothesis_true_count)
+        _set_field(self, "instance_count", instance_count)
+        _set_field(self, "witnesses", witnesses)
+        _set_field(self, "budget", budget)
+        _set_field(self, "expected", expected)
 
     @classmethod
     def of(

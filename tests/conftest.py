@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -51,7 +50,7 @@ def maybe_labeled(draw, max_points):
     x = draw(st.sampled_from(all_spaces_up_to(max_points)))
     if draw(st.booleans()):
         labels = draw(st.lists(st.text(max_size=3), min_size=x.size, max_size=x.size))
-        x = replace(x, labels=tuple(labels))
+        x = FinSpace(x.size, x.opens, tuple(labels))
     return x
 
 

@@ -293,6 +293,12 @@ def literal_regular(x: FinSpace) -> bool:
     return True
 
 
+def literal_partition_regular(mins: tuple[int, ...]) -> bool:
+    """Regularity read off the minimal opens U_p point by point: every q
+    in every U_p has U_q = U_p, so the U_p partition the ground."""
+    return all(mins[q] == m for m in mins for q in bits(m))
+
+
 def literal_locally_compact(x: FinSpace) -> bool:
     """Every open U around p shrinks to an open V around p with compact
     closure."""

@@ -306,6 +306,27 @@ def test_closed_stdout_exits_141_without_a_message():
     proc.stderr.close()
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call starts a fresh interpreter, and the two cost about 8 ms
+    # of its start-up; diffing sys.modules ignores what site hooks load
+    src = str(Path(topolab.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys; before = set(sys.modules); import topolab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "topolab.cli" in added
+    assert not {"dataclasses", "inspect"} & added
+
+
 def test_space_validate_refuses_a_space_past_the_canonical_cap(tmp_path, capsys, monkeypatch):
     # 10! * 1024 relabeled opens: refused before any permutation is tried
     import topolab.finspace

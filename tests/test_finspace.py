@@ -347,6 +347,11 @@ def test_cached_hashes_equal_the_dataclass_hashes():
         twin = FinSpace(x.size, SubsetFamily(x.size, tuple(x.opens.members)), x.labels)
         assert twin == x and twin is not x and twin.opens is not x.opens
         assert hash(twin) == hash(x) and hash(twin.opens) == hash(x.opens)
+        # a frozen space still fills its cached properties, and they are no field
+        assert twin.min_opens == x.min_opens and "min_opens" in vars(twin)
+        assert "min_opens" not in repr(twin) and hash(twin) == hash(x)
+        with pytest.raises(AttributeError):
+            twin.min_opens = ()
     # int tuples hash alike in every process and Python from 3.8 on; hash(None)
     # is fixed only from 3.12, so the space is pinned to its plain-tuple twin
     s = sierpinski()

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
 from topolab.cli import _fn_dict, _hyper_dict
+from topolab.finspace import FinSpace
 from topolab.fntop import NAMED, named_function_topology
 from topolab.hypertop import (
     compact_subbasis_topology,
@@ -37,7 +37,7 @@ _YZ_KINDS = (z_scott, strong_z_scott)
 
 
 def _labeled(x, tag: str):
-    return replace(x, labels=tuple(f"{tag}{p}" for p in range(x.size)))
+    return FinSpace(x.size, x.opens, tuple(f"{tag}{p}" for p in range(x.size)))
 
 
 def _listing(ys, zs) -> list[str]:

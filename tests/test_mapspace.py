@@ -8,6 +8,7 @@ from oracles import (
     literal_continuous,
     literal_locally_z_bounded,
     literal_monotone,
+    literal_partition_regular,
     literal_pointwise,
     literal_z_corecompact,
 )
@@ -22,6 +23,7 @@ from topolab.finspace import (
     generate_from_subbasis,
     indiscrete,
     make_space,
+    min_open_profile,
     sierpinski,
     transpose,
 )
@@ -93,6 +95,22 @@ def test_a_map_set_is_held_as_its_tables():
         assert all(ms[i].table == t for i, t in enumerate(ms.tables))
         for u in z.opens:
             assert rows[u] == tuple(f.preimage(u) for f in ms.maps)
+
+
+def test_regularity_by_row_sizes_matches_the_per_point_test():
+    # every topology on at most 5 points, and the pointwise carrier of every
+    # labeled pair up to (4,2) and up to (3,3), 0-point spaces included
+    spaces = [sp for n in range(6) for sp in enumerate_topologies(n)]
+    carriers = [x.min_opens for x in spaces]
+    upto = {n: [sp for sp in spaces if sp.size <= n] for n in (2, 3, 4)}
+    pairs = {(y, z) for y in upto[4] for z in upto[2]}
+    pairs |= {(y, z) for y in upto[3] for z in upto[3]}
+    carriers += [enumerate_continuous(y, z).pointwise for y, z in pairs]
+    assert len(carriers) == 7332 + 390 * 6 + 35 * (35 - 6)
+    verdicts = [min_open_profile(mins).regular for mins in carriers]
+    assert verdicts == [literal_partition_regular(mins) for mins in carriers]
+    # a regular space is a partition; 76 is the Bell numbers B_0 + ... + B_5
+    assert sum(verdicts) == 76 + 1761
 
 
 def test_the_walk_never_filters(monkeypatch):
