@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .checkers import (
     composition_check,
@@ -57,7 +56,8 @@ _ALL_KINDS = tuple(NAMED) + tuple(_HYPER_KINDS) + tuple(_HYPER_Z_KINDS)
 
 def _load(path: str):
     try:
-        return json.loads(Path(path).read_text())
+        with open(path) as f:
+            return json.load(f)
     except ValueError as exc:  # undecodable text or bad JSON; OSError passes
         raise MalformedInput(f"{path}: {exc}") from exc
 
@@ -93,7 +93,8 @@ def _field(obj, key: str, shape: str, default=_REQUIRED):
 def _emit(obj: dict | list, out: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as f:
+            f.write(text + "\n")
     else:
         print(text)
 

@@ -28,7 +28,7 @@ refute it, lives on as a test oracle.
 from __future__ import annotations
 
 from .errors import MismatchedBase
-from .finspace import FinSpace, _set_field, meets_by_point
+from .finspace import FinSpace, meets_by_point
 from .fntop import FnTopology, evaluation_witness, lift_open_family
 from .hypertop import HyperSpace
 from .mapspace import MapSet, o_z_family
@@ -41,10 +41,6 @@ class DualSpace(HyperSpace):
     records Z. Its opens, ground index and space are the HyperSpace ones."""
 
     z: FinSpace
-
-    def __init__(self, base, ground, min_opens, kind, z) -> None:
-        super().__init__(base, ground, min_opens, kind)
-        _set_field(self, "z", z)
 
     @classmethod
     def of(cls, y: FinSpace, z: FinSpace, opens) -> "DualSpace":

@@ -19,7 +19,7 @@ import json
 
 from .checkers import composition_check, refute_splitting, suite_spaces
 from .errors import UnknownQuestion
-from .finspace import Frozen, _set_field, discrete, separation_profile
+from .finspace import Frozen, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
 from .reports import VerdictReport, pair_tag
 
@@ -58,15 +58,6 @@ class QuestionProbe(Frozen):
     result: tuple[VerdictReport, ...]
     explanation: str = ""
     out_of_scope_reason: str = ""
-
-    def __init__(
-        self, id, bounds, result, explanation="", out_of_scope_reason=""
-    ) -> None:
-        _set_field(self, "id", id)
-        _set_field(self, "bounds", bounds)
-        _set_field(self, "result", result)
-        _set_field(self, "explanation", explanation)
-        _set_field(self, "out_of_scope_reason", out_of_scope_reason)
 
     @property
     def status(self) -> str:

@@ -29,9 +29,9 @@ records which route produced a topology so reports can say so.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterable
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Callable, Collection, Iterable
 
 from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
@@ -41,7 +41,6 @@ from .finspace import (
     Subset,
     SubsetFamily,
     _enumerate_upsets,
-    _set_field,
     bits,
     full_mask,
     gather,
@@ -89,12 +88,6 @@ class FnTopology(Frozen, uncompared=("source",)):
     min_opens: tuple[int, ...]
     provenance: str = "custom"
     source: HyperSpace | tuple[int, ...] | str | None = None
-
-    def __init__(self, maps, min_opens, provenance="custom", source=None) -> None:
-        _set_field(self, "maps", maps)
-        _set_field(self, "min_opens", min_opens)
-        _set_field(self, "provenance", provenance)
-        _set_field(self, "source", source)
 
     @classmethod
     def of(cls, maps: MapSet, subbasis, provenance: str = "custom") -> "FnTopology":
@@ -252,11 +245,6 @@ class Comparison(Frozen):
     verdict: str  # equal | a_coarser | a_finer | incomparable
     a_only: tuple[int, ...]  # opens of a that b lacks
     b_only: tuple[int, ...]
-
-    def __init__(self, verdict, a_only, b_only) -> None:
-        _set_field(self, "verdict", verdict)
-        _set_field(self, "a_only", a_only)
-        _set_field(self, "b_only", b_only)
 
 
 def compare_topologies(a: FnTopology, b: FnTopology) -> Comparison:

@@ -37,8 +37,8 @@ the 2^m scans these replace live on as test oracles.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 from .errors import GroundTooLarge
 from .finspace import (
@@ -47,7 +47,6 @@ from .finspace import (
     Subset,
     SubsetFamily,
     _enumerate_upsets,
-    _set_field,
     _subset_labels,
     _up_masks,
     _validate_topology_family,
@@ -68,12 +67,6 @@ class HyperSpace(Frozen):
     ground: tuple[Subset, ...]
     min_opens: tuple[int, ...]
     kind: str
-
-    def __init__(self, base, ground, min_opens, kind) -> None:
-        _set_field(self, "base", base)
-        _set_field(self, "ground", ground)
-        _set_field(self, "min_opens", min_opens)
-        _set_field(self, "kind", kind)
 
     @classmethod
     def of(

@@ -21,8 +21,8 @@ O_Z(Y) and `MapSet.pull` read."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
-from typing import Iterator
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
@@ -30,7 +30,6 @@ from .finspace import (
     Frozen,
     Subset,
     SubsetFamily,
-    _set_field,
     bits,
     enumerate_topologies,
     full_mask,
@@ -60,11 +59,6 @@ class ContMap(Frozen):
     codomain: FinSpace
     table: tuple[int, ...]
 
-    def __init__(self, domain, codomain, table) -> None:
-        _set_field(self, "domain", domain)
-        _set_field(self, "codomain", codomain)
-        _set_field(self, "table", table)
-
     def __call__(self, p: int) -> int:
         return self.table[p]
 
@@ -87,11 +81,6 @@ class MapSet(Frozen):
     domain: FinSpace
     codomain: FinSpace
     tables: tuple[tuple[int, ...], ...]
-
-    def __init__(self, domain, codomain, tables) -> None:
-        _set_field(self, "domain", domain)
-        _set_field(self, "codomain", codomain)
-        _set_field(self, "tables", tables)
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -250,22 +239,6 @@ class RelativeProfile(Frozen):
     locally_z_bounded: bool
     z_corecompact: bool
     regular_locally_z_compact: bool
-
-    def __init__(
-        self,
-        o_z,
-        z_top,
-        locally_z_compact,
-        locally_z_bounded,
-        z_corecompact,
-        regular_locally_z_compact,
-    ) -> None:
-        _set_field(self, "o_z", o_z)
-        _set_field(self, "z_top", z_top)
-        _set_field(self, "locally_z_compact", locally_z_compact)
-        _set_field(self, "locally_z_bounded", locally_z_bounded)
-        _set_field(self, "z_corecompact", z_corecompact)
-        _set_field(self, "regular_locally_z_compact", regular_locally_z_compact)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ drift) so identical runs are byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from collections.abc import Iterable
 
 from .finspace import Frozen, _set_field
 

@@ -264,6 +264,21 @@ def test_malformed_space_file_exits_two(tmp_path, capsys, text):
     assert json.loads(err)["error"] == "MalformedInput"
 
 
+def test_unreadable_input_and_unwritable_output_exit_two(tmp_path, capsys):
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b'{"points": \xff}')
+    for path, error in (
+        (undecodable, "MalformedInput"),
+        (tmp_path / "absent.json", "FileNotFoundError"),
+        (tmp_path, "IsADirectoryError"),
+    ):
+        code, out, err = run(capsys, "space", "validate", str(path))
+        assert (code, out, json.loads(err)["error"]) == (2, "", error)
+    out_file = tmp_path / "absent" / "out.json"
+    code, out, err = run(capsys, "space", "enum", "--points", "1", "--out", str(out_file))
+    assert (code, out, json.loads(err)["error"]) == (2, "", "FileNotFoundError")
+
+
 def test_malformed_topology_and_dual_files_exit_two(tmp_path, capsys):
     spath = write(tmp_path, "s.json", S)
     top = write(tmp_path, "t.json", {"y": S, "z": S, "subbasis": [0, 4.5]})
@@ -325,6 +340,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     added = set(proc.stdout.split())
     assert "topolab.cli" in added
     assert not {"dataclasses", "inspect"} & added
+
+
+def test_cli_import_loads_neither_typing_nor_pathlib_without_site_hooks():
+    # with -S no site hook imports either module first, as a plain CI
+    # interpreter may not; annotations stay strings, so neither is needed
+    src = str(Path(topolab.__file__).parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import topolab.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(proc.stdout.split())
+    assert "topolab.cli" in added
+    assert not {"typing", "pathlib"} & added
 
 
 def test_space_validate_refuses_a_space_past_the_canonical_cap(tmp_path, capsys, monkeypatch):

@@ -72,6 +72,24 @@ def test_make_space_rejects_large_ground():
         make_space(33, [0, (1 << 33) - 1])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: make_space(n, []),
+        lambda n: generate_from_subbasis(n, []),
+        lambda n: SubsetFamily.of(n, []),
+        enumerate_topologies,
+        lambda n: enumerate_topologies(n, up_to_iso=True),
+    ],
+    ids=["make_space", "generate_from_subbasis", "SubsetFamily.of", "labeled", "up_to_iso"],
+)
+def test_negative_point_counts_are_refused_by_name(build):
+    # refused up front, not by a bit shift deep inside
+    for n in (-1, -5):
+        with pytest.raises(ValueError, match=f"point count must be at least 0, got {n}$"):
+            build(n)
+
+
 def test_generate_from_subbasis_pinned():
     x = generate_from_subbasis(3, [0b011, 0b110])
     assert x.opens.members == (0, 0b010, 0b011, 0b110, 0b111)

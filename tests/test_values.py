@@ -5,6 +5,8 @@ a value it does not know by its str, so they are output bytes."""
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from topolab.duality import DualSpace, tau_of_t
@@ -55,6 +57,8 @@ FIELDS = {
     ),
     QuestionProbe: ("id", "bounds", "result", "explanation", "out_of_scope_reason"),
 }
+# every field, in constructor order: the compared ones, then the rest
+INIT_FIELDS = {**FIELDS, FnTopology: FIELDS[FnTopology] + ("source",)}
 
 _P = "FinSpace(size=1, opens=SubsetFamily(ground_size=1, members=(0, 1)), labels=None)"
 _S = "FinSpace(size=2, opens=SubsetFamily(ground_size=2, members=(0, 2, 3)), labels=None)"
@@ -152,3 +156,24 @@ def test_a_report_still_checks_its_status():
     with pytest.raises(ValueError, match="witness"):
         VerdictReport("c", "fails")
     assert VerdictReport("c", "fails", witnesses=(1,)).witnesses == (1,)
+
+
+@pytest.mark.parametrize("a", _instances(), ids=lambda a: type(a).__name__)
+def test_each_constructor_takes_the_fields_in_order(a):
+    # VerdictReport writes its own, to check the status; the rest are
+    # generated from the annotations
+    cls = type(a)
+    init = cls.__init__
+    assert (init.__code__.co_filename == "<string>") == (cls is not VerdictReport)
+    params = list(inspect.signature(init).parameters.values())
+    assert [p.name for p in params] == ["self", *INIT_FIELDS[cls]]
+    for p in params[1:]:
+        if p.default is p.empty:
+            assert not hasattr(cls, p.name)
+        else:
+            assert p.default == getattr(cls, p.name)
+    assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+    with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\.__init__\(\) missing"):
+        cls()
+    fields = {f: getattr(a, f) for f in INIT_FIELDS[cls]}
+    assert cls(**fields) == cls(*fields.values()) == a
