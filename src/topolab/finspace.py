@@ -354,6 +354,8 @@ def generate_from_subbasis(
     """
     if size > MAX_GROUND:
         raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
+    if labels is not None and len(labels) != size:
+        raise NotATopology("label count does not match ground size")
     seeds = SubsetFamily.of(size, family)
     opens = sorted(_enumerate_upsets(size, meets_by_point(size, seeds)))
     return FinSpace(

@@ -10,7 +10,9 @@ skips it when a containment test settles the answer; the two suite-row
 oracles, `literal_splitting_order_row` and `literal_refinement_row`, keep
 the comparisons and sampled refinements the suite replaced by the
 pointwise sandwich, and run them through the package's own comparison and
-evaluation check.
+evaluation check; `literal_dual_rows` keeps the per-carrier route that
+built every named topology's dual, which the suite replaced by the
+Scott-trace sandwich, and runs the package's own dual operators.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from itertools import combinations, permutations
 from itertools import product as assignments
 
 from topolab.checkers import _COMPOSE_HYPOTHESIS
+from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded
 from topolab.finspace import (
     FinSpace,
@@ -845,6 +848,59 @@ def literal_refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> V
         checked,
         budget=(("bases", admissible_bases), ("samples", samples), ("seed", seed)),
     )
+
+
+def literal_dual_rows(pairs) -> list[VerdictReport]:
+    """Admissibility of each named t against that of its dual tau.
+
+    The last two rows coincide by construction: "via_dual" admissibility of
+    tau is the evaluation check on t_of_tau(tau), the round trip itself, so
+    one computation serves both and both claims stay on record. Both
+    verdicts read only t's maps and minimal opens, so each pair decides
+    one dual per distinct carrier, however many names share it; every
+    name still counts as an instance.
+    """
+    forward_wit = []
+    equiv_wit = []
+    forward_hyp = 0
+    instances = 0
+    for y, z in pairs:
+        verdicts = _per_carrier(y, z, _dual_verdicts)
+        for name in NAMED:
+            instances += 1
+            t_ok, tau_ok = verdicts[name]
+            if t_ok:
+                forward_hyp += 1
+                if not tau_ok:
+                    forward_wit.append((pair_tag(y, z), name))
+            if t_ok != tau_ok:
+                equiv_wit.append((pair_tag(y, z), name))
+    claim = "dual:admissible-implies-dual-admissible"
+    rows = [VerdictReport.of(claim, forward_wit, forward_hyp, instances)]
+    for claim in ("dual:named-equivalence-t-tau", "dual:named-equivalence-t-round-trip"):
+        rows.append(VerdictReport.of(claim, equiv_wit, instances, instances))
+    return rows
+
+
+def _per_carrier(y: FinSpace, z: FinSpace, decide) -> dict:
+    """decide(t) for each named topology t of the pair, computed once per
+    distinct carrier: exact for any decide that reads only t.maps and
+    t.min_opens, the maps being the pair's. It assumes nothing about which
+    names share a carrier."""
+    by_carrier = {}
+    out = {}
+    for name in NAMED:
+        t = named_function_topology(name, y, z)
+        if t.min_opens not in by_carrier:
+            by_carrier[t.min_opens] = decide(t)
+        out[name] = by_carrier[t.min_opens]
+    return out
+
+
+def _dual_verdicts(t: FnTopology) -> tuple[bool, bool]:
+    """Whether t is admissible, and whether its dual tau_of_t(t) is."""
+    tau_ok = is_admissible_on_ozy(tau_of_t(t), t.maps).status == "holds"
+    return evaluation_witness(t) is None, tau_ok
 
 
 def literal_composition_check(

@@ -13,6 +13,7 @@ from oracles import (
     literal_characteristic_homeomorphism,
     literal_compare_topologies,
     literal_composition_check,
+    literal_dual_rows,
     literal_evaluation_witness,
     literal_refinement_row,
     literal_refute_splitting,
@@ -675,16 +676,17 @@ def _dual_rows_by_name(pairs, topology):
     return rows
 
 
-def test_dual_rows_decide_one_dual_per_carrier(monkeypatch):
-    # the six names of a pair share one carrier, so _dual_rows decides one
-    # dual per pair, 170 at (3,2); with co and coZ given other carriers it
-    # decides one per distinct carrier, and the rows equal the per-name
+def test_dual_rows_build_a_dual_only_off_admissible(monkeypatch):
+    # an admissible t has an admissible dual, so _dual_rows builds a dual
+    # only for a t that is not admissible: none for the named topologies at
+    # (3,2); with co made discrete and coZ indiscrete, one per pair where
+    # the indiscrete one is not admissible. The rows equal the per-name
     # recomputation either way, witnesses included
     pairs = [(y, z) for y in all_spaces_up_to(3) for z in all_spaces_up_to(2)]
     calls = []
 
     def counted(t):
-        calls.append(t.min_opens)
+        calls.append(t)
         return tau_of_t(t)
 
     def custom(name, y, z):
@@ -694,15 +696,26 @@ def test_dual_rows_decide_one_dual_per_carrier(monkeypatch):
         return fn_indiscrete(t.maps) if name == "coZ" else t
 
     monkeypatch.setattr(checkers, "tau_of_t", counted)
-    for topology, duals in ((named_function_topology, 170), (custom, 374)):
-        carriers = sum(len({topology(k, y, z).min_opens for k in NAMED}) for y, z in pairs)
-        assert carriers == duals
+    for topology, duals in ((named_function_topology, 0), (custom, 102)):
         monkeypatch.setattr(checkers, "named_function_topology", topology)
         calls.clear()
         got = checkers._dual_rows(pairs)
         assert len(calls) == duals
+        assert all(evaluation_witness(t) is not None for t in calls)
         assert got == _dual_rows_by_name(pairs, topology)
     assert got[0].status == "holds" and got[1].status == "fails"
+
+
+def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
+    # the whole suite's JSON against the suite whose dual rows build every
+    # named topology's dual, once per carrier, at every bound up to (3,2)
+    for max_y in (1, 2, 3):
+        for max_z in (1, 2):
+            got = suite_to_json(theorem_suite(max_y, max_z))
+            with monkeypatch.context() as m:
+                m.setattr(checkers, "_dual_rows", literal_dual_rows)
+                want = suite_to_json(theorem_suite(max_y, max_z))
+            assert got == want
 
 
 def test_suite_rows_at_2_2(suite22):

@@ -8,6 +8,7 @@ import pytest
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
 from topolab.errors import AxiomsViolated, MismatchedBase
 from topolab.finspace import (
+    _up_masks,
     enumerate_topologies,
     full_mask,
     generate_from_subbasis,
@@ -21,7 +22,7 @@ from topolab.fntop import (
     named_function_topology,
 )
 from topolab.hypertop import HyperSpace
-from topolab.mapspace import enumerate_continuous, o_z_family
+from topolab.mapspace import enumerate_continuous, first_escape, o_z_family
 
 from conftest import all_spaces_up_to
 from oracles import (
@@ -358,3 +359,36 @@ def test_t_of_tau_matches_the_listed_family_bracket():
             for tau in {tau_of_t(named_function_topology(n, y, z)) for n in NAMED}:
                 want = listed_family_lift(maps, tau.ground_index, tau.opens)
                 assert t_of_tau(tau, maps).subbasis == tuple(sorted(want))
+
+
+def test_the_scott_trace_sandwich():
+    # the theorem the suite's dual rows rest on. A, the Scott trace on
+    # O_Z(Y), has ↑g as its minimal open around g; t_of_tau(A) is P, the
+    # pointwise topology, and tau_of_t(P) is finer than A. Since tau_of_t is
+    # monotone, every seeded refinement t of P has a dual finer than
+    # tau_of_t(P), and that dual is admissible. Every labeled pair up to
+    # (3,2), and each 4-point class against every Z of at most 2 points
+    rng = random.Random(27)
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    pairs = [(y, z) for y in ys for z in all_spaces_up_to(2)]
+    refinements = 0
+    for y, z in pairs:
+        maps = enumerate_continuous(y, z)
+        ground = o_z_family(y, z).members
+        a = DualSpace(y, ground, _up_masks(ground), "dual", z)
+        assert t_of_tau(a, maps).min_opens == maps.pointwise
+        tau_p = tau_of_t(FnTopology.of(maps, maps.pointwise))
+        assert first_escape(tau_p.min_opens, a.min_opens) is None
+        full = full_mask(len(maps))
+        for _ in range(3):
+            rows = [
+                row & (rng.randrange(full + 1) | 1 << i)
+                for i, row in enumerate(maps.pointwise)
+            ]
+            t = FnTopology.of(maps, rows)
+            assert first_escape(t.min_opens, maps.pointwise) is None
+            tau = tau_of_t(t)
+            assert first_escape(tau.min_opens, tau_p.min_opens) is None
+            assert is_admissible_on_ozy(tau, maps).status == "holds"
+            refinements += 1
+    assert (len(pairs), refinements) == (335, 1005)

@@ -90,6 +90,19 @@ def test_negative_point_counts_are_refused_by_name(build):
             build(n)
 
 
+def test_make_space_refuses_a_label_count_off_the_ground():
+    with pytest.raises(NotATopology, match="label count does not match ground size"):
+        make_space(2, [0, 0b01, 0b11], labels=("a",))
+
+
+def test_generate_from_subbasis_refuses_a_label_count_off_the_ground():
+    # refused when built, not by an IndexError on a later label_of or subspace
+    for labels in (("a",), ("a", "b", "c")):
+        with pytest.raises(NotATopology, match="label count does not match ground size"):
+            generate_from_subbasis(2, [0b01], labels=labels)
+    assert generate_from_subbasis(2, [0b01], labels=("a", "b")).label_of(1) == "b"
+
+
 def test_generate_from_subbasis_pinned():
     x = generate_from_subbasis(3, [0b011, 0b110])
     assert x.opens.members == (0, 0b010, 0b011, 0b110, 0b111)
@@ -260,6 +273,18 @@ def test_separation_implications_exhaustive():
             assert p.t1
         if p.t1:
             assert p.t0
+
+
+def test_t0_counts():
+    # the T0 topologies are the partial orders: labeled counts OEIS A001035,
+    # counts up to homeomorphism A000112
+    labeled = [sum(separation_profile(x).t0 for x in enumerate_topologies(n)) for n in range(6)]
+    assert labeled == [1, 1, 3, 19, 219, 4231]
+    classes = [
+        sum(separation_profile(x).t0 for x in enumerate_topologies(n, up_to_iso=True))
+        for n in range(6)
+    ]
+    assert classes == [1, 1, 2, 5, 16, 63]
 
 
 def test_discrete_is_t2():
