@@ -16,9 +16,11 @@ family: containment is one mask test per map each way (`first_escape`,
 for the one direction a caller reads, answered at once when a topology
 carries `MapSet.pointwise` itself), evaluation is continuous iff each
 minimal open lies inside the pointwise one, and the separation profile
-is the one `finspace` reads off a space's minimal opens. The subbasis walks
-run only to name the witnesses of a failing check. The family itself is
-built on demand under a budget.
+is the one `finspace` reads off a space's minimal opens. A topology that
+carries the pointwise rows reads it from `MapSet.profile`, built once per
+map set and shared by all six names and both `kset_topology` modes. The
+subbasis walks run only to name the witnesses of a failing check. The
+family itself is built on demand under a budget.
 
 Two subbasis styles appear: restriction sets {f : f(K) included in U} with K a
 compact subset of the domain, and lifted sets {f : the preimage of U lies in a
@@ -30,7 +32,7 @@ records which route produced a topology so reports can say so.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import islice
 
 from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
@@ -42,6 +44,7 @@ from .finspace import (
     SubsetFamily,
     _enumerate_upsets,
     bits,
+    cached_property,
     full_mask,
     gather,
     meets_by_point,
@@ -128,7 +131,12 @@ class FnTopology(Frozen, uncompared=("source",)):
     @cached_property
     def profile(self) -> LocalProfile:
         """The separation profile of the materialized space, read off the
-        minimal opens as `finspace` reads it for a FinSpace."""
+        minimal opens as `finspace` reads it for a FinSpace. A topology
+        whose minimal opens equal `MapSet.pointwise`, every named one
+        included, hands back the map set's one profile."""
+        maps = self.maps
+        if self.min_opens == maps.pointwise:
+            return maps.profile
         return min_open_profile(self.min_opens)
 
     def is_open_mask(self, mask: int) -> bool:

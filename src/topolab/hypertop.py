@@ -38,7 +38,7 @@ the 2^m scans these replace live on as test oracles.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import GroundTooLarge
 from .finspace import (
@@ -50,6 +50,7 @@ from .finspace import (
     _subset_labels,
     _up_masks,
     _validate_topology_family,
+    cached_property,
     full_mask,
     meets_by_point,
 )

@@ -17,25 +17,29 @@ value tables the walk forms: the preimage rows, the pointwise relation
 and every lift read the tables, and a `ContMap` is built only when
 someone iterates or indexes the set. A MapSet groups its maps by preimage
 in one place, `MapSet.bracket`, which every lift onto C(Y,Z), its dual on
-O_Z(Y) and `MapSet.pull` read."""
+O_Z(Y) and `MapSet.pull` read. It also keeps the separation profile of
+the pointwise topology, `MapSet.profile`, so the topologies carrying
+those rows share one profile per map set, not one per topology."""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
     FinSpace,
     Frozen,
+    LocalProfile,
     Subset,
     SubsetFamily,
     bits,
+    cached_property,
     enumerate_topologies,
     full_mask,
     gather,
     generate_from_subbasis,
-    local_profile,
+    min_open_profile,
     popcount,
     separation_profile,
     sierpinski,
@@ -161,6 +165,14 @@ class MapSet(Frozen):
             rows = [row & near[table[p]] for row, table in zip(rows, self.tables)]
         return tuple(rows)
 
+    @cached_property
+    def profile(self) -> LocalProfile:
+        """The separation profile of the pointwise topology, read off
+        `pointwise` once per map set. Every named topology and both
+        `kset_topology` modes carry those rows, and `FnTopology.profile`
+        hands this one object to each of them."""
+        return min_open_profile(self.pointwise)
+
 
 def monotone_prefixes(
     links, below, above, width: int
@@ -245,7 +257,6 @@ class RelativeProfile(Frozen):
 def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     oz = o_z_family(y, z)
     ztop = z_topology(y, z)
-    lzc = local_profile(ztop).locally_compact
     # Both predicates ask, for every point p and open u around p, for an a in
     # the preimage family with p in a inside u that is bounded in the
     # generated topology (or in its trace on u). Boundedness always holds on
@@ -253,13 +264,15 @@ def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     # A preimage a is open, so p in a inside U_p makes a = U_p: both hold
     # exactly when every minimal open of Y is a preimage.
     shrinks = all(m in oz for m in y.min_opens)
+    # z_top is finite, so it is locally compact by the theorem
+    # `compactness_verdict` cites, as `min_open_profile` always records
     return RelativeProfile(
         o_z=oz,
         z_top=ztop,
-        locally_z_compact=lzc,
+        locally_z_compact=True,
         locally_z_bounded=shrinks,
         z_corecompact=shrinks,
-        regular_locally_z_compact=separation_profile(y).regular and lzc,
+        regular_locally_z_compact=separation_profile(y).regular,
     )
 
 

@@ -13,8 +13,17 @@ from hypothesis import strategies as st
 import topolab
 from conftest import maybe_labeled
 from topolab import checkers
-from topolab.cli import _fn_from, _space_from, main
+from topolab.cli import _fn_dict, _fn_from, _space_from, main
+from topolab.duality import t_of_tau, tau_of_t
 from topolab.fntop import NAMED, FnTopology, named_function_topology
+from topolab.hypertop import (
+    compact_subbasis_topology,
+    scott,
+    strong_scott,
+    strong_z_scott,
+    z_scott,
+)
+from topolab.mapspace import enumerate_continuous
 
 S = {"points": 2, "opens": [0, 2, 3]}
 PT = {"points": 1, "opens": [0, 1]}
@@ -421,3 +430,76 @@ def test_topo_build_round_trip(tmp_path_factory, y, z, kind):
     assert back.subbasis == t.subbasis
     assert back.provenance == t.provenance == kind
     assert (back.maps.domain.labels, back.maps.codomain.labels) == (y.labels, z.labels)
+
+
+# each hyperspace kind of `topo build`, built in process
+HYPER_BUILDERS = {
+    "scott": lambda y, z: scott(y),
+    "sscott": lambda y, z: strong_scott(y),
+    "ksubbasis": lambda y, z: compact_subbasis_topology(y),
+    "zscott": z_scott,
+    "zsscott": strong_z_scott,
+}
+
+
+def fn_topology(y, z, kind):
+    """A named topology on C(Y, Z), or its indiscrete or discrete one."""
+    if kind in NAMED:
+        return named_function_topology(kind, y, z)
+    maps = enumerate_continuous(y, z)
+    singletons = [1 << i for i in range(len(maps))]
+    return FnTopology.of(maps, singletons if kind == "discrete" else [])
+
+
+def write_topology(path, t):
+    path.write_text(json.dumps(_fn_dict(t)))
+    return str(path)
+
+
+TOPOLOGY_KINDS = st.sampled_from((*NAMED, "indiscrete", "discrete"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=maybe_labeled(3), z=maybe_labeled(2), kind=st.sampled_from(tuple(HYPER_BUILDERS)))
+def test_topo_build_hyperspace_round_trip(tmp_path_factory, y, z, kind):
+    d = tmp_path_factory.mktemp("hyper")
+    out = d / "out.json"
+    argv = ["topo", "build", "--kind", kind, "--out", str(out)]
+    argv += ["--y", write_space(d / "y.json", y), "--z", write_space(d / "z.json", z)]
+    assert main(argv) == 0
+    h = HYPER_BUILDERS[kind](y, z)
+    got = json.loads(out.read_text())
+    assert got["kind"] == h.kind and _space_from(got["base"]) == y
+    assert (tuple(got["ground"]), tuple(got["opens"])) == (h.ground, h.opens.members)
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=maybe_labeled(3), z=maybe_labeled(2), kind=TOPOLOGY_KINDS)
+def test_dual_commands_round_trip(tmp_path_factory, y, z, kind):
+    d = tmp_path_factory.mktemp("dual")
+    t = fn_topology(y, z, kind)
+    tau_file, back_file = d / "tau.json", d / "back.json"
+    argv = ["dual", "tau-of-t", "--topology", write_topology(d / "t.json", t)]
+    assert main([*argv, "--out", str(tau_file)]) == 0
+    tau = tau_of_t(t)
+    got = json.loads(tau_file.read_text())
+    assert (tuple(got["ground"]), tuple(got["opens"])) == (tau.ground, tau.opens.members)
+    argv = ["dual", "t-of-tau", "--dual", str(tau_file), "--out", str(back_file)]
+    argv += ["--y", write_space(d / "y.json", y), "--z", write_space(d / "z.json", z)]
+    assert main(argv) == 0
+    back = _fn_from(json.loads(back_file.read_text()))
+    want = t_of_tau(tau, t.maps)
+    assert back == want and back.subbasis == want.subbasis
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=maybe_labeled(3), z=maybe_labeled(2), kind=TOPOLOGY_KINDS)
+def test_check_admissible_round_trip(tmp_path_factory, y, z, kind):
+    d = tmp_path_factory.mktemp("admissible")
+    t = fn_topology(y, z, kind)
+    out = d / "out.json"
+    argv = ["check", "admissible", "--topology", write_topology(d / "t.json", t)]
+    code = main([*argv, "--out", str(out)])
+    rep = checkers.is_admissible(t)
+    assert code == (1 if rep.status == "fails" and rep.expected else 0)
+    assert json.loads(out.read_text()) == json.loads(json.dumps(rep.to_dict()))

@@ -23,6 +23,7 @@ from topolab.finspace import (
     discrete,
     enumerate_topologies,
     make_space,
+    min_open_profile,
     separation_profile,
 )
 from topolab.fntop import (
@@ -252,6 +253,52 @@ def test_function_space_profiles_match_literal_oracles():
         for name in NAMED:
             t = named_function_topology(name, y, z)
             assert t.profile == separation_profile(t.as_space())
+
+
+def _literal_profile_once(t, memo):
+    """`literal_profile` of t's space, computed once per distinct set of
+    minimal opens. Every discrete space on two or more points has the
+    profile of the 2-point one, which stands in for the larger ones: the
+    literal regularity search on 10 discrete points takes tens of
+    seconds, and on 16 the opens are past the budget."""
+    mins = t.min_opens
+    if len(mins) > 2 and mins == tuple(1 << i for i in range(len(mins))):
+        t = fn_discrete(enumerate_continuous(discrete(1), discrete(2)))
+        mins = t.min_opens
+    if mins not in memo:
+        memo[mins] = literal_profile(FinSpace(len(mins), t.opens))
+    return memo[mins]
+
+
+def test_one_profile_per_map_set_matches_the_literal_oracle():
+    # every pair at (3,2), and each 4-point class against every Z <= 2. The
+    # six named topologies, both kset modes and a lift equal to P hand
+    # back the map set's own profile object; a topology with other rows
+    # reads its own, and both agree with the literal oracle
+    ys = all_spaces_up_to(3) + list(enumerate_topologies(4, up_to_iso=True))
+    memo = {}
+    own = differs = 0
+    for y in ys:
+        for z in all_spaces_up_to(2):
+            maps = enumerate_continuous(y, z)
+            shared = [named_function_topology(name, y, z) for name in NAMED]
+            shared += [kset_topology(maps), kset_topology(maps, "z_relative")]
+            shared.append(lift_open_family(scott(y), maps))
+            assert shared[-1].min_opens is not maps.pointwise
+            for t in shared:
+                assert t.min_opens == maps.pointwise
+                assert t.profile is maps.profile
+            assert maps.profile == _literal_profile_once(shared[0], memo)
+            for t in (fn_indiscrete(maps), fn_discrete(maps)):
+                for u in (t, duality.t_of_tau(tau_of_t(t), maps)):
+                    if u.min_opens == maps.pointwise:
+                        assert u.profile is maps.profile
+                        continue
+                    own += 1
+                    assert u.profile == min_open_profile(u.min_opens)
+                    assert u.profile == _literal_profile_once(u, memo)
+                    differs += u.profile != maps.profile
+    assert (own, differs) == (693, 671)
 
 
 def test_compare_and_evaluation_match_literal_oracles():

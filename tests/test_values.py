@@ -1,20 +1,26 @@
 """The contract of the twelve frozen value classes: the repr, equality and
 hash a frozen dataclass gave them, and no field that can be reassigned.
 The reprs were taken from the dataclass versions; `reports._plain` prints
-a value it does not know by its str, so they are output bytes."""
+a value it does not know by its str, so they are output bytes. Last, the
+contract of `finspace.cached_property`, which caches their derived facts."""
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import topolab
 from topolab.duality import DualSpace, tau_of_t
 from topolab.explorer import QuestionProbe
 from topolab.finspace import (
     FinSpace,
+    Frozen,
     LocalProfile,
     SubsetFamily,
+    cached_property,
     discrete,
     make_space,
     separation_profile,
@@ -177,3 +183,40 @@ def test_each_constructor_takes_the_fields_in_order(a):
         cls()
     fields = {f: getattr(a, f) for f in INIT_FIELDS[cls]}
     assert cls(**fields) == cls(*fields.values()) == a
+
+
+def test_cached_property_computes_once_and_stores_on_the_instance():
+    calls = []
+
+    class Box(Frozen):
+        value: int
+
+        @cached_property
+        def doubled(self) -> int:
+            """Twice the value."""
+            calls.append(self.value)
+            return 2 * self.value
+
+    assert isinstance(Box.doubled, cached_property)
+    assert Box.doubled.__doc__ == "Twice the value."
+    a, b, twin = Box(1), Box(2), Box(1)
+    assert (a.doubled, a.doubled, b.doubled, b.doubled) == (2, 2, 4, 4)
+    assert calls == [1, 2]
+    assert vars(a) == {"value": 1, "doubled": 2} and vars(b)["doubled"] == 4
+    # an equal instance computes its own value; Frozen still refuses a write
+    assert twin == a and "doubled" not in vars(twin)
+    assert twin.doubled == 2 and calls == [1, 2, 1]
+    with pytest.raises(AttributeError, match="doubled"):
+        a.doubled = 0
+    assert a.doubled == 2
+
+
+def test_no_module_takes_cached_property_from_functools():
+    # Python 3.11's functools.cached_property takes a lock on every first
+    # read; the package reads its cached facts through finspace's instead
+    for path in sorted(Path(topolab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert "cached_property" not in {a.name for a in node.names}, path.name
+            if isinstance(node, ast.Attribute) and node.attr == "cached_property":
+                assert getattr(node.value, "id", None) != "functools", path.name
