@@ -20,11 +20,13 @@ so only a t that is not admissible gets a dual built. Composition
 continuity holds whenever both factors contain the pointwise topology and
 the target lies below it, since composition of pointwise topologies is
 continuous. Every named topology is the pointwise one, so
-`composition_check` tests those three containments and builds no
-composite; a containment that fails is a defect of the named
-constructions, raised as AssertionError. The suite reads every per-pair
-verdict off minimal opens in the same way, never materializes a function
-space nor lists a subbasis, and builds no dual for a named topology.
+`composition_rows` tests those three containments, each factor once per
+pair of spaces rather than once per triple, and builds no composite;
+`composition_check` is its one-triple case. A containment that fails is
+a defect of the named constructions, raised as AssertionError. The suite
+reads every per-pair verdict off minimal opens in the same way, never
+materializes a function space nor lists a subbasis, and builds no dual
+for a named topology.
 
 Every report is built by `VerdictReport.of`, so its status follows from its
 witnesses: "fails" exactly when there are some, and otherwise "holds", or
@@ -213,7 +215,13 @@ def composition_check(
     x: FinSpace, y: FinSpace, z: FinSpace, kinds: tuple[str, str, str]
 ) -> VerdictReport:
     """Continuity of (f, g) -> g o f from C(X,Y) x C(Y,Z) into C(X,Z), each
-    factor carrying its named topology.
+    factor carrying its named topology: the one-triple case of
+    `composition_rows`, which holds the argument."""
+    return composition_rows((x,), (y,), (z,), kinds)[0]
+
+
+def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictReport]:
+    """`composition_check` over every triple, x then y then z.
 
     Composition of pointwise topologies is continuous: if f' lies in the
     pointwise minimal open around f and g' in that around g, then
@@ -222,44 +230,83 @@ def composition_check(
     target keeps it continuous. So when both factors contain the pointwise
     topology (the test `evaluation_witness` makes) and the target lies
     below it (the test `splitting_verdict` makes), the check holds with no
-    composite built. On a finite ground every named topology is the
-    pointwise one, so the three containments always hold; one that fails
-    is a defect in `named_function_topology`, raised as AssertionError,
-    not a verdict. The literal walk over the composite table is the test
-    oracle `literal_composition_check`. The three relative hypothesis
-    flags of the middle pair ride along in the budget; the one matching
-    the middle kind sets the hypothesis count.
+    composite built. Each containment reads one factor, so it is tested
+    once per pair of spaces, at the first triple that needs it, and the
+    relative profile once per (y, z). Every named topology is the
+    pointwise one, so the containments always hold; one that fails is a
+    defect in `named_function_topology`, raised as AssertionError for the
+    first failing triple, as a loop over `composition_check` would. The
+    literal walk over the composite table is the test oracle
+    `literal_composition_check`. The middle pair's three relative
+    hypothesis flags ride along in the budget; the one matching the
+    middle kind sets the hypothesis count.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
-    t_xy = named_function_topology(kinds[0], x, y)
-    t_yz = named_function_topology(kinds[1], y, z)
-    t_xz = named_function_topology(kinds[2], x, z)
-    claim = f"compose:{','.join(kinds)} x={fam_tag(x)} y={fam_tag(y)} z={fam_tag(z)}"
-    containments = (
-        ("C(X,Y) contains", first_escape(t_xy.min_opens, t_xy.maps.pointwise)),
-        ("C(Y,Z) contains", first_escape(t_yz.min_opens, t_yz.maps.pointwise)),
-        ("C(X,Z) lies below", first_escape(t_xz.maps.pointwise, t_xz.min_opens)),
-    )
-    for containment, escape in containments:
-        if escape is not None:
-            raise AssertionError(
-                f"{claim}: {containment} the pointwise topology fails at maps {escape}"
-            )
+    if not (xs and ys and zs):
+        return []
+    xy_kind, yz_kind, xz_kind = kinds
+    head = f"compose:{','.join(kinds)}"
+    # per-pair facts, found in the order a loop over triples first needs them
+    middles = [[None] * len(zs) for _ in ys]  # (y, z): C(Y,Z) escape
+    hypotheses = [[None] * len(zs) for _ in ys]  # (y, z): count and budget
+    targets = [[None] * len(zs) for _ in xs]  # (x, z): C(X,Z) escape
+    rows = []
+    for i, x in enumerate(xs):
+        target_row = targets[i]
+        for j, y in enumerate(ys):
+            xy_escape = _pointwise_escape(xy_kind, x, y)
+            middle_row = middles[j]
+            hypothesis_row = hypotheses[j]
+            prefix = f"{head} x={x.tag} y={y.tag} z="
+            for k, z in enumerate(zs):
+                yz_escape = middle_row[k]
+                if yz_escape is None:
+                    yz_escape = middle_row[k] = _pointwise_escape(yz_kind, y, z)
+                xz_escape = target_row[k]
+                if xz_escape is None:
+                    xz_escape = target_row[k] = _pointwise_escape(xz_kind, x, z, below=True)
+                claim = prefix + z.tag
+                if xy_escape or yz_escape or xz_escape:
+                    for containment, escape in (
+                        ("C(X,Y) contains", xy_escape),
+                        ("C(Y,Z) contains", yz_escape),
+                        ("C(X,Z) lies below", xz_escape),
+                    ):
+                        if escape:
+                            raise AssertionError(
+                                f"{claim}: {containment} the pointwise topology "
+                                f"fails at maps {escape}"
+                            )
+                hypothesis = hypothesis_row[k]
+                if hypothesis is None:
+                    hypothesis = hypothesis_row[k] = _compose_hypothesis(yz_kind, y, z)
+                count, budget = hypothesis
+                rows.append(VerdictReport.of(claim, (), count, 1, budget=budget))
+    return rows
+
+
+def _pointwise_escape(kind: str, dom: FinSpace, cod: FinSpace, below: bool = False):
+    """The first escaping pair of maps, () when none: from the named
+    topology on C(dom, cod) into the pointwise one, or with `below` out
+    of it."""
+    t = named_function_topology(kind, dom, cod)
+    if below:
+        return first_escape(t.maps.pointwise, t.min_opens) or ()
+    return first_escape(t.min_opens, t.maps.pointwise) or ()
+
+
+def _compose_hypothesis(kind: str, y: FinSpace, z: FinSpace) -> tuple:
+    """The hypothesis count and budget of every triple through (y, z)."""
     rp = relative_profile(y, z)
-    hyp_name = _COMPOSE_HYPOTHESIS[kinds[1]]
-    return VerdictReport.of(
-        claim,
-        [],
-        int(getattr(rp, hyp_name)),
-        1,
-        budget=(
-            ("hypothesis", hyp_name),
-            ("locally_z_bounded", rp.locally_z_bounded),
-            ("locally_z_compact", rp.locally_z_compact),
-            ("z_corecompact", rp.z_corecompact),
-        ),
+    hyp_name = _COMPOSE_HYPOTHESIS[kind]
+    budget = (
+        ("hypothesis", hyp_name),
+        ("locally_z_bounded", rp.locally_z_bounded),
+        ("locally_z_compact", rp.locally_z_compact),
+        ("z_corecompact", rp.z_corecompact),
     )
+    return int(getattr(rp, hyp_name)), budget
 
 
 def theorem_suite(

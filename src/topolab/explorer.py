@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from .checkers import composition_check, refute_splitting, suite_spaces
+from .checkers import composition_rows, refute_splitting, suite_spaces
 from .errors import UnknownQuestion
 from .finspace import Frozen, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
@@ -122,9 +122,7 @@ def _composition_runner(qid: str, kind: str):
     # shape; the frozen q6/q7 expectations fix MAX_COMPOSE_X
     def run(ys, zs):
         xs = [x for x in ys if x.size <= MAX_COMPOSE_X]
-        kinds = (kind, kind, kind)
-        rows = [composition_check(x, y, z, kinds) for x in xs for y in ys for z in zs]
-        return rows, ""
+        return composition_rows(xs, ys, zs, (kind, kind, kind)), ""
 
     return run
 

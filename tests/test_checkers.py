@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from topolab.checkers import (
     MAX_SPLITTING_INSTANCES,
     MAX_SPLITTING_X,
     composition_check,
+    composition_rows,
     is_admissible,
     refute_splitting,
     splitting_verdict,
@@ -35,6 +37,7 @@ from topolab.errors import BudgetExceeded, GroundTooLarge
 from topolab.explorer import QUESTION_IDS, question_search
 from topolab.finspace import (
     bits,
+    chain,
     discrete,
     enumerate_topologies,
     indiscrete,
@@ -516,6 +519,11 @@ def test_refute_splitting_invariant_under_relabeling_y(data):
             assert len(a.witnesses) == len(b.witnesses)
 
 
+def _compose_axes():
+    # the q6/q7 bounds: X <= 2, Y <= 3, Z <= 2 points
+    return all_spaces_up_to(2), all_spaces_up_to(3), all_spaces_up_to(2)
+
+
 def test_composition_relative_compact_open_triple(s):
     rep = composition_check(s, s, s, ("coZ", "coZ", "coZ"))
     assert rep.status == "holds"
@@ -542,21 +550,37 @@ def test_composition_kind_guards(s):
         composition_check(s, s, s, ("co", "co"))
     with pytest.raises(ValueError):
         composition_check(s, s, s, ("co", "co", "pointwise"))
+    xs, ys, zs = _compose_axes()
+    with pytest.raises(ValueError, match="expected three topology kinds"):
+        composition_rows(xs, ys, zs, ("co", "co"))
+    with pytest.raises(ValueError, match="unknown topology name 'pointwise'"):
+        composition_rows(xs, ys, zs, ("co", "co", "pointwise"))
+    for axes in (([], ys, zs), (xs, [], zs), (xs, ys, [])):
+        assert composition_rows(*axes, ("t1sz", "t1sz", "t1sz")) == []
 
 
 def test_composition_matches_literal_oracle():
-    xs, ys, zs = all_spaces_up_to(2), all_spaces_up_to(3), all_spaces_up_to(2)
+    xs, ys, zs = _compose_axes()
     triples = [(x, y, z) for x in xs for y in ys for z in zs]
+    # every q6/q7 triple and two mixed kind triples, batched as the probes
+    # run them, against the one-triple check and the oracle
+    rng = random.Random(29)
+    batches = [(k, k, k) for k in ("t1sz", "t1z")]
+    batches += [tuple(rng.choice(NAMED) for _ in range(3)) for _ in range(2)]
+    for kinds in batches:
+        rows = [r.to_dict() for r in composition_rows(xs, ys, zs, kinds)]
+        assert rows == [composition_check(*xyz, kinds).to_dict() for xyz in triples]
+        assert rows == [literal_composition_check(*xyz, kinds).to_dict() for xyz in triples]
+    # mixed kinds on a spread of the same triples
     rng = random.Random(11)
-    # every q6/q7 triple, and mixed kinds on a spread of the same triples
-    cases = [(x, y, z, (k, k, k)) for k in ("t1sz", "t1z") for x, y, z in triples]
-    cases += [(*xyz, tuple(rng.choice(NAMED) for _ in range(3))) for xyz in triples]
-    for case in cases:
+    for xyz in triples:
+        case = (*xyz, tuple(rng.choice(NAMED) for _ in range(3)))
         assert composition_check(*case).to_dict() == literal_composition_check(*case).to_dict()
     # the containments read the targets' distinct minimal opens, a basis,
     # fewer than the subbasics the oracle walks
-    q67 = cases[: 2 * len(triples)]
-    targets = [named_function_topology(k, x, z) for x, _, z, (k, _, _) in q67]
+    targets = [
+        named_function_topology(k, x, z) for k in ("t1sz", "t1z") for x, _, z in triples
+    ]
     assert sum(len(set(t.min_opens)) for t in targets) == 3400
     assert sum(len(t.subbasis) for t in targets) == 5848
 
@@ -605,6 +629,76 @@ def test_composition_takes_the_containment_route(monkeypatch, s, chain2):
         "compose:co,co,co x=0,2,3 y=0,1,3 z=0,2,3: "
         "C(Y,Z) contains the pointwise topology fails at maps (1, 0)"
     )
+
+
+def test_composition_rows_test_each_factor_once(monkeypatch):
+    # with the named-topology cache bypassed, each factor topology is built
+    # once per pair of spaces, and each relative profile read once per
+    # (y, z); the per-triple loop builds three per triple
+    xs, ys, zs = _compose_axes()
+    build = named_function_topology.__wrapped__
+    named = Counter()
+    profiles = Counter()
+
+    def counted_build(name, dom, cod):
+        named[name] += 1
+        return build(name, dom, cod)
+
+    def counted_profile(y, z):
+        profiles[y, z] += 1
+        return mapspace.relative_profile(y, z)
+
+    monkeypatch.setattr(checkers, "named_function_topology", counted_build)
+    monkeypatch.setattr(checkers, "relative_profile", counted_profile)
+    kinds = ("t1sz", "t1z", "co")
+    rows = composition_rows(xs, ys, zs, kinds)
+    assert len(rows) == len(xs) * len(ys) * len(zs) == 850
+    assert named == {
+        "t1sz": len(xs) * len(ys),
+        "t1z": len(ys) * len(zs),
+        "co": len(xs) * len(zs),
+    }
+    assert sum(named.values()) == 365
+    assert len(profiles) == len(ys) * len(zs) and set(profiles.values()) == {1}
+    named.clear()
+    assert rows == [composition_check(x, y, z, kinds) for x in xs for y in ys for z in zs]
+    assert sum(named.values()) == 3 * 850
+
+
+# one factor off the pointwise topology at one pair, and the message the
+# per-triple loop raises: the first failing triple, x then y then z
+_OFF_FACTOR = {
+    "middle": (
+        (chain(2), sierpinski(), fn_indiscrete),
+        "x=0,1 y=0,1,3 z=0,2,3: C(Y,Z) contains the pointwise topology fails at maps (1, 0)",
+    ),
+    "target": (
+        (make_space(1, [0, 1]), sierpinski(), fn_discrete),
+        "x=0,1 y=0,1 z=0,2,3: C(X,Z) lies below the pointwise topology fails at maps (0, 1)",
+    ),
+    "first": (
+        (sierpinski(), chain(3), fn_indiscrete),
+        "x=0,2,3 y=0,1,3,7 z=0,1: C(X,Y) contains the pointwise topology fails at maps (0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("factor", sorted(_OFF_FACTOR))
+def test_composition_rows_raise_what_the_per_triple_loop_raises(monkeypatch, factor):
+    xs, ys, zs = _compose_axes()
+    (dom, cod, off), message = _OFF_FACTOR[factor]
+
+    def off_at_one_pair(name, y, z):
+        t = named_function_topology(name, y, z)
+        return off(t.maps) if (y, z) == (dom, cod) else t
+
+    monkeypatch.setattr(checkers, "named_function_topology", off_at_one_pair)
+    kinds = ("co", "co", "co")
+    with pytest.raises(AssertionError) as per_triple:
+        [composition_check(x, y, z, kinds) for x in xs for y in ys for z in zs]
+    with pytest.raises(AssertionError) as batch:
+        composition_rows(xs, ys, zs, kinds)
+    assert str(batch.value) == str(per_triple.value) == f"compose:co,co,co {message}"
 
 
 def test_composition_guard_bounds_only_the_walk():

@@ -14,6 +14,8 @@ from oracles import (
     literal_generate,
     literal_links,
     literal_profile,
+    literal_regular,
+    literal_regular_pairwise,
     literal_space_check,
 )
 from topolab import finspace
@@ -318,6 +320,18 @@ def test_profile_matches_literal_oracles():
     assert len(spaces) == 389
     for x in spaces:
         assert local_profile(x) == literal_profile(x)
+
+
+def test_literal_regular_matches_its_pairwise_oracle():
+    # the least-open separation against every pair of opens, on every
+    # labeled space of at most 4 points, both answers occurring
+    answers = [literal_regular(x) for x in all_spaces_up_to(4)]
+    assert answers == [literal_regular_pairwise(x) for x in all_spaces_up_to(4)]
+    assert True in answers and False in answers
+    # discrete(10) has 1,024 opens, which the pairwise oracle squares per
+    # closed set and point
+    assert literal_regular(discrete(10))
+    assert not literal_regular(chain(10))
 
 
 def test_enumerate_counts():
