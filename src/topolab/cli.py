@@ -58,7 +58,7 @@ def _load(path: str):
     try:
         with open(path) as f:
             return json.load(f)
-    except ValueError as exc:  # undecodable text or bad JSON; OSError passes
+    except (ValueError, RecursionError) as exc:  # bad text, JSON or nesting; OSError passes
         raise MalformedInput(f"{path}: {exc}") from exc
 
 

@@ -814,12 +814,14 @@ def literal_evaluation_witness(t) -> int | None:
     return None
 
 
-def literal_splitting_order_row(pairs) -> VerdictReport:
+def literal_splitting_order_row(table) -> VerdictReport:
     """The suite's splitting-order row by search: every topology below the
-    pointwise one compared with every admissible one, pair by pair."""
+    pointwise one compared with every admissible one, pair by pair. It reads
+    only the pairs of the suite's table and builds each named topology
+    itself."""
     checked = 0
     witnesses = []
-    for y, z in pairs:
+    for y, z, _ in table:
         ts = [named_function_topology(name, y, z) for name in NAMED]
         candidates = [
             t for t in ts if first_escape(t.maps.pointwise, t.min_opens) is None
@@ -836,7 +838,7 @@ def literal_splitting_order_row(pairs) -> VerdictReport:
         witnesses,
         checked,
         checked,
-        budget=(("max_x", 2), ("pairs", len(pairs))),
+        budget=(("max_x", 2), ("pairs", len(table))),
     )
 
 
@@ -873,8 +875,9 @@ def literal_refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> V
     )
 
 
-def literal_dual_rows(pairs) -> list[VerdictReport]:
-    """Admissibility of each named t against that of its dual tau.
+def literal_dual_rows(table) -> list[VerdictReport]:
+    """Admissibility of each named t against that of its dual tau, over the
+    pairs of the suite's table, each named topology built here.
 
     The last two rows coincide by construction: "via_dual" admissibility of
     tau is the evaluation check on t_of_tau(tau), the round trip itself, so
@@ -887,7 +890,7 @@ def literal_dual_rows(pairs) -> list[VerdictReport]:
     equiv_wit = []
     forward_hyp = 0
     instances = 0
-    for y, z in pairs:
+    for y, z, _ in table:
         verdicts = _per_carrier(y, z, _dual_verdicts)
         for name in NAMED:
             instances += 1

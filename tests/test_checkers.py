@@ -21,7 +21,7 @@ from oracles import (
     literal_splitting_order_row,
     searched_refute_splitting,
 )
-from topolab import checkers, fntop
+from topolab import checkers, finspace, fntop
 from topolab.checkers import (
     MAX_SPLITTING_INSTANCES,
     MAX_SPLITTING_X,
@@ -67,6 +67,11 @@ def fn_indiscrete(maps):
 
 def fn_discrete(maps):
     return FnTopology.of(maps, [1 << i for i in range(len(maps))])
+
+
+def named_table(pairs, topology=named_function_topology):
+    # the suite's per-pair table: each pair with its six named topologies
+    return [(y, z, [topology(k, y, z) for k in NAMED]) for y, z in pairs]
 
 
 @pytest.fixture(scope="module")
@@ -442,9 +447,10 @@ def test_named_routes_build_no_hyperspace(monkeypatch):
     def answers():
         named = [build(k, y, z) for y, z in pairs for k in NAMED]
         out = named + [refute_splitting(t, 2) for t in named]
-        out += checkers._admissibility_rows(pairs)
-        out += checkers._preservation_rows(pairs)
-        out += checkers._dual_rows(pairs)
+        table = named_table(pairs, build)
+        out += checkers._admissibility_rows(table)
+        out += checkers._preservation_rows(table)
+        out += checkers._dual_rows(table)
         out += [composition_check(*xyz, k) for xyz in triples for k in kinds]
         return out
 
@@ -793,7 +799,7 @@ def test_dual_rows_build_a_dual_only_off_admissible(monkeypatch):
     for topology, duals in ((named_function_topology, 0), (custom, 102)):
         monkeypatch.setattr(checkers, "named_function_topology", topology)
         calls.clear()
-        got = checkers._dual_rows(pairs)
+        got = checkers._dual_rows(named_table(pairs, topology))
         assert len(calls) == duals
         assert all(evaluation_witness(t) is not None for t in calls)
         assert got == _dual_rows_by_name(pairs, topology)
@@ -802,7 +808,9 @@ def test_dual_rows_build_a_dual_only_off_admissible(monkeypatch):
 
 def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
     # the whole suite's JSON against the suite whose dual rows build every
-    # named topology's dual, once per carrier, at every bound up to (3,2)
+    # named topology's dual, once per carrier, and against the suite whose
+    # named topologies are built uncached, so that no row depends on which
+    # object a cache returns, at every bound up to (3,2)
     for max_y in (1, 2, 3):
         for max_z in (1, 2):
             got = suite_to_json(theorem_suite(max_y, max_z))
@@ -810,6 +818,22 @@ def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
                 m.setattr(checkers, "_dual_rows", literal_dual_rows)
                 want = suite_to_json(theorem_suite(max_y, max_z))
             assert got == want
+            with monkeypatch.context() as m:
+                m.setattr(checkers, "named_function_topology", named_function_topology.__wrapped__)
+                assert suite_to_json(theorem_suite(max_y, max_z)) == got
+
+
+def test_suite_reads_each_pair_once():
+    # a cold (3,2) suite looks each pair's six named topologies up once,
+    # 1,020 lookups, plus 250 for the Sierpinski and refinement rows, and
+    # reads three profiles per pair (local, relative via Y's, Z's): 510
+    clear_every_cache()
+    theorem_suite(3, 2)
+    reads = [
+        fn.cache_info().hits + fn.cache_info().misses
+        for fn in (named_function_topology, finspace._profile)
+    ]
+    assert reads == [1270, 510]
 
 
 def test_suite_rows_at_2_2(suite22):
@@ -871,14 +895,15 @@ def test_sandwich_rows_run_no_search(monkeypatch):
     # at (3,2) still give what their search oracles give
     ys, zs = checkers.suite_spaces(3, 2)
     pairs = [(y, z) for y in ys for z in zs]
-    want = (literal_splitting_order_row(pairs), literal_refinement_row(100, 0, 3, 2))
+    table = named_table(pairs)
+    want = (literal_splitting_order_row(table), literal_refinement_row(100, 0, 3, 2))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a sandwich row searched")
 
     monkeypatch.setattr(checkers, "compare_topologies", refuse)
     monkeypatch.setattr(FnTopology, "of", refuse)
-    got = (checkers._splitting_order_row(pairs), checkers._refinement_row(100, 0, 3, 2))
+    got = (checkers._splitting_order_row(table), checkers._refinement_row(100, 0, 3, 2))
     assert got == want
     assert [r.instance_count for r in got] == [6120, 1200]
     assert "random" not in vars(checkers)

@@ -263,6 +263,9 @@ def test_usage_error_exits_two(capsys):
         json.dumps({"points": 2, "opens": [0, 2, 3], "labels": "ab"}),
         json.dumps([2, [0, 2, 3]]),
         "{not json",
+        # nested lists; 100,000 levels pass the parser's recursion limit on every supported Python
+        pytest.param("[" * 2_000 + "]" * 2_000, id="nested-2000"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-100000"),
     ],
 )
 def test_malformed_space_file_exits_two(tmp_path, capsys, text):
@@ -292,6 +295,10 @@ def test_malformed_topology_and_dual_files_exit_two(tmp_path, capsys):
     spath = write(tmp_path, "s.json", S)
     top = write(tmp_path, "t.json", {"y": S, "z": S, "subbasis": [0, 4.5]})
     code, _, err = run(capsys, "check", "admissible", "--topology", top)
+    assert (code, json.loads(err)["error"]) == (2, "MalformedInput")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "check", "admissible", "--topology", str(nested))
     assert (code, json.loads(err)["error"]) == (2, "MalformedInput")
     tau = write(tmp_path, "tau.json", {"y": S, "z": S})
     code, _, err = run(
