@@ -321,16 +321,16 @@ def theorem_suite(
     The pair rows read one table built here: each (y, z) with its six named
     topologies in `NAMED` order, looked up once, so a row indexes a topology
     by its position in `NAMED`; the admissibility and preservation rows read
-    each profile once per pair. A cold (3,2) suite makes 3,729 module cache
-    lookups (1,270 named topologies, 510 profiles) where lookups per row
-    made 12,915."""
+    each profile once per pair, and the Sierpinski rows read their pairs
+    from it. A cold (3,2) suite makes 3,253 module cache lookups (1,032
+    named topologies, 510 profiles) where lookups per row made 12,915."""
     ys, zs = suite_spaces(max_y, max_z)
     table = [(y, z, [named_function_topology(k, y, z) for k in NAMED]) for y in ys for z in zs]
     out = _admissibility_rows(table)
     out.extend(_preservation_rows(table))
     out.extend(_grid_rows(table))
     out.append(_splitting_order_row(table))
-    out.extend(_sierpinski_rows(ys))
+    out.extend(_sierpinski_rows(ys, table))
     out.extend(_dual_rows(table))
     out.append(_refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(_divergence_rows())
@@ -462,37 +462,41 @@ def _splitting_order_row(table) -> VerdictReport:
     )
 
 
-def _sierpinski_rows(ys) -> list[VerdictReport]:
+def _sierpinski_rows(ys, table) -> list[VerdictReport]:
+    """The Sierpinski space S as codomain. At max_z >= 2 each (y, S) is a
+    pair of the suite's table and its named topologies are read from it;
+    at max_z = 1 they are looked up per Y."""
     s = sierpinski()
+    on_s = {y: ts for y, z, ts in table if z == s}
+    rows = [on_s.get(y) or [named_function_topology(k, y, s) for k in NAMED] for y in ys]
     found = {
         "sierpinski:z-topology-is-identity": [
             (fam_tag(y),) for y in ys if z_topology(y, s).opens != y.opens
         ]
     }
     for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz")):
+        i, j = NAMED.index(lo), NAMED.index(hi)
         witnesses = found[f"sierpinski:{lo}={hi}"] = []
-        for y in ys:
-            cmp = compare_topologies(
-                named_function_topology(lo, y, s), named_function_topology(hi, y, s)
-            )
+        for y, ts in zip(ys, rows):
+            cmp = compare_topologies(ts[i], ts[j])
             if cmp.verdict != "equal":
                 witnesses.append((fam_tag(y), cmp.verdict))
+    k = NAMED.index("coZ")
     found["sierpinski:characteristic-homeomorphism"] = [
-        (fam_tag(y),) for y in ys if not _characteristic_homeomorphism(y, s)
+        (fam_tag(y),) for y, ts in zip(ys, rows) if not _characteristic_homeomorphism(ts[k])
     ]
     return [VerdictReport.of(c, w, len(ys), len(ys)) for c, w in found.items()]
 
 
-def _characteristic_homeomorphism(y: FinSpace, s: FinSpace) -> bool:
-    """Whether f -> f^{-1}(open point) carries the Z-relative compact-open
-    topology on C(y, s), s the Sierpinski space, onto the compact-subbasis
-    hyperspace topology of y.
+def _characteristic_homeomorphism(t: FnTopology) -> bool:
+    """Whether f -> f^{-1}(open point) carries t, the Z-relative
+    compact-open topology on C(y, s), s the Sierpinski space, onto the
+    compact-subbasis hyperspace topology of y.
 
     A bijection carries one finite topology onto another exactly when it
     carries the minimal open of each point onto that of its image, so
     neither open family is listed."""
-    t = named_function_topology("coZ", y, s)
-    hs = compact_subbasis_topology(y)
+    hs = compact_subbasis_topology(t.maps.domain)
     perm = [hs.ground_index[v] for v in t.maps.preimage_rows[0b10]]  # 0b10: the open point
     if sorted(perm) != list(range(len(hs.ground))):
         return False

@@ -19,7 +19,11 @@ someone iterates or indexes the set. A MapSet groups its maps by preimage
 in one place, `MapSet.bracket`, which every lift onto C(Y,Z), its dual on
 O_Z(Y) and `MapSet.pull` read. It also keeps the separation profile of
 the pointwise topology, `MapSet.profile`, so the topologies carrying
-those rows share one profile per map set, not one per topology."""
+those rows share one profile per map set, not one per topology.
+
+O_Z(Y) and the topology it generates depend only on Z's specialization
+order and Y's opens: `o_z_family` and `z_topology` list no map, and the
+listing's point cap does not bound them."""
 
 from __future__ import annotations
 
@@ -231,17 +235,32 @@ def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_
 
 @lru_cache(maxsize=None)
 def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
-    """Every preimage of a codomain open under a continuous map, canonically
-    ordered: the union of the map set's preimage rows, none recomputed.
-    Always contains the empty set and the full ground when maps exist."""
-    rows = enumerate_continuous(y, z).preimage_rows
-    return SubsetFamily.of(y.size, set().union(*rows.values()))
+    """O_Z(Y), every preimage of a Z-open under a continuous map,
+    canonically ordered, read off Z's specialization order with no map
+    listed: Y's own family O(Y) when the order is not symmetric; when it
+    is, its minimal opens partition Z into blocks, and this is the clopens
+    of Y for two blocks or more and {∅, Y} for one. A 0-point Z has a map
+    only from a 0-point Y. README's "O_Z(Y) in closed form" proves it."""
+    if not z.size:
+        return SubsetFamily(y.size, () if y.size else (0,))
+    if z.ups != z.min_opens:
+        return y.opens
+    if len(set(z.min_opens)) > 1:
+        return SubsetFamily(y.size, tuple(v for v in y.opens if y.is_closed(v)))
+    return SubsetFamily.of(y.size, (0, y.full))
 
 
 @lru_cache(maxsize=None)
 def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
-    """Topology on Y generated by the preimage family as a subbasis."""
-    return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
+    """Topology on Y generated by the preimage family as a subbasis. Each
+    case of `o_z_family` but the 0-point Z is a topology already: O(Y),
+    where this is Y itself, the clopens of Y, and {∅, Y}. An empty family
+    on a nonempty Y generates the indiscrete space."""
+    if not z.size:
+        return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
+    if z.ups != z.min_opens:
+        return y
+    return FinSpace(y.size, o_z_family(y, z), y.labels)
 
 
 class RelativeProfile(Frozen):

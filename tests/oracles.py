@@ -12,7 +12,9 @@ the comparisons and sampled refinements the suite replaced by the
 pointwise sandwich, and run them through the package's own comparison and
 evaluation check; `literal_dual_rows` keeps the per-carrier route that
 built every named topology's dual, which the suite replaced by the
-Scott-trace sandwich, and runs the package's own dual operators.
+Scott-trace sandwich, and runs the package's own dual operators;
+`literal_o_z_family` keeps the union of the package's preimage rows over
+C(Y,Z), which `o_z_family` replaced by its closed form.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from topolab.hypertop import (
     z_scott,
 )
 from topolab.mapspace import (
+    DEFAULT_SIZE_CAP,
     ContMap,
     MapSet,
     enumerate_continuous,
@@ -218,6 +221,16 @@ def literal_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     order, through the preimage test."""
     tables = assignments(range(z.size), repeat=y.size)
     return MapSet(y, z, tuple(t for t in tables if is_continuous_table(y, z, t)))
+
+
+def literal_o_z_family(
+    y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP
+) -> SubsetFamily:
+    """O_Z(Y) by listing: the union of the preimage rows of C(Y, Z), the
+    route `o_z_family` replaced by its closed form. The listing's point
+    cap applies."""
+    rows = enumerate_continuous(y, z, size_cap).preimage_rows
+    return SubsetFamily.of(y.size, set().union(*rows.values()))
 
 
 @lru_cache(maxsize=None)

@@ -825,15 +825,16 @@ def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
 
 def test_suite_reads_each_pair_once():
     # a cold (3,2) suite looks each pair's six named topologies up once,
-    # 1,020 lookups, plus 250 for the Sierpinski and refinement rows, and
-    # reads three profiles per pair (local, relative via Y's, Z's): 510
+    # 1,020 lookups, plus 12 for the refinement row; the Sierpinski rows
+    # read their pairs from the table. It reads three profiles per pair
+    # (local, relative via Y's, Z's): 510
     clear_every_cache()
     theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
         for fn in (named_function_topology, finspace._profile)
     ]
-    assert reads == [1270, 510]
+    assert reads == [1032, 510]
 
 
 def test_suite_rows_at_2_2(suite22):
@@ -993,7 +994,7 @@ def test_characteristic_homeomorphism_matches_listed_oracle():
     ys = all_spaces_up_to(4)
     assert len(ys) == 389
     for y in ys:
-        assert checkers._characteristic_homeomorphism(y, s)
+        assert checkers._characteristic_homeomorphism(named_function_topology("coZ", y, s))
         assert literal_characteristic_homeomorphism(y, s)
 
 
@@ -1009,5 +1010,5 @@ def test_characteristic_homeomorphism_refutes_a_discrete_hyperspace(monkeypatch)
     monkeypatch.setattr(oracles, "compact_subbasis_topology", discrete_hyperspace)
     s = sierpinski()
     for y in all_spaces_up_to(3):
-        assert not checkers._characteristic_homeomorphism(y, s)
+        assert not checkers._characteristic_homeomorphism(named_function_topology("coZ", y, s))
         assert not literal_characteristic_homeomorphism(y, s)

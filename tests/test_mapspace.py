@@ -6,14 +6,22 @@ from hypothesis import strategies as st
 
 from oracles import (
     literal_continuous,
+    literal_filtration,
     literal_locally_z_bounded,
     literal_monotone,
+    literal_o_z_family,
     literal_partition_regular,
     literal_pointwise,
     literal_z_corecompact,
 )
 from topolab import finspace, mapspace
-from topolab.errors import BudgetExceeded, MismatchedBase, NotOpen, NotZRepresentable
+from topolab.errors import (
+    BudgetExceeded,
+    GroundTooLarge,
+    MismatchedBase,
+    NotOpen,
+    NotZRepresentable,
+)
 from topolab.finspace import (
     bits,
     chain,
@@ -29,6 +37,7 @@ from topolab.finspace import (
 )
 from topolab.fntop import NAMED, lift_open_family, named_function_topology
 from topolab.hypertop import (
+    MAX_HYPER_GROUND,
     compact_subbasis_topology,
     scott,
     strong_scott,
@@ -204,18 +213,100 @@ def test_o_z_family_pinned(s, chain2, disc2, indisc2):
 
 
 def test_o_z_family_is_the_union_of_the_preimage_rows():
-    # against every preimage of every codomain open under every map,
-    # recomputed, on every pair up to (4,2), the 0-point spaces included: a
-    # nonempty Y into the 0-point Z has no map and an empty family
+    # the closed form against the listing, the union of the preimage rows
+    # of C(Y,Z), on every labeled pair up to (4,3), the 0-point spaces
+    # included: a nonempty Y into the 0-point Z has no map and an empty
+    # family. z_topology is the topology the family generates, carrying
+    # Y's labels, checked on Y and on a labeled copy of it
     spaces = [sp for n in range(5) for sp in enumerate_topologies(n)]
+    zs = spaces[: 1 + 1 + 4 + 29]
     mapless = 0
     for y in spaces:
-        for z in spaces[: 1 + 1 + 4]:
-            maps = enumerate_continuous(y, z)
-            mapless += not len(maps)
-            want = {m.preimage(u) for m in maps for u in z.opens}
-            assert o_z_family(y, z) == finspace.SubsetFamily.of(y.size, want)
+        labeled = finspace.FinSpace(y.size, y.opens, tuple(f"y{p}" for p in range(y.size)))
+        for z in zs:
+            want = literal_o_z_family(y, z)
+            mapless += not want
+            assert o_z_family(y, z) == want == o_z_family(labeled, z)
+            for yy in (y, labeled):
+                got = z_topology(yy, z)
+                assert got == generate_from_subbasis(y.size, want, yy.labels)
+                assert relative_profile(yy, z).z_top == got
+    assert len(spaces) * len(zs) == 13_650
     assert mapless == 1 + 4 + 29 + 355
+    clear_every_cache()
+
+
+def _five_point_spaces():
+    # a 5-point sum of the Sierpinski space and the 3-chain, which has
+    # clopens besides the empty set and Y, with chain(5), indiscrete(5)
+    # and discrete(5), whose 32 opens exceed the hyperspace cap
+    s, c = sierpinski(), chain(3)
+    added = make_space(5, [a | b << 2 for a in s.opens for b in c.opens])
+    return [added, chain(5), indiscrete(5), discrete(5)]
+
+
+def test_closed_form_lists_no_map(monkeypatch):
+    # each case of the closed form on a cold cache, with the listing patched
+    # to raise, and the subbasis generation too except for the 0-point Z:
+    # Sierpinski (not symmetric: O(Y), z_topology is Y itself), discrete(2)
+    # (two blocks: the clopens), indiscrete(2) (one block) and the 0-point Z
+    def refuse(*args, **kwargs):
+        raise AssertionError("C(Y,Z) listed or a subbasis generated")
+
+    empty = discrete(0)
+    cases = (
+        (sierpinski(), lambda y: y.opens.members),
+        (discrete(2), lambda y: tuple(v for v in y.opens if y.is_closed(v))),
+        (indiscrete(2), lambda y: tuple(sorted({0, y.full}))),
+        (empty, lambda y: () if y.size else (0,)),
+    )
+    ys = [empty] + all_spaces_up_to(3) + _five_point_spaces()
+    clear_every_cache()
+    monkeypatch.setattr(mapspace, "enumerate_continuous", refuse)
+    for z, family in cases:
+        with monkeypatch.context() as m:
+            if z.size:
+                m.setattr(mapspace, "generate_from_subbasis", refuse)
+            for y in ys:
+                oz, zt, rp = o_z_family(y, z), z_topology(y, z), relative_profile(y, z)
+                assert oz.members == family(y)
+                assert rp.o_z is oz and rp.z_top is zt
+                if z == sierpinski():
+                    assert zt is y
+                else:
+                    assert zt == generate_from_subbasis(y.size, oz, y.labels)
+    clear_every_cache()
+
+
+def test_a_five_point_y_reaches_the_closed_form():
+    # past the listing's 4-point cap, which no longer applies to O_Z(Y):
+    # against the listing run with size_cap=5, into every Z of at most two
+    # points, the 0-point Z included. The hyperspaces keep their own cap
+    zs = [sp for n in range(3) for sp in enumerate_topologies(n)]
+    for y in _five_point_spaces():
+        with pytest.raises(BudgetExceeded):
+            enumerate_continuous(y, sierpinski())
+        for z in zs:
+            want = literal_o_z_family(y, z, size_cap=5)
+            ztop = generate_from_subbasis(y.size, want)
+            assert o_z_family(y, z) == want
+            assert z_topology(y, z) == ztop
+            rp = relative_profile(y, z)
+            assert rp.locally_z_bounded == literal_locally_z_bounded(y, want, ztop)
+            assert rp.z_corecompact == literal_z_corecompact(y, want, ztop)
+            if len(y.opens) > MAX_HYPER_GROUND:
+                with pytest.raises(GroundTooLarge):
+                    z_scott(y, z)
+                continue
+            ground = y.opens.members
+            pool = sum(1 << i for i, g in enumerate(ground) if g in want)
+            assert z_scott(y, z).opens.members == tuple(
+                sorted(literal_filtration(ground, y.full, pool, None))
+            )
+            assert strong_z_scott(y, z).opens.members == tuple(
+                sorted(literal_filtration(ground, y.full, pool, pool))
+            )
+    clear_every_cache()
 
 
 def test_z_topology_generated(chain2, indisc2):
@@ -308,16 +399,20 @@ def test_relative_profile_sierpinski_codomain():
 
 
 def test_relative_profile_matches_literal_oracles():
-    pairs = [(y, z) for y in all_spaces_up_to(4) for z in all_spaces_up_to(2)]
-    assert len(pairs) == 1945
+    # both flags against their definitions, read on the listed family and
+    # the topology it generates, on every labeled pair up to (4,3)
+    pairs = [(y, z) for y in all_spaces_up_to(4) for z in all_spaces_up_to(3)]
+    assert len(pairs) == 13_226
     failing = 0
     for y, z in pairs:
         rp = relative_profile(y, z)
-        oz, ztop = o_z_family(y, z), z_topology(y, z)
+        oz = literal_o_z_family(y, z)
+        ztop = generate_from_subbasis(y.size, oz)
         assert rp.locally_z_bounded == literal_locally_z_bounded(y, oz, ztop)
         assert rp.z_corecompact == literal_z_corecompact(y, oz, ztop)
         failing += not rp.locally_z_bounded
     assert 0 < failing < len(pairs)
+    clear_every_cache()
 
 
 def test_way_below_matches_containment():
