@@ -21,7 +21,8 @@ continuity holds whenever both factors contain the pointwise topology and
 the target lies below it, since composition of pointwise topologies is
 continuous. Every named topology is the pointwise one, so
 `composition_rows` tests those three containments, each factor once per
-pair of spaces rather than once per triple, and builds no composite;
+pair of spaces rather than once per triple, from per-pair tables it
+fills up front, and builds no composite;
 `composition_check` is its one-triple case. A containment that fails is
 a defect of the named constructions, raised as AssertionError. The suite
 reads every per-pair verdict off minimal opens in the same way, never
@@ -231,15 +232,19 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
     topology (the test `evaluation_witness` makes) and the target lies
     below it (the test `splitting_verdict` makes), the check holds with no
     composite built. Each containment reads one factor, so it is tested
-    once per pair of spaces, at the first triple that needs it, and the
-    relative profile once per (y, z). Every named topology is the
-    pointwise one, so the containments always hold; one that fails is a
-    defect in `named_function_topology`, raised as AssertionError for the
-    first failing triple, as a loop over `composition_check` would. The
-    literal walk over the composite table is the test oracle
-    `literal_composition_check`. The middle pair's three relative
-    hypothesis flags ride along in the budget; the one matching the
-    middle kind sets the hypothesis count.
+    once per pair of spaces, and the relative profile read once per
+    (y, z), all tabled up front: every C(X,Y) factor, every C(Y,Z), every
+    C(X,Z), then the profiles, and one loop over the triples reads the
+    tables. So of two builds that would both raise, the one tabled first
+    raises; no input within `suite_spaces`' caps raises in a build. The
+    one-triple case builds xy, yz, xz, then the profile. Every named
+    topology is the pointwise one, so the containments always hold; one
+    that fails is a defect in `named_function_topology`, raised as
+    AssertionError for the first failing triple, as a loop over
+    `composition_check` would. The literal walk over the composite table
+    is the test oracle `literal_composition_check`. The middle pair's
+    three relative hypothesis flags ride along in the budget; the one
+    matching the middle kind sets the hypothesis count.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
@@ -247,25 +252,15 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
         return []
     xy_kind, yz_kind, xz_kind = kinds
     head = f"compose:{','.join(kinds)}"
-    # per-pair facts, found in the order a loop over triples first needs them
-    middles = [[None] * len(zs) for _ in ys]  # (y, z): C(Y,Z) escape
-    hypotheses = [[None] * len(zs) for _ in ys]  # (y, z): count and budget
-    targets = [[None] * len(zs) for _ in xs]  # (x, z): C(X,Z) escape
+    xy = [[_pointwise_escape(xy_kind, x, y) for y in ys] for x in xs]
+    yz = [[_pointwise_escape(yz_kind, y, z) for z in zs] for y in ys]
+    xz = [[_pointwise_escape(xz_kind, x, z, below=True) for z in zs] for x in xs]
+    hyp = [[_compose_hypothesis(yz_kind, y, z) for z in zs] for y in ys]
     rows = []
-    for i, x in enumerate(xs):
-        target_row = targets[i]
-        for j, y in enumerate(ys):
-            xy_escape = _pointwise_escape(xy_kind, x, y)
-            middle_row = middles[j]
-            hypothesis_row = hypotheses[j]
+    for x, xy_row, xz_row in zip(xs, xy, xz):
+        for y, xy_escape, yz_row, hyp_row in zip(ys, xy_row, yz, hyp):
             prefix = f"{head} x={x.tag} y={y.tag} z="
-            for k, z in enumerate(zs):
-                yz_escape = middle_row[k]
-                if yz_escape is None:
-                    yz_escape = middle_row[k] = _pointwise_escape(yz_kind, y, z)
-                xz_escape = target_row[k]
-                if xz_escape is None:
-                    xz_escape = target_row[k] = _pointwise_escape(xz_kind, x, z, below=True)
+            for z, yz_escape, xz_escape, (count, budget) in zip(zs, yz_row, xz_row, hyp_row):
                 claim = prefix + z.tag
                 if xy_escape or yz_escape or xz_escape:
                     for containment, escape in (
@@ -278,10 +273,6 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
                                 f"{claim}: {containment} the pointwise topology "
                                 f"fails at maps {escape}"
                             )
-                hypothesis = hypothesis_row[k]
-                if hypothesis is None:
-                    hypothesis = hypothesis_row[k] = _compose_hypothesis(yz_kind, y, z)
-                count, budget = hypothesis
                 rows.append(VerdictReport.of(claim, (), count, 1, budget=budget))
     return rows
 

@@ -29,10 +29,14 @@ When the pool holds Y, {Y} is a minimal cover, and its one reachable union,
 Y, is reached by every cover, whose full union is Y. The strong condition
 then says "the family holds Y", and the strong minimal opens are the rows
 with Y's index added. An empty pool has no cover, so the condition is
-vacuous and the rows stand. The topology the containment families
-generate has the up-set of each open as its minimal opens, since the least
-containment family around g is the one for K = g. The cover search and
-the 2^m scans these replace live on as test oracles.
+vacuous and the rows stand. With every open triggered the rows are the
+up-sets of the opens, and each already holds Y's index; the topology the
+containment families generate has them as its minimal opens too, since
+the least containment family around g is the one for K = g. So `scott`
+forms that one row table, `strong_scott` and `compact_subbasis_topology`
+read it under their own kind, and `_filtration` serves the Z-relative
+pair from it. The cover search and the 2^m scans these replace live on
+as test oracles.
 """
 
 from __future__ import annotations
@@ -47,11 +51,11 @@ from .finspace import (
     Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _set_field,
     _subset_labels,
     _up_masks,
     _validate_topology_family,
     cached_property,
-    full_mask,
     meets_by_point,
 )
 from .mapspace import o_z_family, way_below_z
@@ -78,7 +82,7 @@ class HyperSpace(Frozen):
         fam = SubsetFamily.of(m, opens)
         _validate_topology_family(m, fam, kind)
         h = cls(base, ground, meets_by_point(m, fam), kind)
-        h.__dict__["opens"] = fam
+        _set_field(h, "opens", fam)
         return h
 
     @cached_property
@@ -101,13 +105,16 @@ class HyperSpace(Frozen):
         return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
 
 
-def _check_ground(y: FinSpace) -> tuple[Subset, ...]:
+@lru_cache(maxsize=None)
+def scott(y: FinSpace) -> HyperSpace:
+    """Families upward-closed from every member, (beta) over all opens: the
+    rows of up, the one table of O(Y)'s rows the other constructors read."""
     ground = y.opens.members
     if len(ground) > MAX_HYPER_GROUND:
         raise GroundTooLarge(
             f"{len(ground)} opens exceed the hyperspace cap of {MAX_HYPER_GROUND}"
         )
-    return ground
+    return HyperSpace(y, ground, _up_masks(ground), "scott")
 
 
 def _filtration(y: FinSpace, trigger: int, strong: bool, kind: str) -> HyperSpace:
@@ -116,25 +123,22 @@ def _filtration(y: FinSpace, trigger: int, strong: bool, kind: str) -> HyperSpac
     already transitive, since up is and an untriggered row is one point, so
     they are the minimal opens. With strong set, (beta) draws its covers
     from a pool holding Y, so {Y} is its only minimal cover mask, and the
-    minimal opens are the rows with Y's index added."""
-    ground = _check_ground(y)
-    up = _up_masks(ground)
-    rows = tuple(up[g] if (trigger >> g) & 1 else 1 << g for g in range(len(ground)))
+    minimal opens are the rows with Y's index added: the last, as the
+    ground is sorted and every open lies in Y."""
+    h = scott(y)
+    rows = tuple(r if (trigger >> g) & 1 else 1 << g for g, r in enumerate(h.min_opens))
     if strong:
-        top = 1 << ground.index(y.full)
+        top = 1 << (len(rows) - 1)
         rows = tuple(row | top for row in rows)
-    return HyperSpace(y, ground, rows, kind)
-
-
-@lru_cache(maxsize=None)
-def scott(y: FinSpace) -> HyperSpace:
-    """Families upward-closed from every member, (beta) over all opens."""
-    return _filtration(y, full_mask(len(y.opens)), False, "scott")
+    return HyperSpace(y, h.ground, rows, kind)
 
 
 @lru_cache(maxsize=None)
 def strong_scott(y: FinSpace) -> HyperSpace:
-    return _filtration(y, full_mask(len(y.opens)), True, "sscott")
+    """Scott's rows: the strong condition adds Y's index, which every up-set
+    of an open already holds."""
+    h = scott(y)
+    return HyperSpace(y, h.ground, h.min_opens, "sscott")
 
 
 @lru_cache(maxsize=None)
@@ -154,7 +158,7 @@ def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
 
 def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
     """Index mask of the preimage family among the opens of y."""
-    ground = _check_ground(y)
+    ground = scott(y).ground
     oz = o_z_family(y, z)
     return sum(1 << i for i, g in enumerate(ground) if g in oz)
 
@@ -162,7 +166,8 @@ def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
 def containment_families(y: FinSpace) -> set[int]:
     """The families {opens containing K}, K any subset of y, as index masks
     over the opens of y. The least open holding K is open on a finite
-    ground, so each family is the up-set of one open: the rows of up."""
+    ground, so each family is the up-set of one open: the rows of up. Read
+    uncapped, unlike the hyperspaces, by the co and coZ subbases."""
     return set(_up_masks(y.opens.members))
 
 
@@ -170,9 +175,9 @@ def containment_families(y: FinSpace) -> set[int]:
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset.
     The least of them holding g is the one for K = g, the up-set of g, so
-    the rows of up are the minimal opens."""
-    ground = _check_ground(y)
-    return HyperSpace(y, ground, _up_masks(ground), "ksubbasis")
+    scott's rows are the minimal opens."""
+    h = scott(y)
+    return HyperSpace(y, h.ground, h.min_opens, "ksubbasis")
 
 
 def up_family(

@@ -256,11 +256,10 @@ def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
     case of `o_z_family` but the 0-point Z is a topology already: O(Y),
     where this is Y itself, the clopens of Y, and {∅, Y}. An empty family
     on a nonempty Y generates the indiscrete space."""
+    oz = o_z_family(y, z)
     if not z.size:
-        return generate_from_subbasis(y.size, o_z_family(y, z), y.labels)
-    if z.ups != z.min_opens:
-        return y
-    return FinSpace(y.size, o_z_family(y, z), y.labels)
+        return generate_from_subbasis(y.size, oz, y.labels)
+    return y if oz is y.opens else FinSpace(y.size, oz, y.labels)
 
 
 class RelativeProfile(Frozen):

@@ -671,6 +671,30 @@ def test_composition_rows_test_each_factor_once(monkeypatch):
     assert sum(named.values()) == 3 * 850
 
 
+def test_composition_check_builds_xy_yz_xz_then_the_profile(monkeypatch, s, chain2, pt):
+    # the one-triple case keeps the order the CLI has always built in
+    calls = []
+
+    def recorded_build(name, dom, cod):
+        calls.append((name, dom, cod))
+        return named_function_topology(name, dom, cod)
+
+    def recorded_profile(y, z):
+        calls.append((y, z))
+        return mapspace.relative_profile(y, z)
+
+    monkeypatch.setattr(checkers, "named_function_topology", recorded_build)
+    monkeypatch.setattr(checkers, "relative_profile", recorded_profile)
+    kinds = ("t1sz", "t1z", "isbell")
+    assert composition_check(pt, chain2, s, kinds).status == "holds"
+    assert calls == [
+        ("t1sz", pt, chain2),
+        ("t1z", chain2, s),
+        ("isbell", pt, s),
+        (chain2, s),
+    ]
+
+
 # one factor off the pointwise topology at one pair, and the message the
 # per-triple loop raises: the first failing triple, x then y then z
 _OFF_FACTOR = {

@@ -186,6 +186,22 @@ def test_ground_cap():
         scott(discrete(5))
 
 
+def test_scott_rows_carry_all_three_plain_constructions():
+    # strong_scott and compact_subbasis_topology read scott's rows, and
+    # those rows are the containment families of the 2^|Y| scan, on every
+    # labeled space of 0-5 points within the ground cap
+    ys = [y for n in range(6) for y in enumerate_topologies(n) if len(y.opens) <= 16]
+    assert len(ys) == 7141
+    for y in ys:
+        h = scott(y)
+        for other in (strong_scott(y), compact_subbasis_topology(y)):
+            assert (other.ground, other.min_opens) == (h.ground, h.min_opens)
+        assert set(h.min_opens) == literal_containment_families(y)
+    for build in (scott, strong_scott, compact_subbasis_topology):
+        with pytest.raises(GroundTooLarge):
+            build(discrete(5))
+
+
 def test_validation_rejects_union_gap():
     fam = SubsetFamily.of(3, [0, 0b001, 0b010, 0b111])
     with pytest.raises(AxiomsViolated) as info:
