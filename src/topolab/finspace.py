@@ -5,13 +5,13 @@ plain ints. A finite topology is fixed by the minimal open U_p around each
 point, and its opens are exactly the up-sets of the relation p -> U_p
 (Alexandrov; Stong 1966). That is the one route from generators to opens:
 `meets_by_point` turns a subbasis (or an open family) into the U_p, and
-`_enumerate_upsets` lists their up-sets. It takes rows that are already
-reflexive and transitive, as the U_p always are, and never closes them
-itself; a caller holding a raw relation closes it once. The one axiom check,
-`_axiom_gap`, behind `make_space` and `_validate_topology_family`, asks
-whether a family is exactly that list; closure and interior are read off
-the U_p. The literal closure loops and the pairwise axiom check live on as
-test oracles.
+`_enumerate_upsets` lists their up-sets, reading the order downward by
+`transpose`. It takes rows that are already reflexive and transitive, as
+the U_p always are, and never closes them; a caller holding a raw
+relation closes it once. The one axiom check, `_axiom_gap`, behind
+`make_space` and `_validate_topology_family`, asks whether a family is
+exactly that list; closure and interior are read off the U_p. The literal
+closure loops and the pairwise axiom check live on as test oracles.
 
 `enumerate_topologies` lists the labeled topologies as the up-sets of every
 specialization preorder; up to homeomorphism it keeps one orbit per class,
@@ -72,7 +72,7 @@ def transpose(rows: Sequence[Subset]) -> tuple[Subset, ...]:
 
 def gather(groups: dict[int, int], mask: Subset) -> int:
     """The OR of `groups[b]` over the set bits b of mask, each bit keyed as
-    its power of two, as `MapSet.bracket` keys its groups."""
+    its power of two, as `mapspace._group` keys its groups."""
     out = 0
     while mask:  # the bits of mask, inlined: this runs once per lifted trace
         low = mask & -mask
@@ -582,10 +582,7 @@ def _enumerate_upsets(
     as its trace on `within`: the traces are the up-sets of the relation
     restricted there, each yielded once."""
     full = full_mask(m) if within is None else within
-    below = [0] * m
-    for q, row in enumerate(rows):
-        for p in bits(row):
-            below[p] |= 1 << q
+    below = transpose(rows)
     stack = [(0, 0)]
     while stack:
         forced_in, forced_out = stack.pop()

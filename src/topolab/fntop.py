@@ -210,7 +210,7 @@ def lift_open_family(
     `MapSet.pull` of h's minimal opens."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    mins = tuple(maps.pull(h.ground_index, h.min_opens))
+    mins = maps.pull(h.ground_index, h.min_opens)
     return FnTopology(maps, mins, provenance, h)
 
 

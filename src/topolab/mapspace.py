@@ -15,11 +15,13 @@ it skip the search. The walk reads a space's order through
 `FinSpace.links`, built once per space. A MapSet holds the listing as the
 value tables the walk forms: the preimage rows, the pointwise relation
 and every lift read the tables, and a `ContMap` is built only when
-someone iterates or indexes the set. A MapSet groups its maps by preimage
-in one place, `MapSet.bracket`, which every lift onto C(Y,Z), its dual on
-O_Z(Y) and `MapSet.pull` read. It also keeps the separation profile of
-the pointwise topology, `MapSet.profile`, so the topologies carrying
-those rows share one profile per map set, not one per topology.
+someone iterates or indexes the set. One grouping, `_group`, and one
+pull-back, `_pull_back`, give `MapSet.pointwise`, Z's order pulled back
+along the points, and `MapSet.pull`, a hyperspace's order pulled back
+along the codomain opens through `MapSet.bracket`, the grouping by
+preimage every lift and its dual read. A MapSet also keeps the separation
+profile of the pointwise topology, `MapSet.profile`, so the topologies
+carrying those rows share one profile per map set, not one per topology.
 
 O_Z(Y) and the topology it generates depend only on Z's specialization
 order and Y's opens: `o_z_family` and `z_topology` list no map, and the
@@ -59,6 +61,41 @@ MAX_SPLITTING_INSTANCES = 250_000
 _TEST_SPACES = {False: (1, 4, 29, 355), True: (1, 3, 9, 33)}
 
 
+def _preimage(table: tuple[int, ...], u: Subset) -> Subset:
+    """The points a value table sends into u: the one preimage rule."""
+    pre = 0
+    for p, v in enumerate(table):
+        if (u >> v) & 1:
+            pre |= 1 << p
+    return pre
+
+
+def _group(values) -> dict[int, int]:
+    """The positions grouped by value, as `gather` reads them: {1 << v: the
+    mask of the j with values[j] == v}, for the values that occur."""
+    groups: dict[int, int] = {}
+    for j, v in enumerate(values):
+        groups[1 << v] = groups.get(1 << v, 0) | 1 << j
+    return groups
+
+
+def _pull_back(n: int, groupings, rel) -> tuple[int, ...]:
+    """The one meet behind `MapSet.pointwise` and `MapSet.pull`: rel pulled
+    back to n positions, row j holding k when rel[j's value] holds k's
+    value in every grouping `_group` made."""
+    full = full_mask(n)
+    rows = [full] * n
+    for groups in groupings:
+        occurring = sum(groups)
+        for g, members in groups.items():
+            reach = gather(groups, rel[g.bit_length() - 1] & occurring)
+            while members and reach != full:  # a full reach changes no row
+                low = members & -members
+                rows[low.bit_length() - 1] &= reach
+                members ^= low
+    return tuple(rows)
+
+
 class ContMap(Frozen):
     """A continuous map stored as its value table, one codomain point per
     domain point."""
@@ -71,11 +108,7 @@ class ContMap(Frozen):
         return self.table[p]
 
     def preimage(self, u: Subset) -> Subset:
-        pre = 0
-        for p, v in enumerate(self.table):
-            if (u >> v) & 1:
-                pre |= 1 << p
-        return pre
+        return _preimage(self.table, u)
 
     def is_continuous(self) -> bool:
         return all(self.domain.is_open(self.preimage(u)) for u in self.codomain.opens)
@@ -109,48 +142,24 @@ class MapSet(Frozen):
 
     @cached_property
     def preimage_rows(self) -> dict[Subset, tuple[Subset, ...]]:
-        """For each codomain open u, the tuple of preimages map-by-map, read
-        off the tables as `ContMap.preimage` reads one."""
-        out = {}
-        for u in self.codomain.opens:
-            row = []
-            for table in self.tables:
-                pre = 0
-                for p, v in enumerate(table):
-                    if (u >> v) & 1:
-                        pre |= 1 << p
-                row.append(pre)
-            out[u] = tuple(row)
-        return out
+        """For each codomain open u, the tuple of preimages map-by-map."""
+        return {
+            u: tuple([_preimage(table, u) for table in self.tables])
+            for u in self.codomain.opens
+        }
 
     def bracket(self, index: dict[Subset, int]) -> tuple[dict[int, int], ...]:
-        """The one grouping of maps by preimage. Per codomain open u, in the
-        codomain's order: for each bit 1 << index[p], p a preimage of u
-        that some map takes, the mask of the maps whose preimage of u is p.
-        Only the indices some preimage takes appear as keys. Every lift,
-        `pull` and `duality.tau_of_t` read it."""
-        out = []
-        for rows in self.preimage_rows.values():
-            groups: dict[int, int] = {}
-            for j, r in enumerate(rows):
-                g = 1 << index[r]
-                groups[g] = groups.get(g, 0) | 1 << j
-            out.append(groups)
-        return tuple(out)
+        """The one grouping of maps by preimage: per codomain open u, in the
+        codomain's order, `_group` of index[p] over the maps' preimages p
+        of u. Every lift, `pull` and `duality.tau_of_t` read it."""
+        return tuple(_group([index[r] for r in rows]) for rows in self.preimage_rows.values())
 
-    def pull(self, index: dict[Subset, int], rel) -> list[int]:
-        """A relation on preimages, given by index, pulled back to the maps:
-        row i holds j when, for every codomain open u, rel[index[i's
-        preimage of u]] holds index[j's preimage of u]. Per u only the
-        indices some preimage takes are visited."""
-        below = [full_mask(len(self))] * len(self)
-        for rows, groups in zip(self.preimage_rows.values(), self.bracket(index)):
-            occurring = sum(groups)
-            reach = {
-                g: gather(groups, rel[g.bit_length() - 1] & occurring) for g in groups
-            }
-            below = [m & reach[1 << index[r]] for m, r in zip(below, rows)]
-        return below
+    def pull(self, index: dict[Subset, int], rel) -> tuple[int, ...]:
+        """A relation on preimages, given by index, pulled back to the maps
+        along the codomain opens by `_pull_back`: row i holds j when, for
+        every codomain open u, rel[index[i's preimage of u]] holds
+        index[j's preimage of u]."""
+        return _pull_back(len(self), self.bracket(index), rel)
 
     @cached_property
     def pointwise(self) -> tuple[int, ...]:
@@ -158,16 +167,10 @@ class MapSet(Frozen):
         j with j(p) in the codomain's minimal open around i(p) at every
         point p, the meet of the subbasics {f : f(p) in U} holding i. So j
         is in row i iff every preimage under i lies inside j's, which is
-        also when F : X x Y -> Z may specialize from slice i to slice j."""
-        zmins = self.codomain.min_opens
-        rows = [full_mask(len(self))] * len(self)
-        for p in range(self.domain.size):
-            at = [0] * self.codomain.size  # the maps by their value at p
-            for j, table in enumerate(self.tables):
-                at[table[p]] |= 1 << j
-            near = [sum(at[w] for w in bits(m)) for m in zmins]
-            rows = [row & near[table[p]] for row, table in zip(rows, self.tables)]
-        return tuple(rows)
+        also when F : X x Y -> Z may specialize from slice i to slice j.
+        This is Z's order pulled back along the points by `_pull_back`."""
+        columns = (_group(c) for c in zip(*self.tables))
+        return _pull_back(len(self), columns, self.codomain.min_opens)
 
     @cached_property
     def profile(self) -> LocalProfile:

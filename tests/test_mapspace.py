@@ -11,10 +11,12 @@ from oracles import (
     literal_monotone,
     literal_o_z_family,
     literal_partition_regular,
+    listed_lift_min_opens,
     literal_pointwise,
     literal_z_corecompact,
 )
 from topolab import finspace, mapspace
+from topolab.duality import DualSpace
 from topolab.errors import (
     BudgetExceeded,
     GroundTooLarge,
@@ -23,6 +25,7 @@ from topolab.errors import (
     NotZRepresentable,
 )
 from topolab.finspace import (
+    _up_masks,
     bits,
     chain,
     discrete,
@@ -468,6 +471,40 @@ def test_pointwise_rows_match_the_preimage_test():
     assert len(pairs) == 389 * 5 + 34 * 29 + 3
     assert enumerate_continuous(empty, sierpinski()).pointwise == (1,)
     assert enumerate_continuous(sierpinski(), empty).pointwise == ()
+
+
+def test_one_pull_back_matches_the_oracles_at_4_3(monkeypatch):
+    # every class pair with Y of 0-4 points and Z of 0-3 points: P against
+    # the preimage test, and the lifts of scott(y) and of the Scott trace
+    # on O_Z(Y) against every listed open family met per map. On a fresh
+    # map set, `pointwise` and each lift run `_pull_back` once, and only once
+    calls = []
+    pull_back = mapspace._pull_back
+
+    def recorded(n, groupings, rel):
+        calls.append(n)
+        return pull_back(n, groupings, rel)
+
+    monkeypatch.setattr(mapspace, "_pull_back", recorded)
+
+    def classes(n):
+        return [discrete(0)] + [
+            x for k in range(1, n + 1) for x in enumerate_topologies(k, up_to_iso=True)
+        ]
+
+    pairs = [(y, z) for y in classes(4) for z in classes(3)]
+    for y, z in pairs:
+        maps = MapSet(y, z, enumerate_continuous(y, z).tables)
+        ground = o_z_family(y, z).members
+        trace = DualSpace(y, ground, _up_masks(ground), "dual", z)
+        assert maps.pointwise == literal_pointwise(maps)
+        assert calls == [len(maps)]
+        for h in (scott(y), trace):
+            want = listed_lift_min_opens(maps, h.ground_index, h.opens)
+            assert lift_open_family(h, maps).min_opens == want
+        assert calls == [len(maps)] * 3
+        calls.clear()
+    assert len(pairs) == 47 * 14 == 658
 
 
 def test_bracket_groups_the_maps_by_preimage():
