@@ -14,9 +14,10 @@ exactly that list; closure and interior are read off the U_p. The literal
 closure loops and the pairwise axiom check live on as test oracles.
 
 `enumerate_topologies` lists the labeled topologies as the up-sets of every
-specialization preorder; up to homeomorphism it keeps one orbit per class,
-swept with one relabel table per permutation, and names each class by the
-least encoding in its orbit, which is `canonical_form` of any member.
+specialization preorder. `topology_classes` sweeps them into orbits, one
+relabel table per permutation, and gives each class its least encoding,
+which is `canonical_form` of any member, with its orbit's size;
+`enumerate_topologies` up to homeomorphism reads its representatives.
 """
 
 from __future__ import annotations
@@ -524,16 +525,15 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     lives in the test oracles and must agree at n <= 3.
 
     With `up_to_iso`, one space per homeomorphism class, named by its
-    `canonical_form`. The sweep takes any labeled encoding left, relabels
-    it by every permutation's table to get its whole orbit (its class),
-    keeps the orbit's least member and drops the orbit from what is left:
-    n! table lookups per open of each class, not a permutation scan of
-    every labeled space.
+    `canonical_form`: the representatives of `topology_classes(n)`, in
+    its order.
     """
     if n < 0:
         raise ValueError(f"point count must be at least 0, got {n}")
     if n > MAX_ENUM_POINTS:
         raise GroundTooLarge(f"enumeration capped at {MAX_ENUM_POINTS} points")
+    if up_to_iso:
+        return tuple(x for x, _ in topology_classes(n))
     if n == 0:
         return (FinSpace(0, SubsetFamily.of(0, [0])),)
     encodings = set()
@@ -551,19 +551,31 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
                 for q in range(i)
             ):
                 stack.append(rows + (m,))
-    if up_to_iso:
-        tables = list(_relabel_tables(n))
-        remaining, encodings = encodings, set()
-        while remaining:
-            # canonical_form(e) is the least relabeling of e, which is the
-            # least member of its orbit; the orbit is the class, so drop it
-            e = remaining.pop()
-            orbit = {tuple(sorted(tb[o] for o in e)) for tb in tables}
-            remaining -= orbit
-            encodings.add(min(orbit))
-    return tuple(
-        FinSpace(n, SubsetFamily(n, e)) for e in sorted(encodings)
-    )
+    return tuple(FinSpace(n, SubsetFamily(n, e)) for e in sorted(encodings))
+
+
+@lru_cache(maxsize=None)
+def topology_classes(n: int) -> tuple[tuple[FinSpace, int], ...]:
+    """One space per homeomorphism class of topologies on n points, with
+    the size of its orbit: the number of labeled topologies it stands for.
+    The sizes add up to `len(enumerate_topologies(n))`.
+
+    The sweep takes any labeled encoding left, relabels it by every
+    permutation's table to get its whole orbit (its class), keeps the
+    orbit's least member, which is `canonical_form` of any member, with
+    the orbit's size, and drops the orbit from what is left: n! table
+    lookups per open of each class, not a permutation scan of every
+    labeled space. Classes come in encoding order.
+    """
+    remaining = {x.opens.members for x in enumerate_topologies(n)}
+    tables = list(_relabel_tables(n))
+    classes = []
+    while remaining:
+        e = remaining.pop()
+        orbit = {tuple(sorted(tb[o] for o in e)) for tb in tables}
+        remaining -= orbit
+        classes.append((min(orbit), len(orbit)))
+    return tuple((FinSpace(n, SubsetFamily(n, e)), size) for e, size in sorted(classes))
 
 
 def _enumerate_upsets(

@@ -13,6 +13,9 @@ pointwise sandwich, and run them through the package's own comparison and
 evaluation check; `literal_dual_rows` keeps the per-carrier route that
 built every named topology's dual, which the suite replaced by the
 Scott-trace sandwich, and runs the package's own dual operators;
+`labeled_theorem_suite` keeps the suite's pair rows over every labeled
+pair, which the suite replaced by one pass per homeomorphism class pair,
+and runs the suite's own row builders;
 `literal_o_z_family` keeps the union of the package's preimage rows over
 C(Y,Z), which `o_z_family` replaced by its closed form.
 """
@@ -24,7 +27,8 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from itertools import product as assignments
 
-from topolab.checkers import _COMPOSE_HYPOTHESIS
+from topolab import checkers
+from topolab.checkers import _COMPOSE_HYPOTHESIS, DEFAULT_REFINEMENT_SAMPLES
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded
 from topolab.finspace import (
@@ -829,12 +833,14 @@ def literal_evaluation_witness(t) -> int | None:
 
 def literal_splitting_order_row(table) -> VerdictReport:
     """The suite's splitting-order row by search: every topology below the
-    pointwise one compared with every admissible one, pair by pair. It reads
-    only the pairs of the suite's table and builds each named topology
-    itself."""
+    pointwise one compared with every admissible one, pair by pair, each
+    comparison counted with its pair's weight. It reads only the pairs and
+    weights of the suite's table and builds each named topology itself."""
     checked = 0
+    pairs = 0
     witnesses = []
-    for y, z, _ in table:
+    for y, z, _, weight in table:
+        pairs += weight
         ts = [named_function_topology(name, y, z) for name in NAMED]
         candidates = [
             t for t in ts if first_escape(t.maps.pointwise, t.min_opens) is None
@@ -842,7 +848,7 @@ def literal_splitting_order_row(table) -> VerdictReport:
         admissible = [t for t in ts if evaluation_witness(t) is None]
         for t in candidates:
             for t2 in admissible:
-                checked += 1
+                checked += weight
                 v = compare_topologies(t, t2).verdict
                 if v not in ("equal", "a_coarser"):
                     witnesses.append((pair_tag(y, z), t.provenance, t2.provenance, v))
@@ -851,7 +857,7 @@ def literal_splitting_order_row(table) -> VerdictReport:
         witnesses,
         checked,
         checked,
-        budget=(("max_x", 2), ("pairs", len(table))),
+        budget=(("max_x", 2), ("pairs", pairs)),
     )
 
 
@@ -890,7 +896,8 @@ def literal_refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> V
 
 def literal_dual_rows(table) -> list[VerdictReport]:
     """Admissibility of each named t against that of its dual tau, over the
-    pairs of the suite's table, each named topology built here.
+    pairs of the suite's table, each named topology built here and each
+    instance counted with its pair's weight.
 
     The last two rows coincide by construction: "via_dual" admissibility of
     tau is the evaluation check on t_of_tau(tau), the round trip itself, so
@@ -903,13 +910,13 @@ def literal_dual_rows(table) -> list[VerdictReport]:
     equiv_wit = []
     forward_hyp = 0
     instances = 0
-    for y, z, _ in table:
+    for y, z, _, weight in table:
         verdicts = _per_carrier(y, z, _dual_verdicts)
         for name in NAMED:
-            instances += 1
+            instances += weight
             t_ok, tau_ok = verdicts[name]
             if t_ok:
-                forward_hyp += 1
+                forward_hyp += weight
                 if not tau_ok:
                     forward_wit.append((pair_tag(y, z), name))
             if t_ok != tau_ok:
@@ -919,6 +926,35 @@ def literal_dual_rows(table) -> list[VerdictReport]:
     for claim in ("dual:named-equivalence-t-tau", "dual:named-equivalence-t-round-trip"):
         rows.append(VerdictReport.of(claim, equiv_wit, instances, instances))
     return rows
+
+
+def labeled_theorem_suite(
+    max_y: int = 3,
+    max_z: int = 2,
+    refinement_samples: int = DEFAULT_REFINEMENT_SAMPLES,
+    seed: int = 0,
+) -> list[VerdictReport]:
+    """`theorem_suite` with its pair rows decided on every labeled pair:
+    the per-pair table over `suite_spaces`, each pair of weight 1, read by
+    the suite's own row builders, then the refinement and divergence rows
+    as the suite adds them. The row builders and the named topologies are
+    looked up through `checkers` at call time, so a test that patches one
+    patches both suites."""
+    ys, zs = checkers.suite_spaces(max_y, max_z)
+    table = [
+        (y, z, [checkers.named_function_topology(k, y, z) for k in NAMED], 1)
+        for y in ys
+        for z in zs
+    ]
+    out = checkers._admissibility_rows(table)
+    out.extend(checkers._preservation_rows(table))
+    out.extend(checkers._grid_rows(table))
+    out.append(checkers._splitting_order_row(table))
+    out.extend(checkers._sierpinski_rows([(y, 1) for y in ys], table))
+    out.extend(checkers._dual_rows(table))
+    out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
+    out.extend(checkers._divergence_rows())
+    return out
 
 
 def _per_carrier(y: FinSpace, z: FinSpace, decide) -> dict:

@@ -19,6 +19,7 @@ from oracles import (
     literal_refinement_row,
     literal_refute_splitting,
     literal_splitting_order_row,
+    labeled_theorem_suite,
     searched_refute_splitting,
 )
 from topolab import checkers, finspace, fntop
@@ -42,6 +43,7 @@ from topolab.finspace import (
     enumerate_topologies,
     indiscrete,
     is_open_in_product,
+    local_profile,
     make_space,
     product,
     sierpinski,
@@ -70,8 +72,9 @@ def fn_discrete(maps):
 
 
 def named_table(pairs, topology=named_function_topology):
-    # the suite's per-pair table: each pair with its six named topologies
-    return [(y, z, [topology(k, y, z) for k in NAMED]) for y, z in pairs]
+    # the suite's per-pair table over labeled pairs: each pair with its six
+    # named topologies and weight 1
+    return [(y, z, [topology(k, y, z) for k in NAMED], 1) for y, z in pairs]
 
 
 @pytest.fixture(scope="module")
@@ -848,17 +851,91 @@ def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
 
 
 def test_suite_reads_each_pair_once():
-    # a cold (3,2) suite looks each pair's six named topologies up once,
-    # 1,020 lookups, plus 12 for the refinement row; the Sierpinski rows
-    # read their pairs from the table. It reads three profiles per pair
-    # (local, relative via Y's, Z's): 510
+    # a cold (3,2) suite looks the six named topologies of each of the 52
+    # class pairs up once, 312 lookups, those of each of the 13 Y classes
+    # against the labeled Sierpinski space once, 78, and 12 for the
+    # refinement row. It reads three profiles per class pair (local,
+    # relative via Y's, Z's): 156. The labeled table read 1,032 and 510
     clear_every_cache()
     theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
         for fn in (named_function_topology, finspace._profile)
     ]
+    assert reads == [402, 156]
+    clear_every_cache()
+    labeled_theorem_suite(3, 2)
+    reads = [
+        fn.cache_info().hits + fn.cache_info().misses
+        for fn in (named_function_topology, finspace._profile)
+    ]
     assert reads == [1032, 510]
+
+
+def test_class_suite_matches_its_labeled_oracle(monkeypatch):
+    # the suite decides its pair rows once per homeomorphism class pair,
+    # each weighted by its orbit sizes, with no fallback to the labeled
+    # pairs at these bounds; its JSON equals that of the suite over every
+    # labeled pair at every bound up to (3,2), seeds 0-5, sample counts
+    # from -1 to 100, and at (4,2) and (3,3) with the caps raised here
+    passes = []
+    weighted = checkers._weighted_spaces
+
+    def spy(max_y, max_z, by_class):
+        passes.append(by_class)
+        return weighted(max_y, max_z, by_class)
+
+    monkeypatch.setattr(checkers, "_weighted_spaces", spy)
+    configs = 0
+    for max_y in (1, 2, 3):
+        for max_z in (1, 2):
+            for seed in range(6):
+                for samples in (-1, 0, 1, 7, 100):
+                    got = suite_to_json(theorem_suite(max_y, max_z, samples, seed))
+                    want = suite_to_json(labeled_theorem_suite(max_y, max_z, samples, seed))
+                    assert got == want
+                    configs += 1
+    assert configs == 180
+    monkeypatch.setattr(checkers, "MAX_SUITE_Y", 4)
+    monkeypatch.setattr(checkers, "MAX_SUITE_Z", 3)
+    for bounds in ((4, 2), (3, 3)):
+        got = suite_to_json(theorem_suite(*bounds))
+        assert got == suite_to_json(labeled_theorem_suite(*bounds))
+    assert passes == [True] * 182
+
+
+def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
+    # no bound up to (4,3) has a pair-level witness, so inject one that
+    # relabeling keeps: every t into a Sierpinski space, either labeling,
+    # fails evaluation at the open point. The class pass then has
+    # witnesses naming class representatives, and the suite gives the
+    # labeled oracle's bytes, its witnesses named by labeled pairs in
+    # labeled order
+    real = evaluation_witness
+
+    def sierpinski_fails(t):
+        z = t.maps.codomain
+        if z.size == 2 and len(z.opens) == 3:
+            return z.opens.members[1]
+        return real(t)
+
+    monkeypatch.setattr(checkers, "evaluation_witness", sierpinski_fails)
+    ys, zs = checkers.suite_spaces(3, 2)
+    both = [z for z in zs if z.size == 2 and len(z.opens) == 3]
+    assert [z.opens.members for z in both] == [(0, 1, 3), (0, 2, 3)]
+    by_class = checkers._pair_rows(*checkers._weighted_spaces(3, 2, by_class=True))
+    got = theorem_suite(3, 2)
+    assert suite_to_json(got) == suite_to_json(labeled_theorem_suite(3, 2))
+    claim = "admissible:co when=regular+locally_compact"
+    row = next(r for r in got if r.claim == claim)
+    want = [pair_tag(y, z) for y in ys for z in zs if z in both and local_profile(y).regular]
+    assert [w[0] for w in row.witnesses] == want
+    assert len(want) == 2 * 8  # the regular Y: partitions of 1, 2 and 3 points
+    class_row = next(r for r in by_class if r.claim == claim)
+    assert class_row.hypothesis_true_count == row.hypothesis_true_count
+    assert 0 < len(class_row.witnesses) < len(row.witnesses)
+    duals = next(r for r in got if r.claim == "dual:named-equivalence-t-tau")
+    assert len(duals.witnesses) == 2 * len(ys) * len(NAMED)
 
 
 def test_suite_rows_at_2_2(suite22):

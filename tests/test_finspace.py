@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,7 @@ from topolab.finspace import (
     separation_profile,
     sierpinski,
     subspace,
+    topology_classes,
 )
 
 from conftest import all_spaces_up_to
@@ -357,6 +359,24 @@ def test_enumerate_canonical_order():
 def test_enumerate_iso_classes():
     counts = [len(enumerate_topologies(n, up_to_iso=True)) for n in range(6)]
     assert counts == [1, 1, 3, 9, 33, 139]  # OEIS A001930
+
+
+def test_topology_classes_carry_their_orbit_sizes():
+    # the orbit sizes add up to the labeled counts, OEIS A000798; the
+    # representatives are the up-to-iso listing, OEIS A001930, in its
+    # order; and up to 4 points each size is the number of labeled
+    # topologies with the class's canonical form
+    sums, counts = [], []
+    for n in range(1, 6):
+        classes = topology_classes(n)
+        assert tuple(x for x, _ in classes) == enumerate_topologies(n, up_to_iso=True)
+        sums.append(sum(size for _, size in classes))
+        counts.append(len(classes))
+        if n <= 4:
+            orbits = Counter(canonical_form(x) for x in enumerate_topologies(n))
+            assert [(x.encoding(), size) for x, size in classes] == sorted(orbits.items())
+    assert sums == [1, 4, 29, 355, 6942]
+    assert counts == [1, 3, 9, 33, 139]
 
 
 def test_iso_listing_matches_literal_canonical_oracle():
