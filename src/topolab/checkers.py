@@ -324,14 +324,14 @@ def theorem_suite(
     labeled pair, weight 1 each, so the witnesses and their order are the
     labeled table's.
 
-    A pass reads one table built here: each (y, z) with its six named
-    topologies in `NAMED` order, looked up once, and its weight, so a row
-    indexes a topology by its position in `NAMED`; the admissibility and
-    preservation rows read each profile once per pair, and the Sierpinski
-    rows run over the Y classes against `sierpinski()`, each weighted by
-    its orbit. A cold (3,2) suite makes 1,237 module cache lookups (402
-    named topologies, 156 profiles) where the labeled table made 3,359
-    (1,032 and 510)."""
+    Every table a pass reads comes from `_pair_table`: each (y, z) with its
+    six named topologies in `NAMED` order, looked up once, and its weight,
+    so a row indexes a topology by its position in `NAMED`. The Sierpinski
+    rows read the table of the same Y against `chain(2)`, S's class
+    representative, which at max_z >= 2 holds the pair table's entries. A
+    cold (3,2) suite makes 1,140 module cache lookups (402 named
+    topologies, 156 profiles) and builds 53 map sets: one per class pair
+    and one for the divergence rows."""
     out = _pair_rows(*_weighted_spaces(max_y, max_z, by_class=True))
     if any(row.witnesses for row in out):
         out = _pair_rows(*_weighted_spaces(max_y, max_z, by_class=False))
@@ -370,19 +370,26 @@ def _weighted_spaces(max_y: int, max_z: int, by_class: bool):
     )
 
 
-def _pair_rows(ys, zs) -> list[VerdictReport]:
-    """The pair-level rows over the weighted spaces ys and zs: the table of
-    each (y, z), its six named topologies and its weight, read by every row."""
-    table = [
+def _pair_table(ys, zs) -> list:
+    """Each (y, z) of the weighted spaces ys and zs, y-major, with its six
+    named topologies in `NAMED` order, looked up once, and its weight
+    wy·wz: the one table shape every pair row reads."""
+    return [
         (y, z, [named_function_topology(k, y, z) for k in NAMED], wy * wz)
         for y, wy in ys
         for z, wz in zs
     ]
+
+
+def _pair_rows(ys, zs) -> list[VerdictReport]:
+    """The pair-level rows over the weighted spaces ys and zs, and the
+    Sierpinski rows over ys against `chain(2)`, S's class representative."""
+    table = _pair_table(ys, zs)
     out = _admissibility_rows(table)
     out.extend(_preservation_rows(table))
     out.extend(_grid_rows(table))
     out.append(_splitting_order_row(table))
-    out.extend(_sierpinski_rows(ys, table))
+    out.extend(_sierpinski_rows(_pair_table(ys, [(chain(2), 1)])))
     out.extend(_dual_rows(table))
     return out
 
@@ -500,46 +507,42 @@ def _splitting_order_row(table) -> VerdictReport:
     )
 
 
-def _sierpinski_rows(ys, table) -> list[VerdictReport]:
-    """The Sierpinski space S, `sierpinski()` as labeled, as codomain, over
-    the weighted Y. When (y, S) is a pair of the table, as over the labeled
-    spaces at max_z >= 2, its named topologies are read from it; otherwise
-    they are looked up per Y. S's class representative relabels its open
-    point, so the class table never holds S."""
-    s = sierpinski()
-    n = sum(w for _, w in ys)
-    ys = [y for y, _ in ys]
-    on_s = {y: ts for y, z, ts, _ in table if z == s}
-    rows = [on_s.get(y) or [named_function_topology(k, y, s) for k in NAMED] for y in ys]
+def _sierpinski_rows(table) -> list[VerdictReport]:
+    """The Sierpinski space S as codomain, over the weighted Y: table is
+    `_pair_table` of those Y against S. S's open point is read off S, so
+    any labeling of S gives the same rows, and at max_z >= 2 the table's
+    entries are the pair table's own."""
+    n = _pairs(table)
     found = {
         "sierpinski:z-topology-is-identity": [
-            (fam_tag(y),) for y in ys if z_topology(y, s).opens != y.opens
+            (fam_tag(y),) for y, s, _, _ in table if z_topology(y, s).opens != y.opens
         ]
     }
     for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz")):
         i, j = NAMED.index(lo), NAMED.index(hi)
         witnesses = found[f"sierpinski:{lo}={hi}"] = []
-        for y, ts in zip(ys, rows):
+        for y, _, ts, _ in table:
             cmp = compare_topologies(ts[i], ts[j])
             if cmp.verdict != "equal":
                 witnesses.append((fam_tag(y), cmp.verdict))
     k = NAMED.index("coZ")
     found["sierpinski:characteristic-homeomorphism"] = [
-        (fam_tag(y),) for y, ts in zip(ys, rows) if not _characteristic_homeomorphism(ts[k])
+        (fam_tag(y),) for y, _, ts, _ in table if not _characteristic_homeomorphism(ts[k])
     ]
     return [VerdictReport.of(c, w, n, n) for c, w in found.items()]
 
 
 def _characteristic_homeomorphism(t: FnTopology) -> bool:
     """Whether f -> f^{-1}(open point) carries t, the Z-relative
-    compact-open topology on C(y, s), s the Sierpinski space, onto the
-    compact-subbasis hyperspace topology of y.
+    compact-open topology on C(y, s), s a Sierpinski space in either
+    labeling, onto the compact-subbasis hyperspace topology of y.
 
     A bijection carries one finite topology onto another exactly when it
     carries the minimal open of each point onto that of its image, so
     neither open family is listed."""
     hs = compact_subbasis_topology(t.maps.domain)
-    perm = [hs.ground_index[v] for v in t.maps.preimage_rows[0b10]]  # 0b10: the open point
+    open_point = t.maps.codomain.opens.members[1]  # s's one open besides {} and s
+    perm = [hs.ground_index[v] for v in t.maps.preimage_rows[open_point]]
     if sorted(perm) != list(range(len(hs.ground))):
         return False
     return all(
@@ -588,7 +591,7 @@ def _refinement_row(samples: int, seed: int, max_y: int, max_z: int) -> VerdictR
     and label the row; the frozen suite bytes pin them."""
     bases = []
     if max_y >= 2 and max_z >= 2:
-        bases = [(sierpinski(), sierpinski()), (chain(2), discrete(2))]
+        bases = [(chain(2), chain(2)), (chain(2), discrete(2))]
     admissible_bases = sum(
         evaluation_witness(named_function_topology(name, y, z)) is None
         for y, z in bases

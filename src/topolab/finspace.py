@@ -95,7 +95,7 @@ class cached_property:
     finds it first, since this descriptor defines no `__set__`. Python
     3.11's version takes a per-descriptor RLock on each first read: on a
     2-vCPU VM a first read took 0.64 us with it and 0.27 us here (best of
-    30), and a cold (3,2) suite makes about 1,700. Storing with
+    30), and a cold (3,2) suite makes about 500. Storing with
     `_set_field` works on a `Frozen` instance and keeps its compact
     layout, so later reads stay fast: storing into `obj.__dict__`
     instead left the warm (3,2) suite about 12% slower. Two threads

@@ -15,7 +15,7 @@ built every named topology's dual, which the suite replaced by the
 Scott-trace sandwich, and runs the package's own dual operators;
 `labeled_theorem_suite` keeps the suite's pair rows over every labeled
 pair, which the suite replaced by one pass per homeomorphism class pair,
-and runs the suite's own row builders;
+and runs the suite's own `_pair_rows`;
 `literal_o_z_family` keeps the union of the package's preimage rows over
 C(Y,Z), which `o_z_family` replaced by its closed form.
 """
@@ -935,23 +935,12 @@ def labeled_theorem_suite(
     seed: int = 0,
 ) -> list[VerdictReport]:
     """`theorem_suite` with its pair rows decided on every labeled pair:
-    the per-pair table over `suite_spaces`, each pair of weight 1, read by
-    the suite's own row builders, then the refinement and divergence rows
-    as the suite adds them. The row builders and the named topologies are
-    looked up through `checkers` at call time, so a test that patches one
-    patches both suites."""
+    the suite's own `_pair_rows` over `suite_spaces`, each space of weight
+    1, then the refinement and divergence rows as the suite adds them. The
+    row builders and the named topologies are looked up through `checkers`
+    at call time, so a test that patches one patches both suites."""
     ys, zs = checkers.suite_spaces(max_y, max_z)
-    table = [
-        (y, z, [checkers.named_function_topology(k, y, z) for k in NAMED], 1)
-        for y in ys
-        for z in zs
-    ]
-    out = checkers._admissibility_rows(table)
-    out.extend(checkers._preservation_rows(table))
-    out.extend(checkers._grid_rows(table))
-    out.append(checkers._splitting_order_row(table))
-    out.extend(checkers._sierpinski_rows([(y, 1) for y in ys], table))
-    out.extend(checkers._dual_rows(table))
+    out = checkers._pair_rows([(y, 1) for y in ys], [(z, 1) for z in zs])
     out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(checkers._divergence_rows())
     return out

@@ -8,8 +8,11 @@ once per homeomorphism class pair, and `oracles.labeled_theorem_suite`,
 which decides them on every labeled pair, each with every module cache
 emptied first. It prints whether their JSON bytes agree, each cold time in
 raw seconds, and the process's peak RSS after each run; the class pass runs
-first, so the first figure is its own. Exit status 1 when the bytes differ.
-Not collected by pytest: the labeled side at (4,3) takes over a second.
+first, so the first figure is its own. After the class pass it prints the
+map sets it built, the misses of `mapspace.enumerate_continuous`, beside
+its class pairs: for max_z >= 2 they must be one per class pair and one for
+the divergence rows. Exit status 1 when the bytes differ or that count is
+off. Not collected by pytest: the labeled side at (4,3) takes over a second.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ def main(argv=None) -> int:
     checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, args.max_z)
     bounds = f"({args.max_y},{args.max_z})"
     got, class_s, class_mb = cold_run(checkers.theorem_suite, args.max_y, args.max_z)
+    map_sets = mapspace.enumerate_continuous.cache_info().misses
+    ys, zs = checkers._weighted_spaces(args.max_y, args.max_z, by_class=True)
+    class_pairs = len(ys) * len(zs)
+    built_once = args.max_z < 2 or map_sets == class_pairs + 1
     want, labeled_s, labeled_mb = cold_run(labeled_theorem_suite, args.max_y, args.max_z)
     agree = got == want
     digest = hashlib.sha256(got.encode()).hexdigest()
@@ -62,7 +69,10 @@ def main(argv=None) -> int:
     print(f"  sha256 {digest}")
     print(f"  class pass     {class_s:.3f} s cold, peak RSS {class_mb:.1f} MB")
     print(f"  labeled oracle {labeled_s:.3f} s cold, peak RSS {labeled_mb:.1f} MB")
-    return 0 if agree else 1
+    print(f"  class pass built {map_sets} map sets for {class_pairs} class pairs")
+    if not built_once:
+        print(f"  expected {class_pairs + 1}: one per class pair, one for the divergence rows")
+    return 0 if agree and built_once else 1
 
 
 if __name__ == "__main__":

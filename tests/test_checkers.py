@@ -853,9 +853,12 @@ def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
 def test_suite_reads_each_pair_once():
     # a cold (3,2) suite looks the six named topologies of each of the 52
     # class pairs up once, 312 lookups, those of each of the 13 Y classes
-    # against the labeled Sierpinski space once, 78, and 12 for the
-    # refinement row. It reads three profiles per class pair (local,
-    # relative via Y's, Z's): 156. The labeled table read 1,032 and 510
+    # against S, chain(2), once more, 78 hits on the same entries, and 12
+    # for the refinement row. It reads three profiles per class pair
+    # (local, relative via Y's, Z's): 156. So it builds one map set, six
+    # named topologies and one Z-topology per class pair, and one map set
+    # more for the divergence rows. The labeled oracle reads the 34
+    # labeled Y against S again through the same table builder
     clear_every_cache()
     theorem_suite(3, 2)
     reads = [
@@ -863,13 +866,18 @@ def test_suite_reads_each_pair_once():
         for fn in (named_function_topology, finspace._profile)
     ]
     assert reads == [402, 156]
+    misses = [
+        fn.cache_info().misses
+        for fn in (mapspace.enumerate_continuous, named_function_topology, mapspace.z_topology)
+    ]
+    assert misses == [52 + 1, 52 * 6, 52]
     clear_every_cache()
     labeled_theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
         for fn in (named_function_topology, finspace._profile)
     ]
-    assert reads == [1032, 510]
+    assert reads == [1236, 510]
 
 
 def test_class_suite_matches_its_labeled_oracle(monkeypatch):
@@ -1090,26 +1098,29 @@ def test_suite_json_deterministic():
 
 
 def test_characteristic_homeomorphism_matches_listed_oracle():
-    # every labeled Y on at most four points; the suite row reads Y <= 3
-    s = sierpinski()
+    # every labeled Y on at most four points, against both labelings of
+    # S; the suite row reads Y <= 3 against chain(2)
     ys = all_spaces_up_to(4)
     assert len(ys) == 389
-    for y in ys:
-        assert checkers._characteristic_homeomorphism(named_function_topology("coZ", y, s))
-        assert literal_characteristic_homeomorphism(y, s)
+    for s in (sierpinski(), chain(2)):
+        for y in ys:
+            t = named_function_topology("coZ", y, s)
+            assert checkers._characteristic_homeomorphism(t)
+            assert literal_characteristic_homeomorphism(y, s)
 
 
 def test_characteristic_homeomorphism_refutes_a_discrete_hyperspace(monkeypatch):
     # against the discrete topology on the same ground every Y fails, by
-    # both routes: the ground holds the empty set and Y, and every open
-    # around the empty set holds Y
+    # both routes and against both labelings of S: the ground holds the
+    # empty set and Y, and every open around the empty set holds Y
     def discrete_hyperspace(y):
         ground = y.opens.members
         return HyperSpace(y, ground, tuple(1 << i for i in range(len(ground))), "d")
 
     monkeypatch.setattr(checkers, "compact_subbasis_topology", discrete_hyperspace)
     monkeypatch.setattr(oracles, "compact_subbasis_topology", discrete_hyperspace)
-    s = sierpinski()
-    for y in all_spaces_up_to(3):
-        assert not checkers._characteristic_homeomorphism(named_function_topology("coZ", y, s))
-        assert not literal_characteristic_homeomorphism(y, s)
+    for s in (sierpinski(), chain(2)):
+        for y in all_spaces_up_to(3):
+            t = named_function_topology("coZ", y, s)
+            assert not checkers._characteristic_homeomorphism(t)
+            assert not literal_characteristic_homeomorphism(y, s)
