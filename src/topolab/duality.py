@@ -1,15 +1,16 @@
 """Dual operators between map-set topologies and topologies on the preimage
 family O_Z(Y), plus admissibility of the latter.
 
-There is one bracket over a pair (Y, Z), `MapSet.bracket`: per codomain
-open, the maps grouped by the index of their preimage. Lifting reads it
-one way: a family of domain opens and a codomain open carve out the maps
-whose preimage lands in the family, the OR of the groups the family holds.
-`t_of_tau` is that lift, `lift_open_family`, once the pair is checked.
-`tau_of_t` is its transpose: a set of maps and a codomain open produce the
-family of their preimages, the indices whose group meets the set.
-Iterating the two need not return the start; it can only grow the
-topology, which the tests pin down.
+There is one bracket over a pair (Y, Z), `MapSet.bracket`, cached on the
+map set: per codomain open, the maps grouped by the position of their
+preimage in O_Z(Y), a dual's ground. Lifting reads it one way: a family
+of domain opens and a codomain open carve out the maps whose preimage
+lands in the family, the OR of the groups the family holds. `t_of_tau` is
+that lift, `lift_open_family`, once the pair is checked. `tau_of_t` is its
+transpose: a set of maps and a codomain open produce the family of their
+preimages, the positions whose group meets the set. A round trip groups
+the maps once. Iterating the two need not return the start; it can only
+grow the topology, which the tests pin down.
 
 Both directions commute with union, so `tau_of_t` is fed only the minimal
 t-opens, and lifting commutes with meets, so `t_of_tau` pulls only the
@@ -55,7 +56,7 @@ class DualSpace(HyperSpace):
 def tau_of_t(t: FnTopology) -> DualSpace:
     """Dual on the preimage family: one generator per (maps-open, codomain
     open), collecting the preimages the open's maps actually take, that is
-    the indices of `MapSet.bracket` whose group meets the open.
+    the positions of `MapSet.bracket` whose group meets the open.
 
     Collecting commutes with union and every t-open is a union of minimal
     t-opens, so the minimal t-opens generate the same dual; the dual's
@@ -63,11 +64,10 @@ def tau_of_t(t: FnTopology) -> DualSpace:
     y = t.maps.domain
     z = t.maps.codomain
     ground = o_z_family(y, z).members
-    index = {g: i for i, g in enumerate(ground)}
     hs = set(t.min_opens)
     seeds = {
         sum(g for g, group in groups.items() if group & h)
-        for groups in t.maps.bracket(index)
+        for groups in t.maps.bracket
         for h in hs
     }
     return DualSpace(y, ground, meets_by_point(len(ground), seeds), "dual", z)

@@ -5,12 +5,13 @@ indices, and a topology is carried by its minimal opens, the least open
 around each map; its subbasis is listed on demand. A named topology lifts a
 topology on the domain's opens through preimages. On a finite domain all
 six are the pointwise topology (README "The finite collapse"), so each
-carries `MapSet.pointwise` and records only its name; its hyperspace is
-built when the subbasis is read, and no verdict reads it.
-Any other lift, `lift_open_family` and the dual's `t_of_tau`, commutes
-with meets, so its minimal opens are one `MapSet.pull` of the
-hyperspace's. The pull and the subbasis listing both read the maps grouped
-by preimage from `MapSet.bracket`, the one place that groups them. Every
+carries `MapSet.pointwise` and records only its name; no verdict reads
+its subbasis, listed off O_Z(Y) with no hyperspace built (README "Lifts
+see only O_Z(Y)"). Any other lift, `lift_open_family` and the dual's
+`t_of_tau`, commutes with meets, so its minimal opens are one
+`MapSet.pull` of the hyperspace's trace on O_Z(Y). The pull and the
+subbasis listing both read `MapSet.bracket`, the maps grouped by
+preimage once per map set, the one place that groups them. Every
 verdict is read off the minimal opens without materializing the open
 family: containment is one mask test per map each way (`first_escape`,
 for the one direction a caller reads, answered at once when a topology
@@ -40,9 +41,9 @@ from .finspace import (
     FinSpace,
     Frozen,
     LocalProfile,
-    Subset,
     SubsetFamily,
     _enumerate_upsets,
+    _up_masks,
     bits,
     cached_property,
     full_mask,
@@ -50,29 +51,12 @@ from .finspace import (
     meets_by_point,
     min_open_profile,
 )
-from .hypertop import (
-    HyperSpace,
-    containment_families,
-    scott,
-    strong_scott,
-    strong_z_scott,
-    z_scott,
-)
-from .mapspace import MapSet, enumerate_continuous, first_escape
+from .hypertop import HyperSpace
+from .mapspace import MapSet, enumerate_continuous, first_escape, o_z_family
 
 DEFAULT_OPENS_BUDGET = 1024
 
 NAMED = ("co", "coZ", "isbell", "sisbell", "t1z", "t1sz")
-
-# the hyperspace each named topology lifts, built from the name when its
-# subbasis is read; co and coZ lift the containment families instead. The
-# constructors are looked up at call time, so a patched one is seen.
-_NAMED_HYPERSPACES = {
-    "isbell": lambda y, z: scott(y),
-    "sisbell": lambda y, z: strong_scott(y),
-    "t1z": lambda y, z: z_scott(y, z),
-    "t1sz": lambda y, z: strong_z_scott(y, z),
-}
 
 
 class FnTopology(Frozen, uncompared=("source",)):
@@ -81,11 +65,10 @@ class FnTopology(Frozen, uncompared=("source",)):
     are, whatever subbasis produced them.
 
     `source` is what the subbasis comes from: the tuple `of` was given, the
-    HyperSpace whose every open family `lift_open_family` lifts (a
-    DualSpace, for `duality.t_of_tau`, is one), the name of a named
-    topology whose hyperspace is built only when the subbasis is read, or
-    None for co and coZ, which lift the containment families of the
-    domain. No verdict reads it."""
+    trace on O_Z(Y) of the HyperSpace `lift_open_family` lifts (a
+    DualSpace, for `duality.t_of_tau`, is its own), the name of a
+    Scott-type named topology, or None for co and coZ; those two are
+    listed off O_Z(Y), building no hyperspace. No verdict reads it."""
 
     maps: MapSet
     min_opens: tuple[int, ...]
@@ -109,19 +92,22 @@ class FnTopology(Frozen, uncompared=("source",)):
         """The subbasis, sorted. A lifted one is listed on each read and not
         kept, so a topology holds one carrier, its minimal opens; it is
         read only to print a topology or name a failing check's witnesses.
-        A named source is resolved here, through the cached hyperspace
-        constructors."""
+        A name lifts the up-sets of O_Z(Y), under the hyperspace cap, and
+        co and coZ the members of O_Z(Y) above each open of the domain."""
         h = self.source
         if isinstance(h, tuple):
             return h
-        y = self.maps.domain
+        maps = self.maps
+        if isinstance(h, HyperSpace):
+            return tuple(sorted(lift_upsets(maps, h.min_opens)))
+        y = maps.domain
+        oz = o_z_family(y, maps.codomain).members
         if h is None:
-            index = {u: g for g, u in enumerate(y.opens)}
-            found = lift_families(self.maps, index, containment_families(y))
+            ups = {sum(1 << k for k, g in enumerate(oz) if v & ~g == 0) for v in y.opens}
+            found = lift_families(maps, ups)
         else:
-            if isinstance(h, str):
-                h = _NAMED_HYPERSPACES[h](y, self.maps.codomain)
-            found = lift_upsets(self.maps, h.ground_index, h.min_opens)
+            HyperSpace.check_cap(y)
+            found = lift_upsets(maps, _up_masks(oz))
         return tuple(sorted(found))
 
     @cached_property
@@ -165,36 +151,30 @@ class FnTopology(Frozen, uncompared=("source",)):
         return FinSpace(len(self.maps), self.opens, labels)
 
 
-def lift_families(
-    maps: MapSet, index: dict[Subset, int], families: Collection[int]
-) -> set[int]:
+def lift_families(maps: MapSet, families: Collection[int]) -> set[int]:
     """The lift through `MapSet.bracket`: for each codomain open u and each
-    family (a mask over the indices of `index`), the mask of the maps whose
-    preimage of u lies in the family."""
-    return _lift(maps, index, lambda occurring: {f & occurring for f in families})
+    family (a mask over the positions of O_Z(Y)), the mask of the maps
+    whose preimage of u lies in the family."""
+    return _lift(maps, lambda occurring: {f & occurring for f in families})
 
 
-def lift_upsets(
-    maps: MapSet, index: dict[Subset, int], mins: tuple[int, ...]
-) -> set[int]:
-    """`lift_families` over every open of the topology with minimal opens
-    `mins` on the indices of `index`, without listing them: the traces of
-    its opens on a set of indices are the up-sets of `mins` restricted
-    there, listed straight off `mins`."""
+def lift_upsets(maps: MapSet, mins: tuple[int, ...]) -> set[int]:
+    """`lift_families` over every open of the topology on O_Z(Y) with
+    minimal opens `mins`, without listing them: the traces of its opens on
+    a set of positions are the up-sets of `mins` restricted there, listed
+    straight off `mins`."""
     m = len(mins)
-    return _lift(maps, index, lambda occurring: _enumerate_upsets(m, mins, occurring))
+    return _lift(maps, lambda occurring: _enumerate_upsets(m, mins, occurring))
 
 
-def _lift(
-    maps: MapSet, index: dict[Subset, int], traces: Callable[[int], Iterable[int]]
-) -> set[int]:
-    """Per u, `MapSet.bracket` groups the maps by the index of their
+def _lift(maps: MapSet, traces: Callable[[int], Iterable[int]]) -> set[int]:
+    """Per u, `MapSet.bracket` groups the maps by the position of their
     preimage, so a family's subbasic is the OR of the groups at its set bits
-    and depends only on its trace on the indices that occur.
+    and depends only on its trace on the positions that occur.
     `traces(occurring)` yields the distinct traces, each lifted once."""
     return {
         gather(groups, proj)
-        for groups in maps.bracket(index)
+        for groups in maps.bracket
         for proj in traces(sum(groups))
     }
 
@@ -204,14 +184,15 @@ def lift_open_family(
 ) -> FnTopology:
     """The topology with subbasis sets {f : the preimage of U under f lies
     in the family}, one for each open family of the hyperspace and each
-    codomain open, in closed form. A lift commutes with meets, so the
-    minimal open around map f is the meet over codomain opens u of the maps
-    whose preimage of u lies in h's minimal open around f's preimage of u:
-    `MapSet.pull` of h's minimal opens."""
+    codomain open, in closed form. A subbasic reads a family only at
+    preimages, all in O_Z(Y), so h is read through its trace there. A lift
+    commutes with meets: the minimal open around map f is the meet over
+    codomain opens u of the maps whose preimage of u lies in the trace's
+    minimal open around f's preimage of u, `MapSet.pull` of its rows."""
     if h.base != maps.domain:
         raise MismatchedBase("hyperspace base differs from the map domain")
-    mins = maps.pull(h.ground_index, h.min_opens)
-    return FnTopology(maps, mins, provenance, h)
+    trace = h.trace(o_z_family(maps.domain, maps.codomain).members)
+    return FnTopology(maps, maps.pull(trace.min_opens), provenance, trace)
 
 
 def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
@@ -238,14 +219,14 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     """The named topology on C(Y, Z). On a finite Y every name is the
     pointwise topology, so each carries `MapSet.pointwise` as its minimal
-    opens. The named hyperspace is not built here: the name is recorded
-    and `FnTopology.subbasis` builds it on first read. Its GroundTooLarge
-    check runs at that read and cannot fire: `enumerate_continuous` caps Y
+    opens. The name is recorded, and `FnTopology.subbasis` lists the
+    subbasis off O_Z(Y) on each read, building no hyperspace. Its
+    GroundTooLarge check cannot fire here: `enumerate_continuous` caps Y
     at 4 points, which have at most 16 opens, MAX_HYPER_GROUND."""
     if name not in NAMED:
         raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
     maps = enumerate_continuous(y, z)
-    source = name if name in _NAMED_HYPERSPACES else None
+    source = None if name in ("co", "coZ") else name
     return FnTopology(maps, maps.pointwise, name, source)
 
 

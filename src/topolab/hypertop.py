@@ -37,6 +37,11 @@ forms that one row table, `strong_scott` and `compact_subbasis_topology`
 read it under their own kind, and `_filtration` serves the Z-relative
 pair from it. The cover search and the 2^m scans these replace live on
 as test oracles.
+
+A lift reads a hyperspace only at preimages, in O_Z(Y), so
+`fntop.lift_open_family` pulls `HyperSpace.trace` there. Each of the five
+traces on O_Z(Y) to the rows of up (README "Lifts see only O_Z(Y)"), and
+`fntop` lists the named subbases from those, under `HyperSpace.check_cap`.
 """
 
 from __future__ import annotations
@@ -104,16 +109,30 @@ class HyperSpace(Frozen):
     def as_space(self) -> FinSpace:
         return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))
 
+    def trace(self, sub: tuple[Subset, ...]) -> "HyperSpace":
+        """The subspace on sub, part of the ground in ground order: each
+        member's minimal open met with sub, by position in sub. A hyperspace
+        on sub, as a DualSpace is on O_Z(Y), is its own trace."""
+        if sub == self.ground:
+            return self
+        at = [self.ground_index[g] for g in sub]
+        rows = [sum(1 << k for k, j in enumerate(at) if self.min_opens[i] >> j & 1) for i in at]
+        return HyperSpace(self.base, sub, tuple(rows), self.kind)
+
+    @staticmethod
+    def check_cap(y: FinSpace) -> None:
+        """The cap on O(Y) that `scott` and a named subbasis read apply."""
+        if len(y.opens) > MAX_HYPER_GROUND:
+            msg = f"{len(y.opens)} opens exceed the hyperspace cap of {MAX_HYPER_GROUND}"
+            raise GroundTooLarge(msg)
+
 
 @lru_cache(maxsize=None)
 def scott(y: FinSpace) -> HyperSpace:
     """Families upward-closed from every member, (beta) over all opens: the
     rows of up, the one table of O(Y)'s rows the other constructors read."""
+    HyperSpace.check_cap(y)
     ground = y.opens.members
-    if len(ground) > MAX_HYPER_GROUND:
-        raise GroundTooLarge(
-            f"{len(ground)} opens exceed the hyperspace cap of {MAX_HYPER_GROUND}"
-        )
     return HyperSpace(y, ground, _up_masks(ground), "scott")
 
 
@@ -161,14 +180,6 @@ def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
     ground = scott(y).ground
     oz = o_z_family(y, z)
     return sum(1 << i for i, g in enumerate(ground) if g in oz)
-
-
-def containment_families(y: FinSpace) -> set[int]:
-    """The families {opens containing K}, K any subset of y, as index masks
-    over the opens of y. The least open holding K is open on a finite
-    ground, so each family is the up-set of one open: the rows of up. Read
-    uncapped, unlike the hyperspaces, by the co and coZ subbases."""
-    return set(_up_masks(y.opens.members))
 
 
 @lru_cache(maxsize=None)

@@ -17,11 +17,12 @@ value tables the walk forms: the preimage rows, the pointwise relation
 and every lift read the tables, and a `ContMap` is built only when
 someone iterates or indexes the set. One grouping, `_group`, and one
 pull-back, `_pull_back`, give `MapSet.pointwise`, Z's order pulled back
-along the points, and `MapSet.pull`, a hyperspace's order pulled back
+along the points, and `MapSet.pull`, an order on O_Z(Y) pulled back
 along the codomain opens through `MapSet.bracket`, the grouping by
-preimage every lift and its dual read. A MapSet also keeps the separation
-profile of the pointwise topology, `MapSet.profile`, so the topologies
-carrying those rows share one profile per map set, not one per topology.
+preimage every lift and its dual read, on the one ground O_Z(Y) every
+preimage lies in, formed once per map set. A MapSet also keeps the
+separation profile of the pointwise topology, `MapSet.profile`, so the
+topologies carrying those rows share one profile per map set.
 
 O_Z(Y) and the topology it generates depend only on Z's specialization
 order and Y's opens: `o_z_family` and `z_topology` list no map, and the
@@ -148,18 +149,21 @@ class MapSet(Frozen):
             for u in self.codomain.opens
         }
 
-    def bracket(self, index: dict[Subset, int]) -> tuple[dict[int, int], ...]:
+    @cached_property
+    def bracket(self) -> tuple[dict[int, int], ...]:
         """The one grouping of maps by preimage: per codomain open u, in the
-        codomain's order, `_group` of index[p] over the maps' preimages p
-        of u. Every lift, `pull` and `duality.tau_of_t` read it."""
-        return tuple(_group([index[r] for r in rows]) for rows in self.preimage_rows.values())
+        codomain's order, `_group` of the position in `o_z_family` of each
+        map's preimage of u: the one ground every lift, `pull` and
+        `duality.tau_of_t` read, grouped once per map set."""
+        ground = o_z_family(self.domain, self.codomain).members
+        position = {g: k for k, g in enumerate(ground)}
+        return tuple(_group([position[r] for r in rows]) for rows in self.preimage_rows.values())
 
-    def pull(self, index: dict[Subset, int], rel) -> tuple[int, ...]:
-        """A relation on preimages, given by index, pulled back to the maps
-        along the codomain opens by `_pull_back`: row i holds j when, for
-        every codomain open u, rel[index[i's preimage of u]] holds
-        index[j's preimage of u]."""
-        return _pull_back(len(self), self.bracket(index), rel)
+    def pull(self, rel) -> tuple[int, ...]:
+        """A relation on O_Z(Y), by position, pulled back to the maps along
+        the codomain opens by `_pull_back`: row i holds j when, for every
+        codomain open u, rel at i's preimage of u holds j's preimage of u."""
+        return _pull_back(len(self), self.bracket, rel)
 
     @cached_property
     def pointwise(self) -> tuple[int, ...]:

@@ -5,10 +5,13 @@ from itertools import combinations
 
 import pytest
 
+from topolab import mapspace
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
 from topolab.errors import AxiomsViolated, MismatchedBase
 from topolab.finspace import (
     _up_masks,
+    chain,
+    discrete,
     enumerate_topologies,
     full_mask,
     generate_from_subbasis,
@@ -22,7 +25,7 @@ from topolab.fntop import (
     named_function_topology,
 )
 from topolab.hypertop import HyperSpace
-from topolab.mapspace import enumerate_continuous, first_escape, o_z_family
+from topolab.mapspace import MapSet, enumerate_continuous, first_escape, o_z_family
 
 from conftest import all_spaces_up_to
 from oracles import (
@@ -359,6 +362,26 @@ def test_t_of_tau_matches_the_listed_family_bracket():
             for tau in {tau_of_t(named_function_topology(n, y, z)) for n in NAMED}:
                 want = listed_family_lift(maps, tau.ground_index, tau.opens)
                 assert t_of_tau(tau, maps).subbasis == tuple(sorted(want))
+
+
+def test_a_dual_round_trip_groups_the_maps_once(monkeypatch):
+    # tau_of_t and then t_of_tau on a fresh map set read one cached
+    # bracket: the maps are grouped once per codomain open, not twice
+    y, z = chain(3), discrete(2)
+    maps = MapSet(y, z, enumerate_continuous(y, z).tables)
+    t = FnTopology(maps, named_function_topology("co", y, z).min_opens)
+    calls = []
+    group = mapspace._group
+
+    def recorded(values):
+        calls.append(len(values))
+        return group(values)
+
+    monkeypatch.setattr(mapspace, "_group", recorded)
+    back = t_of_tau(tau_of_t(t), maps)
+    assert len(calls) == len(z.opens) == 4
+    named = named_function_topology("co", y, z)
+    assert back.min_opens == t_of_tau(tau_of_t(named), named.maps).min_opens
 
 
 def test_the_scott_trace_sandwich():

@@ -11,6 +11,7 @@ from topolab.checkers import is_admissible
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import (
     BudgetExceeded,
+    GroundTooLarge,
     MismatchedBase,
     MismatchedGround,
     NotATopology,
@@ -25,6 +26,7 @@ from topolab.finspace import (
     make_space,
     min_open_profile,
     separation_profile,
+    sierpinski,
 )
 from topolab.fntop import (
     NAMED,
@@ -33,10 +35,10 @@ from topolab.fntop import (
     evaluation_witness,
     kset_topology,
     lift_open_family,
-    lift_upsets,
     named_function_topology,
 )
 from topolab.hypertop import (
+    MAX_HYPER_GROUND,
     HyperSpace,
     compact_subbasis_topology,
     scott,
@@ -443,10 +445,11 @@ def test_named_topologies_collapse_to_the_pointwise_topology():
 
 def test_named_subbasis_is_read_from_the_recorded_name():
     # a named topology records its name and lists the subbasis from the
-    # hyperspace built on that read: the lift of every open of the oracle's
-    # named hyperspace, on every pair at (3,2). co and coZ record nothing
-    # and lift only the containment families, the literal K-subbasis, not
-    # every open of the topology those generate
+    # rows of up on O_Z(Y), building no hyperspace: the lift of every open
+    # family of the oracle's named hyperspace on O(Y), listed and lifted
+    # one family at a time, on every pair at (3,2). co and coZ record
+    # nothing and lift only the containment families, the literal
+    # K-subbasis, not every open of the topology those generate
     for y, z in small_pairs():
         maps = enumerate_continuous(y, z)
         for name in NAMED:
@@ -457,8 +460,26 @@ def test_named_subbasis_is_read_from_the_recorded_name():
             else:
                 assert t.source == name
                 h = named_hyperspace(name, y, z)
-                want = lift_upsets(maps, h.ground_index, h.min_opens)
+                want = listed_family_lift(maps, h.ground_index, h.opens)
             assert t.subbasis == tuple(sorted(want))
+
+
+def test_named_subbasis_reads_keep_the_hyperspace_cap():
+    # discrete(5) has 32 opens, past MAX_HYPER_GROUND: its 32 maps into
+    # Sierpinski space list the co and coZ subbasis, 33 subbasics, and
+    # refuse the four Scott-type ones as the hyperspaces do
+    y = discrete(5)
+    maps = enumerate_continuous(y, sierpinski(), size_cap=5)
+    assert len(y.opens) > MAX_HYPER_GROUND and len(maps) == 32
+    for name in NAMED:
+        source = None if name in ("co", "coZ") else name
+        t = FnTopology(maps, maps.pointwise, name, source)
+        if source is None:
+            assert len(t.subbasis) == 33
+            assert set(t.subbasis) == literal_kset_subbasis(maps)
+        else:
+            with pytest.raises(GroundTooLarge, match="hyperspace cap"):
+                t.subbasis
 
 
 def test_building_and_dual_admissibility_list_no_subbasis(monkeypatch):

@@ -26,7 +26,6 @@ from topolab.hypertop import (
     HyperSpace,
     _filtration,
     compact_subbasis_topology,
-    containment_families,
     scott,
     strong_scott,
     strong_z_scott,
@@ -245,13 +244,33 @@ def test_min_opens_are_the_meets_of_the_literal_families():
             assert strong_z_scott(y, z).min_opens == meets(pool, pool)
 
 
-def test_containment_families_are_the_rows_of_up():
-    # the least open holding K is open, so each containment family is the
-    # up-set of one open; against the 2^|Y| scan on every labeled Y <= 4
-    ys = all_spaces_up_to(4)
-    assert len(ys) == 389
-    for y in ys:
-        assert containment_families(y) == literal_containment_families(y)
+def test_every_scott_type_hyperspace_traces_to_up_on_o_z():
+    # the theorem the named subbases rest on: each of the five traces on
+    # O_Z(Y) to the rows of up there, on the 658 class pairs with Y of 0-4
+    # points and Z of 0-3 points; each trace's opens are the traces of the
+    # listed opens
+    def classes(n):
+        return [discrete(0)] + [
+            x for k in range(1, n + 1) for x in enumerate_topologies(k, up_to_iso=True)
+        ]
+
+    pairs = [(y, z) for y in classes(4) for z in classes(3)]
+    assert len(pairs) == 658
+    for y, z in pairs:
+        oz = o_z_family(y, z).members
+        builds = (
+            scott(y),
+            strong_scott(y),
+            compact_subbasis_topology(y),
+            z_scott(y, z),
+            strong_z_scott(y, z),
+        )
+        for h in builds:
+            trace = h.trace(oz)
+            assert (trace.ground, trace.min_opens) == (oz, _up_masks(oz))
+            at = [h.ground_index[g] for g in oz]
+            listed = {sum(1 << k for k, j in enumerate(at) if o >> j & 1) for o in h.opens}
+            assert set(trace.opens) == listed
 
 
 def pools_holding_y(y):
