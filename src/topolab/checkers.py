@@ -21,7 +21,8 @@ continuity holds whenever both factors contain the pointwise topology and
 the target lies below it, since composition of pointwise topologies is
 continuous. Every named topology is the pointwise one, so
 `composition_rows` tests those three containments, each factor once per
-pair of spaces rather than once per triple, from per-pair tables it
+pair of spaces rather than once per triple (once per pair of class
+representatives for the probes' `SpaceAxis`es), from per-pair tables it
 fills up front, and builds no composite;
 `composition_check` is its one-triple case. A containment that fails is
 a defect of the named constructions, raised as AssertionError. The suite
@@ -50,6 +51,7 @@ from .finspace import (
     FinSpace,
     bits,
     chain,
+    class_index,
     discrete,
     enumerate_topologies,
     indiscrete,
@@ -248,22 +250,40 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
     is the test oracle `literal_composition_check`. The middle pair's
     three relative hypothesis flags ride along in the budget; the one
     matching the middle kind sets the hypothesis count.
+
+    Each axis is a list of spaces, each tabled for itself, or a
+    `SpaceAxis`, whose deciders are tabled and read by position for its
+    labeled spaces: every table entry is invariant under relabeling. Should
+    a table of deciders that are not the labeled spaces hold an escape,
+    the tables are rebuilt on the labeled spaces, so the error names a
+    labeled triple and that triple's own maps.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
+    axes = [a if isinstance(a, SpaceAxis) else SpaceAxis.own(a) for a in (xs, ys, zs)]
+    (xs, x_reps, x_class), (ys, y_reps, y_class), (zs, z_reps, z_class) = (
+        (a.spaces, a.reps, a.index) for a in axes
+    )
     if not (xs and ys and zs):
         return []
     xy_kind, yz_kind, xz_kind = kinds
     head = f"compose:{','.join(kinds)}"
-    xy = [[_pointwise_escape(xy_kind, x, y) for y in ys] for x in xs]
-    yz = [[_pointwise_escape(yz_kind, y, z) for z in zs] for y in ys]
-    xz = [[_pointwise_escape(xz_kind, x, z, below=True) for z in zs] for x in xs]
-    hyp = [[_compose_hypothesis(yz_kind, y, z) for z in zs] for y in ys]
+    xy = [[_pointwise_escape(xy_kind, x, y) for y in y_reps] for x in x_reps]
+    yz = [[_pointwise_escape(yz_kind, y, z) for z in z_reps] for y in y_reps]
+    xz = [[_pointwise_escape(xz_kind, x, z, below=True) for z in z_reps] for x in x_reps]
+    hyp = [[_compose_hypothesis(yz_kind, y, z) for z in z_reps] for y in y_reps]
+    if any(any(row) for table in (xy, yz, xz) for row in table) and any(
+        a.reps != a.spaces for a in axes
+    ):
+        return composition_rows(xs, ys, zs, kinds)
     rows = []
-    for x, xy_row, xz_row in zip(xs, xy, xz):
-        for y, xy_escape, yz_row, hyp_row in zip(ys, xy_row, yz, hyp):
+    for x, xi in zip(xs, x_class):
+        xy_row, xz_row = xy[xi], xz[xi]
+        for y, yi in zip(ys, y_class):
+            xy_escape, yz_row, hyp_row = xy_row[yi], yz[yi], hyp[yi]
             prefix = f"{head} x={x.tag} y={y.tag} z="
-            for z, yz_escape, xz_escape, (count, budget) in zip(zs, yz_row, xz_row, hyp_row):
+            for z, zi in zip(zs, z_class):
+                yz_escape, xz_escape, (count, budget) = yz_row[zi], xz_row[zi], hyp_row[zi]
                 claim = prefix + z.tag
                 if xy_escape or yz_escape or xz_escape:
                     for containment, escape in (
@@ -357,17 +377,66 @@ def suite_spaces(max_y: int, max_z: int) -> tuple[list[FinSpace], list[FinSpace]
     )
 
 
-def _weighted_spaces(max_y: int, max_z: int, by_class: bool):
-    """The Y and the Z the pair rows range over, each space with its
-    weight: `suite_spaces` with weight 1 each, or with `by_class` one
-    representative per homeomorphism class with its orbit's size."""
+class SpaceAxis:
+    """One side of the pairs the pair rows or a question probe range over:
+    `spaces`, the labeled spaces in the order rows name them; `reps`, the
+    spaces that decide for them; and `index`, for each labeled space the
+    position of its decider in `reps`. Deciders are read by that integer
+    position, never by looking a space up."""
+
+    __slots__ = ("spaces", "reps", "index")
+
+    def __init__(self, spaces: list, reps: list, index: list) -> None:
+        self.spaces, self.reps, self.index = spaces, reps, index
+
+    @classmethod
+    def own(cls, spaces) -> "SpaceAxis":
+        """The axis on which every space decides for itself."""
+        spaces = list(spaces)
+        return cls(spaces, spaces, list(range(len(spaces))))
+
+    def upto(self, points: int) -> "SpaceAxis":
+        """The spaces of at most `points` points, with their deciders, the
+        positions renumbered among the deciders kept."""
+        kept = [k for k, rep in enumerate(self.reps) if rep.size <= points]
+        renumber = {k: n for n, k in enumerate(kept)}
+        small = [(sp, k) for sp, k in zip(self.spaces, self.index) if sp.size <= points]
+        return SpaceAxis(
+            [sp for sp, _ in small], [self.reps[k] for k in kept], [renumber[k] for _, k in small]
+        )
+
+
+def space_axes(max_y: int, max_z: int, by_class: bool) -> tuple[SpaceAxis, SpaceAxis]:
+    """The Y and the Z axes of the pair rows and the question probes over
+    the labeled spaces of `suite_spaces`. With `by_class` the deciders are
+    one representative per homeomorphism class, from
+    `finspace.topology_classes`, and each labeled space's class is read
+    off `finspace.class_index`; without it every labeled space decides
+    for itself."""
     spaces = suite_spaces(max_y, max_z)  # which checks the bounds
     if not by_class:
-        return tuple([(sp, 1) for sp in group] for group in spaces)
-    return tuple(
-        [c for n in range(1, limit + 1) for c in topology_classes(n)]
-        for limit in (max_y, max_z)
-    )
+        return tuple(SpaceAxis.own(group) for group in spaces)
+    axes = []
+    for group, limit in zip(spaces, (max_y, max_z)):
+        reps, index = [], []
+        for n in range(1, limit + 1):
+            index.extend([len(reps) + k for k in class_index(n)])
+            reps.extend([x for x, _ in topology_classes(n)])
+        axes.append(SpaceAxis(group, reps, index))
+    return tuple(axes)
+
+
+def _weighted_spaces(max_y: int, max_z: int, by_class: bool):
+    """The Y and the Z the pair rows range over, each space with its
+    weight: the deciders of `space_axes`, each weighted by the labeled
+    spaces it decides for, 1 each or with `by_class` its orbit's size."""
+    weighted = []
+    for axis in space_axes(max_y, max_z, by_class):
+        weights = [0] * len(axis.reps)
+        for k in axis.index:
+            weights[k] += 1
+        weighted.append(list(zip(axis.reps, weights)))
+    return tuple(weighted)
 
 
 def _pair_table(ys, zs) -> list:

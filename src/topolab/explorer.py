@@ -6,6 +6,17 @@ instance. Questions whose subject matter has no finite counterpart are
 registered out of scope with a one-line reason, so the registry still lists
 every question.
 
+Every probe verdict, count and budget is invariant under relabeling Y or
+Z; only a claim's pair tag and a witness name labeled spaces. So each
+runner takes its two sides as `checkers.SpaceAxis`es, decides one table
+entry per pair of class representatives (a comparison, a `t1z` topology,
+a splitting search; q6 and q7 leave theirs to `composition_rows`), and
+emits one row per labeled pair, in the labeled order, by indexing that
+table with the two class positions. When a row of that class pass has a
+witness, `question_search` reruns the same runner with every labeled
+space deciding for itself, so the witnesses and their order are the
+labeled ones.
+
 A probe's explanation distinguishes two kinds of clean outcome. Plain
 searches that find nothing say "no witness at these bounds". Where the
 collapse argument is actually encoded next to the probe, the explanation
@@ -17,7 +28,7 @@ from __future__ import annotations
 
 import json
 
-from .checkers import composition_rows, refute_splitting, suite_spaces
+from .checkers import SpaceAxis, composition_rows, refute_splitting, space_axes
 from .errors import UnknownQuestion
 from .finspace import Frozen, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
@@ -77,35 +88,53 @@ class QuestionProbe(Frozen):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _class_table(ys: SpaceAxis, zs: SpaceAxis, decide) -> list[list]:
+    """decide(y, z) once per pair of deciders, y-major: one list per
+    decider of ys, indexed by the position of a decider of zs."""
+    return [[decide(y, z) for z in zs.reps] for y in ys.reps]
+
+
+def _labeled_pairs(ys: SpaceAxis, zs: SpaceAxis, table):
+    """Each labeled pair (y, z), y-major, with its deciders' table entry."""
+    for y, i in zip(ys.spaces, ys.index):
+        row = table[i]
+        for z, j in zip(zs.spaces, zs.index):
+            yield y, z, row[j]
+
+
 def _q1(ys, zs):
     # one row per pair with a regular codomain: is the function space under
     # the upper-family topology regular as well?
+    def decide(y, z):
+        if separation_profile(z).regular:
+            return named_function_topology("t1z", y, z)
+        return None
+
     rows = []
-    for y in ys:
-        for z in zs:
-            if not separation_profile(z).regular:
-                continue
-            t = named_function_topology("t1z", y, z)
-            claim = f"q1:regular t1z {pair_tag(y, z)}"
-            ok = t.profile.regular
-            witnesses = [] if ok else [("function_space_opens", t.opens.members)]
-            rows.append(VerdictReport.of(claim, witnesses, 1, 1))
+    for y, z, t in _labeled_pairs(ys, zs, _class_table(ys, zs, decide)):
+        if t is None:
+            continue
+        claim = f"q1:regular t1z {pair_tag(y, z)}"
+        ok = t.profile.regular
+        witnesses = [] if ok else [("function_space_opens", t.opens.members)]
+        rows.append(VerdictReport.of(claim, witnesses, 1, 1))
     return rows, ""
 
 
 def _equality_row(
     qid: str, lo: str, hi: str, ys, zs, suffix: str = ""
 ) -> VerdictReport:
-    witnesses = []
-    count = 0
-    for y in ys:
-        for z in zs:
-            count += 1
-            cmp = compare_topologies(
-                named_function_topology(lo, y, z), named_function_topology(hi, y, z)
-            )
-            if cmp.verdict != "equal":
-                witnesses.append((pair_tag(y, z), cmp.verdict, cmp.a_only, cmp.b_only))
+    def decide(y, z):
+        return compare_topologies(
+            named_function_topology(lo, y, z), named_function_topology(hi, y, z)
+        )
+
+    witnesses = [
+        (pair_tag(y, z), cmp.verdict, cmp.a_only, cmp.b_only)
+        for y, z, cmp in _labeled_pairs(ys, zs, _class_table(ys, zs, decide))
+        if cmp.verdict != "equal"
+    ]
+    count = len(ys.spaces) * len(zs.spaces)
     return VerdictReport.of(f"{qid}:{lo}={hi}{suffix}", witnesses, count, count)
 
 
@@ -121,25 +150,32 @@ def _composition_runner(qid: str, kind: str):
     # the first factor stays at two points, which give every specialization
     # shape; the frozen q6/q7 expectations fix MAX_COMPOSE_X
     def run(ys, zs):
-        xs = [x for x in ys if x.size <= MAX_COMPOSE_X]
-        return composition_rows(xs, ys, zs, (kind, kind, kind)), ""
+        return composition_rows(ys.upto(MAX_COMPOSE_X), ys, zs, (kind, kind, kind)), ""
 
     return run
 
 
 def _splitting_runner(kind: str):
+    def decide(y, z):
+        t = named_function_topology(kind, y, z)
+        return f"splitting:{t.provenance}", refute_splitting(t, max_x=2)
+
     def run(ys, zs):
-        tops = (named_function_topology(kind, y, z) for y in ys for z in zs)
-        return [refute_splitting(t, max_x=2) for t in tops], ""
+        rows = []
+        for y, z, (head, r) in _labeled_pairs(ys, zs, _class_table(ys, zs, decide)):
+            claim = f"{head} {pair_tag(y, z)}"
+            fields = (r.status, r.hypothesis_true_count, r.instance_count, r.witnesses, r.budget)
+            rows.append(VerdictReport(claim, *fields))
+        return rows, ""
 
     return run
 
 
 def _q10(ys, zs):
     del zs  # the codomain is pinned by the question itself
-    z2 = discrete(2)
+    z2 = SpaceAxis.own([discrete(2)])
     rows = [
-        _equality_row("q10", lo, hi, ys, [z2], suffix=" z=discrete2")
+        _equality_row("q10", lo, hi, ys, z2, suffix=" z=discrete2")
         for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz"))
     ]
     clean = all(r.status == "holds" for r in rows)
@@ -183,7 +219,10 @@ def question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
         )
     if qid not in _RUNNERS:
         raise UnknownQuestion(f"{qid!r} is not registered; known ids: {QUESTION_IDS}")
-    rows, explanation = _RUNNERS[qid](*suite_spaces(max_y, max_z))
+    run = _RUNNERS[qid]
+    rows, explanation = run(*space_axes(max_y, max_z, by_class=True))
+    if any(row.witnesses for row in rows):
+        rows, explanation = run(*space_axes(max_y, max_z, by_class=False))
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation
     )

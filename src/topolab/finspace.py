@@ -17,7 +17,8 @@ closure loops and the pairwise axiom check live on as test oracles.
 specialization preorder. `topology_classes` sweeps them into orbits, one
 relabel table per permutation, and gives each class its least encoding,
 which is `canonical_form` of any member, with its orbit's size;
-`enumerate_topologies` up to homeomorphism reads its representatives.
+`enumerate_topologies` up to homeomorphism reads its representatives, and
+`class_index` reads each labeled topology's class off the same sweep.
 """
 
 from __future__ import annotations
@@ -554,28 +555,46 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     return tuple(FinSpace(n, SubsetFamily(n, e)) for e in sorted(encodings))
 
 
-@lru_cache(maxsize=None)
 def topology_classes(n: int) -> tuple[tuple[FinSpace, int], ...]:
     """One space per homeomorphism class of topologies on n points, with
     the size of its orbit: the number of labeled topologies it stands for.
-    The sizes add up to `len(enumerate_topologies(n))`.
+    The sizes add up to `len(enumerate_topologies(n))`. Read off
+    `_orbit_sweep(n)`, cached once per n."""
+    return _orbit_sweep(n)[0]
+
+
+def class_index(n: int) -> tuple[int, ...]:
+    """For each topology of `enumerate_topologies(n)`, in its order, the
+    position of its class in `topology_classes(n)`: read off the same
+    sweep, so no labeled space is scanned for its `canonical_form`."""
+    return _orbit_sweep(n)[1]
+
+
+@lru_cache(maxsize=None)
+def _orbit_sweep(n: int) -> tuple[tuple[tuple[FinSpace, int], ...], tuple[int, ...]]:
+    """`topology_classes(n)` and `class_index(n)`, from one sweep.
 
     The sweep takes any labeled encoding left, relabels it by every
     permutation's table to get its whole orbit (its class), keeps the
     orbit's least member, which is `canonical_form` of any member, with
     the orbit's size, and drops the orbit from what is left: n! table
     lookups per open of each class, not a permutation scan of every
-    labeled space. Classes come in encoding order.
+    labeled space. Classes come in encoding order, and every member of an
+    orbit is given its class's position.
     """
-    remaining = {x.opens.members for x in enumerate_topologies(n)}
+    labeled = enumerate_topologies(n)
+    remaining = {x.opens.members for x in labeled}
     tables = list(_relabel_tables(n))
-    classes = []
+    orbits = []
     while remaining:
         e = remaining.pop()
         orbit = {tuple(sorted(tb[o] for o in e)) for tb in tables}
         remaining -= orbit
-        classes.append((min(orbit), len(orbit)))
-    return tuple((FinSpace(n, SubsetFamily(n, e)), size) for e, size in sorted(classes))
+        orbits.append((min(orbit), orbit))
+    orbits.sort(key=lambda least_orbit: least_orbit[0])
+    position = {e: k for k, (_, orbit) in enumerate(orbits) for e in orbit}
+    classes = tuple((FinSpace(n, SubsetFamily(n, e)), len(orbit)) for e, orbit in orbits)
+    return classes, tuple(position[x.opens.members] for x in labeled)
 
 
 def _enumerate_upsets(

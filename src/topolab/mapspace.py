@@ -138,10 +138,6 @@ class MapSet(Frozen):
         return tuple(ContMap(self.domain, self.codomain, t) for t in self.tables)
 
     @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {t: i for i, t in enumerate(self.tables)}
-
-    @cached_property
     def preimage_rows(self) -> dict[Subset, tuple[Subset, ...]]:
         """For each codomain open u, the tuple of preimages map-by-map."""
         return {

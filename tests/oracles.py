@@ -15,7 +15,10 @@ built every named topology's dual, which the suite replaced by the
 Scott-trace sandwich, and runs the package's own dual operators;
 `labeled_theorem_suite` keeps the suite's pair rows over every labeled
 pair, which the suite replaced by one pass per homeomorphism class pair,
-and runs the suite's own `_pair_rows`;
+and runs the suite's own `_pair_rows`; `labeled_question_search` keeps
+the question probes' rows over every labeled pair, which the probes
+replaced by one decision per class pair, and runs the probes' own
+runners;
 `literal_o_z_family` keeps the union of the package's preimage rows over
 C(Y,Z), which `o_z_family` replaced by its closed form.
 """
@@ -27,10 +30,11 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from itertools import product as assignments
 
-from topolab import checkers
+from topolab import checkers, explorer
 from topolab.checkers import _COMPOSE_HYPOTHESIS, DEFAULT_REFINEMENT_SAMPLES
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded
+from topolab.explorer import QuestionProbe
 from topolab.finspace import (
     FinSpace,
     LocalProfile,
@@ -584,6 +588,12 @@ def listed_named_min_opens(name: str, y: FinSpace, z: FinSpace) -> tuple[int, ..
     return listed_lift_min_opens(maps, h.ground_index, h.opens)
 
 
+def map_index(maps) -> dict[tuple[int, ...], int]:
+    """Each value table of a map set to its position, the index every
+    witness names: a lookup the package itself never needs."""
+    return {t: i for i, t in enumerate(maps.tables)}
+
+
 def literal_pointwise(maps) -> tuple[int, ...]:
     """The pointwise minimal opens by preimages: j is in row i iff each
     preimage under map i lies inside map j's preimage of the same open."""
@@ -946,6 +956,22 @@ def labeled_theorem_suite(
     return out
 
 
+def labeled_question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
+    """`question_search` with every labeled space its own class: the
+    probe's own runner over `space_axes(..., by_class=False)`, each
+    labeled pair (or triple) decided for itself. Out-of-scope and unknown
+    ids answer as the package's do. The runners are looked up through
+    `explorer` at call time, so a test that patches a build patches both
+    routes."""
+    if qid not in explorer._RUNNERS:
+        return explorer.question_search(qid, max_y, max_z)
+    axes = checkers.space_axes(max_y, max_z, by_class=False)
+    rows, explanation = explorer._RUNNERS[qid](*axes)
+    return QuestionProbe(
+        id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation
+    )
+
+
 def _per_carrier(y: FinSpace, z: FinSpace, decide) -> dict:
     """decide(t) for each named topology t of the pair, computed once per
     distinct carrier: exact for any decide that reads only t.maps and
@@ -985,8 +1011,9 @@ def literal_composition_check(
         raise BudgetExceeded(
             f"composition ground of {len(a) * len(b)} pairs exceeds {MAX_COMPOSE_GROUND}"
         )
+    where = map_index(c)
     comp = [
-        [c.index[tuple(b[j](a[i](p)) for p in range(x.size))] for j in range(len(b))]
+        [where[tuple(b[j](a[i](p)) for p in range(x.size))] for j in range(len(b))]
         for i in range(len(a))
     ]
     mins_a = t_xy.min_opens

@@ -1,18 +1,24 @@
-"""The theorem suite past its caps: the class pass beside the labeled oracle.
+"""The theorem suite and the question probes past their caps: each class
+pass beside its labeled oracle.
 
     PYTHONPATH=src python tests/sweep_suite.py --max-y 4 --max-z 3
 
 Raises `checkers.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for, in
 this process only. Then it runs `theorem_suite`, which decides its pair rows
-once per homeomorphism class pair, and `oracles.labeled_theorem_suite`,
-which decides them on every labeled pair, each with every module cache
-emptied first. It prints whether their JSON bytes agree, each cold time in
-raw seconds, and the process's peak RSS after each run; the class pass runs
-first, so the first figure is its own. After the class pass it prints the
-map sets it built, the misses of `mapspace.enumerate_continuous`, beside
-its class pairs: for max_z >= 2 they must be one per class pair and one for
-the divergence rows. Exit status 1 when the bytes differ or that count is
-off. Not collected by pytest: the labeled side at (4,3) takes over a second.
+once per homeomorphism class pair, and the ten runnable probes of
+`question_search`, which decide theirs once per class pair (class triple
+for q6 and q7); then `oracles.labeled_theorem_suite` and
+`oracles.labeled_question_search`, which decide on every labeled pair,
+each run with every module cache emptied first. For the suite and for the
+probes it prints whether the JSON bytes agree, each cold time in raw
+seconds, and the process's peak RSS after each run, both taken before the
+output is serialized; the two class passes run first, so their figures
+are not the oracles'. After each class pass it
+prints the map sets it built, the misses of `mapspace.enumerate_continuous`:
+the suite's beside its class pairs, which for max_z >= 2 must be one per
+class pair and one for the divergence rows. Exit status 1 when either
+pair of byte strings differs or that count is off. Not collected by
+pytest: the labeled sides at (4,3) take seconds.
 """
 
 from __future__ import annotations
@@ -23,8 +29,9 @@ import resource
 import sys
 import time
 
-from oracles import labeled_theorem_suite
-from topolab import checkers, finspace, fntop, hypertop, mapspace
+from oracles import labeled_question_search, labeled_theorem_suite
+from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
+from topolab.explorer import QuestionProbe
 from topolab.reports import suite_to_json
 
 
@@ -41,12 +48,41 @@ def peak_rss_mb() -> float:
     return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
 
 
-def cold_run(suite, max_y: int, max_z: int) -> tuple[str, float, float]:
+def cold_run(run, to_text, max_y: int, max_z: int) -> tuple[str, float, float, int]:
+    """run at the bounds from empty caches: its output through to_text, its
+    time and the peak RSS so far, both taken before the text is made, and
+    the map sets it built."""
     clear_every_cache()
     start = time.perf_counter()
-    rows = suite(max_y, max_z)
+    out = run(max_y, max_z)
     seconds = time.perf_counter() - start
-    return suite_to_json(rows), seconds, peak_rss_mb()
+    peak, map_sets = peak_rss_mb(), mapspace.enumerate_continuous.cache_info().misses
+    return to_text(out), seconds, peak, map_sets
+
+
+def probes(search):
+    """Every runnable probe through search at the bounds."""
+
+    def run(max_y: int, max_z: int) -> list[QuestionProbe]:
+        return [search(qid, max_y, max_z) for qid in explorer._RUNNERS]
+
+    return run
+
+
+def probes_to_json(out: list[QuestionProbe]) -> str:
+    return "\n".join(probe.to_json() for probe in out)
+
+
+def report(name: str, bounds: str, got, want) -> bool:
+    text, class_s, class_mb, map_sets = got
+    agree = text == want[0]
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    print(f"{name} {bounds}: class pass and labeled oracle {'agree' if agree else 'DIFFER'}")
+    print(f"  sha256 {digest}")
+    print(f"  class pass     {class_s:.3f} s cold, peak RSS {class_mb:.1f} MB")
+    print(f"  labeled oracle {want[1]:.3f} s cold, peak RSS {want[2]:.1f} MB")
+    print(f"  class pass built {map_sets} map sets")
+    return agree
 
 
 def main(argv=None) -> int:
@@ -57,21 +93,19 @@ def main(argv=None) -> int:
     checkers.MAX_SUITE_Y = max(checkers.MAX_SUITE_Y, args.max_y)
     checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, args.max_z)
     bounds = f"({args.max_y},{args.max_z})"
-    got, class_s, class_mb = cold_run(checkers.theorem_suite, args.max_y, args.max_z)
-    map_sets = mapspace.enumerate_continuous.cache_info().misses
+    cap = (args.max_y, args.max_z)
+    suite_got = cold_run(checkers.theorem_suite, suite_to_json, *cap)
+    probes_got = cold_run(probes(explorer.question_search), probes_to_json, *cap)
+    suite_want = cold_run(labeled_theorem_suite, suite_to_json, *cap)
+    probes_want = cold_run(probes(labeled_question_search), probes_to_json, *cap)
     ys, zs = checkers._weighted_spaces(args.max_y, args.max_z, by_class=True)
     class_pairs = len(ys) * len(zs)
-    built_once = args.max_z < 2 or map_sets == class_pairs + 1
-    want, labeled_s, labeled_mb = cold_run(labeled_theorem_suite, args.max_y, args.max_z)
-    agree = got == want
-    digest = hashlib.sha256(got.encode()).hexdigest()
-    print(f"suite {bounds}: class pass and labeled oracle {'agree' if agree else 'DIFFER'}")
-    print(f"  sha256 {digest}")
-    print(f"  class pass     {class_s:.3f} s cold, peak RSS {class_mb:.1f} MB")
-    print(f"  labeled oracle {labeled_s:.3f} s cold, peak RSS {labeled_mb:.1f} MB")
-    print(f"  class pass built {map_sets} map sets for {class_pairs} class pairs")
+    built_once = args.max_z < 2 or suite_got[3] == class_pairs + 1
+    agree = report("suite", bounds, suite_got, suite_want)
+    print(f"  for {class_pairs} class pairs")
     if not built_once:
         print(f"  expected {class_pairs + 1}: one per class pair, one for the divergence rows")
+    agree = report("probes", bounds, probes_got, probes_want) and agree
     return 0 if agree and built_once else 1
 
 

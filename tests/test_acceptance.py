@@ -30,6 +30,8 @@ from topolab import (
 from topolab.finspace import bits, chain, indiscrete
 from topolab.fntop import named_function_topology
 
+from oracles import map_index
+
 GRID = (
     ("co", "coZ"),
     ("co", "isbell"),
@@ -98,8 +100,9 @@ def test_criterion_2_sierpinski_identities():
         t = named_function_topology("coZ", y, s)
         hs = compact_subbasis_topology(y)
         perm = {}
+        position = map_index(t.maps)
         for v, cmap in sierpinski_correspondence(y):
-            perm[t.maps.index[tuple(cmap.table)]] = hs.ground_index[v]
+            perm[position[tuple(cmap.table)]] = hs.ground_index[v]
         assert sorted(perm) == list(range(len(t.maps)))
         assert sorted(perm.values()) == list(range(len(hs.ground)))
         image = {sum(1 << perm[i] for i in bits(m)) for m in t.opens.members}

@@ -20,6 +20,7 @@ from oracles import (
     literal_refute_splitting,
     literal_splitting_order_row,
     labeled_theorem_suite,
+    map_index,
     searched_refute_splitting,
 )
 from topolab import checkers, finspace, fntop
@@ -160,9 +161,8 @@ def test_refute_splitting_discrete_pinned(s):
     x = make_space(2, [0, 2, 3])
     f = ContMap(product(x, s), s, (0, 0, 0, 1))
     assert f.is_continuous()
-    transpose = ContMap(
-        x, fn_discrete(maps).as_space(), (maps.index[(0, 0)], maps.index[(0, 1)])
-    )
+    position = map_index(maps)
+    transpose = ContMap(x, fn_discrete(maps).as_space(), (position[(0, 0)], position[(0, 1)]))
     assert not transpose.is_continuous()
 
 

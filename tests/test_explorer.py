@@ -2,8 +2,15 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import clear_every_cache
+from oracles import labeled_question_search
+from topolab import checkers, explorer, fntop, mapspace
+from topolab.checkers import SpaceAxis, composition_rows, space_axes, suite_spaces
 from topolab.errors import BudgetExceeded, UnknownQuestion
 from topolab.explorer import QUESTION_IDS, QuestionProbe, question_search
+from topolab.finspace import bits, indiscrete, mask_of
+from topolab.fntop import FnTopology, named_function_topology
+from topolab.reports import pair_tag
 
 
 def test_registry_covers_every_question():
@@ -114,3 +121,142 @@ def test_probe_dict_shape():
     assert d["result"] == []
     probe = QuestionProbe("q0", (1, 1), ())
     assert probe.status == "completed"
+
+
+_BOUNDS = [(y, z) for y in (1, 2, 3) for z in (1, 2)] + [(4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("bounds", _BOUNDS)
+def test_class_probes_match_the_labeled_oracle(monkeypatch, bounds):
+    # every id decided once per class pair (or triple) gives the bytes of
+    # the same runner with every labeled space its own class
+    monkeypatch.setattr(checkers, "MAX_SUITE_Y", 4)
+    monkeypatch.setattr(checkers, "MAX_SUITE_Z", 3)
+    for qid in QUESTION_IDS:
+        got = question_search(qid, *bounds).to_json()
+        assert got == labeled_question_search(qid, *bounds).to_json(), qid
+
+
+def _is_sierpinski(z):
+    return z.size == 2 and len(z.opens) == 3
+
+
+def _up_order_into_indiscrete2(name, y, z):
+    # on C(Y, indiscrete(2)), every map of Y into two points, the topology
+    # whose subbasics are {f : f = 1 on U} for the minimal opens U of Y:
+    # relabeling Y keeps it, it is never regular (constant 1 is isolated,
+    # and constant 0 has only the whole space around it), and its opens
+    # follow the labels of Y
+    t = named_function_topology(name, y, z)
+    if z != indiscrete(2):
+        return t
+    tables = t.maps.tables
+    subbasis = [
+        mask_of(i for i, tb in enumerate(tables) if all(tb[p] for p in bits(u)))
+        for u in y.min_opens
+    ]
+    return FnTopology.of(t.maps, subbasis, name)
+
+
+def _discrete_into_sierpinski(kinds):
+    # the discrete topology on C(Y, S), S Sierpinski space in either
+    # labeling, for the given kinds: relabeling keeps it, and it is finer
+    # than the pointwise topology, so neither equal to co nor splitting
+    def build(name, y, z):
+        t = named_function_topology(name, y, z)
+        if name in kinds and _is_sierpinski(z):
+            return FnTopology.of(t.maps, [1 << i for i in range(len(t.maps))], name)
+        return t
+
+    return build
+
+
+_INJECTED = {
+    "q1": _up_order_into_indiscrete2,
+    "q3.1": _discrete_into_sierpinski(("coZ",)),
+    "q8": _discrete_into_sierpinski(("t1z",)),
+}
+
+
+@pytest.mark.parametrize("qid", sorted(_INJECTED))
+def test_a_class_witness_sends_the_probe_to_the_labeled_pairs(monkeypatch, qid):
+    # no bound has a probe witness, so inject one that relabeling keeps.
+    # The class pass then has witnesses read off class representatives,
+    # and the probe gives the labeled oracle's bytes, its witnesses named
+    # by labeled pairs in labeled order
+    monkeypatch.setattr(explorer, "named_function_topology", _INJECTED[qid])
+    got = question_search(qid, 3, 2)
+    assert got.to_json() == labeled_question_search(qid, 3, 2).to_json()
+    ys, zs = suite_spaces(3, 2)
+    if qid == "q1":
+        failed = [r.claim for r in got.result if r.witnesses]
+        want = [f"q1:regular t1z {pair_tag(y, indiscrete(2))}" for y in ys]
+    elif qid == "q3.1":
+        (row,) = got.result
+        failed = [w[0] for w in row.witnesses]
+        want = [pair_tag(y, z) for y in ys for z in zs if _is_sierpinski(z)]
+    else:
+        failed = [r.claim for r in got.result if r.witnesses]
+        want = [f"splitting:t1z {pair_tag(y, z)}" for y in ys for z in zs if _is_sierpinski(z)]
+    assert failed == want and len(want) == 34 * (1 if qid == "q1" else 2)
+    # the class pass read its witnesses off the representatives
+    by_class, _ = explorer._RUNNERS[qid](*space_axes(3, 2, by_class=True))
+    assert [r.to_json() for r in by_class] != [r.to_json() for r in got.result]
+
+
+def _indiscrete_middle(name, y, z):
+    # C(S, S') indiscrete, S and S' Sierpinski space in either labeling
+    t = named_function_topology(name, y, z)
+    if _is_sierpinski(y) and _is_sierpinski(z):
+        return FnTopology.of(t.maps, (), name)
+    return t
+
+
+def test_a_class_escape_sends_the_composition_to_the_labeled_triples(monkeypatch):
+    # an escape is the composition probe's witness: it raises for the first
+    # failing labeled triple, with that triple's own maps, as the labeled
+    # oracle does
+    monkeypatch.setattr(checkers, "named_function_topology", _indiscrete_middle)
+    with pytest.raises(AssertionError) as labeled:
+        labeled_question_search("q6", 3, 2)
+    with pytest.raises(AssertionError) as by_class:
+        question_search("q6", 3, 2)
+    assert str(by_class.value) == str(labeled.value) == (
+        "compose:t1sz,t1sz,t1sz x=0,1 y=0,1,3 z=0,1,3: "
+        "C(Y,Z) contains the pointwise topology fails at maps (0, 1)"
+    )
+    # deciders that are the last labeled member of each class, not the
+    # first: the class tables escape on other maps, and the rows are
+    # rebuilt on the labeled spaces before anything is raised
+    def last_members(axis):
+        last = dict(zip(axis.index, axis.spaces))
+        return SpaceAxis(axis.spaces, [last[k] for k in range(len(axis.reps))], axis.index)
+
+    ys, zs = (last_members(a) for a in space_axes(3, 2, by_class=True))
+    kinds = ("t1sz", "t1sz", "t1sz")
+    with pytest.raises(AssertionError) as moved:
+        composition_rows(ys.upto(2), ys, zs, kinds)
+    assert str(moved.value) == str(labeled.value)
+
+
+def test_a_cold_probe_pass_builds_once_per_class_pair(monkeypatch):
+    # at (3,2): 13 Y classes and 4 Z classes make 52 class pairs, and the
+    # composition probes add C(X,Y) for the 4 classes of X on at most 2
+    # points, 36 map sets more. Deciding on the 170 labeled pairs built
+    # 315 map sets, 1,310 named topologies and 170 relative profiles, and
+    # ran 340 splitting searches
+    clear_every_cache()
+    searches = []
+    real = explorer.refute_splitting
+
+    def counted(t, max_x=3, symmetry_reduction=True):
+        searches.append(t)
+        return real(t, max_x, symmetry_reduction)
+
+    monkeypatch.setattr(explorer, "refute_splitting", counted)
+    for qid in QUESTION_IDS:
+        question_search(qid, 3, 2)
+    assert mapspace.enumerate_continuous.cache_info().misses == 88
+    assert fntop.named_function_topology.cache_info().misses == 384
+    assert mapspace.relative_profile.cache_info().misses == 52
+    assert len(searches) == 104

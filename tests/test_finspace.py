@@ -31,6 +31,7 @@ from topolab.finspace import (
     boundedness_verdict,
     canonical_form,
     chain,
+    class_index,
     closure_of,
     compactness_verdict,
     discrete,
@@ -377,6 +378,27 @@ def test_topology_classes_carry_their_orbit_sizes():
             assert [(x.encoding(), size) for x, size in classes] == sorted(orbits.items())
     assert sums == [1, 4, 29, 355, 6942]
     assert counts == [1, 3, 9, 33, 139]
+
+
+def test_class_index_reads_each_labeled_class_off_the_sweep():
+    # the class of every labeled topology is the one whose representative
+    # is its canonical form, up to 4 points; at 5 the classes are hit
+    # as often as their orbit sizes say
+    for n in range(0, 6):
+        classes = topology_classes(n)
+        index = class_index(n)
+        labeled = enumerate_topologies(n)
+        assert len(index) == len(labeled)
+        assert Counter(index) == {k: size for k, (_, size) in enumerate(classes)}
+        if n <= 4:
+            assert [classes[k][0].encoding() for k in index] == [
+                canonical_form(x) for x in labeled
+            ]
+        # each class's first labeled member is its representative
+        first = {}
+        for x, k in zip(labeled, index):
+            first.setdefault(k, x)
+        assert [first[k] for k in range(len(classes))] == [x for x, _ in classes]
 
 
 def test_iso_listing_matches_literal_canonical_oracle():

@@ -58,6 +58,7 @@ from oracles import (
     literal_lift,
     literal_profile,
     listed_family_lift,
+    map_index,
     named_hyperspace,
 )
 
@@ -528,13 +529,14 @@ def test_named_topologies_follow_a_relabeling_of_y(data):
     for z in all_spaces_up_to(2):
         maps = enumerate_continuous(y, z)
         moved_maps = enumerate_continuous(moved, z)
+        position = map_index(moved_maps)
         # map f goes to the map sending perm[p] to f(p)
         sigma = []
         for table in maps.tables:
             out = [0] * y.size
             for p, v in enumerate(table):
                 out[perm[p]] = v
-            sigma.append(moved_maps.index[tuple(out)])
+            sigma.append(position[tuple(out)])
         assert sorted(sigma) == list(range(len(maps)))
         for name in NAMED:
             t = named_function_topology(name, y, z)

@@ -14,6 +14,7 @@ from oracles import (
     listed_lift_min_opens,
     literal_pointwise,
     literal_z_corecompact,
+    map_index,
 )
 from topolab import finspace, mapspace
 from topolab.duality import DualSpace
@@ -199,7 +200,7 @@ def test_constants_always_present():
         for z in all_spaces_up_to(2):
             ms = enumerate_continuous(y, z)
             for v in range(z.size):
-                assert (v,) * y.size in ms.index
+                assert (v,) * y.size in map_index(ms)
 
 
 def test_budget():
