@@ -21,16 +21,20 @@ continuity holds whenever both factors contain the pointwise topology and
 the target lies below it, since composition of pointwise topologies is
 continuous. Every named topology is the pointwise one, so
 `composition_rows` tests those three containments, each factor once per
-pair of spaces rather than once per triple (once per pair of class
-representatives for the probes' `SpaceAxis`es), from per-pair tables it
+pair of deciders rather than once per triple, from per-pair tables it
 fills up front, and builds no composite;
 `composition_check` is its one-triple case. A containment that fails is
 a defect of the named constructions, raised as AssertionError. The suite
 reads every per-pair verdict off minimal opens in the same way, never
 materializes a function space nor lists a subbasis, and builds no dual
-for a named topology. It decides its pair rows once per homeomorphism
-class pair, weighted by the labeled pairs the class pair stands for, and
-over the labeled pairs only when that pass finds a witness.
+for a named topology.
+
+The suite and the question probes share one class pass. Each side is a
+`SpaceAxis` from `space_axes`: the labeled spaces, one representative
+per homeomorphism class deciding for them. `class_table` decides once
+per pair of deciders, and `over_classes` runs a pass on the class axes,
+then once more on the labeled ones when a row has a witness, so every
+witness names a labeled pair.
 
 Every report is built by `VerdictReport.of`, so its status follows from its
 witnesses: "fails" exactly when there are some, and otherwise "holds", or
@@ -44,6 +48,9 @@ values and are meant to stay red.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from functools import partial
 
 from .duality import is_admissible_on_ozy, tau_of_t
 from .errors import BudgetExceeded
@@ -252,37 +259,35 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
     matching the middle kind sets the hypothesis count.
 
     Each axis is a list of spaces, each tabled for itself, or a
-    `SpaceAxis`, whose deciders are tabled and read by position for its
-    labeled spaces: every table entry is invariant under relabeling. Should
-    a table of deciders that are not the labeled spaces hold an escape,
-    the tables are rebuilt on the labeled spaces, so the error names a
-    labeled triple and that triple's own maps.
+    `SpaceAxis`, whose deciders `class_table` tables and its labeled
+    spaces read by position: every table entry is invariant under
+    relabeling. Should a table of deciders that are not the labeled spaces
+    hold an escape, the tables are rebuilt on the `labeled` axes, so the
+    error names a labeled triple and that triple's own maps.
     """
     if len(kinds) != 3:
         raise ValueError(f"expected three topology kinds, got {kinds!r}")
     axes = [a if isinstance(a, SpaceAxis) else SpaceAxis.own(a) for a in (xs, ys, zs)]
-    (xs, x_reps, x_class), (ys, y_reps, y_class), (zs, z_reps, z_class) = (
-        (a.spaces, a.reps, a.index) for a in axes
-    )
-    if not (xs and ys and zs):
+    if not all(a.spaces for a in axes):
         return []
+    x_axis, y_axis, z_axis = axes
     xy_kind, yz_kind, xz_kind = kinds
     head = f"compose:{','.join(kinds)}"
-    xy = [[_pointwise_escape(xy_kind, x, y) for y in y_reps] for x in x_reps]
-    yz = [[_pointwise_escape(yz_kind, y, z) for z in z_reps] for y in y_reps]
-    xz = [[_pointwise_escape(xz_kind, x, z, below=True) for z in z_reps] for x in x_reps]
-    hyp = [[_compose_hypothesis(yz_kind, y, z) for z in z_reps] for y in y_reps]
+    xy = class_table(x_axis, y_axis, partial(_pointwise_escape, xy_kind))
+    yz = class_table(y_axis, z_axis, partial(_pointwise_escape, yz_kind))
+    xz = class_table(x_axis, z_axis, partial(_pointwise_escape, xz_kind, below=True))
+    hyp = class_table(y_axis, z_axis, partial(_compose_hypothesis, yz_kind))
     if any(any(row) for table in (xy, yz, xz) for row in table) and any(
         a.reps != a.spaces for a in axes
     ):
-        return composition_rows(xs, ys, zs, kinds)
+        return composition_rows(*(a.labeled for a in axes), kinds)
     rows = []
-    for x, xi in zip(xs, x_class):
+    for x, xi in zip(x_axis.spaces, x_axis.index):
         xy_row, xz_row = xy[xi], xz[xi]
-        for y, yi in zip(ys, y_class):
+        for y, yi in zip(y_axis.spaces, y_axis.index):
             xy_escape, yz_row, hyp_row = xy_row[yi], yz[yi], hyp[yi]
             prefix = f"{head} x={x.tag} y={y.tag} z="
-            for z, zi in zip(zs, z_class):
+            for z, zi in zip(z_axis.spaces, z_axis.index):
                 yz_escape, xz_escape, (count, budget) = yz_row[zi], xz_row[zi], hyp_row[zi]
                 claim = prefix + z.tag
                 if xy_escape or yz_escape or xz_escape:
@@ -333,28 +338,26 @@ def theorem_suite(
     topology pair within the bounds; one report per statement.
 
     Every pair-level claim is topological, so relabeling Y or Z keeps its
-    verdict on a pair. The pair rows are therefore decided once per
-    homeomorphism class pair: one representative per class of Y on
-    1..max_y points and of Z on 1..max_z points, from
-    `finspace.topology_classes`, each pair weighted by |orbit(y)|·|orbit(z)|,
-    the labeled pairs it stands for. Each count a pair row adds, and each
-    ("pairs", n) budget, is a sum of those weights, so the counts are the
-    labeled pairs'. A witness names a labeled pair, though: when any pair
-    row of the class pass has one, the pair rows are recomputed over every
-    labeled pair, weight 1 each, so the witnesses and their order are the
-    labeled table's.
+    verdict on a pair. The pair rows are therefore decided by
+    `over_classes` on the axes of `space_axes`: once per homeomorphism
+    class pair, each pair of class representatives weighted by
+    |orbit(y)|·|orbit(z)|, the labeled pairs it stands for. Each count a
+    pair row adds, and each ("pairs", n) budget, is a sum of those
+    weights, so the counts are the labeled pairs'. A witness names a
+    labeled pair, though: when any pair row of the class pass has one,
+    `over_classes` reruns the pair rows on the labeled axes, weight 1
+    each, so the witnesses and their order are the labeled table's.
 
-    Every table a pass reads comes from `_pair_table`: each (y, z) with its
-    six named topologies in `NAMED` order, looked up once, and its weight,
-    so a row indexes a topology by its position in `NAMED`. The Sierpinski
+    Every table a pass reads comes from `_pair_table` on two axes: each
+    pair of deciders with its six named topologies in `NAMED` order,
+    looked up once, and its weight, counted off the axes' `index`, so a
+    row indexes a topology by its position in `NAMED`. The Sierpinski
     rows read the table of the same Y against `chain(2)`, S's class
     representative, which at max_z >= 2 holds the pair table's entries. A
     cold (3,2) suite makes 1,140 module cache lookups (402 named
     topologies, 156 profiles) and builds 53 map sets: one per class pair
     and one for the divergence rows."""
-    out = _pair_rows(*_weighted_spaces(max_y, max_z, by_class=True))
-    if any(row.witnesses for row in out):
-        out = _pair_rows(*_weighted_spaces(max_y, max_z, by_class=False))
+    out = over_classes(_pair_rows, max_y, max_z)
     out.append(_refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(_divergence_rows())
     return out
@@ -395,6 +398,11 @@ class SpaceAxis:
         spaces = list(spaces)
         return cls(spaces, spaces, list(range(len(spaces))))
 
+    @property
+    def labeled(self) -> "SpaceAxis":
+        """The same labeled spaces, each deciding for itself."""
+        return SpaceAxis.own(self.spaces)
+
     def upto(self, points: int) -> "SpaceAxis":
         """The spaces of at most `points` points, with their deciders, the
         positions renumbered among the deciders kept."""
@@ -406,18 +414,14 @@ class SpaceAxis:
         )
 
 
-def space_axes(max_y: int, max_z: int, by_class: bool) -> tuple[SpaceAxis, SpaceAxis]:
+def space_axes(max_y: int, max_z: int) -> tuple[SpaceAxis, SpaceAxis]:
     """The Y and the Z axes of the pair rows and the question probes over
-    the labeled spaces of `suite_spaces`. With `by_class` the deciders are
-    one representative per homeomorphism class, from
+    the labeled spaces of `suite_spaces`: the deciders are one
+    representative per homeomorphism class, from
     `finspace.topology_classes`, and each labeled space's class is read
-    off `finspace.class_index`; without it every labeled space decides
-    for itself."""
-    spaces = suite_spaces(max_y, max_z)  # which checks the bounds
-    if not by_class:
-        return tuple(SpaceAxis.own(group) for group in spaces)
+    off `finspace.class_index`."""
     axes = []
-    for group, limit in zip(spaces, (max_y, max_z)):
+    for group, limit in zip(suite_spaces(max_y, max_z), (max_y, max_z)):
         reps, index = [], []
         for n in range(1, limit + 1):
             index.extend([len(reps) + k for k in class_index(n)])
@@ -426,39 +430,46 @@ def space_axes(max_y: int, max_z: int, by_class: bool) -> tuple[SpaceAxis, Space
     return tuple(axes)
 
 
-def _weighted_spaces(max_y: int, max_z: int, by_class: bool):
-    """The Y and the Z the pair rows range over, each space with its
-    weight: the deciders of `space_axes`, each weighted by the labeled
-    spaces it decides for, 1 each or with `by_class` its orbit's size."""
-    weighted = []
-    for axis in space_axes(max_y, max_z, by_class):
-        weights = [0] * len(axis.reps)
-        for k in axis.index:
-            weights[k] += 1
-        weighted.append(list(zip(axis.reps, weights)))
-    return tuple(weighted)
+def over_classes(run, max_y: int, max_z: int) -> list[VerdictReport]:
+    """run(ys, zs) on the class axes of `space_axes`, and again on their
+    labeled axes when a row it returns has a witness: a witness read off
+    class representatives names them, so the rerun gives the witnesses,
+    and their order, of the labeled pairs."""
+    ys, zs = space_axes(max_y, max_z)
+    rows = run(ys, zs)
+    if any(row.witnesses for row in rows):
+        rows = run(ys.labeled, zs.labeled)
+    return rows
 
 
-def _pair_table(ys, zs) -> list:
-    """Each (y, z) of the weighted spaces ys and zs, y-major, with its six
-    named topologies in `NAMED` order, looked up once, and its weight
-    wy·wz: the one table shape every pair row reads."""
+def class_table(ys: SpaceAxis, zs: SpaceAxis, decide) -> list[list]:
+    """decide(y, z) once per pair of deciders, y-major: one list per
+    decider of ys, indexed by the position of a decider of zs."""
+    return [[decide(y, z) for z in zs.reps] for y in ys.reps]
+
+
+def _pair_table(ys: SpaceAxis, zs: SpaceAxis) -> list:
+    """Each pair (y, z) of deciders of ys and zs, y-major, with its six
+    named topologies in `NAMED` order, looked up once, and its weight:
+    the labeled pairs it decides for, the product of the labeled spaces
+    each decider decides for. The one table shape every pair row reads."""
+    wy, wz = Counter(ys.index), Counter(zs.index)
     return [
-        (y, z, [named_function_topology(k, y, z) for k in NAMED], wy * wz)
-        for y, wy in ys
-        for z, wz in zs
+        (y, z, [named_function_topology(k, y, z) for k in NAMED], wy[i] * wz[j])
+        for i, y in enumerate(ys.reps)
+        for j, z in enumerate(zs.reps)
     ]
 
 
-def _pair_rows(ys, zs) -> list[VerdictReport]:
-    """The pair-level rows over the weighted spaces ys and zs, and the
-    Sierpinski rows over ys against `chain(2)`, S's class representative."""
+def _pair_rows(ys: SpaceAxis, zs: SpaceAxis) -> list[VerdictReport]:
+    """The pair-level rows over the axes ys and zs, and the Sierpinski
+    rows over ys against `chain(2)`, S's class representative."""
     table = _pair_table(ys, zs)
     out = _admissibility_rows(table)
     out.extend(_preservation_rows(table))
     out.extend(_grid_rows(table))
     out.append(_splitting_order_row(table))
-    out.extend(_sierpinski_rows(_pair_table(ys, [(chain(2), 1)])))
+    out.extend(_sierpinski_rows(_pair_table(ys, SpaceAxis.own([chain(2)]))))
     out.extend(_dual_rows(table))
     return out
 

@@ -8,27 +8,31 @@ every question.
 
 Every probe verdict, count and budget is invariant under relabeling Y or
 Z; only a claim's pair tag and a witness name labeled spaces. So each
-runner takes its two sides as `checkers.SpaceAxis`es, decides one table
-entry per pair of class representatives (a comparison, a `t1z` topology,
-a splitting search; q6 and q7 leave theirs to `composition_rows`), and
-emits one row per labeled pair, in the labeled order, by indexing that
-table with the two class positions. When a row of that class pass has a
-witness, `question_search` reruns the same runner with every labeled
-space deciding for itself, so the witnesses and their order are the
-labeled ones.
+runner takes its two sides as `checkers.SpaceAxis`es, decides one
+`checkers.class_table` entry per pair of class representatives (a
+comparison, a `t1z` topology, a splitting search; q6 and q7 leave theirs
+to `composition_rows`), and returns one row per labeled pair, in the
+labeled order, by indexing that table with the two class positions.
+`question_search` runs it through `checkers.over_classes`, the class pass
+the theorem suite makes too: when a row has a witness, the runner runs
+again with every labeled space deciding for itself, so the witnesses and
+their order are the labeled ones.
 
 A probe's explanation distinguishes two kinds of clean outcome. Plain
 searches that find nothing say "no witness at these bounds". Where the
 collapse argument is actually encoded next to the probe, the explanation
 says "provably no finite witness" and spells the argument out; raising the
-bounds cannot change those outcomes.
+bounds cannot change those outcomes. Each runner is registered with its
+explanation, which a probe reports only when every row holds; a row
+that does not hold leaves it empty.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 
-from .checkers import SpaceAxis, composition_rows, refute_splitting, space_axes
+from .checkers import SpaceAxis, class_table, composition_rows, over_classes, refute_splitting
 from .errors import UnknownQuestion
 from .finspace import Frozen, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
@@ -88,12 +92,6 @@ class QuestionProbe(Frozen):
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _class_table(ys: SpaceAxis, zs: SpaceAxis, decide) -> list[list]:
-    """decide(y, z) once per pair of deciders, y-major: one list per
-    decider of ys, indexed by the position of a decider of zs."""
-    return [[decide(y, z) for z in zs.reps] for y in ys.reps]
-
-
 def _labeled_pairs(ys: SpaceAxis, zs: SpaceAxis, table):
     """Each labeled pair (y, z), y-major, with its deciders' table entry."""
     for y, i in zip(ys.spaces, ys.index):
@@ -111,14 +109,14 @@ def _q1(ys, zs):
         return None
 
     rows = []
-    for y, z, t in _labeled_pairs(ys, zs, _class_table(ys, zs, decide)):
+    for y, z, t in _labeled_pairs(ys, zs, class_table(ys, zs, decide)):
         if t is None:
             continue
         claim = f"q1:regular t1z {pair_tag(y, z)}"
         ok = t.profile.regular
         witnesses = [] if ok else [("function_space_opens", t.opens.members)]
         rows.append(VerdictReport.of(claim, witnesses, 1, 1))
-    return rows, ""
+    return rows
 
 
 def _equality_row(
@@ -131,55 +129,43 @@ def _equality_row(
 
     witnesses = [
         (pair_tag(y, z), cmp.verdict, cmp.a_only, cmp.b_only)
-        for y, z, cmp in _labeled_pairs(ys, zs, _class_table(ys, zs, decide))
+        for y, z, cmp in _labeled_pairs(ys, zs, class_table(ys, zs, decide))
         if cmp.verdict != "equal"
     ]
     count = len(ys.spaces) * len(zs.spaces)
     return VerdictReport.of(f"{qid}:{lo}={hi}{suffix}", witnesses, count, count)
 
 
-def _q3_runner(qid: str, lo: str, hi: str, explanation: str):
-    def run(ys, zs):
-        row = _equality_row(qid, lo, hi, ys, zs)
-        return [row], explanation if row.status == "holds" else ""
-
-    return run
+def _equality(qid: str, lo: str, hi: str, ys, zs):
+    return [_equality_row(qid, lo, hi, ys, zs)]
 
 
-def _composition_runner(qid: str, kind: str):
+def _composition(kind: str, ys, zs):
     # the first factor stays at two points, which give every specialization
     # shape; the frozen q6/q7 expectations fix MAX_COMPOSE_X
-    def run(ys, zs):
-        return composition_rows(ys.upto(MAX_COMPOSE_X), ys, zs, (kind, kind, kind)), ""
-
-    return run
+    return composition_rows(ys.upto(MAX_COMPOSE_X), ys, zs, (kind, kind, kind))
 
 
-def _splitting_runner(kind: str):
+def _splitting(kind: str, ys, zs):
     def decide(y, z):
         t = named_function_topology(kind, y, z)
         return f"splitting:{t.provenance}", refute_splitting(t, max_x=2)
 
-    def run(ys, zs):
-        rows = []
-        for y, z, (head, r) in _labeled_pairs(ys, zs, _class_table(ys, zs, decide)):
-            claim = f"{head} {pair_tag(y, z)}"
-            fields = (r.status, r.hypothesis_true_count, r.instance_count, r.witnesses, r.budget)
-            rows.append(VerdictReport(claim, *fields))
-        return rows, ""
-
-    return run
+    rows = []
+    for y, z, (head, r) in _labeled_pairs(ys, zs, class_table(ys, zs, decide)):
+        claim = f"{head} {pair_tag(y, z)}"
+        fields = (r.status, r.hypothesis_true_count, r.instance_count, r.witnesses, r.budget)
+        rows.append(VerdictReport(claim, *fields))
+    return rows
 
 
 def _q10(ys, zs):
     del zs  # the codomain is pinned by the question itself
     z2 = SpaceAxis.own([discrete(2)])
-    rows = [
+    return [
         _equality_row("q10", lo, hi, ys, z2, suffix=" z=discrete2")
         for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz"))
     ]
-    clean = all(r.status == "holds" for r in rows)
-    return rows, _COLLAPSE_Q10 if clean else ""
 
 
 _OUT_OF_SCOPE = {
@@ -189,17 +175,18 @@ _OUT_OF_SCOPE = {
     "q11": "needs an infinite convergent sequence",
 }
 
+# each runnable id's runner, run(ys, zs) -> rows, and its clean explanation
 _RUNNERS = {
-    "q1": _q1,
-    "q3.1": _q3_runner("q3.1", "co", "coZ", _COLLAPSE_Q31),
-    "q3.2": _q3_runner("q3.2", "isbell", "t1z", _NO_WITNESS),
-    "q3.3": _q3_runner("q3.3", "sisbell", "t1sz", _NO_WITNESS),
-    "q6": _composition_runner("q6", "t1sz"),
-    "q7": _composition_runner("q7", "t1z"),
-    "q8": _splitting_runner("t1z"),
-    "q9": _splitting_runner("coZ"),
-    "q10": _q10,
-    "q12": _q3_runner("q12", "t1z", "coZ", _COLLAPSE_Q12),
+    "q1": (_q1, ""),
+    "q3.1": (partial(_equality, "q3.1", "co", "coZ"), _COLLAPSE_Q31),
+    "q3.2": (partial(_equality, "q3.2", "isbell", "t1z"), _NO_WITNESS),
+    "q3.3": (partial(_equality, "q3.3", "sisbell", "t1sz"), _NO_WITNESS),
+    "q6": (partial(_composition, "t1sz"), ""),
+    "q7": (partial(_composition, "t1z"), ""),
+    "q8": (partial(_splitting, "t1z"), ""),
+    "q9": (partial(_splitting, "coZ"), ""),
+    "q10": (_q10, _COLLAPSE_Q10),
+    "q12": (partial(_equality, "q12", "t1z", "coZ"), _COLLAPSE_Q12),
 }
 
 QUESTION_IDS = (
@@ -219,10 +206,9 @@ def question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
         )
     if qid not in _RUNNERS:
         raise UnknownQuestion(f"{qid!r} is not registered; known ids: {QUESTION_IDS}")
-    run = _RUNNERS[qid]
-    rows, explanation = run(*space_axes(max_y, max_z, by_class=True))
-    if any(row.witnesses for row in rows):
-        rows, explanation = run(*space_axes(max_y, max_z, by_class=False))
+    run, clean = _RUNNERS[qid]
+    rows = over_classes(run, max_y, max_z)
+    explanation = clean if all(row.status == "holds" for row in rows) else ""
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation
     )

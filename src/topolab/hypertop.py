@@ -46,7 +46,6 @@ traces on O_Z(Y) to the rows of up (README "Lifts see only O_Z(Y)"), and
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import lru_cache
 
 from .errors import GroundTooLarge
@@ -99,12 +98,6 @@ class HyperSpace(Frozen):
     @cached_property
     def ground_index(self) -> dict[Subset, int]:
         return {m: i for i, m in enumerate(self.ground)}
-
-    def family_mask(self, members: Iterable[Subset]) -> int:
-        m = 0
-        for mem in members:
-            m |= 1 << self.ground_index[mem]
-        return m
 
     def as_space(self) -> FinSpace:
         return FinSpace(len(self.ground), self.opens, _subset_labels(self.ground))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from topolab import finspace, fntop, hypertop, mapspace
+from topolab import checkers, finspace, fntop, hypertop, mapspace
 from topolab.finspace import FinSpace, chain, discrete, enumerate_topologies, indiscrete, make_space, sierpinski
 
 
@@ -61,3 +61,24 @@ def clear_every_cache() -> None:
         for value in vars(mod).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
+
+
+def spy_on_class_passes(monkeypatch) -> tuple[list, list]:
+    """Record each class pass, a call of `checkers.space_axes`, with its
+    bounds, and each labeled rerun, a read of `SpaceAxis.labeled`, which
+    only `over_classes` and the escape rebuild of `composition_rows` make.
+    The two lists fill as the patched calls run."""
+    passes, reruns = [], []
+    space_axes, labeled = checkers.space_axes, checkers.SpaceAxis.labeled
+
+    def counted_axes(max_y, max_z):
+        passes.append((max_y, max_z))
+        return space_axes(max_y, max_z)
+
+    def counted_labeled(axis):
+        reruns.append(axis)
+        return labeled.fget(axis)
+
+    monkeypatch.setattr(checkers, "space_axes", counted_axes)
+    monkeypatch.setattr(checkers.SpaceAxis, "labeled", property(counted_labeled))
+    return passes, reruns

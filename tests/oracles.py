@@ -31,7 +31,7 @@ from itertools import combinations, permutations
 from itertools import product as assignments
 
 from topolab import checkers, explorer
-from topolab.checkers import _COMPOSE_HYPOTHESIS, DEFAULT_REFINEMENT_SAMPLES
+from topolab.checkers import _COMPOSE_HYPOTHESIS, DEFAULT_REFINEMENT_SAMPLES, SpaceAxis
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import BudgetExceeded
 from topolab.explorer import QuestionProbe
@@ -594,6 +594,15 @@ def map_index(maps) -> dict[tuple[int, ...], int]:
     return {t: i for i, t in enumerate(maps.tables)}
 
 
+def family_mask(hs, members) -> int:
+    """The index mask over the ground of the hyperspace hs of the given
+    members of that ground: a lookup the package itself never needs."""
+    mask = 0
+    for mem in members:
+        mask |= 1 << hs.ground_index[mem]
+    return mask
+
+
 def literal_pointwise(maps) -> tuple[int, ...]:
     """The pointwise minimal opens by preimages: j is in row i iff each
     preimage under map i lies inside map j's preimage of the same open."""
@@ -945,12 +954,14 @@ def labeled_theorem_suite(
     seed: int = 0,
 ) -> list[VerdictReport]:
     """`theorem_suite` with its pair rows decided on every labeled pair:
-    the suite's own `_pair_rows` over `suite_spaces`, each space of weight
-    1, then the refinement and divergence rows as the suite adds them. The
+    the suite's own `_pair_rows` over `suite_spaces`, each space deciding
+    for itself, then the refinement and divergence rows as the suite adds
+    them. It makes no class pass, so it reads neither `space_axes` nor
+    `SpaceAxis.labeled`, the hooks a test spies on. The
     row builders and the named topologies are looked up through `checkers`
     at call time, so a test that patches one patches both suites."""
     ys, zs = checkers.suite_spaces(max_y, max_z)
-    out = checkers._pair_rows([(y, 1) for y in ys], [(z, 1) for z in zs])
+    out = checkers._pair_rows(SpaceAxis.own(ys), SpaceAxis.own(zs))
     out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(checkers._divergence_rows())
     return out
@@ -958,15 +969,18 @@ def labeled_theorem_suite(
 
 def labeled_question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
     """`question_search` with every labeled space its own class: the
-    probe's own runner over `space_axes(..., by_class=False)`, each
-    labeled pair (or triple) decided for itself. Out-of-scope and unknown
-    ids answer as the package's do. The runners are looked up through
-    `explorer` at call time, so a test that patches a build patches both
-    routes."""
+    probe's own runner over `suite_spaces`, each labeled pair (or triple)
+    decided for itself, and the probe's explanation rule: its clean
+    explanation when every row holds, "" otherwise. Like
+    `labeled_theorem_suite` it reads neither `space_axes` nor
+    `SpaceAxis.labeled`. Out-of-scope and unknown ids answer as the
+    package's do. The runners are looked up through `explorer` at call
+    time, so a test that patches a build patches both routes."""
     if qid not in explorer._RUNNERS:
         return explorer.question_search(qid, max_y, max_z)
-    axes = checkers.space_axes(max_y, max_z, by_class=False)
-    rows, explanation = explorer._RUNNERS[qid](*axes)
+    run, clean = explorer._RUNNERS[qid]
+    rows = run(*(SpaceAxis.own(group) for group in checkers.suite_spaces(max_y, max_z)))
+    explanation = clean if all(row.status == "holds" for row in rows) else ""
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation
     )

@@ -14,11 +14,13 @@ probes it prints whether the JSON bytes agree, each cold time in raw
 seconds, and the process's peak RSS after each run, both taken before the
 output is serialized; the two class passes run first, so their figures
 are not the oracles'. After each class pass it
-prints the map sets it built, the misses of `mapspace.enumerate_continuous`:
-the suite's beside its class pairs, which for max_z >= 2 must be one per
-class pair and one for the divergence rows. Exit status 1 when either
-pair of byte strings differs or that count is off. Not collected by
-pytest: the labeled sides at (4,3) take seconds.
+prints the map sets it built, the misses of `mapspace.enumerate_continuous`,
+beside the class pairs it reads. The suite's must be one per class pair
+and, for max_z >= 2, one for the divergence rows; the probes' one per
+distinct (domain, codomain) class pair they read, 730 at (4,3), so a
+hidden rerun on the labeled pairs shows. Exit status 1 when either pair
+of byte strings differs or either count is off. Not collected by pytest:
+the labeled sides at (4,3) take seconds.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import time
 from oracles import labeled_question_search, labeled_theorem_suite
 from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
 from topolab.explorer import QuestionProbe
+from topolab.finspace import discrete
 from topolab.reports import suite_to_json
 
 
@@ -69,6 +72,16 @@ def probes(search):
     return run
 
 
+def probe_class_pairs(ys, zs) -> int:
+    """The distinct (domain, codomain) class pairs whose map sets the
+    probes read: Y x Z, and X x Y and X x Z for the first factor X of
+    q6 and q7, on at most `explorer.MAX_COMPOSE_X` points; q10's
+    codomain, discrete(2), is its own class."""
+    xs = ys.upto(explorer.MAX_COMPOSE_X).reps
+    reads = ((ys.reps, zs.reps), (xs, ys.reps), (xs, zs.reps), (ys.reps, [discrete(2)]))
+    return len({(a, b) for dom, cod in reads for a in dom for b in cod})
+
+
 def probes_to_json(out: list[QuestionProbe]) -> str:
     return "\n".join(probe.to_json() for probe in out)
 
@@ -98,15 +111,20 @@ def main(argv=None) -> int:
     probes_got = cold_run(probes(explorer.question_search), probes_to_json, *cap)
     suite_want = cold_run(labeled_theorem_suite, suite_to_json, *cap)
     probes_want = cold_run(probes(labeled_question_search), probes_to_json, *cap)
-    ys, zs = checkers._weighted_spaces(args.max_y, args.max_z, by_class=True)
-    class_pairs = len(ys) * len(zs)
+    ys, zs = checkers.space_axes(args.max_y, args.max_z)
+    class_pairs = len(ys.reps) * len(zs.reps)
     built_once = args.max_z < 2 or suite_got[3] == class_pairs + 1
     agree = report("suite", bounds, suite_got, suite_want)
     print(f"  for {class_pairs} class pairs")
     if not built_once:
         print(f"  expected {class_pairs + 1}: one per class pair, one for the divergence rows")
+    read = probe_class_pairs(ys, zs)
+    probes_once = probes_got[3] == read
     agree = report("probes", bounds, probes_got, probes_want) and agree
-    return 0 if agree and built_once else 1
+    print(f"  for {read} class pairs")
+    if not probes_once:
+        print(f"  expected {read}: one per class pair the probes read")
+    return 0 if agree and built_once and probes_once else 1
 
 
 if __name__ == "__main__":

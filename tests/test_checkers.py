@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import all_spaces_up_to, clear_every_cache
+from conftest import all_spaces_up_to, clear_every_cache, spy_on_class_passes
 from oracles import (
     literal_characteristic_homeomorphism,
     literal_compare_topologies,
@@ -887,14 +887,7 @@ def test_class_suite_matches_its_labeled_oracle(monkeypatch):
     # pairs at these bounds; its JSON equals that of the suite over every
     # labeled pair at every bound up to (3,2), seeds 0-5, sample counts
     # from -1 to 100, and at (4,2) and (3,3) with the caps raised here
-    passes = []
-    weighted = checkers._weighted_spaces
-
-    def spy(max_y, max_z, by_class):
-        passes.append(by_class)
-        return weighted(max_y, max_z, by_class)
-
-    monkeypatch.setattr(checkers, "_weighted_spaces", spy)
+    passes, reruns = spy_on_class_passes(monkeypatch)
     configs = 0
     for max_y in (1, 2, 3):
         for max_z in (1, 2):
@@ -910,7 +903,7 @@ def test_class_suite_matches_its_labeled_oracle(monkeypatch):
     for bounds in ((4, 2), (3, 3)):
         got = suite_to_json(theorem_suite(*bounds))
         assert got == suite_to_json(labeled_theorem_suite(*bounds))
-    assert passes == [True] * 182
+    assert len(passes) == 182 and reruns == []
 
 
 def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
@@ -932,7 +925,7 @@ def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
     ys, zs = checkers.suite_spaces(3, 2)
     both = [z for z in zs if z.size == 2 and len(z.opens) == 3]
     assert [z.opens.members for z in both] == [(0, 1, 3), (0, 2, 3)]
-    by_class = checkers._pair_rows(*checkers._weighted_spaces(3, 2, by_class=True))
+    by_class = checkers._pair_rows(*checkers.space_axes(3, 2))
     got = theorem_suite(3, 2)
     assert suite_to_json(got) == suite_to_json(labeled_theorem_suite(3, 2))
     claim = "admissible:co when=regular+locally_compact"

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import clear_every_cache
+from conftest import clear_every_cache, spy_on_class_passes
 from oracles import labeled_question_search
 from topolab import checkers, explorer, fntop, mapspace
 from topolab.checkers import SpaceAxis, composition_rows, space_axes, suite_spaces
 from topolab.errors import BudgetExceeded, UnknownQuestion
 from topolab.explorer import QUESTION_IDS, QuestionProbe, question_search
-from topolab.finspace import bits, indiscrete, mask_of
+from topolab.finspace import bits, discrete, indiscrete, mask_of
 from topolab.fntop import FnTopology, named_function_topology
 from topolab.reports import pair_tag
 
@@ -129,12 +129,15 @@ _BOUNDS = [(y, z) for y in (1, 2, 3) for z in (1, 2)] + [(4, 2), (3, 3)]
 @pytest.mark.parametrize("bounds", _BOUNDS)
 def test_class_probes_match_the_labeled_oracle(monkeypatch, bounds):
     # every id decided once per class pair (or triple) gives the bytes of
-    # the same runner with every labeled space its own class
+    # the same runner with every labeled space its own class, and no rerun
+    # on the labeled pairs ran: one would hide a false class witness
     monkeypatch.setattr(checkers, "MAX_SUITE_Y", 4)
     monkeypatch.setattr(checkers, "MAX_SUITE_Z", 3)
+    passes, reruns = spy_on_class_passes(monkeypatch)
     for qid in QUESTION_IDS:
         got = question_search(qid, *bounds).to_json()
         assert got == labeled_question_search(qid, *bounds).to_json(), qid
+    assert passes == [bounds] * len(explorer._RUNNERS) and reruns == []
 
 
 def _is_sierpinski(z):
@@ -200,8 +203,34 @@ def test_a_class_witness_sends_the_probe_to_the_labeled_pairs(monkeypatch, qid):
         want = [f"splitting:t1z {pair_tag(y, z)}" for y in ys for z in zs if _is_sierpinski(z)]
     assert failed == want and len(want) == 34 * (1 if qid == "q1" else 2)
     # the class pass read its witnesses off the representatives
-    by_class, _ = explorer._RUNNERS[qid](*space_axes(3, 2, by_class=True))
+    run, _ = explorer._RUNNERS[qid]
+    by_class = run(*space_axes(3, 2))
     assert [r.to_json() for r in by_class] != [r.to_json() for r in got.result]
+
+
+def _indiscrete_into_discrete2(name, y, z):
+    # the indiscrete topology on C(Y, discrete(2)) for t1z: relabeling
+    # keeps it, and the two constant maps tell it from the discrete
+    # pointwise topology there, so q10's isbell=t1z leg alone fails
+    t = named_function_topology(name, y, z)
+    if name == "t1z" and z == discrete(2):
+        return FnTopology.of(t.maps, (), name)
+    return t
+
+
+def test_a_failing_row_leaves_the_explanation_empty(monkeypatch):
+    # the explanation is the runner's clean one only when every row holds:
+    # one failing row of q3.1, or one failing leg of q10's three, empties it
+    assert question_search("q10", 3, 2).explanation.startswith("provably no finite witness")
+    with monkeypatch.context() as m:
+        m.setattr(explorer, "named_function_topology", _INJECTED["q3.1"])
+        probe = question_search("q3.1", 3, 2)
+        assert [r.status for r in probe.result] == ["fails"]
+        assert probe.explanation == ""
+    monkeypatch.setattr(explorer, "named_function_topology", _indiscrete_into_discrete2)
+    probe = question_search("q10", 3, 2)
+    assert [r.status for r in probe.result] == ["holds", "fails", "holds"]
+    assert probe.explanation == ""
 
 
 def _indiscrete_middle(name, y, z):
@@ -232,7 +261,7 @@ def test_a_class_escape_sends_the_composition_to_the_labeled_triples(monkeypatch
         last = dict(zip(axis.index, axis.spaces))
         return SpaceAxis(axis.spaces, [last[k] for k in range(len(axis.reps))], axis.index)
 
-    ys, zs = (last_members(a) for a in space_axes(3, 2, by_class=True))
+    ys, zs = (last_members(a) for a in space_axes(3, 2))
     kinds = ("t1sz", "t1sz", "t1sz")
     with pytest.raises(AssertionError) as moved:
         composition_rows(ys.upto(2), ys, zs, kinds)

@@ -5,6 +5,7 @@ import gc
 import pytest
 
 from oracles import (
+    family_mask,
     literal_containment_families,
     literal_cover_union_masks,
     literal_filtration,
@@ -159,7 +160,7 @@ def test_containment_families_are_open_in_scott_and_z_scott(indisc2):
         hz = z_scott(y, indisc2)
         for k in range(y.full + 1):
             fam = up_family(y, k)
-            mask = hs.family_mask(fam.members)
+            mask = family_mask(hs, fam.members)
             assert mask in hs.opens
             assert mask in hz.opens
 
