@@ -2,7 +2,6 @@
 hyperspaces of open sets."""
 
 from .errors import (
-    AxiomsViolated,
     BudgetExceeded,
     GroundTooLarge,
     MalformedInput,

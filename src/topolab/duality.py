@@ -45,8 +45,9 @@ class DualSpace(HyperSpace):
 
     @classmethod
     def of(cls, y: FinSpace, z: FinSpace, opens) -> "DualSpace":
-        h = HyperSpace.of(y, o_z_family(y, z).members, opens, "dual")
-        return cls(y, h.ground, h.min_opens, h.kind, z)
+        """A dual from an explicit open family on O_Z(Y), validated and
+        kept as `HyperSpace.of` keeps it."""
+        return super().of(y, o_z_family(y, z).members, opens, "dual", z)
 
     @property
     def y(self) -> FinSpace:

@@ -14,7 +14,12 @@ class GroundTooLarge(TopolabError):
 
 
 class NotATopology(TopolabError):
-    """Subset family fails a topology axiom; carries the offending masks."""
+    """A subset family is not a topology, on a space's points or on a
+    hyperspace's or a dual's ground, with one message and witness either
+    way; it is never repaired. The witness names the offending masks: (0,)
+    or (full,) for a missing empty set or ground, the first pair (a, b)
+    whose union, or else intersection, escapes, or what escapes the ground.
+    A label count off the ground has none."""
 
     def __init__(self, message: str, witness: tuple[int, ...] = ()):
         super().__init__(message)
@@ -39,17 +44,6 @@ class MismatchedBase(TopolabError):
 
 class MismatchedGround(TopolabError):
     """Operands are defined over different grounds and cannot be compared."""
-
-
-class AxiomsViolated(TopolabError):
-    """A computed qualifying family fails the topology axioms.
-
-    Reported as a finding, never repaired silently.
-    """
-
-    def __init__(self, message: str, witness: tuple = ()):
-        super().__init__(message)
-        self.witness = witness
 
 
 class UnknownQuestion(TopolabError):

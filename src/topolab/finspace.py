@@ -8,10 +8,11 @@ point, and its opens are exactly the up-sets of the relation p -> U_p
 `_enumerate_upsets` lists their up-sets, reading the order downward by
 `transpose`. It takes rows that are already reflexive and transitive, as
 the U_p always are, and never closes them; a caller holding a raw
-relation closes it once. The one axiom check, `_axiom_gap`, behind
-`make_space` and `_validate_topology_family`, asks whether a family is
-exactly that list; closure and interior are read off the U_p. The literal
-closure loops and the pairwise axiom check live on as test oracles.
+relation closes it once. The one axiom check, `_check_axioms`, behind
+`make_space` and `hypertop.HyperSpace.of`, asks whether a family is
+exactly that list and raises one NotATopology when it is not; closure and
+interior are read off the U_p. The literal closure loops and the pairwise
+axiom check live on as test oracles.
 
 `enumerate_topologies` lists the labeled topologies as the up-sets of every
 specialization preorder. `topology_classes` sweeps them into orbits, one
@@ -29,7 +30,7 @@ from itertools import islice, permutations
 from math import factorial
 from operator import attrgetter
 
-from .errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
+from .errors import BudgetExceeded, GroundTooLarge, NotATopology
 
 Subset = int
 
@@ -317,62 +318,41 @@ def make_space(
     size: int, opens: Iterable[Subset], labels: Sequence[str] | None = None
 ) -> FinSpace:
     """Validate the axioms and build a space; the only unchecked path is internal."""
-    if size > MAX_GROUND:
-        raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
     fam = SubsetFamily.of(size, opens)
     x = FinSpace(size, fam, None if labels is None else tuple(labels))
-    gap = _axiom_gap(fam, x.min_opens)
-    if len(gap) == 1:
-        absent = "empty set" if gap == (0,) else "full ground"
-        raise NotATopology(f"{absent} missing", gap)
-    if gap:
-        a, b, missing = gap
-        escapes = "union" if missing == a | b else "intersection"
-        raise NotATopology(f"{escapes} escapes the family", (a, b))
-    if labels is not None and len(labels) != size:
-        raise NotATopology("label count does not match ground size")
+    _check_axioms(fam, x.min_opens)
+    _check_labels(size, labels)
     return x
 
 
-def _axiom_gap(fam: SubsetFamily, mins: tuple[Subset, ...]) -> tuple[Subset, ...]:
-    """() when the family is a topology with minimal opens `mins`, which
-    must be `meets_by_point` of its members. Otherwise (0,) or (full,) for
-    a missing empty set or ground, else the first pair in member order whose
-    union, or else intersection, escapes, as (a, b, missing).
+def _check_axioms(fam: SubsetFamily, mins: tuple[Subset, ...]) -> None:
+    """Pass when the family is a topology with minimal opens `mins`, which
+    must be `meets_by_point` of its members. Otherwise raise NotATopology
+    naming (0,) or (full,) for a missing empty set or ground, else the first
+    pair (a, b) in member order whose union, or else intersection, escapes.
 
     Every member is an up-set of p -> mins[p], since mins[p] is the meet of
     the members holding p, and a topology holds every such up-set; so equal
     counts decide it in O(|fam| * m^2). Only a failure walks the pairs."""
     upsets = islice(_enumerate_upsets(fam.ground_size, mins), len(fam) + 1)
     if sum(1 for _ in upsets) == len(fam):
-        return ()
-    full = full_mask(fam.ground_size)
-    if 0 not in fam:
-        return (0,)
-    if full not in fam:
-        return (full,)
-    return _offending_pair(fam)
-
-
-def _offending_pair(fam: SubsetFamily) -> tuple[Subset, Subset, Subset]:
+        return
+    for absent, mask in (("empty set", 0), ("full ground", full_mask(fam.ground_size))):
+        if mask not in fam:
+            raise NotATopology(f"{absent} missing", (mask,))
     members = fam.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if (a | b) not in fam:
-                return (a, b, a | b)
-            if (a & b) not in fam:
-                return (a, b, a & b)
+            for escapes, missing in (("union", a | b), ("intersection", a & b)):
+                if missing not in fam:
+                    raise NotATopology(f"{escapes} escapes the family", (a, b))
     raise AssertionError("a family closed under pairs is a topology")
 
 
-def _validate_topology_family(m: int, fam: SubsetFamily, kind: str) -> None:
-    """The axiom check for computed families: a failure raises
-    AxiomsViolated with its witness and is never repaired."""
-    gap = _axiom_gap(fam, meets_by_point(m, fam))
-    if len(gap) == 1:
-        raise AxiomsViolated(f"{kind}: empty or full family missing", (0,))
-    if gap:
-        raise AxiomsViolated(f"{kind}: family is not union/intersection closed", gap)
+def _check_labels(size: int, labels: Sequence[str] | None) -> None:
+    """The label-count check both space constructors make."""
+    if labels is not None and len(labels) != size:
+        raise NotATopology("label count does not match ground size")
 
 
 def generate_from_subbasis(
@@ -382,11 +362,8 @@ def generate_from_subbasis(
     point. A point no member holds has the full ground as its minimal open,
     so an empty subbasis yields the indiscrete space.
     """
-    if size > MAX_GROUND:
-        raise GroundTooLarge(f"{size} points exceed the {MAX_GROUND}-point limit")
-    if labels is not None and len(labels) != size:
-        raise NotATopology("label count does not match ground size")
     seeds = SubsetFamily.of(size, family)
+    _check_labels(size, labels)
     opens = sorted(_enumerate_upsets(size, meets_by_point(size, seeds)))
     return FinSpace(
         size, SubsetFamily(size, tuple(opens)), None if labels is None else tuple(labels)

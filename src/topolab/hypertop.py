@@ -48,17 +48,17 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import GroundTooLarge
+from .errors import GroundTooLarge, MismatchedGround
 from .finspace import (
     FinSpace,
     Frozen,
     Subset,
     SubsetFamily,
+    _check_axioms,
     _enumerate_upsets,
     _set_field,
     _subset_labels,
     _up_masks,
-    _validate_topology_family,
     cached_property,
     meets_by_point,
 )
@@ -79,13 +79,14 @@ class HyperSpace(Frozen):
 
     @classmethod
     def of(
-        cls, base: FinSpace, ground: tuple[Subset, ...], opens, kind: str
+        cls, base: FinSpace, ground: tuple[Subset, ...], opens, kind: str, *more
     ) -> "HyperSpace":
-        """A hyperspace from an explicit open family, validated first."""
-        m = len(ground)
-        fam = SubsetFamily.of(m, opens)
-        _validate_topology_family(m, fam, kind)
-        h = cls(base, ground, meets_by_point(m, fam), kind)
+        """A hyperspace from an explicit open family, validated as
+        `make_space` validates a space and kept as its opens; `more` fills
+        a subclass's own fields."""
+        fam = SubsetFamily.of(len(ground), opens)
+        h = cls(base, ground, meets_by_point(len(ground), fam), kind, *more)
+        _check_axioms(fam, h.min_opens)
         _set_field(h, "opens", fam)
         return h
 
@@ -105,10 +106,14 @@ class HyperSpace(Frozen):
     def trace(self, sub: tuple[Subset, ...]) -> "HyperSpace":
         """The subspace on sub, part of the ground in ground order: each
         member's minimal open met with sub, by position in sub. A hyperspace
-        on sub, as a DualSpace is on O_Z(Y), is its own trace."""
+        on sub, as a DualSpace is on O_Z(Y), is its own trace; a sub with
+        a member outside the ground raises MismatchedGround."""
         if sub == self.ground:
             return self
-        at = [self.ground_index[g] for g in sub]
+        try:
+            at = [self.ground_index[g] for g in sub]
+        except KeyError as exc:
+            raise MismatchedGround(f"{exc} is not in the hyperspace ground") from None
         rows = [sum(1 << k for k, j in enumerate(at) if self.min_opens[i] >> j & 1) for i in at]
         return HyperSpace(self.base, sub, tuple(rows), self.kind)
 

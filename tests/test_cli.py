@@ -57,6 +57,18 @@ def test_space_validate_rejects_non_topology(tmp_path, capsys):
     assert "NotATopology" in err
 
 
+def test_dual_file_not_a_topology_fails_as_a_space_file_does(tmp_path, capsys):
+    # O_Z(Y) of Sierpinski space into itself has three members, so a dual
+    # family fails as the same family on 3 points does: one error line
+    spath = write(tmp_path, "s.json", S)
+    for opens in ([0, 1, 3], [0, 1, 2, 7]):
+        tau = write(tmp_path, "tau.json", {"y": S, "z": S, "opens": opens})
+        space = write(tmp_path, "bad.json", {"points": 3, "opens": opens})
+        dual = run(capsys, "dual", "t-of-tau", "--dual", tau, "--y", spath, "--z", spath)
+        assert dual == run(capsys, "space", "validate", space)
+        assert (dual[0], dual[1], json.loads(dual[2])["error"]) == (2, "", "NotATopology")
+
+
 def test_space_enum_counts_and_out_file(tmp_path, capsys):
     out_file = tmp_path / "enum.json"
     code, out, _ = run(capsys, "space", "enum", "--points", "3", "--out", str(out_file))

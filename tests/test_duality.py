@@ -7,7 +7,7 @@ import pytest
 
 from topolab import mapspace
 from topolab.duality import DualSpace, is_admissible_on_ozy, t_of_tau, tau_of_t
-from topolab.errors import AxiomsViolated, MismatchedBase
+from topolab.errors import MismatchedBase, NotATopology
 from topolab.finspace import (
     _up_masks,
     chain,
@@ -137,23 +137,28 @@ def test_mismatched_base(s, chain2):
         t_of_tau(tau, enumerate_continuous(chain2, s))
 
 
-def test_dual_of_validates(s):
-    with pytest.raises(AxiomsViolated):
-        DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])  # union 0b011 missing
-
-
-def test_dual_of_rejects_a_non_topology_with_its_witness(s):
-    # the HyperSpace validation, under the "dual" kind
-    with pytest.raises(
-        AxiomsViolated, match="^dual: family is not union/intersection closed$"
-    ) as err:
-        DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])
-    assert err.value.witness == (0b001, 0b010, 0b011)
-    with pytest.raises(
-        AxiomsViolated, match="^dual: empty or full family missing$"
-    ) as err:
-        DualSpace.of(s, s, [0b001, 0b111])
-    assert err.value.witness == (0,)
+@pytest.mark.parametrize(
+    "opens, message, witness",
+    [
+        ([0b001, 0b011, 0b111], "empty set missing", (0,)),
+        ([0, 0b001, 0b011], "full ground missing", (0b111,)),
+        ([0, 0b001, 0b010, 0b111], "union escapes the family", (0b001, 0b010)),
+        ([0, 0b011, 0b110, 0b111], "intersection escapes the family", (0b011, 0b110)),
+    ],
+    ids=["empty-missing", "full-missing", "union-gap", "intersection-gap"],
+)
+def test_dual_of_rejects_a_non_topology_as_make_space_does(s, opens, message, witness):
+    # O_Z(Y) of Sierpinski space into itself has three members, so a dual
+    # family is a family on 3 points: one class, message and witness on
+    # both routes
+    for build in (lambda: make_space(3, opens), lambda: DualSpace.of(s, s, opens)):
+        with pytest.raises(NotATopology) as err:
+            build()
+        assert (type(err.value), str(err.value), err.value.witness) == (
+            NotATopology,
+            message,
+            witness,
+        )
 
 
 def test_t_of_tau_names_a_mismatched_y_or_z(s, chain2, disc2):

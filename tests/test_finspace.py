@@ -20,13 +20,12 @@ from oracles import (
     literal_space_check,
 )
 from topolab import finspace
-from topolab.errors import AxiomsViolated, BudgetExceeded, GroundTooLarge, NotATopology
+from topolab.errors import BudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,
     LocalProfile,
     SubsetFamily,
     _enumerate_upsets,
-    _validate_topology_family,
     bits,
     boundedness_verdict,
     canonical_form,
@@ -50,6 +49,7 @@ from topolab.finspace import (
     subspace,
     topology_classes,
 )
+from topolab.hypertop import HyperSpace
 
 from conftest import all_spaces_up_to
 
@@ -139,29 +139,27 @@ def test_generate_matches_literal_oracle():
 
 def test_validator_matches_pairwise_oracle():
     # every family holding the empty set and the ground, up to 4 points;
-    # make_space must reject with the oracle's message and witness, and the
-    # computed-family check must agree on the same pair
+    # make_space and HyperSpace.of, on a ground of as many opens, must both
+    # reject with the oracle's message and witness
     accepted = 0
     for n in range(5):
         full = full_mask(n)
         inner = range(1, full)
+        base = chain(max(n - 1, 0))
+        ground = base.opens.members[:n]
         for pick in range(1 << len(inner)):
             fam = [0, full] + [m for i, m in enumerate(inner) if (pick >> i) & 1]
             want = literal_space_check(n, fam)
-            try:
-                make_space(n, fam)
-                got = None
-            except NotATopology as exc:
-                got = (str(exc), exc.witness)
-            assert got == want
-            try:
-                _validate_topology_family(n, SubsetFamily.of(n, fam), "probe")
-                got = None
-            except AxiomsViolated as exc:
-                a, b, missing = exc.witness
-                assert missing == (a | b if want[0].startswith("union") else a & b)
-                got = (a, b)
-            assert got == (want and want[1])
+            for build in (
+                lambda: make_space(n, fam),
+                lambda: HyperSpace.of(base, ground, fam, "probe"),
+            ):
+                try:
+                    build()
+                    got = None
+                except NotATopology as exc:
+                    got = (str(exc), exc.witness)
+                assert got == want
             accepted += want is None
     assert accepted == 1 + 1 + 4 + 29 + 355
 

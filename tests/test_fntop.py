@@ -19,10 +19,11 @@ from topolab.errors import (
 from topolab.finspace import (
     FinSpace,
     SubsetFamily,
-    _validate_topology_family,
     bits,
+    chain,
     discrete,
     enumerate_topologies,
+    indiscrete,
     make_space,
     min_open_profile,
     separation_profile,
@@ -128,6 +129,16 @@ def test_lift_of_indiscrete_hyperspace(s):
     )
     t = lift_open_family(h, enumerate_continuous(s, s))
     assert t.opens.members == (0, 0b111)
+
+
+def test_lift_off_the_hyperspace_ground_names_the_mismatch():
+    # the dual for Z indiscrete lives on O_Z(chain(3)) = {empty, Y}; maps
+    # into Sierpinski space take the preimages 1 and 3 besides, which its
+    # trace cannot read
+    tau = duality.DualSpace.of(chain(3), indiscrete(2), [0, 0b11])
+    maps = enumerate_continuous(chain(3), sierpinski())
+    with pytest.raises(MismatchedGround, match="^1 is not in the hyperspace ground$"):
+        lift_open_family(tau, maps)
 
 
 def test_lift_bracket_matches_per_family_loops():
@@ -361,7 +372,7 @@ def test_fn_topologies_pass_axioms(s, chain2, indisc2):
     for y, z in pairs:
         for name in NAMED:
             t = named_function_topology(name, y, z)
-            _validate_topology_family(len(t.maps), t.opens, name)
+            assert make_space(len(t.maps), t.opens).min_opens == t.min_opens
 
 
 def test_opens_match_literal_closure():

@@ -12,12 +12,11 @@ from oracles import (
     literal_generate,
     literal_scott_families,
 )
-from topolab.errors import AxiomsViolated, GroundTooLarge, NotZRepresentable
+from topolab.errors import GroundTooLarge, NotATopology, NotZRepresentable
 from topolab.finspace import (
-    SubsetFamily,
     _enumerate_upsets,
     _up_masks,
-    _validate_topology_family,
+    chain,
     discrete,
     enumerate_topologies,
     full_mask,
@@ -202,17 +201,19 @@ def test_scott_rows_carry_all_three_plain_constructions():
             build(discrete(5))
 
 
-def test_validation_rejects_union_gap():
-    fam = SubsetFamily.of(3, [0, 0b001, 0b010, 0b111])
-    with pytest.raises(AxiomsViolated) as info:
-        _validate_topology_family(3, fam, "probe")
-    a, b, missing = info.value.witness
-    assert (a | b == missing or a & b == missing) and missing not in fam
+def test_validation_rejects_union_gap(chain2):
+    with pytest.raises(NotATopology, match="^union escapes the family$") as info:
+        HyperSpace.of(chain2, scott(chain2).ground, [0, 0b001, 0b010, 0b111], "probe")
+    assert info.value.witness == (0b001, 0b010)
 
 
 def test_validation_accepts_every_enumerated_topology():
+    # each space's opens on n points, as a family on O(chain(n - 1)), a
+    # ground of n opens
     for y in all_spaces_up_to(3):
-        _validate_topology_family(y.size, y.opens, "probe")
+        base = chain(y.size - 1)
+        h = HyperSpace.of(base, base.opens.members, y.opens, "probe")
+        assert (h.opens, h.min_opens) == (y.opens, y.min_opens)
 
 
 def test_as_space_labels(chain2):
@@ -304,9 +305,9 @@ def test_filtration_matches_the_listing_route_on_every_triple():
         m = len(ground)
         for pool in (None, 0, *pools_holding_y(y)):
             for trigger in range(1 << m):
-                fam = SubsetFamily.of(m, literal_filtration(ground, y.full, trigger, pool))
-                _validate_topology_family(m, fam, "probe")
-                assert _filtration(y, trigger, bool(pool), "probe").opens == fam
+                fam = literal_filtration(ground, y.full, trigger, pool)
+                listed = HyperSpace.of(y, ground, fam, "probe")
+                assert _filtration(y, trigger, bool(pool), "probe") == listed
                 triples[bool(pool)] += pool is not None
     assert triples == [812, 16920]
 
@@ -322,6 +323,6 @@ def test_of_round_trips_every_hyperspace(s):
                 strong_z_scott(y, z),
             ):
                 assert HyperSpace.of(h.base, h.ground, h.opens, h.kind) == h
-    with pytest.raises(AxiomsViolated) as info:
+    with pytest.raises(NotATopology) as info:
         HyperSpace.of(s, s.opens.members, [0, 0b001, 0b010, 0b111], "probe")
-    assert info.value.witness == (0b001, 0b010, 0b011)
+    assert info.value.witness == (0b001, 0b010)
