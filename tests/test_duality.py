@@ -137,6 +137,21 @@ def test_mismatched_base(s, chain2):
         t_of_tau(tau, enumerate_continuous(chain2, s))
 
 
+def test_dual_of_validates(s):
+    with pytest.raises(NotATopology):
+        DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])  # union 0b011 missing
+
+
+def test_dual_of_rejects_a_non_topology_with_its_witness(s):
+    # the space validation, with make_space's messages and witnesses
+    with pytest.raises(NotATopology, match="^union escapes the family$") as err:
+        DualSpace.of(s, s, [0, 0b001, 0b010, 0b111])
+    assert err.value.witness == (0b001, 0b010)
+    with pytest.raises(NotATopology, match="^empty set missing$") as err:
+        DualSpace.of(s, s, [0b001, 0b111])
+    assert err.value.witness == (0,)
+
+
 @pytest.mark.parametrize(
     "opens, message, witness",
     [
