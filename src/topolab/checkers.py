@@ -65,7 +65,6 @@ from .finspace import (
     local_profile,
     separation_profile,
     sierpinski,
-    topology_classes,
     transpose,
 )
 from .fntop import (
@@ -248,7 +247,7 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
     (y, z), all tabled up front: every C(X,Y) factor, every C(Y,Z), every
     C(X,Z), then the profiles, and one loop over the triples reads the
     tables. So of two builds that would both raise, the one tabled first
-    raises; no input within `suite_spaces`' caps raises in a build. The
+    raises; no input within `space_axes`' caps raises in a build. The
     one-triple case builds xy, yz, xz, then the profile. Every named
     topology is the pointwise one, so the containments always hold; one
     that fails is a defect in `named_function_topology`, raised as
@@ -363,23 +362,6 @@ def theorem_suite(
     return out
 
 
-def suite_spaces(max_y: int, max_z: int) -> tuple[list[FinSpace], list[FinSpace]]:
-    """Every labeled topology on 1..max_y points and on 1..max_z points, the
-    ground the suite and the question probes range over, within the caps.
-    A bound below one point raises ValueError: it would leave every row
-    vacuous."""
-    if max_y < 1 or max_z < 1:
-        raise ValueError(f"bounds ({max_y},{max_z}) need at least 1 point each")
-    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
-        raise BudgetExceeded(
-            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
-        )
-    return tuple(
-        [sp for n in range(1, limit + 1) for sp in enumerate_topologies(n)]
-        for limit in (max_y, max_z)
-    )
-
-
 class SpaceAxis:
     """One side of the pairs the pair rows or a question probe range over:
     `spaces`, the labeled spaces in the order rows name them; `reps`, the
@@ -415,18 +397,27 @@ class SpaceAxis:
 
 
 def space_axes(max_y: int, max_z: int) -> tuple[SpaceAxis, SpaceAxis]:
-    """The Y and the Z axes of the pair rows and the question probes over
-    the labeled spaces of `suite_spaces`: the deciders are one
-    representative per homeomorphism class, from
-    `finspace.topology_classes`, and each labeled space's class is read
-    off `finspace.class_index`."""
+    """The Y and the Z axes of the pair rows and the question probes: every
+    labeled topology on 1..max_y points and on 1..max_z points, the ground
+    both range over, each deciding through one representative per
+    homeomorphism class, `enumerate_topologies(n, up_to_iso=True)`, its
+    class read off `finspace.class_index`. The bounds are checked first: one
+    below one point raises ValueError, as it would leave every row vacuous,
+    and one past MAX_SUITE_Y or MAX_SUITE_Z raises BudgetExceeded."""
+    if max_y < 1 or max_z < 1:
+        raise ValueError(f"bounds ({max_y},{max_z}) need at least 1 point each")
+    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
+        raise BudgetExceeded(
+            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
+        )
     axes = []
-    for group, limit in zip(suite_spaces(max_y, max_z), (max_y, max_z)):
-        reps, index = [], []
+    for limit in (max_y, max_z):
+        spaces, reps, index = [], [], []
         for n in range(1, limit + 1):
+            spaces.extend(enumerate_topologies(n))
             index.extend([len(reps) + k for k in class_index(n)])
-            reps.extend([x for x, _ in topology_classes(n)])
-        axes.append(SpaceAxis(group, reps, index))
+            reps.extend(enumerate_topologies(n, up_to_iso=True))
+        axes.append(SpaceAxis(spaces, reps, index))
     return tuple(axes)
 
 

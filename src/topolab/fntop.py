@@ -222,7 +222,8 @@ def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     opens. The name is recorded, and `FnTopology.subbasis` lists the
     subbasis off O_Z(Y) on each read, building no hyperspace. Its
     GroundTooLarge check cannot fire here: `enumerate_continuous` caps Y
-    at 4 points, which have at most 16 opens, MAX_HYPER_GROUND."""
+    at MAX_MAP_POINTS points, which have at most 1 << MAX_MAP_POINTS
+    opens, and that is at most MAX_HYPER_GROUND, as a test checks."""
     if name not in NAMED:
         raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
     maps = enumerate_continuous(y, z)

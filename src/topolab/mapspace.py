@@ -53,7 +53,7 @@ from .finspace import (
     transpose,
 )
 
-DEFAULT_SIZE_CAP = 4
+MAX_MAP_POINTS = 4
 MAX_SPLITTING_X = 4
 MAX_SPLITTING_INSTANCES = 250_000
 # how many test spaces a slice search walks on n = 1..MAX_SPLITTING_X
@@ -217,17 +217,19 @@ def monotone_prefixes(
 
 
 @lru_cache(maxsize=None)
-def enumerate_continuous(y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP) -> MapSet:
+def enumerate_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     """C(Y, Z) in lexicographic table order: `monotone_prefixes` over Y's
     `links` into Z's minimal opens and `ups`, each head's last values
     expanded in place. A table is continuous exactly when f(q) lies in the
     minimal open of f(p) for every q in p's minimal open, which is what the
     walk tests. The tables come out in `itertools.product` order, the map
     index every witness names, and are kept as the walk forms them; no
-    ContMap is built."""
-    if y.size > size_cap or z.size > size_cap:
+    ContMap is built. A factor past MAX_MAP_POINTS raises BudgetExceeded;
+    the cap is read when a pair is first listed, the cache keyed on (Y, Z)
+    alone."""
+    if y.size > MAX_MAP_POINTS or z.size > MAX_MAP_POINTS:
         raise BudgetExceeded(
-            f"map enumeration capped at {size_cap} points per factor; "
+            f"map enumeration capped at {MAX_MAP_POINTS} points per factor; "
             f"got {y.size} and {z.size}"
         )
     if not y.size:

@@ -63,6 +63,15 @@ def clear_every_cache() -> None:
                 value.cache_clear()
 
 
+@pytest.fixture
+def map_points(monkeypatch):
+    """Set `mapspace.MAX_MAP_POINTS` for one test. The cap is read when a
+    pair is first listed, so every cache is emptied after the test, and no
+    map set listed past the usual cap outlives it."""
+    yield lambda points: monkeypatch.setattr(mapspace, "MAX_MAP_POINTS", points)
+    clear_every_cache()
+
+
 def spy_on_class_passes(monkeypatch) -> tuple[list, list]:
     """Record each class pass, a call of `checkers.space_axes`, with its
     bounds, and each labeled rerun, a read of `SpaceAxis.labeled`, which

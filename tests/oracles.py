@@ -66,7 +66,6 @@ from topolab.hypertop import (
     z_scott,
 )
 from topolab.mapspace import (
-    DEFAULT_SIZE_CAP,
     ContMap,
     MapSet,
     enumerate_continuous,
@@ -231,13 +230,11 @@ def literal_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     return MapSet(y, z, tuple(t for t in tables if is_continuous_table(y, z, t)))
 
 
-def literal_o_z_family(
-    y: FinSpace, z: FinSpace, size_cap: int = DEFAULT_SIZE_CAP
-) -> SubsetFamily:
+def literal_o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     """O_Z(Y) by listing: the union of the preimage rows of C(Y, Z), the
     route `o_z_family` replaced by its closed form. The listing's point
-    cap applies."""
-    rows = enumerate_continuous(y, z, size_cap).preimage_rows
+    cap, `mapspace.MAX_MAP_POINTS`, applies."""
+    rows = enumerate_continuous(y, z).preimage_rows
     return SubsetFamily.of(y.size, set().union(*rows.values()))
 
 
@@ -947,6 +944,16 @@ def literal_dual_rows(table) -> list[VerdictReport]:
     return rows
 
 
+def labeled_axes(max_y: int, max_z: int) -> tuple[SpaceAxis, SpaceAxis]:
+    """The labeled axes of `space_axes`, every labeled topology on 1..max_y
+    and on 1..max_z points each deciding for itself, listed from
+    `enumerate_topologies` with no class read and no bound checked."""
+    return tuple(
+        SpaceAxis.own(sp for n in range(1, limit + 1) for sp in enumerate_topologies(n))
+        for limit in (max_y, max_z)
+    )
+
+
 def labeled_theorem_suite(
     max_y: int = 3,
     max_z: int = 2,
@@ -954,14 +961,13 @@ def labeled_theorem_suite(
     seed: int = 0,
 ) -> list[VerdictReport]:
     """`theorem_suite` with its pair rows decided on every labeled pair:
-    the suite's own `_pair_rows` over `suite_spaces`, each space deciding
+    the suite's own `_pair_rows` over `labeled_axes`, each space deciding
     for itself, then the refinement and divergence rows as the suite adds
     them. It makes no class pass, so it reads neither `space_axes` nor
     `SpaceAxis.labeled`, the hooks a test spies on. The
     row builders and the named topologies are looked up through `checkers`
     at call time, so a test that patches one patches both suites."""
-    ys, zs = checkers.suite_spaces(max_y, max_z)
-    out = checkers._pair_rows(SpaceAxis.own(ys), SpaceAxis.own(zs))
+    out = checkers._pair_rows(*labeled_axes(max_y, max_z))
     out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(checkers._divergence_rows())
     return out
@@ -969,7 +975,7 @@ def labeled_theorem_suite(
 
 def labeled_question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
     """`question_search` with every labeled space its own class: the
-    probe's own runner over `suite_spaces`, each labeled pair (or triple)
+    probe's own runner over `labeled_axes`, each labeled pair (or triple)
     decided for itself, and the probe's explanation rule: its clean
     explanation when every row holds, "" otherwise. Like
     `labeled_theorem_suite` it reads neither `space_axes` nor
@@ -979,7 +985,7 @@ def labeled_question_search(qid: str, max_y: int = 3, max_z: int = 2) -> Questio
     if qid not in explorer._RUNNERS:
         return explorer.question_search(qid, max_y, max_z)
     run, clean = explorer._RUNNERS[qid]
-    rows = run(*(SpaceAxis.own(group) for group in checkers.suite_spaces(max_y, max_z)))
+    rows = run(*labeled_axes(max_y, max_z))
     explanation = clean if all(row.status == "holds" for row in rows) else ""
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation

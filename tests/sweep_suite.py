@@ -3,9 +3,13 @@ pass beside its labeled oracle.
 
     PYTHONPATH=src python tests/sweep_suite.py --max-y 4 --max-z 3
 
-Raises `checkers.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for, in
-this process only. Then it runs `theorem_suite`, which decides its pair rows
-once per homeomorphism class pair, and the ten runnable probes of
+Raises every cap the bounds need, in this process only:
+`checkers.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for,
+`mapspace.MAX_MAP_POINTS` to the larger of them, and
+`hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
+many points (32 at five). `finspace.MAX_ENUM_POINTS` stays, so a bound
+stops at five points. Then it runs `theorem_suite`, which decides its pair
+rows once per homeomorphism class pair, and the ten runnable probes of
 `question_search`, which decide theirs once per class pair (class triple
 for q6 and q7); then `oracles.labeled_theorem_suite` and
 `oracles.labeled_question_search`, which decide on every labeled pair,
@@ -17,8 +21,8 @@ are not the oracles'. After each class pass it
 prints the map sets it built, the misses of `mapspace.enumerate_continuous`,
 beside the class pairs it reads. The suite's must be one per class pair
 and, for max_z >= 2, one for the divergence rows; the probes' one per
-distinct (domain, codomain) class pair they read, 730 at (4,3), so a
-hidden rerun on the labeled pairs shows. Exit status 1 when either pair
+distinct (domain, codomain) class pair they read, 730 at (4,3) and
+1,464 at (5,2), so a hidden rerun on the labeled pairs shows. Exit status 1 when either pair
 of byte strings differs or either count is off. Not collected by pytest:
 the labeled sides at (4,3) take seconds.
 """
@@ -105,6 +109,9 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     checkers.MAX_SUITE_Y = max(checkers.MAX_SUITE_Y, args.max_y)
     checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, args.max_z)
+    points = max(args.max_y, args.max_z)
+    mapspace.MAX_MAP_POINTS = max(mapspace.MAX_MAP_POINTS, points)
+    hypertop.MAX_HYPER_GROUND = max(hypertop.MAX_HYPER_GROUND, 1 << points)
     bounds = f"({args.max_y},{args.max_z})"
     cap = (args.max_y, args.max_z)
     suite_got = cold_run(checkers.theorem_suite, suite_to_json, *cap)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -922,7 +923,7 @@ def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
         return real(t)
 
     monkeypatch.setattr(checkers, "evaluation_witness", sierpinski_fails)
-    ys, zs = checkers.suite_spaces(3, 2)
+    ys, zs = (axis.spaces for axis in checkers.space_axes(3, 2))
     both = [z for z in zs if z.size == 2 and len(z.opens) == 3]
     assert [z.opens.members for z in both] == [(0, 1, 3), (0, 2, 3)]
     by_class = checkers._pair_rows(*checkers.space_axes(3, 2))
@@ -957,8 +958,11 @@ def test_suite_rows_at_2_2(suite22):
 
 @pytest.mark.parametrize("bounds", [(0, 2), (3, 0), (-1, -1)])
 def test_suite_spaces_refuses_a_bound_below_one(bounds):
-    with pytest.raises(ValueError, match="at least 1"):
-        checkers.suite_spaces(*bounds)
+    # the axes check the bounds before listing a space, for the suite and
+    # for a probe alike
+    for run in (checkers.space_axes, theorem_suite, partial(question_search, "q1")):
+        with pytest.raises(ValueError, match="at least 1"):
+            run(*bounds)
 
 
 def test_suite_preservation_rows_nonvacuous(suite22):
@@ -997,7 +1001,7 @@ def test_sandwich_rows_match_their_search_oracles(monkeypatch):
 def test_sandwich_rows_run_no_search(monkeypatch):
     # with every comparison and every built refinement refused, both rows
     # at (3,2) still give what their search oracles give
-    ys, zs = checkers.suite_spaces(3, 2)
+    ys, zs = (axis.spaces for axis in checkers.space_axes(3, 2))
     pairs = [(y, z) for y in ys for z in zs]
     table = named_table(pairs)
     want = (literal_splitting_order_row(table), literal_refinement_row(100, 0, 3, 2))

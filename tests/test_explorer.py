@@ -5,7 +5,7 @@ import pytest
 from conftest import clear_every_cache, spy_on_class_passes
 from oracles import labeled_question_search
 from topolab import checkers, explorer, fntop, mapspace
-from topolab.checkers import SpaceAxis, composition_rows, space_axes, suite_spaces
+from topolab.checkers import SpaceAxis, composition_rows, space_axes
 from topolab.errors import BudgetExceeded, UnknownQuestion
 from topolab.explorer import QUESTION_IDS, QuestionProbe, question_search
 from topolab.finspace import bits, discrete, indiscrete, mask_of
@@ -190,7 +190,7 @@ def test_a_class_witness_sends_the_probe_to_the_labeled_pairs(monkeypatch, qid):
     monkeypatch.setattr(explorer, "named_function_topology", _INJECTED[qid])
     got = question_search(qid, 3, 2)
     assert got.to_json() == labeled_question_search(qid, 3, 2).to_json()
-    ys, zs = suite_spaces(3, 2)
+    ys, zs = (axis.spaces for axis in space_axes(3, 2))
     if qid == "q1":
         failed = [r.claim for r in got.result if r.witnesses]
         want = [f"q1:regular t1z {pair_tag(y, indiscrete(2))}" for y in ys]

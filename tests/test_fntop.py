@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topolab import duality, fntop
+from topolab import duality, fntop, hypertop, mapspace
 from topolab.checkers import is_admissible
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import (
@@ -476,12 +476,22 @@ def test_named_subbasis_is_read_from_the_recorded_name():
             assert t.subbasis == tuple(sorted(want))
 
 
-def test_named_subbasis_reads_keep_the_hyperspace_cap():
+def test_the_map_cap_keeps_named_subbasis_reads_within_the_hyperspace_cap():
+    # a Y that C(Y,Z) lists has at most the opens of the discrete space on
+    # MAX_MAP_POINTS points, so a named topology's subbasis read never
+    # meets GroundTooLarge; raising one cap without the other fails here
+    y = discrete(mapspace.MAX_MAP_POINTS)
+    assert len(y.opens) == 1 << mapspace.MAX_MAP_POINTS <= hypertop.MAX_HYPER_GROUND
+
+
+def test_named_subbasis_reads_keep_the_hyperspace_cap(map_points):
     # discrete(5) has 32 opens, past MAX_HYPER_GROUND: its 32 maps into
-    # Sierpinski space list the co and coZ subbasis, 33 subbasics, and
-    # refuse the four Scott-type ones as the hyperspaces do
+    # Sierpinski space, listed with MAX_MAP_POINTS raised to 5, list the co
+    # and coZ subbasis, 33 subbasics, and refuse the four Scott-type ones
+    # as the hyperspaces do
+    map_points(5)
     y = discrete(5)
-    maps = enumerate_continuous(y, sierpinski(), size_cap=5)
+    maps = enumerate_continuous(y, sierpinski())
     assert len(y.opens) > MAX_HYPER_GROUND and len(maps) == 32
     for name in NAMED:
         source = None if name in ("co", "coZ") else name

@@ -68,7 +68,7 @@ def test_self_maps_of_sierpinski(s):
     assert ms.tables == ((0, 0), (0, 1), (1, 1))  # swap (1,0) is discontinuous
 
 
-def test_lexicographic_order_and_oracle_agreement():
+def test_lexicographic_order_and_oracle_agreement(map_points):
     # the walk against the filter over all |Z|^|Y| tables: every labeled
     # pair up to (4,2) and up to (3,3), 0-point spaces on both sides, each
     # 4-point class against every labeled Z of at most 3 points, and three
@@ -83,8 +83,9 @@ def test_lexicographic_order_and_oracle_agreement():
         ms = enumerate_continuous(y, z)
         assert list(ms.tables) == sorted(ms.tables)
         assert ms == literal_continuous(y, z)
+    map_points(5)
     for y in (discrete(5), chain(5), indiscrete(5)):
-        ms = enumerate_continuous(y, sierpinski(), size_cap=5)
+        ms = enumerate_continuous(y, sierpinski())
         assert ms == literal_continuous(y, sierpinski())
         assert len(ms) == len(y.opens)
 
@@ -203,10 +204,11 @@ def test_constants_always_present():
                 assert (v,) * y.size in map_index(ms)
 
 
-def test_budget():
-    with pytest.raises(BudgetExceeded):
+def test_budget(map_points):
+    with pytest.raises(BudgetExceeded, match="capped at 4 points per factor; got 5 and 2"):
         enumerate_continuous(discrete(5), discrete(2))
-    enumerate_continuous(discrete(5), discrete(2), size_cap=5)
+    map_points(5)
+    enumerate_continuous(discrete(5), discrete(2))
 
 
 def test_o_z_family_pinned(s, chain2, disc2, indisc2):
@@ -237,6 +239,18 @@ def test_o_z_family_is_the_union_of_the_preimage_rows():
                 assert relative_profile(yy, z).z_top == got
     assert len(spaces) * len(zs) == 13_650
     assert mapless == 1 + 4 + 29 + 355
+    clear_every_cache()
+
+
+def test_the_listing_oracle_shares_the_package_map_set():
+    # one cache entry per pair: the oracle's listing and the named
+    # topology's read the same C(Y,Z)
+    y, z = chain(3), sierpinski()
+    clear_every_cache()
+    literal_o_z_family(y, z)
+    maps = named_function_topology("co", y, z).maps
+    assert maps is enumerate_continuous(y, z)
+    assert enumerate_continuous.cache_info().currsize == 1
     clear_every_cache()
 
 
@@ -282,16 +296,19 @@ def test_closed_form_lists_no_map(monkeypatch):
     clear_every_cache()
 
 
-def test_a_five_point_y_reaches_the_closed_form():
+def test_a_five_point_y_reaches_the_closed_form(map_points):
     # past the listing's 4-point cap, which no longer applies to O_Z(Y):
-    # against the listing run with size_cap=5, into every Z of at most two
-    # points, the 0-point Z included. The hyperspaces keep their own cap
-    zs = [sp for n in range(3) for sp in enumerate_topologies(n)]
-    for y in _five_point_spaces():
+    # against the listing run with MAX_MAP_POINTS raised to 5, into every Z
+    # of at most two points, the 0-point Z included. The hyperspaces keep
+    # their own cap
+    ys, zs = _five_point_spaces(), [sp for n in range(3) for sp in enumerate_topologies(n)]
+    for y in ys:
         with pytest.raises(BudgetExceeded):
             enumerate_continuous(y, sierpinski())
+    map_points(5)
+    for y in ys:
         for z in zs:
-            want = literal_o_z_family(y, z, size_cap=5)
+            want = literal_o_z_family(y, z)
             ztop = generate_from_subbasis(y.size, want)
             assert o_z_family(y, z) == want
             assert z_topology(y, z) == ztop
@@ -310,7 +327,6 @@ def test_a_five_point_y_reaches_the_closed_form():
             assert strong_z_scott(y, z).opens.members == tuple(
                 sorted(literal_filtration(ground, y.full, pool, pool))
             )
-    clear_every_cache()
 
 
 def test_z_topology_generated(chain2, indisc2):
@@ -373,7 +389,7 @@ def test_cached_results_keep_the_callers_labels():
     assert named_function_topology("co", a, zb).maps.codomain.labels == ("zb0", "zb1")
     # spaces passed by keyword take the same route
     assert scott(y=b).base.labels == ("b0", "b1")
-    assert enumerate_continuous(b, z=za, size_cap=2).domain.labels == ("b0", "b1")
+    assert enumerate_continuous(b, z=za).domain.labels == ("b0", "b1")
     # operands that differ only in labels are mismatched
     with pytest.raises(MismatchedBase):
         lift_open_family(scott(a), enumerate_continuous(bare, sierpinski()))
