@@ -29,10 +29,14 @@ reads every per-pair verdict off minimal opens in the same way, never
 materializes a function space nor lists a subbasis, and builds no dual
 for a named topology.
 
-The suite and the question probes share one class pass. Each side is a
-`SpaceAxis` from `space_axes`: the labeled spaces, one representative
-per homeomorphism class deciding for them. `class_table` decides once
-per pair of deciders, and `over_classes` runs a pass on the class axes,
+The suite and the question probes share one pass over deciders. Each
+side is a `SpaceAxis` from `space_axes`: the labeled spaces, one
+representative per homeomorphism class deciding for them. The probes
+decide on these class axes. The suite decides on their T0 forms,
+`SpaceAxis.t0`, where each labeled space decides through the class of its
+T0 quotient (`finspace.t0_quotient`), so no decider is a space that is not
+T0 and no map set into one is listed. `class_table` decides once per pair
+of deciders, and `over_classes` runs a pass on the two axes it is given,
 then once more on the labeled ones when a row has a witness, so every
 witness names a labeled pair.
 
@@ -65,6 +69,7 @@ from .finspace import (
     local_profile,
     separation_profile,
     sierpinski,
+    t0_quotient,
     transpose,
 )
 from .fntop import (
@@ -336,27 +341,33 @@ def theorem_suite(
     """Every statement the package tracks, checked over every labeled
     topology pair within the bounds; one report per statement.
 
-    Every pair-level claim is topological, so relabeling Y or Z keeps its
-    verdict on a pair. The pair rows are therefore decided by
-    `over_classes` on the axes of `space_axes`: once per homeomorphism
-    class pair, each pair of class representatives weighted by
-    |orbit(y)|·|orbit(z)|, the labeled pairs it stands for. Each count a
-    pair row adds, and each ("pairs", n) budget, is a sum of those
-    weights, so the counts are the labeled pairs'. A witness names a
-    labeled pair, though: when any pair row of the class pass has one,
-    `over_classes` reruns the pair rows on the labeled axes, weight 1
-    each, so the witnesses and their order are the labeled table's.
+    Every pair-level claim reads only the lattices O(Y) and O(Z), so it
+    keeps its verdict when Y or Z is relabeled or replaced by its T0
+    quotient (README "T0 quotients"). The pair rows are therefore decided
+    by `over_classes` on the T0 forms of the axes of `space_axes`: once
+    per pair of T0 classes, each labeled space deciding through the class
+    representative of its T0 quotient, each pair of deciders weighted by
+    the labeled pairs it stands for. Each count a pair row adds, and each
+    ("pairs", n) budget, is a sum of those weights, so the counts are the
+    labeled pairs'; the preservation rows, which count only T0 Z, add the
+    pair's own weight. A witness names a labeled pair, though: when any
+    pair row of the pass has one, `over_classes` reruns the pair rows on
+    the labeled axes, weight 1 each, so the witnesses and their order are
+    the labeled table's. The class pass this replaced is the test oracle
+    `class_theorem_suite`.
 
     Every table a pass reads comes from `_pair_table` on two axes: each
     pair of deciders with its six named topologies in `NAMED` order,
-    looked up once, and its weight, counted off the axes' `index`, so a
+    looked up once, and its weights, counted off the axes' `index`, so a
     row indexes a topology by its position in `NAMED`. The Sierpinski
     rows read the table of the same Y against `chain(2)`, S's class
     representative, which at max_z >= 2 holds the pair table's entries. A
-    cold (3,2) suite makes 1,140 module cache lookups (402 named
-    topologies, 156 profiles) and builds 53 map sets: one per class pair
-    and one for the divergence rows."""
-    out = over_classes(_pair_rows, max_y, max_z)
+    cold (3,2) suite decides 8 x 3 = 24 pairs of T0 deciders, against 52
+    class pairs. It makes 573 module cache lookups (204 named topologies,
+    72 profiles), against the class pass's 1,150, and builds 25 map sets:
+    one per pair of T0 deciders and one for the divergence rows."""
+    ys, zs = space_axes(max_y, max_z)
+    out = over_classes(_pair_rows, ys.t0, zs.t0)
     out.append(_refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(_divergence_rows())
     return out
@@ -384,6 +395,25 @@ class SpaceAxis:
     def labeled(self) -> "SpaceAxis":
         """The same labeled spaces, each deciding for itself."""
         return SpaceAxis.own(self.spaces)
+
+    @property
+    def t0(self) -> "SpaceAxis":
+        """The same labeled spaces, each deciding through the T0 class of
+        its class's quotient, for an axis of `space_axes`: `reps` keeps the
+        deciders whose class some quotient reaches, which are the T0 ones,
+        in their order. The quotient of a decider is itself a labeled space
+        of this axis, `t0_quotient` numbering its blocks by their first
+        point, so its class is read off this axis's `index`. A labeled
+        space is looked up by its encoding, whose largest open, the ground,
+        fixes the point count: on 1-5 points the 7,331 encodings hash in
+        about 1 ms, the spaces' own first hashes in about 9."""
+        position = {sp.encoding(): k for k, sp in enumerate(self.spaces)}
+        quotient = [self.index[position[t0_quotient(rep).encoding()]] for rep in self.reps]
+        kept = sorted(set(quotient))
+        renumber = {k: n for n, k in enumerate(kept)}
+        return SpaceAxis(
+            self.spaces, [self.reps[k] for k in kept], [renumber[quotient[k]] for k in self.index]
+        )
 
     def upto(self, points: int) -> "SpaceAxis":
         """The spaces of at most `points` points, with their deciders, the
@@ -421,12 +451,11 @@ def space_axes(max_y: int, max_z: int) -> tuple[SpaceAxis, SpaceAxis]:
     return tuple(axes)
 
 
-def over_classes(run, max_y: int, max_z: int) -> list[VerdictReport]:
-    """run(ys, zs) on the class axes of `space_axes`, and again on their
-    labeled axes when a row it returns has a witness: a witness read off
-    class representatives names them, so the rerun gives the witnesses,
-    and their order, of the labeled pairs."""
-    ys, zs = space_axes(max_y, max_z)
+def over_classes(run, ys: SpaceAxis, zs: SpaceAxis) -> list[VerdictReport]:
+    """run(ys, zs) on two axes of deciders, and again on their labeled
+    axes when a row it returns has a witness: a witness read off deciders
+    names them, so the rerun gives the witnesses, and their order, of the
+    labeled pairs."""
     rows = run(ys, zs)
     if any(row.witnesses for row in rows):
         rows = run(ys.labeled, zs.labeled)
@@ -441,12 +470,17 @@ def class_table(ys: SpaceAxis, zs: SpaceAxis, decide) -> list[list]:
 
 def _pair_table(ys: SpaceAxis, zs: SpaceAxis) -> list:
     """Each pair (y, z) of deciders of ys and zs, y-major, with its six
-    named topologies in `NAMED` order, looked up once, and its weight:
-    the labeled pairs it decides for, the product of the labeled spaces
-    each decider decides for. The one table shape every pair row reads."""
+    named topologies in `NAMED` order, looked up once, and two weights.
+    The weight is the labeled pairs it decides for, the product of the
+    labeled spaces each decider decides for. The own weight counts only
+    the labeled Z homeomorphic to z: those with as many points as z, since
+    a Z deciding through a smaller z is not T0. It is what a row reading
+    z's own profile as Z's may count, and it equals the weight on a class
+    or a labeled axis. The one table shape every pair row reads."""
     wy, wz = Counter(ys.index), Counter(zs.index)
+    own = Counter(j for z, j in zip(zs.spaces, zs.index) if z.size == zs.reps[j].size)
     return [
-        (y, z, [named_function_topology(k, y, z) for k in NAMED], wy[i] * wz[j])
+        (y, z, [named_function_topology(k, y, z) for k in NAMED], wy[i] * wz[j], wy[i] * own[j])
         for i, y in enumerate(ys.reps)
         for j, z in enumerate(zs.reps)
     ]
@@ -467,7 +501,7 @@ def _pair_rows(ys: SpaceAxis, zs: SpaceAxis) -> list[VerdictReport]:
 
 def _pairs(table) -> int:
     """The labeled pairs a table stands for: the sum of its weights."""
-    return sum(w for *_, w in table)
+    return sum(w for _, _, _, w, _ in table)
 
 
 def _admissibility_rows(table) -> list[VerdictReport]:
@@ -476,7 +510,7 @@ def _admissibility_rows(table) -> list[VerdictReport]:
     n = _pairs(table)
     true_counts = [0] * len(NAMED)
     witnesses = [[] for _ in NAMED]
-    for y, z, ts, weight in table:
+    for y, z, ts, weight, _ in table:
         lp, rp = local_profile(y), relative_profile(y, z)
         hyps = (
             lp.regular and lp.locally_compact,
@@ -501,19 +535,21 @@ def _admissibility_rows(table) -> list[VerdictReport]:
 
 
 def _preservation_rows(table) -> list[VerdictReport]:
-    """The separation grades of Z carry over to each named topology."""
+    """The separation grades of Z carry over to each named topology. A
+    grade holds only for a T0 Z, which is homeomorphic to its decider, so a
+    pair counts its own weight."""
     n = _pairs(table)
     budget = (("pairs", n),)
-    z_profiles = [separation_profile(z) for _, z, _, _ in table]
+    z_profiles = [separation_profile(z) for _, z, _, _, _ in table]
     rows = []
     for grade in ("t0", "t1", "t2"):
         for k, name in enumerate(NAMED):
             true_count = 0
             witnesses = []
-            for (y, z, ts, weight), zp in zip(table, z_profiles):
+            for (y, z, ts, _, own), zp in zip(table, z_profiles):
                 if not getattr(zp, grade):
                     continue
-                true_count += weight
+                true_count += own
                 if not getattr(ts[k].profile, grade):
                     witnesses.append((pair_tag(y, z),))
             claim = f"preserve:{grade} {name}"
@@ -537,7 +573,7 @@ def _grid_rows(table) -> list[VerdictReport]:
     for lo, hi in _GRID:
         i, j = NAMED.index(lo), NAMED.index(hi)
         witnesses = []
-        for y, z, ts, _ in table:
+        for y, z, ts, _, _ in table:
             cmp = compare_topologies(ts[i], ts[j])
             if cmp.verdict not in ("equal", "a_coarser"):
                 witnesses.append((pair_tag(y, z), cmp.verdict))
@@ -547,7 +583,7 @@ def _grid_rows(table) -> list[VerdictReport]:
     # only tabulates verdicts and stays inconclusive
     counts = {"equal": 0, "a_coarser": 0, "a_finer": 0, "incomparable": 0}
     i, j = NAMED.index("t1z"), NAMED.index("t1sz")
-    for _, _, ts, weight in table:
+    for _, _, ts, weight, _ in table:
         counts[compare_topologies(ts[i], ts[j]).verdict] += weight
     budget = tuple(sorted(counts.items()))
     claim = "grid:t1z-vs-t1sz"
@@ -565,7 +601,7 @@ def _splitting_order_row(table) -> VerdictReport:
     is the test oracle `literal_splitting_order_row`. The ("max_x", 2)
     entry only labels the row; the frozen suite bytes pin it."""
     checked = 0
-    for _, _, ts, weight in table:
+    for _, _, ts, weight, _ in table:
         below = sum(first_escape(t.maps.pointwise, t.min_opens) is None for t in ts)
         above = sum(evaluation_witness(t) is None for t in ts)
         checked += below * above * weight
@@ -586,19 +622,19 @@ def _sierpinski_rows(table) -> list[VerdictReport]:
     n = _pairs(table)
     found = {
         "sierpinski:z-topology-is-identity": [
-            (fam_tag(y),) for y, s, _, _ in table if z_topology(y, s).opens != y.opens
+            (fam_tag(y),) for y, s, _, _, _ in table if z_topology(y, s).opens != y.opens
         ]
     }
     for lo, hi in (("co", "coZ"), ("isbell", "t1z"), ("sisbell", "t1sz")):
         i, j = NAMED.index(lo), NAMED.index(hi)
         witnesses = found[f"sierpinski:{lo}={hi}"] = []
-        for y, _, ts, _ in table:
+        for y, _, ts, _, _ in table:
             cmp = compare_topologies(ts[i], ts[j])
             if cmp.verdict != "equal":
                 witnesses.append((fam_tag(y), cmp.verdict))
     k = NAMED.index("coZ")
     found["sierpinski:characteristic-homeomorphism"] = [
-        (fam_tag(y),) for y, _, ts, _ in table if not _characteristic_homeomorphism(ts[k])
+        (fam_tag(y),) for y, _, ts, _, _ in table if not _characteristic_homeomorphism(ts[k])
     ]
     return [VerdictReport.of(c, w, n, n) for c, w in found.items()]
 
@@ -638,7 +674,7 @@ def _dual_rows(table) -> list[VerdictReport]:
     """
     equiv_wit = []
     forward_hyp = 0
-    for y, z, ts, weight in table:
+    for y, z, ts, weight, _ in table:
         for name, t in zip(NAMED, ts):
             if evaluation_witness(t) is None:
                 forward_hyp += weight

@@ -13,10 +13,13 @@ runner takes its two sides as `checkers.SpaceAxis`es, decides one
 comparison, a `t1z` topology, a splitting search; q6 and q7 leave theirs
 to `composition_rows`), and returns one row per labeled pair, in the
 labeled order, by indexing that table with the two class positions.
-`question_search` runs it through `checkers.over_classes`, the class pass
-the theorem suite makes too: when a row has a witness, the runner runs
-again with every labeled space deciding for itself, so the witnesses and
-their order are the labeled ones.
+`question_search` runs it through `checkers.over_classes` on the class
+axes of `checkers.space_axes`, the pass the theorem suite makes on their
+T0 forms: when a row has a witness, the runner runs again with every
+labeled space deciding for itself, so the witnesses and their order are
+the labeled ones. The probes keep the class axes. q1 reads Z's
+separation profile, which a T0 quotient does not keep for a Z that is not
+T0, so a probe moves to T0 deciders only with its own invariance proof.
 
 A probe's explanation distinguishes two kinds of clean outcome. Plain
 searches that find nothing say "no witness at these bounds". Where the
@@ -32,7 +35,14 @@ from __future__ import annotations
 import json
 from functools import partial
 
-from .checkers import SpaceAxis, class_table, composition_rows, over_classes, refute_splitting
+from .checkers import (
+    SpaceAxis,
+    class_table,
+    composition_rows,
+    over_classes,
+    refute_splitting,
+    space_axes,
+)
 from .errors import UnknownQuestion
 from .finspace import Frozen, discrete, separation_profile
 from .fntop import compare_topologies, named_function_topology
@@ -207,7 +217,7 @@ def question_search(qid: str, max_y: int = 3, max_z: int = 2) -> QuestionProbe:
     if qid not in _RUNNERS:
         raise UnknownQuestion(f"{qid!r} is not registered; known ids: {QUESTION_IDS}")
     run, clean = _RUNNERS[qid]
-    rows = over_classes(run, max_y, max_z)
+    rows = over_classes(run, *space_axes(max_y, max_z))
     explanation = clean if all(row.status == "holds" for row in rows) else ""
     return QuestionProbe(
         id=qid, bounds=(max_y, max_z), result=tuple(rows), explanation=explanation

@@ -20,6 +20,9 @@ relabel table per permutation, and gives each class its least encoding,
 which is `canonical_form` of any member, with its orbit's size;
 `enumerate_topologies` up to homeomorphism reads its representatives, and
 `class_index` reads each labeled topology's class off the same sweep.
+`t0_quotient` merges the points with equal minimal opens, keeping the
+lattice of opens; the theorem suite decides its pair rows on those
+quotients.
 """
 
 from __future__ import annotations
@@ -415,6 +418,23 @@ def subspace(x: FinSpace, carrier: Subset) -> FinSpace:
     traces = {mask_of(pos[p] for p in bits(o & carrier)) for o in x.opens}
     labels = tuple(x.label_of(p) for p in kept) if kept else None
     return FinSpace(len(kept), SubsetFamily.of(len(kept), traces), labels)
+
+
+def t0_quotient(x: FinSpace) -> FinSpace:
+    """The T0 (Kolmogorov) quotient: the points with equal minimal opens
+    merged, each block numbered by its first point and keeping that point's
+    label. Every open is a union of blocks, so sending each open to the
+    blocks it holds is a lattice isomorphism from O(x) onto the quotient's
+    opens. A T0 space is returned as it is, and the quotient of an
+    unlabeled space is the labeled topology `enumerate_topologies` lists."""
+    block: dict[Subset, int] = {}
+    of = [block.setdefault(m, len(block)) for m in x.min_opens]
+    if len(block) == x.size:
+        return x
+    k = len(block)
+    opens = tuple(sorted(mask_of(of[p] for p in bits(o)) for o in x.opens))
+    labels = None if x.labels is None else tuple(x.labels[of.index(b)] for b in range(k))
+    return FinSpace(k, SubsetFamily(k, opens), labels)
 
 
 def closure_of(x: FinSpace, a: Subset) -> Subset:

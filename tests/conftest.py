@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from topolab import checkers, finspace, fntop, hypertop, mapspace
+from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
 from topolab.finspace import FinSpace, chain, discrete, enumerate_topologies, indiscrete, make_space, sierpinski
 
 
@@ -72,11 +72,36 @@ def map_points(monkeypatch):
     clear_every_cache()
 
 
+@pytest.fixture
+def suite_caps(monkeypatch):
+    """Raise every cap a suite at (max_y, max_z) needs for one test, as
+    `tests/sweep_suite.py` does: `checkers.MAX_SUITE_Y` and `MAX_SUITE_Z`
+    to the bounds, `mapspace.MAX_MAP_POINTS` to the larger of them, and
+    `hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
+    many points. No cap is lowered. Caps are read when a cache entry is
+    first built, so every cache is emptied after the test, as `map_points`
+    empties them."""
+
+    def raise_caps(max_y: int, max_z: int) -> None:
+        points = max(max_y, max_z)
+        for module, name, value in (
+            (checkers, "MAX_SUITE_Y", max_y),
+            (checkers, "MAX_SUITE_Z", max_z),
+            (mapspace, "MAX_MAP_POINTS", points),
+            (hypertop, "MAX_HYPER_GROUND", 1 << points),
+        ):
+            monkeypatch.setattr(module, name, max(getattr(module, name), value))
+
+    yield raise_caps
+    clear_every_cache()
+
+
 def spy_on_class_passes(monkeypatch) -> tuple[list, list]:
-    """Record each class pass, a call of `checkers.space_axes`, with its
-    bounds, and each labeled rerun, a read of `SpaceAxis.labeled`, which
-    only `over_classes` and the escape rebuild of `composition_rows` make.
-    The two lists fill as the patched calls run."""
+    """Record each class pass, a call of `checkers.space_axes` from the
+    suite or a probe, with its bounds, and each labeled rerun, a read of
+    `SpaceAxis.labeled`, which only `over_classes` and the escape rebuild
+    of `composition_rows` make. The two lists fill as the patched calls
+    run."""
     passes, reruns = [], []
     space_axes, labeled = checkers.space_axes, checkers.SpaceAxis.labeled
 
@@ -89,5 +114,6 @@ def spy_on_class_passes(monkeypatch) -> tuple[list, list]:
         return labeled.fget(axis)
 
     monkeypatch.setattr(checkers, "space_axes", counted_axes)
+    monkeypatch.setattr(explorer, "space_axes", counted_axes)
     monkeypatch.setattr(checkers.SpaceAxis, "labeled", property(counted_labeled))
     return passes, reruns

@@ -15,7 +15,10 @@ built every named topology's dual, which the suite replaced by the
 Scott-trace sandwich, and runs the package's own dual operators;
 `labeled_theorem_suite` keeps the suite's pair rows over every labeled
 pair, which the suite replaced by one pass per homeomorphism class pair,
-and runs the suite's own `_pair_rows`; `labeled_question_search` keeps
+and runs the suite's own `_pair_rows`; `class_theorem_suite` keeps that
+class pass, which the suite replaced by one pass per pair of T0
+quotient classes, and runs it through the suite's own `over_classes`;
+`labeled_question_search` keeps
 the question probes' rows over every labeled pair, which the probes
 replaced by one decision per class pair, and runs the probes' own
 runners;
@@ -855,7 +858,7 @@ def literal_splitting_order_row(table) -> VerdictReport:
     checked = 0
     pairs = 0
     witnesses = []
-    for y, z, _, weight in table:
+    for y, z, _, weight, _ in table:
         pairs += weight
         ts = [named_function_topology(name, y, z) for name in NAMED]
         candidates = [
@@ -926,7 +929,7 @@ def literal_dual_rows(table) -> list[VerdictReport]:
     equiv_wit = []
     forward_hyp = 0
     instances = 0
-    for y, z, _, weight in table:
+    for y, z, _, weight, _ in table:
         verdicts = _per_carrier(y, z, _dual_verdicts)
         for name in NAMED:
             instances += weight
@@ -968,6 +971,24 @@ def labeled_theorem_suite(
     row builders and the named topologies are looked up through `checkers`
     at call time, so a test that patches one patches both suites."""
     out = checkers._pair_rows(*labeled_axes(max_y, max_z))
+    out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
+    out.extend(checkers._divergence_rows())
+    return out
+
+
+def class_theorem_suite(
+    max_y: int = 3,
+    max_z: int = 2,
+    refinement_samples: int = DEFAULT_REFINEMENT_SAMPLES,
+    seed: int = 0,
+) -> list[VerdictReport]:
+    """`theorem_suite` with its pair rows decided once per homeomorphism
+    class pair: the suite's own `_pair_rows` through `over_classes` on the
+    class axes of `space_axes`, each class representative deciding for its
+    class, then the refinement and divergence rows as the suite adds them.
+    It reads `space_axes`, and `SpaceAxis.labeled` on a witness, as the
+    suite does."""
+    out = checkers.over_classes(checkers._pair_rows, *checkers.space_axes(max_y, max_z))
     out.append(checkers._refinement_row(refinement_samples, seed, max_y, max_z))
     out.extend(checkers._divergence_rows())
     return out

@@ -1,5 +1,5 @@
-"""The theorem suite and the question probes past their caps: each class
-pass beside its labeled oracle.
+"""The theorem suite and the question probes past their caps: each fast
+pass beside its oracles.
 
     PYTHONPATH=src python tests/sweep_suite.py --max-y 4 --max-z 3
 
@@ -8,23 +8,30 @@ Raises every cap the bounds need, in this process only:
 `mapspace.MAX_MAP_POINTS` to the larger of them, and
 `hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
 many points (32 at five). `finspace.MAX_ENUM_POINTS` stays, so a bound
-stops at five points. Then it runs `theorem_suite`, which decides its pair
-rows once per homeomorphism class pair, and the ten runnable probes of
-`question_search`, which decide theirs once per class pair (class triple
-for q6 and q7); then `oracles.labeled_theorem_suite` and
-`oracles.labeled_question_search`, which decide on every labeled pair,
-each run with every module cache emptied first. For the suite and for the
-probes it prints whether the JSON bytes agree, each cold time in raw
-seconds, and the process's peak RSS after each run, both taken before the
-output is serialized; the two class passes run first, so their figures
-are not the oracles'. After each class pass it
-prints the map sets it built, the misses of `mapspace.enumerate_continuous`,
-beside the class pairs it reads. The suite's must be one per class pair
-and, for max_z >= 2, one for the divergence rows; the probes' one per
-distinct (domain, codomain) class pair they read, 730 at (4,3) and
-1,464 at (5,2), so a hidden rerun on the labeled pairs shows. Exit status 1 when either pair
-of byte strings differs or either count is off. Not collected by pytest:
-the labeled sides at (4,3) take seconds.
+stops at five points. Each run starts with every module cache emptied:
+- `theorem_suite`, which decides its pair rows once per pair of T0
+  quotient classes;
+- `oracles.class_theorem_suite`, the class pass it replaced, once per
+  homeomorphism class pair;
+- the ten runnable probes of `question_search`, once per class pair
+  (class triple for q6 and q7);
+- `oracles.labeled_theorem_suite` and `oracles.labeled_question_search`,
+  which decide on every labeled pair.
+
+It prints whether the suite's JSON bytes agree with both suite oracles,
+and the probes' with theirs; each cold time in raw seconds, and the peak
+RSS after each run, both taken before the output is serialized. The peak
+is the process's high-water mark, so the runs go in the order above,
+small to large, and the labeled oracles' figures include the probes'
+JSON. For the suite and the probes it prints the map sets each built,
+the misses of `mapspace.enumerate_continuous`, beside the pairs it reads.
+The suite's must be one per pair of T0 deciders, 192 at (4,3) and 261 at
+(5,2), and, for max_z >= 2, one for the divergence rows; the class pairs
+are printed beside them. The probes' must be one per distinct (domain,
+codomain) class pair they read, 730 at (4,3) and 1,464 at (5,2), so a
+hidden rerun on the labeled pairs shows. Exit status 1 when any pair of
+byte strings differs or either count is off. Not collected by pytest: the
+labeled sides at (4,3) take seconds.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import resource
 import sys
 import time
 
-from oracles import labeled_question_search, labeled_theorem_suite
+from oracles import class_theorem_suite, labeled_question_search, labeled_theorem_suite
 from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
 from topolab.explorer import QuestionProbe
 from topolab.finspace import discrete
@@ -90,15 +97,20 @@ def probes_to_json(out: list[QuestionProbe]) -> str:
     return "\n".join(probe.to_json() for probe in out)
 
 
-def report(name: str, bounds: str, got, want) -> bool:
-    text, class_s, class_mb, map_sets = got
-    agree = text == want[0]
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    print(f"{name} {bounds}: class pass and labeled oracle {'agree' if agree else 'DIFFER'}")
-    print(f"  sha256 {digest}")
-    print(f"  class pass     {class_s:.3f} s cold, peak RSS {class_mb:.1f} MB")
-    print(f"  labeled oracle {want[1]:.3f} s cold, peak RSS {want[2]:.1f} MB")
-    print(f"  class pass built {map_sets} map sets")
+def report(name: str, bounds: str, got, oracles: dict) -> bool:
+    """Print how got compares with each oracle's run, by name, and
+    whether all of them agree."""
+    text, seconds, peak, map_sets = got
+    agree = True
+    for oracle, want in oracles.items():
+        same = text == want[0]
+        agree = agree and same
+        print(f"{name} {bounds}: {oracle} oracle {'agrees' if same else 'DIFFERS'}")
+    print(f"  sha256 {hashlib.sha256(text.encode()).hexdigest()}")
+    print(f"  {name:<15}{seconds:.3f} s cold, peak RSS {peak:.1f} MB")
+    for oracle, want in oracles.items():
+        print(f"  {oracle + ' oracle':<15}{want[1]:.3f} s cold, peak RSS {want[2]:.1f} MB")
+    print(f"  {name} built {map_sets} map sets")
     return agree
 
 
@@ -115,16 +127,21 @@ def main(argv=None) -> int:
     bounds = f"({args.max_y},{args.max_z})"
     cap = (args.max_y, args.max_z)
     suite_got = cold_run(checkers.theorem_suite, suite_to_json, *cap)
+    class_want = cold_run(class_theorem_suite, suite_to_json, *cap)
     probes_got = cold_run(probes(explorer.question_search), probes_to_json, *cap)
-    suite_want = cold_run(labeled_theorem_suite, suite_to_json, *cap)
-    probes_want = cold_run(probes(labeled_question_search), probes_to_json, *cap)
+    suite_want = {
+        "class": class_want,
+        "labeled": cold_run(labeled_theorem_suite, suite_to_json, *cap),
+    }
+    probes_want = {"labeled": cold_run(probes(labeled_question_search), probes_to_json, *cap)}
     ys, zs = checkers.space_axes(args.max_y, args.max_z)
     class_pairs = len(ys.reps) * len(zs.reps)
-    built_once = args.max_z < 2 or suite_got[3] == class_pairs + 1
+    t0_pairs = len(ys.t0.reps) * len(zs.t0.reps)
+    built_once = args.max_z < 2 or suite_got[3] == t0_pairs + 1
     agree = report("suite", bounds, suite_got, suite_want)
-    print(f"  for {class_pairs} class pairs")
+    print(f"  for {t0_pairs} T0 pairs ({class_pairs} class pairs)")
     if not built_once:
-        print(f"  expected {class_pairs + 1}: one per class pair, one for the divergence rows")
+        print(f"  expected {t0_pairs + 1}: one per T0 pair, one for the divergence rows")
     read = probe_class_pairs(ys, zs)
     probes_once = probes_got[3] == read
     agree = report("probes", bounds, probes_got, probes_want) and agree

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 from collections import Counter
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import all_spaces_up_to, clear_every_cache, spy_on_class_passes
 from oracles import (
+    class_theorem_suite,
     literal_characteristic_homeomorphism,
     literal_compare_topologies,
     literal_composition_check,
@@ -40,6 +42,7 @@ from topolab.errors import BudgetExceeded, GroundTooLarge
 from topolab.explorer import QUESTION_IDS, question_search
 from topolab.finspace import (
     bits,
+    canonical_form,
     chain,
     discrete,
     enumerate_topologies,
@@ -48,7 +51,9 @@ from topolab.finspace import (
     local_profile,
     make_space,
     product,
+    separation_profile,
     sierpinski,
+    t0_quotient,
 )
 from topolab import mapspace
 from topolab.fntop import (
@@ -75,8 +80,8 @@ def fn_discrete(maps):
 
 def named_table(pairs, topology=named_function_topology):
     # the suite's per-pair table over labeled pairs: each pair with its six
-    # named topologies and weight 1
-    return [(y, z, [topology(k, y, z) for k in NAMED], 1) for y, z in pairs]
+    # named topologies, weight 1 and own weight 1
+    return [(y, z, [topology(k, y, z) for k in NAMED], 1, 1) for y, z in pairs]
 
 
 @pytest.fixture(scope="module")
@@ -853,26 +858,27 @@ def test_dual_rows_match_their_per_carrier_oracle(monkeypatch):
 
 
 def test_suite_reads_each_pair_once():
-    # a cold (3,2) suite looks the six named topologies of each of the 52
-    # class pairs up once, 312 lookups, those of each of the 13 Y classes
-    # against S, chain(2), once more, 78 hits on the same entries, and 12
-    # for the refinement row. It reads three profiles per class pair
-    # (local, relative via Y's, Z's): 156. So it builds one map set, six
-    # named topologies and one Z-topology per class pair, and one map set
-    # more for the divergence rows. The labeled oracle reads the 34
-    # labeled Y against S again through the same table builder
+    # a cold (3,2) suite decides on the 8 x 3 = 24 pairs of T0 deciders
+    # (posets on 1-3 and on 1-2 points). It looks the six named topologies
+    # of each up once, 144 lookups, those of each of the 8 Y deciders
+    # against S, chain(2), once more, 48 hits on the same entries, and 12
+    # for the refinement row. It reads three profiles per pair (local,
+    # relative via Y's, Z's): 72. So it builds one map set, six named
+    # topologies and one Z-topology per T0 pair, and one map set more for
+    # the divergence rows. The labeled oracle reads the 34 labeled Y
+    # against S again through the same table builder
     clear_every_cache()
     theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
         for fn in (named_function_topology, finspace._profile)
     ]
-    assert reads == [402, 156]
+    assert reads == [204, 72]
     misses = [
         fn.cache_info().misses
         for fn in (mapspace.enumerate_continuous, named_function_topology, mapspace.z_topology)
     ]
-    assert misses == [52 + 1, 52 * 6, 52]
+    assert misses == [24 + 1, 24 * 6, 24]
     clear_every_cache()
     labeled_theorem_suite(3, 2)
     reads = [
@@ -883,11 +889,11 @@ def test_suite_reads_each_pair_once():
 
 
 def test_class_suite_matches_its_labeled_oracle(monkeypatch):
-    # the suite decides its pair rows once per homeomorphism class pair,
-    # each weighted by its orbit sizes, with no fallback to the labeled
-    # pairs at these bounds; its JSON equals that of the suite over every
-    # labeled pair at every bound up to (3,2), seeds 0-5, sample counts
-    # from -1 to 100, and at (4,2) and (3,3) with the caps raised here
+    # the suite decides its pair rows once per pair of T0 deciders, each
+    # weighted by the labeled pairs it stands for, with no fallback to the
+    # labeled pairs at these bounds; its JSON equals that of the suite over
+    # every labeled pair at every bound up to (3,2), seeds 0-5, sample
+    # counts from -1 to 100, and at (4,2) and (3,3) with the caps raised here
     passes, reruns = spy_on_class_passes(monkeypatch)
     configs = 0
     for max_y in (1, 2, 3):
@@ -907,10 +913,68 @@ def test_class_suite_matches_its_labeled_oracle(monkeypatch):
     assert len(passes) == 182 and reruns == []
 
 
+# sha256 of the class pass's suite JSON at (5,3), recorded before the suite
+# decided on T0 quotient pairs
+SUITE53_SHA256 = "4856f9520abb66c42b9361273b4d123c2e7008691c19a2ef19b861d1aa42bbc8"
+
+
+def test_t0_route_matches_the_class_pass(suite_caps):
+    # the suite decides its pair rows on pairs of T0 deciders; its JSON
+    # equals that of the class pass it replaced at every bound up to (3,2),
+    # and with the caps raised at (4,2), (3,3), (4,3), (5,2) and (5,3)
+    for max_y in (1, 2, 3):
+        for max_z in (1, 2):
+            got = suite_to_json(theorem_suite(max_y, max_z))
+            assert got == suite_to_json(class_theorem_suite(max_y, max_z))
+    suite_caps(5, 3)
+    for bounds in ((4, 2), (3, 3), (4, 3), (5, 2), (5, 3)):
+        got = suite_to_json(theorem_suite(*bounds))
+        assert got == suite_to_json(class_theorem_suite(*bounds))
+    assert hashlib.sha256(got.encode()).hexdigest() == SUITE53_SHA256
+
+
+def test_the_t0_axis_decides_through_each_quotient_class(suite_caps):
+    # on the axes at (4,3), each labeled space decides through the class
+    # of its T0 quotient, and the deciders are the T0 class representatives
+    # in class order: posets on 1-4 points, 1 + 2 + 5 + 16 of them
+    suite_caps(4, 3)
+    for axis, t0_classes in zip(checkers.space_axes(4, 3), (24, 8)):
+        t0 = axis.t0
+        assert t0.spaces is axis.spaces
+        assert t0.reps == [rep for rep in axis.reps if separation_profile(rep).t0]
+        assert len(t0.reps) == t0_classes
+        assert [t0.reps[k].encoding() for k in t0.index] == [
+            canonical_form(t0_quotient(sp)) for sp in axis.spaces
+        ]
+
+
+def test_a_cold_suite_lists_maps_only_between_t0_spaces(monkeypatch, suite_caps):
+    # a cold suite at (4,3) lists one map set per pair of T0 deciders, 24 x
+    # 8 of them, and one for the divergence rows' fixed pair, the point
+    # into a Sierpinski space, which is T0 as well: no domain or codomain
+    # that is not T0
+    suite_caps(4, 3)
+    listed = []
+    real = mapspace.enumerate_continuous
+
+    def spy(y, z):
+        listed.append((y, z))
+        return real(y, z)
+
+    for module in (checkers, fntop):
+        monkeypatch.setattr(module, "enumerate_continuous", spy)
+    clear_every_cache()
+    theorem_suite(4, 3)
+    pairs = set(listed)
+    assert (discrete(1), sierpinski()) in pairs
+    assert len(pairs) == 24 * 8 + 1 == real.cache_info().misses
+    assert all(separation_profile(y).t0 and separation_profile(z).t0 for y, z in pairs)
+
+
 def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
     # no bound up to (4,3) has a pair-level witness, so inject one that
     # relabeling keeps: every t into a Sierpinski space, either labeling,
-    # fails evaluation at the open point. The class pass then has
+    # fails evaluation at the open point. The pass on T0 deciders then has
     # witnesses naming class representatives, and the suite gives the
     # labeled oracle's bytes, its witnesses named by labeled pairs in
     # labeled order
@@ -926,7 +990,7 @@ def test_a_class_witness_sends_the_pair_rows_to_the_labeled_pairs(monkeypatch):
     ys, zs = (axis.spaces for axis in checkers.space_axes(3, 2))
     both = [z for z in zs if z.size == 2 and len(z.opens) == 3]
     assert [z.opens.members for z in both] == [(0, 1, 3), (0, 2, 3)]
-    by_class = checkers._pair_rows(*checkers.space_axes(3, 2))
+    by_class = checkers._pair_rows(*(axis.t0 for axis in checkers.space_axes(3, 2)))
     got = theorem_suite(3, 2)
     assert suite_to_json(got) == suite_to_json(labeled_theorem_suite(3, 2))
     claim = "admissible:co when=regular+locally_compact"

@@ -47,6 +47,7 @@ from topolab.finspace import (
     separation_profile,
     sierpinski,
     subspace,
+    t0_quotient,
     topology_classes,
 )
 from topolab.hypertop import HyperSpace
@@ -288,6 +289,43 @@ def test_t0_counts():
         for n in range(6)
     ]
     assert classes == [1, 1, 2, 5, 16, 63]
+
+
+def test_t0_quotient_is_idempotent_and_keeps_the_opens():
+    # every labeled space on at most 4 points: the quotient is T0, a second
+    # quotient returns it as it is, and O(Y0) has as many opens as O(Y);
+    # a T0 space, labeled or not, is its own quotient
+    for y in all_spaces_up_to(4):
+        y0 = t0_quotient(y)
+        assert separation_profile(y0).t0
+        assert t0_quotient(y0) is y0
+        assert len(y0.opens) == len(y.opens)
+        assert y0.labels is None and (y0 is y) == separation_profile(y).t0
+    labeled = FinSpace(3, chain(3).opens, ("a", "b", "c"))
+    assert t0_quotient(labeled) is labeled
+
+
+def test_t0_quotient_merges_equal_minimal_opens():
+    # an indiscrete space goes to one point; blocks are numbered by their
+    # first point and keep its label
+    point = make_space(1, [0, 1])
+    for n in range(1, 6):
+        assert t0_quotient(indiscrete(n)) == point
+    # points 0 and 2 share the minimal open {0,2}, point 1 has the ground
+    x = make_space(3, [0, 0b101, 0b111], labels=("a", "b", "c"))
+    assert t0_quotient(x) == FinSpace(2, SubsetFamily(2, (0, 0b01, 0b11)), ("a", "b"))
+
+
+def test_t0_quotients_reach_every_poset_class():
+    # the quotients of the classes on exactly n points reach every T0 class
+    # on at most n points, and no other: by point count 1, 2, 5, 16 and 63
+    # (OEIS A000112), each a class representative's canonical form
+    posets = [1, 2, 5, 16, 63]
+    for n in range(1, 6):
+        classes = enumerate_topologies(n, up_to_iso=True)
+        reached = {canonical_form(t0_quotient(x)) for x in classes}
+        sizes = Counter(max(e).bit_length() for e in reached)
+        assert sizes == {k: posets[k - 1] for k in range(1, n + 1)}
 
 
 def test_discrete_is_t2():
