@@ -40,9 +40,13 @@ of deciders, and `over_classes` runs a pass on the two axes it is given,
 then once more on the labeled ones when a row has a witness, so every
 witness names a labeled pair.
 
-Every report is built by `VerdictReport.of`, so its status follows from its
-witnesses: "fails" exactly when there are some, and otherwise "holds", or
-"inconclusive" for the bounded search and the one tabulating row.
+A report is a claim and a verdict. Every verdict is built by
+`VerdictReport.of`, so its status follows from its witnesses: "fails"
+exactly when there are some, and otherwise "holds", or "inconclusive" for
+the bounded search and the one tabulating row. A probe decides one
+verdict per pair of deciders and names it once per labeled pair, with
+`VerdictReport.named`: `composition_rows` tables one report per (y, z)
+and names it once per triple.
 
 Every implication a report covers is treated as a material conditional: the
 count of hypothesis-true instances rides along, so a vacuous pass is visible
@@ -260,7 +264,9 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
     `composition_check` would. The literal walk over the composite table
     is the test oracle `literal_composition_check`. The middle pair's
     three relative hypothesis flags ride along in the budget; the one
-    matching the middle kind sets the hypothesis count.
+    matching the middle kind sets the hypothesis count. So every triple
+    through (y, z) has one verdict, a report tabled per (y, z) and
+    `named` once per triple.
 
     Each axis is a list of spaces, each tabled for itself, or a
     `SpaceAxis`, whose deciders `class_table` tables and its labeled
@@ -292,8 +298,7 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
             xy_escape, yz_row, hyp_row = xy_row[yi], yz[yi], hyp[yi]
             prefix = f"{head} x={x.tag} y={y.tag} z="
             for z, zi in zip(z_axis.spaces, z_axis.index):
-                yz_escape, xz_escape, (count, budget) = yz_row[zi], xz_row[zi], hyp_row[zi]
-                claim = prefix + z.tag
+                yz_escape, xz_escape = yz_row[zi], xz_row[zi]
                 if xy_escape or yz_escape or xz_escape:
                     for containment, escape in (
                         ("C(X,Y) contains", xy_escape),
@@ -302,10 +307,10 @@ def composition_rows(xs, ys, zs, kinds: tuple[str, str, str]) -> list[VerdictRep
                     ):
                         if escape:
                             raise AssertionError(
-                                f"{claim}: {containment} the pointwise topology "
-                                f"fails at maps {escape}"
+                                f"{prefix}{z.tag}: {containment} the pointwise "
+                                f"topology fails at maps {escape}"
                             )
-                rows.append(VerdictReport.of(claim, (), count, 1, budget=budget))
+                rows.append(hyp_row[zi].named(prefix + z.tag))
     return rows
 
 
@@ -319,8 +324,9 @@ def _pointwise_escape(kind: str, dom: FinSpace, cod: FinSpace, below: bool = Fal
     return first_escape(t.min_opens, t.maps.pointwise) or ()
 
 
-def _compose_hypothesis(kind: str, y: FinSpace, z: FinSpace) -> tuple:
-    """The hypothesis count and budget of every triple through (y, z)."""
+def _compose_hypothesis(kind: str, y: FinSpace, z: FinSpace) -> VerdictReport:
+    """The verdict of every triple through (y, z), which holds: its
+    hypothesis count and budget, under a claim naming the pair alone."""
     rp = relative_profile(y, z)
     hyp_name = _COMPOSE_HYPOTHESIS[kind]
     budget = (
@@ -329,7 +335,8 @@ def _compose_hypothesis(kind: str, y: FinSpace, z: FinSpace) -> tuple:
         ("locally_z_compact", rp.locally_z_compact),
         ("z_corecompact", rp.z_corecompact),
     )
-    return int(getattr(rp, hyp_name)), budget
+    claim = f"compose-hypothesis:{kind} {pair_tag(y, z)}"
+    return VerdictReport.of(claim, (), int(getattr(rp, hyp_name)), 1, budget=budget)
 
 
 def theorem_suite(

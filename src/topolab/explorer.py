@@ -10,16 +10,22 @@ Every probe verdict, count and budget is invariant under relabeling Y or
 Z; only a claim's pair tag and a witness name labeled spaces. So each
 runner takes its two sides as `checkers.SpaceAxis`es, decides one
 `checkers.class_table` entry per pair of class representatives (a
-comparison, a `t1z` topology, a splitting search; q6 and q7 leave theirs
-to `composition_rows`), and returns one row per labeled pair, in the
-labeled order, by indexing that table with the two class positions.
+comparison, or a report: q1's regularity verdict, a splitting search;
+q6 and q7 leave theirs to `composition_rows`), and returns one row per
+labeled pair, in the labeled order, by indexing that table with the two
+class positions. A report is a claim and a verdict, and a labeled row is
+its pair of deciders' report `named` once more, sharing the verdict.
 `question_search` runs it through `checkers.over_classes` on the class
 axes of `checkers.space_axes`, the pass the theorem suite makes on their
 T0 forms: when a row has a witness, the runner runs again with every
 labeled space deciding for itself, so the witnesses and their order are
-the labeled ones. The probes keep the class axes. q1 reads Z's
-separation profile, which a T0 quotient does not keep for a Z that is not
-T0, so a probe moves to T0 deciders only with its own invariance proof.
+the labeled ones. The probes keep the class axes. q1 reads only Z's
+`regular`, which holds when the distinct minimal opens partition the
+ground, and a T0 quotient keeps that; q1, q3.1-q3.3, q6, q7, q10 and q12
+give the class pass's bytes on the T0 axes at (3,2), (4,2) and (3,3),
+which a test checks. q8 and q9 do not: their instance and hypothesis
+counts read |C(Y,Z)|, which a T0 quotient shrinks, so a probe moves to T0
+deciders only with its own invariance proof.
 
 A probe's explanation distinguishes two kinds of clean outcome. Plain
 searches that find nothing say "no witness at these bounds". Where the
@@ -114,19 +120,17 @@ def _q1(ys, zs):
     # one row per pair with a regular codomain: is the function space under
     # the upper-family topology regular as well?
     def decide(y, z):
-        if separation_profile(z).regular:
-            return named_function_topology("t1z", y, z)
-        return None
+        if not separation_profile(z).regular:
+            return None
+        t = named_function_topology("t1z", y, z)
+        witnesses = [] if t.profile.regular else [("function_space_opens", t.opens.members)]
+        return VerdictReport.of(f"q1:regular t1z {pair_tag(y, z)}", witnesses, 1, 1)
 
-    rows = []
-    for y, z, t in _labeled_pairs(ys, zs, class_table(ys, zs, decide)):
-        if t is None:
-            continue
-        claim = f"q1:regular t1z {pair_tag(y, z)}"
-        ok = t.profile.regular
-        witnesses = [] if ok else [("function_space_opens", t.opens.members)]
-        rows.append(VerdictReport.of(claim, witnesses, 1, 1))
-    return rows
+    return [
+        r.named(f"q1:regular t1z {pair_tag(y, z)}")
+        for y, z, r in _labeled_pairs(ys, zs, class_table(ys, zs, decide))
+        if r is not None
+    ]
 
 
 def _equality_row(
@@ -158,15 +162,12 @@ def _composition(kind: str, ys, zs):
 
 def _splitting(kind: str, ys, zs):
     def decide(y, z):
-        t = named_function_topology(kind, y, z)
-        return f"splitting:{t.provenance}", refute_splitting(t, max_x=2)
+        return refute_splitting(named_function_topology(kind, y, z), max_x=2)
 
-    rows = []
-    for y, z, (head, r) in _labeled_pairs(ys, zs, class_table(ys, zs, decide)):
-        claim = f"{head} {pair_tag(y, z)}"
-        fields = (r.status, r.hypothesis_true_count, r.instance_count, r.witnesses, r.budget)
-        rows.append(VerdictReport(claim, *fields))
-    return rows
+    return [
+        r.named(f"splitting:{kind} {pair_tag(y, z)}")
+        for y, z, r in _labeled_pairs(ys, zs, class_table(ys, zs, decide))
+    ]
 
 
 def _q10(ys, zs):

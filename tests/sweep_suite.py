@@ -3,12 +3,13 @@ pass beside its oracles.
 
     PYTHONPATH=src python tests/sweep_suite.py --max-y 4 --max-z 3
 
-Raises every cap the bounds need, in this process only:
+Raises every cap the bounds need, in its own processes only:
 `checkers.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for,
 `mapspace.MAX_MAP_POINTS` to the larger of them, and
 `hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
 many points (32 at five). `finspace.MAX_ENUM_POINTS` stays, so a bound
-stops at five points. Each run starts with every module cache emptied:
+stops at five points. Each run goes in a fresh interpreter of its own,
+one at a time, so it starts with every module cache empty:
 - `theorem_suite`, which decides its pair rows once per pair of T0
   quotient classes;
 - `oracles.class_theorem_suite`, the class pass it replaced, once per
@@ -19,11 +20,11 @@ stops at five points. Each run starts with every module cache emptied:
   which decide on every labeled pair.
 
 It prints whether the suite's JSON bytes agree with both suite oracles,
-and the probes' with theirs; each cold time in raw seconds, and the peak
-RSS after each run, both taken before the output is serialized. The peak
-is the process's high-water mark, so the runs go in the order above,
-small to large, and the labeled oracles' figures include the probes'
-JSON. For the suite and the probes it prints the map sets each built,
+and the probes' with theirs; each cold time in raw seconds, and each
+run's peak RSS, both taken before the output is serialized. The peak is
+the run's own: the `VmHWM` its process reads from /proc/self/status
+(Linux), which counts the interpreter and its imports but no other run.
+For the suite and the probes it prints the map sets each built,
 the misses of `mapspace.enumerate_continuous`, beside the pairs it reads.
 The suite's must be one per pair of T0 deciders, 192 at (4,3) and 261 at
 (5,2), and, for max_z >= 2, one for the divergence rows; the class pairs
@@ -38,40 +39,33 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import resource
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from oracles import class_theorem_suite, labeled_question_search, labeled_theorem_suite
-from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
+from topolab import checkers, explorer, hypertop, mapspace
 from topolab.explorer import QuestionProbe
 from topolab.finspace import discrete
 from topolab.reports import suite_to_json
 
 
-def clear_every_cache() -> None:
-    for mod in (finspace, mapspace, hypertop, fntop):
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+def raise_caps(max_y: int, max_z: int) -> None:
+    checkers.MAX_SUITE_Y = max(checkers.MAX_SUITE_Y, max_y)
+    checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, max_z)
+    points = max(max_y, max_z)
+    mapspace.MAX_MAP_POINTS = max(mapspace.MAX_MAP_POINTS, points)
+    hypertop.MAX_HYPER_GROUND = max(hypertop.MAX_HYPER_GROUND, 1 << points)
 
 
 def peak_rss_mb() -> float:
-    # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (1 << 20) if sys.platform == "darwin" else peak / (1 << 10)
-
-
-def cold_run(run, to_text, max_y: int, max_z: int) -> tuple[str, float, float, int]:
-    """run at the bounds from empty caches: its output through to_text, its
-    time and the peak RSS so far, both taken before the text is made, and
-    the map sets it built."""
-    clear_every_cache()
-    start = time.perf_counter()
-    out = run(max_y, max_z)
-    seconds = time.perf_counter() - start
-    peak, map_sets = peak_rss_mb(), mapspace.enumerate_continuous.cache_info().misses
-    return to_text(out), seconds, peak, map_sets
+    """This process's peak RSS so far, its `VmHWM` (Linux)."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / (1 << 10)  # in kB
+    raise RuntimeError("no VmHWM in /proc/self/status")
 
 
 def probes(search):
@@ -83,6 +77,40 @@ def probes(search):
     return run
 
 
+def probes_to_json(out: list[QuestionProbe]) -> str:
+    return "\n".join(probe.to_json() for probe in out)
+
+
+# each run by name: the route and how its output becomes text
+RUNS = {
+    "suite": (checkers.theorem_suite, suite_to_json),
+    "class": (class_theorem_suite, suite_to_json),
+    "probes": (probes(explorer.question_search), probes_to_json),
+    "labeled suite": (labeled_theorem_suite, suite_to_json),
+    "labeled probes": (probes(labeled_question_search), probes_to_json),
+}
+
+
+def cold_run(name: str, max_y: int, max_z: int) -> tuple[str, float, float, int]:
+    """The named run at the bounds, in a fresh interpreter: its output
+    through its text, its time and its peak RSS, both taken before the
+    text is made, and the map sets it built."""
+    raise_caps(max_y, max_z)
+    run, to_text = RUNS[name]
+    start = time.perf_counter()
+    out = run(max_y, max_z)
+    seconds = time.perf_counter() - start
+    peak, map_sets = peak_rss_mb(), mapspace.enumerate_continuous.cache_info().misses
+    return to_text(out), seconds, peak, map_sets
+
+
+def alone(name: str, max_y: int, max_z: int) -> tuple[str, float, float, int]:
+    """`cold_run` in a child process of its own, started fresh."""
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as child:
+        return child.submit(cold_run, name, max_y, max_z).result()
+
+
 def probe_class_pairs(ys, zs) -> int:
     """The distinct (domain, codomain) class pairs whose map sets the
     probes read: Y x Z, and X x Y and X x Z for the first factor X of
@@ -91,10 +119,6 @@ def probe_class_pairs(ys, zs) -> int:
     xs = ys.upto(explorer.MAX_COMPOSE_X).reps
     reads = ((ys.reps, zs.reps), (xs, ys.reps), (xs, zs.reps), (ys.reps, [discrete(2)]))
     return len({(a, b) for dom, cod in reads for a in dom for b in cod})
-
-
-def probes_to_json(out: list[QuestionProbe]) -> str:
-    return "\n".join(probe.to_json() for probe in out)
 
 
 def report(name: str, bounds: str, got, oracles: dict) -> bool:
@@ -119,21 +143,13 @@ def main(argv=None) -> int:
     p.add_argument("--max-y", type=int, default=4)
     p.add_argument("--max-z", type=int, default=3)
     args = p.parse_args(argv)
-    checkers.MAX_SUITE_Y = max(checkers.MAX_SUITE_Y, args.max_y)
-    checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, args.max_z)
-    points = max(args.max_y, args.max_z)
-    mapspace.MAX_MAP_POINTS = max(mapspace.MAX_MAP_POINTS, points)
-    hypertop.MAX_HYPER_GROUND = max(hypertop.MAX_HYPER_GROUND, 1 << points)
+    raise_caps(args.max_y, args.max_z)
     bounds = f"({args.max_y},{args.max_z})"
     cap = (args.max_y, args.max_z)
-    suite_got = cold_run(checkers.theorem_suite, suite_to_json, *cap)
-    class_want = cold_run(class_theorem_suite, suite_to_json, *cap)
-    probes_got = cold_run(probes(explorer.question_search), probes_to_json, *cap)
-    suite_want = {
-        "class": class_want,
-        "labeled": cold_run(labeled_theorem_suite, suite_to_json, *cap),
-    }
-    probes_want = {"labeled": cold_run(probes(labeled_question_search), probes_to_json, *cap)}
+    suite_got = alone("suite", *cap)
+    probes_got = alone("probes", *cap)
+    suite_want = {"class": alone("class", *cap), "labeled": alone("labeled suite", *cap)}
+    probes_want = {"labeled": alone("labeled probes", *cap)}
     ys, zs = checkers.space_axes(args.max_y, args.max_z)
     class_pairs = len(ys.reps) * len(zs.reps)
     t0_pairs = len(ys.t0.reps) * len(zs.t0.reps)

@@ -5,12 +5,12 @@ import pytest
 from conftest import clear_every_cache, spy_on_class_passes
 from oracles import labeled_question_search
 from topolab import checkers, explorer, fntop, mapspace
-from topolab.checkers import SpaceAxis, composition_rows, space_axes
+from topolab.checkers import SpaceAxis, composition_rows, over_classes, space_axes
 from topolab.errors import BudgetExceeded, UnknownQuestion
 from topolab.explorer import QUESTION_IDS, QuestionProbe, question_search
 from topolab.finspace import bits, discrete, indiscrete, mask_of
 from topolab.fntop import FnTopology, named_function_topology
-from topolab.reports import pair_tag
+from topolab.reports import pair_tag, suite_to_json
 
 
 def test_registry_covers_every_question():
@@ -138,6 +138,26 @@ def test_class_probes_match_the_labeled_oracle(monkeypatch, bounds):
         got = question_search(qid, *bounds).to_json()
         assert got == labeled_question_search(qid, *bounds).to_json(), qid
     assert passes == [bounds] * len(explorer._RUNNERS) and reruns == []
+
+
+# the ids whose rows read only what a T0 quotient keeps: q1 reads Z's
+# `regular`, which holds when the distinct minimal opens partition the
+# ground; q8 and q9 count C(Y,Z), which a quotient shrinks
+_T0_IDS = ("q1", "q3.1", "q3.2", "q3.3", "q6", "q7", "q10", "q12")
+
+
+def test_t0_probes_match_the_class_pass(suite_caps):
+    # each id's runner through `over_classes` on the T0 forms of the axes
+    # gives the bytes of the class pass, at (3,2) and with the caps raised
+    # at (4,2) and (3,3); q8 and q9 do not, so the probes stay on the
+    # class axes
+    suite_caps(4, 3)
+    for bounds in ((3, 2), (4, 2), (3, 3)):
+        ys, zs = space_axes(*bounds)
+        for qid, (run, _) in explorer._RUNNERS.items():
+            got = suite_to_json(over_classes(run, ys.t0, zs.t0))
+            same = got == suite_to_json(over_classes(run, ys, zs))
+            assert same == (qid in _T0_IDS), (qid, bounds)
 
 
 def _is_sierpinski(z):

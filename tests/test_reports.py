@@ -49,3 +49,28 @@ def test_every_row_fails_exactly_when_it_has_witnesses():
         assert (r.status == "fails") == bool(r.witnesses), r.claim
     # both clean outcomes and the expected failures occur
     assert {r.status for r in rows} == {"holds", "fails", "inconclusive"}
+
+
+def test_named_keeps_the_verdict_under_another_claim():
+    rep = VerdictReport("c", "fails", 2, 5, (("w",),), (("pairs", 5),), False)
+    twin = rep.named("d")
+    assert twin.claim == "d" and rep.claim == "c"
+    assert twin == VerdictReport("d", "fails", 2, 5, (("w",),), (("pairs", 5),), False)
+    assert hash(twin) == hash(("d", "fails", 2, 5, (("w",),), (("pairs", 5),), False))
+    assert twin.to_json() == rep.to_json().replace('"claim": "c"', '"claim": "d"')
+    assert twin._verdict is rep._verdict
+    for name in ("claim", "status", "witnesses"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(twin, name, None)
+        with pytest.raises(AttributeError, match=name):
+            delattr(twin, name)
+    assert rep.named("c") == rep
+
+
+@pytest.mark.parametrize("qid, rows", [("q1", 102), ("q6", 850), ("q8", 170)])
+def test_labeled_rows_share_their_deciders_verdicts(qid, rows):
+    # at (3,2) the 13 Y classes and 4 Z classes make 52 class pairs: each
+    # labeled row names the verdict of its pair of deciders
+    result = question_search(qid, 3, 2).result
+    assert len(result) == rows
+    assert len({id(r._verdict) for r in result}) <= 52
