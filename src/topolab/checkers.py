@@ -60,6 +60,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 
+from .caps import CAPS
 from .duality import is_admissible_on_ozy, tau_of_t
 from .errors import BudgetExceeded
 from .finspace import (
@@ -84,9 +85,7 @@ from .fntop import (
     named_function_topology,
 )
 from .hypertop import compact_subbasis_topology, strong_z_scott, z_scott
-from .mapspace import (  # the two budget constants are public here too
-    MAX_SPLITTING_INSTANCES,
-    MAX_SPLITTING_X,
+from .mapspace import (
     MapSet,
     continuous_slice_count,
     enumerate_continuous,
@@ -98,8 +97,6 @@ from .mapspace import (  # the two budget constants are public here too
 )
 from .reports import VerdictReport, fam_tag, pair_tag
 
-MAX_SUITE_Y = 3
-MAX_SUITE_Z = 2
 DEFAULT_REFINEMENT_SAMPLES = 100
 
 # which relative hypothesis backs the composition statement for each kind of
@@ -132,7 +129,7 @@ def is_admissible(t: FnTopology) -> VerdictReport:
     failure pins the codomain open together with the literal product
     preimage. `finspace.is_open_in_product(t, y, preimage)` replays the
     witness at any size, building no product, as nothing here does;
-    `product()` itself stops at MAX_GROUND points.
+    `product()` itself stops at `CAPS.MAX_GROUND` points.
     """
     maps = t.maps
     witnesses = []
@@ -160,8 +157,8 @@ def refute_splitting(
     exact. Exhaustion proves nothing about larger X, hence inconclusive.
 
     Every assignment of slices counts as an instance, Σ_X |maps|^n in all,
-    so the count is known, and held to MAX_SPLITTING_INSTANCES, before any X
-    is enumerated; max_x below 1 raises ValueError.
+    so the count is known, and held to `CAPS.MAX_SPLITTING_INSTANCES`,
+    before any X is enumerated; max_x below 1 raises ValueError.
 
     The jointly continuous assignments are counted by
     `mapspace.continuous_slice_count` on the pointwise relation. When t lies
@@ -440,12 +437,13 @@ def space_axes(max_y: int, max_z: int) -> tuple[SpaceAxis, SpaceAxis]:
     homeomorphism class, `enumerate_topologies(n, up_to_iso=True)`, its
     class read off `finspace.class_index`. The bounds are checked first: one
     below one point raises ValueError, as it would leave every row vacuous,
-    and one past MAX_SUITE_Y or MAX_SUITE_Z raises BudgetExceeded."""
+    and one past `CAPS.MAX_SUITE_Y` or `CAPS.MAX_SUITE_Z` raises
+    BudgetExceeded."""
     if max_y < 1 or max_z < 1:
         raise ValueError(f"bounds ({max_y},{max_z}) need at least 1 point each")
-    if max_y > MAX_SUITE_Y or max_z > MAX_SUITE_Z:
+    if max_y > CAPS.MAX_SUITE_Y or max_z > CAPS.MAX_SUITE_Z:
         raise BudgetExceeded(
-            f"bounds ({max_y},{max_z}) exceed ({MAX_SUITE_Y},{MAX_SUITE_Z})"
+            f"bounds ({max_y},{max_z}) exceed ({CAPS.MAX_SUITE_Y},{CAPS.MAX_SUITE_Z})"
         )
     axes = []
     for limit in (max_y, max_z):

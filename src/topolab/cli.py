@@ -144,11 +144,6 @@ def _hyper_dict(h: HyperSpace) -> dict:
     }
 
 
-def _fail(message: str) -> int:
-    print(json.dumps({"error": message}), file=sys.stderr)
-    return 2
-
-
 def _verdict_exit(reports) -> int:
     return 1 if any(r.status == "fails" and r.expected for r in reports) else 0
 
@@ -163,7 +158,7 @@ def _cmd_space_validate(args) -> int:
 
 def _cmd_space_enum(args) -> int:
     if args.points < 0:
-        return _fail("--points must be nonnegative")
+        raise MalformedInput("--points must be nonnegative")
     spaces = enumerate_topologies(args.points)
     _emit(
         {
@@ -188,7 +183,7 @@ def _cmd_topo_build(args) -> int:
         _emit(_hyper_dict(_HYPER_KINDS[args.kind](y)), args.out)
         return 0
     if args.z is None:
-        return _fail(f"--kind {args.kind} needs --z")
+        raise MalformedInput(f"--kind {args.kind} needs --z")
     z = _space_from(_load(args.z))
     if args.kind in _HYPER_Z_KINDS:
         _emit(_hyper_dict(_HYPER_Z_KINDS[args.kind](y, z)), args.out)
@@ -213,7 +208,7 @@ def _cmd_check_splitting(args) -> int:
 def _cmd_check_compose(args) -> int:
     kinds = tuple(args.kinds.split(","))
     if len(kinds) != 3 or not set(kinds) <= set(NAMED):
-        return _fail(f"--kinds needs three of {','.join(NAMED)}")
+        raise MalformedInput(f"--kinds needs three of {','.join(NAMED)}")
     rep = composition_check(
         _space_from(_load(args.x)),
         _space_from(_load(args.y)),
@@ -251,7 +246,7 @@ def _cmd_dual_t_of_tau(args) -> int:
     for key, sp in (("y", y), ("z", z)):
         given = _field(obj, key, "an object", None)
         if given is not None and _space_from(given).opens != sp.opens:
-            return _fail(f"dual file's {key} disagrees with --{key}")
+            raise MalformedInput(f"dual file's {key} disagrees with --{key}")
     tau = DualSpace.of(y, z, _field(obj, "opens", "a list of masks"))
     t = t_of_tau(tau, enumerate_continuous(y, z))
     _emit(_fn_dict(t), args.out)

@@ -6,11 +6,17 @@ class TopolabError(Exception):
 
 
 class MalformedInput(TopolabError):
-    """An input file is not the JSON shape its command reads."""
+    """An input file is not the JSON shape its command reads, or a
+    command's arguments do not fit together: a negative point count, a
+    kind missing its codomain, a kinds list that is not three named
+    kinds, or a dual file whose y or z disagrees with the given ones."""
 
 
 class GroundTooLarge(TopolabError):
-    """Ground set exceeds the 32-point bit-vector limit (or an enumeration cap)."""
+    """A ground is past a size cap: `CAPS.MAX_GROUND` for a subset family
+    or a product, `CAPS.MAX_ENUM_POINTS` for a topology listing, or
+    `CAPS.MAX_HYPER_GROUND` for a hyperspace or a Scott-type subbasis
+    read."""
 
 
 class NotATopology(TopolabError):
@@ -27,7 +33,12 @@ class NotATopology(TopolabError):
 
 
 class BudgetExceeded(TopolabError):
-    """A configured search or enumeration budget was exceeded."""
+    """A search or enumeration is past its budget: `CAPS.MAX_MAP_POINTS`
+    for a map listing, `CAPS.MAX_SPLITTING_X` or
+    `CAPS.MAX_SPLITTING_INSTANCES` for a splitting search,
+    `CAPS.MAX_CANONICAL_RELABELS` for a canonical form,
+    `CAPS.MAX_SUITE_Y` or `CAPS.MAX_SUITE_Z` for the suite's and the
+    probes' bounds, or `FnTopology.materialize`'s `budget` of opens."""
 
 
 class NotZRepresentable(TopolabError):

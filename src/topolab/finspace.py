@@ -28,19 +28,14 @@ quotients.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import islice, permutations
 from math import factorial
 from operator import attrgetter
 
+from .caps import CAPS, cached
 from .errors import BudgetExceeded, GroundTooLarge, NotATopology
 
 Subset = int
-
-MAX_GROUND = 32
-MAX_ENUM_POINTS = 5
-# the most relabeled opens, n! * |opens|, `canonical_form` will build
-MAX_CANONICAL_RELABELS = 1_000_000
 
 
 def full_mask(size: int) -> Subset:
@@ -208,8 +203,8 @@ class SubsetFamily(Frozen):
     def of(cls, ground_size: int, masks: Iterable[Subset]) -> "SubsetFamily":
         if ground_size < 0:
             raise ValueError(f"point count must be at least 0, got {ground_size}")
-        if ground_size > MAX_GROUND:
-            raise GroundTooLarge(f"ground of {ground_size} points exceeds {MAX_GROUND}")
+        if ground_size > CAPS.MAX_GROUND:
+            raise GroundTooLarge(f"ground of {ground_size} points exceeds {CAPS.MAX_GROUND}")
         full = full_mask(ground_size)
         ordered = sorted(set(masks))
         if ordered and (ordered[0] < 0 or ordered[-1] & ~full):
@@ -376,8 +371,8 @@ def generate_from_subbasis(
 def product(a: FinSpace, b: FinSpace) -> FinSpace:
     """Product space on pairs (i, j) indexed row-major as i * b.size + j."""
     size = a.size * b.size
-    if size > MAX_GROUND:
-        raise GroundTooLarge(f"product ground of {size} points exceeds {MAX_GROUND}")
+    if size > CAPS.MAX_GROUND:
+        raise GroundTooLarge(f"product ground of {size} points exceeds {CAPS.MAX_GROUND}")
     rects = [rectangle_mask(u, v, b.size) for u in a.opens for v in b.opens]
     labels = tuple(
         f"({a.label_of(i)},{b.label_of(j)})" for i in range(a.size) for j in range(b.size)
@@ -494,7 +489,7 @@ def min_open_profile(mins: tuple[Subset, ...]) -> LocalProfile:
     )
 
 
-@lru_cache(maxsize=None)
+@cached
 def _profile(x: FinSpace) -> LocalProfile:
     return min_open_profile(x.min_opens)
 
@@ -514,7 +509,7 @@ def boundedness_verdict(x: FinSpace, b: Subset) -> tuple[bool, str]:
     return True, "finite-shortcut"
 
 
-@lru_cache(maxsize=None)
+@cached
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...]:
     """All topologies on n labeled points, canonically ordered.
 
@@ -528,8 +523,8 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> tuple[FinSpace, ...
     """
     if n < 0:
         raise ValueError(f"point count must be at least 0, got {n}")
-    if n > MAX_ENUM_POINTS:
-        raise GroundTooLarge(f"enumeration capped at {MAX_ENUM_POINTS} points")
+    if n > CAPS.MAX_ENUM_POINTS:
+        raise GroundTooLarge(f"enumeration capped at {CAPS.MAX_ENUM_POINTS} points")
     if up_to_iso:
         return tuple(x for x, _ in topology_classes(n))
     if n == 0:
@@ -567,7 +562,7 @@ def class_index(n: int) -> tuple[int, ...]:
     return _orbit_sweep(n)[1]
 
 
-@lru_cache(maxsize=None)
+@cached
 def _orbit_sweep(n: int) -> tuple[tuple[tuple[FinSpace, int], ...], tuple[int, ...]]:
     """`topology_classes(n)` and `class_index(n)`, from one sweep.
 
@@ -638,12 +633,12 @@ def canonical_form(x: FinSpace) -> tuple[Subset, ...]:
 
     A plain scan over the permutations: it serves one space of any size,
     where building `_relabel_tables` would cost more than the scan. The scan
-    relabels n! * |opens| opens; past MAX_CANONICAL_RELABELS it raises
+    relabels n! * |opens| opens; past `CAPS.MAX_CANONICAL_RELABELS` it raises
     BudgetExceeded before the first permutation."""
     work = factorial(x.size) * len(x.opens)
-    if work > MAX_CANONICAL_RELABELS:
+    if work > CAPS.MAX_CANONICAL_RELABELS:
         raise BudgetExceeded(
-            f"canonical form needs {work} relabeled opens, over {MAX_CANONICAL_RELABELS}"
+            f"canonical form needs {work} relabeled opens, over {CAPS.MAX_CANONICAL_RELABELS}"
         )
     best = None
     for perm in permutations(range(x.size)):

@@ -33,9 +33,9 @@ records which route produced a topology so reports can say so.
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable
-from functools import lru_cache
 from itertools import islice
 
+from .caps import cached
 from .errors import BudgetExceeded, MismatchedBase, MismatchedGround, NotATopology
 from .finspace import (
     FinSpace,
@@ -215,15 +215,16 @@ def kset_topology(maps: MapSet, compactness: str = "plain") -> FnTopology:
     return FnTopology(maps, maps.pointwise, provenance)
 
 
-@lru_cache(maxsize=None)
+@cached
 def named_function_topology(name: str, y: FinSpace, z: FinSpace) -> FnTopology:
     """The named topology on C(Y, Z). On a finite Y every name is the
     pointwise topology, so each carries `MapSet.pointwise` as its minimal
     opens. The name is recorded, and `FnTopology.subbasis` lists the
     subbasis off O_Z(Y) on each read, building no hyperspace. Its
     GroundTooLarge check cannot fire here: `enumerate_continuous` caps Y
-    at MAX_MAP_POINTS points, which have at most 1 << MAX_MAP_POINTS
-    opens, and that is at most MAX_HYPER_GROUND, as a test checks."""
+    at `CAPS.MAX_MAP_POINTS` points, which have at most
+    1 << `CAPS.MAX_MAP_POINTS` opens, and that is at most
+    `CAPS.MAX_HYPER_GROUND`, as a test checks."""
     if name not in NAMED:
         raise ValueError(f"unknown topology name {name!r}; expected one of {NAMED}")
     maps = enumerate_continuous(y, z)

@@ -46,8 +46,7 @@ traces on O_Z(Y) to the rows of up (README "Lifts see only O_Z(Y)"), and
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from .caps import CAPS, cached
 from .errors import GroundTooLarge, MismatchedGround
 from .finspace import (
     FinSpace,
@@ -63,8 +62,6 @@ from .finspace import (
     meets_by_point,
 )
 from .mapspace import o_z_family, way_below_z
-
-MAX_HYPER_GROUND = 16
 
 
 class HyperSpace(Frozen):
@@ -120,12 +117,12 @@ class HyperSpace(Frozen):
     @staticmethod
     def check_cap(y: FinSpace) -> None:
         """The cap on O(Y) that `scott` and a named subbasis read apply."""
-        if len(y.opens) > MAX_HYPER_GROUND:
-            msg = f"{len(y.opens)} opens exceed the hyperspace cap of {MAX_HYPER_GROUND}"
+        if len(y.opens) > CAPS.MAX_HYPER_GROUND:
+            msg = f"{len(y.opens)} opens exceed the hyperspace cap of {CAPS.MAX_HYPER_GROUND}"
             raise GroundTooLarge(msg)
 
 
-@lru_cache(maxsize=None)
+@cached
 def scott(y: FinSpace) -> HyperSpace:
     """Families upward-closed from every member, (beta) over all opens: the
     rows of up, the one table of O(Y)'s rows the other constructors read."""
@@ -150,7 +147,7 @@ def _filtration(y: FinSpace, trigger: int, strong: bool, kind: str) -> HyperSpac
     return HyperSpace(y, h.ground, rows, kind)
 
 
-@lru_cache(maxsize=None)
+@cached
 def strong_scott(y: FinSpace) -> HyperSpace:
     """Scott's rows: the strong condition adds Y's index, which every up-set
     of an open already holds."""
@@ -158,14 +155,14 @@ def strong_scott(y: FinSpace) -> HyperSpace:
     return HyperSpace(y, h.ground, h.min_opens, "sscott")
 
 
-@lru_cache(maxsize=None)
+@cached
 def z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """Like scott, but (alpha) fires only from preimage-family members and
     (beta) draws its collections from the preimage family."""
     return _filtration(y, _preimage_mask(y, z), False, "zscott")
 
 
-@lru_cache(maxsize=None)
+@cached
 def strong_z_scott(y: FinSpace, z: FinSpace) -> HyperSpace:
     """The pool is the preimage family. It holds Y when a continuous map
     exists; otherwise it is empty, no cover exists, and this is z_scott."""
@@ -180,7 +177,7 @@ def _preimage_mask(y: FinSpace, z: FinSpace) -> int:
     return sum(1 << i for i, g in enumerate(ground) if g in oz)
 
 
-@lru_cache(maxsize=None)
+@cached
 def compact_subbasis_topology(y: FinSpace) -> HyperSpace:
     """Topology generated by the sets {opens containing K}, K any subset.
     The least of them holding g is the one for K = g, the up-set of g, so

@@ -31,8 +31,8 @@ listing's point cap does not bound them."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import lru_cache
 
+from .caps import CAPS, cached
 from .errors import BudgetExceeded, NotOpen, NotZRepresentable
 from .finspace import (
     FinSpace,
@@ -53,10 +53,7 @@ from .finspace import (
     transpose,
 )
 
-MAX_MAP_POINTS = 4
-MAX_SPLITTING_X = 4
-MAX_SPLITTING_INSTANCES = 250_000
-# how many test spaces a slice search walks on n = 1..MAX_SPLITTING_X
+# how many test spaces a slice search walks on n = 1..CAPS.MAX_SPLITTING_X
 # points: all labeled topologies (OEIS A000798), or one per homeomorphism
 # class (OEIS A001930) under symmetry reduction
 _TEST_SPACES = {False: (1, 4, 29, 355), True: (1, 3, 9, 33)}
@@ -216,7 +213,7 @@ def monotone_prefixes(
             cand ^= 1 << w
 
 
-@lru_cache(maxsize=None)
+@cached
 def enumerate_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     """C(Y, Z) in lexicographic table order: `monotone_prefixes` over Y's
     `links` into Z's minimal opens and `ups`, each head's last values
@@ -224,12 +221,13 @@ def enumerate_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     minimal open of f(p) for every q in p's minimal open, which is what the
     walk tests. The tables come out in `itertools.product` order, the map
     index every witness names, and are kept as the walk forms them; no
-    ContMap is built. A factor past MAX_MAP_POINTS raises BudgetExceeded;
-    the cap is read when a pair is first listed, the cache keyed on (Y, Z)
-    alone."""
-    if y.size > MAX_MAP_POINTS or z.size > MAX_MAP_POINTS:
+    ContMap is built. A factor past `CAPS.MAX_MAP_POINTS` raises
+    BudgetExceeded; the cap is read when a pair is first listed, the cache
+    keyed on (Y, Z) alone, and setting the cap empties the cache."""
+    cap = CAPS.MAX_MAP_POINTS
+    if y.size > cap or z.size > cap:
         raise BudgetExceeded(
-            f"map enumeration capped at {MAX_MAP_POINTS} points per factor; "
+            f"map enumeration capped at {cap} points per factor; "
             f"got {y.size} and {z.size}"
         )
     if not y.size:
@@ -238,7 +236,7 @@ def enumerate_continuous(y: FinSpace, z: FinSpace) -> MapSet:
     return MapSet(y, z, tuple([head + (w,) for head, cand in walk for w in bits(cand)]))
 
 
-@lru_cache(maxsize=None)
+@cached
 def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     """O_Z(Y), every preimage of a Z-open under a continuous map,
     canonically ordered, read off Z's specialization order with no map
@@ -255,7 +253,7 @@ def o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     return SubsetFamily.of(y.size, (0, y.full))
 
 
-@lru_cache(maxsize=None)
+@cached
 def z_topology(y: FinSpace, z: FinSpace) -> FinSpace:
     """Topology on Y generated by the preimage family as a subbasis. Each
     case of `o_z_family` but the 0-point Z is a topology already: O(Y),
@@ -276,7 +274,7 @@ class RelativeProfile(Frozen):
     regular_locally_z_compact: bool
 
 
-@lru_cache(maxsize=None)
+@cached
 def relative_profile(y: FinSpace, z: FinSpace) -> RelativeProfile:
     oz = o_z_family(y, z)
     ztop = z_topology(y, z)
@@ -310,7 +308,7 @@ def way_below_z(y: FinSpace, z: FinSpace, a: Subset, u: Subset) -> bool:
     return a & ~u == 0
 
 
-@lru_cache(maxsize=None)
+@cached
 def sierpinski_correspondence(y: FinSpace) -> tuple[tuple[Subset, ContMap], ...]:
     """Opens of Y paired with their characteristic maps into the two-point
     space with one open point; a bijection onto C(Y, S)."""
@@ -325,17 +323,18 @@ def sierpinski_correspondence(y: FinSpace) -> tuple[tuple[Subset, ContMap], ...]
 def slice_instances(nmaps: int, max_x: int, up_to_iso: bool) -> int:
     """Σ_X |maps|^n over the test spaces X on 1..max_x points: the slice
     assignments a bounded X-search counts as instances. Below one point it
-    raises ValueError; past MAX_SPLITTING_X or MAX_SPLITTING_INSTANCES it
-    raises BudgetExceeded, before any X is enumerated."""
+    raises ValueError; past `CAPS.MAX_SPLITTING_X` or
+    `CAPS.MAX_SPLITTING_INSTANCES` it raises BudgetExceeded, before any X
+    is enumerated."""
     if max_x < 1:
         raise ValueError(f"max_x must be at least 1, got {max_x}")
-    if max_x > MAX_SPLITTING_X:
-        raise BudgetExceeded(f"max_x of {max_x} exceeds {MAX_SPLITTING_X}")
+    if max_x > CAPS.MAX_SPLITTING_X:
+        raise BudgetExceeded(f"max_x of {max_x} exceeds {CAPS.MAX_SPLITTING_X}")
     per_size = _TEST_SPACES[up_to_iso]
     instances = sum(per_size[n - 1] * nmaps**n for n in range(1, max_x + 1))
-    if instances > MAX_SPLITTING_INSTANCES:
+    if instances > CAPS.MAX_SPLITTING_INSTANCES:
         raise BudgetExceeded(
-            f"{instances} slice assignments exceed {MAX_SPLITTING_INSTANCES}"
+            f"{instances} slice assignments exceed {CAPS.MAX_SPLITTING_INSTANCES}"
         )
     return instances
 
@@ -360,7 +359,7 @@ def first_escape(sub, sup) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+@cached
 def continuous_slice_count(below: tuple[int, ...], max_x: int, up_to_iso: bool) -> int:
     """How many slice assignments over the test spaces on 1..max_x points
     respect the relation `below` and its transpose: the hypothesis count of

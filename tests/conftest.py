@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from topolab import checkers, explorer, finspace, fntop, hypertop, mapspace
+from topolab import checkers, explorer
+from topolab.caps import CAPS
 from topolab.finspace import FinSpace, chain, discrete, enumerate_topologies, indiscrete, make_space, sierpinski
 
 
@@ -54,46 +55,34 @@ def maybe_labeled(draw, max_points):
     return x
 
 
-def clear_every_cache() -> None:
-    """Empty every module-level cache of the package, so what follows runs
-    cold: the four modules below hold all of them."""
-    for mod in (finspace, mapspace, hypertop, fntop):
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 @pytest.fixture
 def map_points(monkeypatch):
-    """Set `mapspace.MAX_MAP_POINTS` for one test. The cap is read when a
-    pair is first listed, so every cache is emptied after the test, and no
-    map set listed past the usual cap outlives it."""
-    yield lambda points: monkeypatch.setattr(mapspace, "MAX_MAP_POINTS", points)
-    clear_every_cache()
+    """Set `CAPS.MAX_MAP_POINTS` for one test. Setting a cap empties every
+    cache, and so does monkeypatch's undo, so no map set listed past the
+    usual cap outlives the test."""
+    return lambda points: monkeypatch.setattr(CAPS, "MAX_MAP_POINTS", points)
 
 
 @pytest.fixture
 def suite_caps(monkeypatch):
     """Raise every cap a suite at (max_y, max_z) needs for one test, as
-    `tests/sweep_suite.py` does: `checkers.MAX_SUITE_Y` and `MAX_SUITE_Z`
-    to the bounds, `mapspace.MAX_MAP_POINTS` to the larger of them, and
-    `hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
-    many points. No cap is lowered. Caps are read when a cache entry is
-    first built, so every cache is emptied after the test, as `map_points`
-    empties them."""
+    `tests/sweep_suite.py` does: `CAPS.MAX_SUITE_Y` and `MAX_SUITE_Z` to
+    the bounds, `CAPS.MAX_MAP_POINTS` to the larger of them, and
+    `CAPS.MAX_HYPER_GROUND` to the opens of the discrete space on that
+    many points. No cap is lowered. Setting a cap, and monkeypatch's undo
+    of it, empties every cache, as for `map_points`."""
 
     def raise_caps(max_y: int, max_z: int) -> None:
         points = max(max_y, max_z)
-        for module, name, value in (
-            (checkers, "MAX_SUITE_Y", max_y),
-            (checkers, "MAX_SUITE_Z", max_z),
-            (mapspace, "MAX_MAP_POINTS", points),
-            (hypertop, "MAX_HYPER_GROUND", 1 << points),
+        for name, value in (
+            ("MAX_SUITE_Y", max_y),
+            ("MAX_SUITE_Z", max_z),
+            ("MAX_MAP_POINTS", points),
+            ("MAX_HYPER_GROUND", 1 << points),
         ):
-            monkeypatch.setattr(module, name, max(getattr(module, name), value))
+            monkeypatch.setattr(CAPS, name, max(getattr(CAPS, name), value))
 
-    yield raise_caps
-    clear_every_cache()
+    return raise_caps
 
 
 def spy_on_class_passes(monkeypatch) -> tuple[list, list]:

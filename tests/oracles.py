@@ -236,7 +236,7 @@ def literal_continuous(y: FinSpace, z: FinSpace) -> MapSet:
 def literal_o_z_family(y: FinSpace, z: FinSpace) -> SubsetFamily:
     """O_Z(Y) by listing: the union of the preimage rows of C(Y, Z), the
     route `o_z_family` replaced by its closed form. The listing's point
-    cap, `mapspace.MAX_MAP_POINTS`, applies."""
+    cap, `CAPS.MAX_MAP_POINTS`, applies."""
     rows = enumerate_continuous(y, z).preimage_rows
     return SubsetFamily.of(y.size, set().union(*rows.values()))
 

@@ -4,11 +4,11 @@ pass beside its oracles.
     PYTHONPATH=src python tests/sweep_suite.py --max-y 4 --max-z 3
 
 Raises every cap the bounds need, in its own processes only:
-`checkers.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for,
-`mapspace.MAX_MAP_POINTS` to the larger of them, and
-`hypertop.MAX_HYPER_GROUND` to the opens of the discrete space on that
-many points (32 at five). `finspace.MAX_ENUM_POINTS` stays, so a bound
-stops at five points. Each run goes in a fresh interpreter of its own,
+`CAPS.MAX_SUITE_Y` and `MAX_SUITE_Z` to the bounds asked for,
+`CAPS.MAX_MAP_POINTS` to the larger of them, and
+`CAPS.MAX_HYPER_GROUND` to the opens of the discrete space on that many
+points (32 at five). `CAPS.MAX_ENUM_POINTS` stays, so a bound stops at
+five points. Each run goes in a fresh interpreter of its own,
 one at a time, so it starts with every module cache empty:
 - `theorem_suite`, which decides its pair rows once per pair of T0
   quotient classes;
@@ -45,18 +45,19 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from oracles import class_theorem_suite, labeled_question_search, labeled_theorem_suite
-from topolab import checkers, explorer, hypertop, mapspace
+from topolab import checkers, explorer, mapspace
+from topolab.caps import CAPS
 from topolab.explorer import QuestionProbe
 from topolab.finspace import discrete
 from topolab.reports import suite_to_json
 
 
 def raise_caps(max_y: int, max_z: int) -> None:
-    checkers.MAX_SUITE_Y = max(checkers.MAX_SUITE_Y, max_y)
-    checkers.MAX_SUITE_Z = max(checkers.MAX_SUITE_Z, max_z)
+    CAPS.MAX_SUITE_Y = max(CAPS.MAX_SUITE_Y, max_y)
+    CAPS.MAX_SUITE_Z = max(CAPS.MAX_SUITE_Z, max_z)
     points = max(max_y, max_z)
-    mapspace.MAX_MAP_POINTS = max(mapspace.MAX_MAP_POINTS, points)
-    hypertop.MAX_HYPER_GROUND = max(hypertop.MAX_HYPER_GROUND, 1 << points)
+    CAPS.MAX_MAP_POINTS = max(CAPS.MAX_MAP_POINTS, points)
+    CAPS.MAX_HYPER_GROUND = max(CAPS.MAX_HYPER_GROUND, 1 << points)
 
 
 def peak_rss_mb() -> float:

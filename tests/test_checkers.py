@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import all_spaces_up_to, clear_every_cache, spy_on_class_passes
+from conftest import all_spaces_up_to, spy_on_class_passes
 from oracles import (
     class_theorem_suite,
     literal_characteristic_homeomorphism,
@@ -27,9 +27,8 @@ from oracles import (
     searched_refute_splitting,
 )
 from topolab import checkers, finspace, fntop
+from topolab.caps import CAPS, clear_caches
 from topolab.checkers import (
-    MAX_SPLITTING_INSTANCES,
-    MAX_SPLITTING_X,
     composition_check,
     composition_rows,
     is_admissible,
@@ -231,13 +230,13 @@ def test_refute_splitting_matches_literal_oracle():
     # four-point test spaces, on a two-map set
     maps = enumerate_continuous(make_space(1, [0, 1]), sierpinski())
     for sym in (True, False):
-        fast = refute_splitting(fn_discrete(maps), MAX_SPLITTING_X, sym)
+        fast = refute_splitting(fn_discrete(maps), CAPS.MAX_SPLITTING_X, sym)
         assert fast.to_dict() == literal_refute_splitting(
-            fn_discrete(maps), MAX_SPLITTING_X, sym
+            fn_discrete(maps), CAPS.MAX_SPLITTING_X, sym
         ).to_dict()
         assert fast.instance_count == sum(
             len(enumerate_topologies(n, up_to_iso=sym)) * 2**n
-            for n in range(1, MAX_SPLITTING_X + 1)
+            for n in range(1, CAPS.MAX_SPLITTING_X + 1)
         )
 
 
@@ -252,7 +251,7 @@ def test_refute_splitting_instance_budget(monkeypatch):
     wide = named_function_topology("co", discrete(4), indiscrete(4))
     assert len(wide.maps) == 256
     assert refute_splitting(wide, max_x=2).instance_count == 196_864
-    assert 196_864 < MAX_SPLITTING_INSTANCES
+    assert 196_864 < CAPS.MAX_SPLITTING_INSTANCES
     # at max_x=3 the closed-form count rejects it before any X is enumerated
     def no_test_spaces(*args, **kwargs):
         raise AssertionError("test spaces enumerated past the budget")
@@ -327,9 +326,9 @@ def test_continuous_slice_count_matches_the_search():
                 searched = searched_refute_splitting(t, 3, sym).hypothesis_true_count
                 assert continuous_slice_count(pointwise, 3, sym) == searched
         # the answer does not depend on which call filled the cache first
-        continuous_slice_count.cache_clear()
+        clear_caches()
         labeled_first = [continuous_slice_count(pointwise, 3, sym) for sym in (False, True)]
-        continuous_slice_count.cache_clear()
+        clear_caches()
         class_first = [continuous_slice_count(pointwise, 3, sym) for sym in (True, False)]
         assert labeled_first == class_first[::-1]
 
@@ -346,7 +345,7 @@ def test_no_verdict_path_builds_a_contmap(monkeypatch):
     ]
 
     def run():
-        clear_every_cache()
+        clear_caches()
         return (
             theorem_suite(3, 2),
             [question_search(qid, 3, 2) for qid in QUESTION_IDS],
@@ -867,7 +866,7 @@ def test_suite_reads_each_pair_once():
     # topologies and one Z-topology per T0 pair, and one map set more for
     # the divergence rows. The labeled oracle reads the 34 labeled Y
     # against S again through the same table builder
-    clear_every_cache()
+    clear_caches()
     theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
@@ -879,7 +878,7 @@ def test_suite_reads_each_pair_once():
         for fn in (mapspace.enumerate_continuous, named_function_topology, mapspace.z_topology)
     ]
     assert misses == [24 + 1, 24 * 6, 24]
-    clear_every_cache()
+    clear_caches()
     labeled_theorem_suite(3, 2)
     reads = [
         fn.cache_info().hits + fn.cache_info().misses
@@ -905,8 +904,8 @@ def test_class_suite_matches_its_labeled_oracle(monkeypatch):
                     assert got == want
                     configs += 1
     assert configs == 180
-    monkeypatch.setattr(checkers, "MAX_SUITE_Y", 4)
-    monkeypatch.setattr(checkers, "MAX_SUITE_Z", 3)
+    monkeypatch.setattr(CAPS, "MAX_SUITE_Y", 4)
+    monkeypatch.setattr(CAPS, "MAX_SUITE_Z", 3)
     for bounds in ((4, 2), (3, 3)):
         got = suite_to_json(theorem_suite(*bounds))
         assert got == suite_to_json(labeled_theorem_suite(*bounds))
@@ -963,7 +962,7 @@ def test_a_cold_suite_lists_maps_only_between_t0_spaces(monkeypatch, suite_caps)
 
     for module in (checkers, fntop):
         monkeypatch.setattr(module, "enumerate_continuous", spy)
-    clear_every_cache()
+    clear_caches()
     theorem_suite(4, 3)
     pairs = set(listed)
     assert (discrete(1), sierpinski()) in pairs

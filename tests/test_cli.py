@@ -330,6 +330,29 @@ def test_bad_arguments_exit_two(tmp_path, capsys):
     assert code == 2 and "--kinds" in err
 
 
+def test_bad_arguments_name_their_error_class(tmp_path, capsys):
+    # an argument check fails as a malformed file does: the error class
+    # under "error" and the message under "detail"
+    spath = write(tmp_path, "s.json", S)
+    other = write(tmp_path, "other.json", {"points": 2, "opens": [0, 1, 3]})
+    tau = write(tmp_path, "tau.json", {"y": S, "z": S, "opens": [0, 7]})
+    for argv, detail in (
+        (["space", "enum", "--points", "-1"], "--points must be nonnegative"),
+        (["topo", "build", "--kind", "zscott", "--y", spath], "--kind zscott needs --z"),
+        (
+            ["check", "compose", "--x", spath, "--y", spath, "--z", spath, "--kinds", "coZ,coZ"],
+            f"--kinds needs three of {','.join(NAMED)}",
+        ),
+        (
+            ["dual", "t-of-tau", "--dual", tau, "--y", other, "--z", spath],
+            "dual file's y disagrees with --y",
+        ),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "MalformedInput", "detail": detail}
+
+
 def test_closed_stdout_exits_141_without_a_message():
     # the enumeration of 6,942 spaces outgrows a pipe buffer, so the write
     # meets the closed read end

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import clear_every_cache, spy_on_class_passes
+from conftest import spy_on_class_passes
 from oracles import labeled_question_search
 from topolab import checkers, explorer, fntop, mapspace
+from topolab.caps import CAPS, clear_caches
 from topolab.checkers import SpaceAxis, composition_rows, over_classes, space_axes
 from topolab.errors import BudgetExceeded, UnknownQuestion
 from topolab.explorer import QUESTION_IDS, QuestionProbe, question_search
@@ -131,8 +132,8 @@ def test_class_probes_match_the_labeled_oracle(monkeypatch, bounds):
     # every id decided once per class pair (or triple) gives the bytes of
     # the same runner with every labeled space its own class, and no rerun
     # on the labeled pairs ran: one would hide a false class witness
-    monkeypatch.setattr(checkers, "MAX_SUITE_Y", 4)
-    monkeypatch.setattr(checkers, "MAX_SUITE_Z", 3)
+    monkeypatch.setattr(CAPS, "MAX_SUITE_Y", 4)
+    monkeypatch.setattr(CAPS, "MAX_SUITE_Z", 3)
     passes, reruns = spy_on_class_passes(monkeypatch)
     for qid in QUESTION_IDS:
         got = question_search(qid, *bounds).to_json()
@@ -294,7 +295,7 @@ def test_a_cold_probe_pass_builds_once_per_class_pair(monkeypatch):
     # points, 36 map sets more. Deciding on the 170 labeled pairs built
     # 315 map sets, 1,310 named topologies and 170 relative profiles, and
     # ran 340 splitting searches
-    clear_every_cache()
+    clear_caches()
     searches = []
     real = explorer.refute_splitting
 

@@ -20,6 +20,7 @@ from oracles import (
     literal_space_check,
 )
 from topolab import finspace
+from topolab.caps import CAPS
 from topolab.errors import BudgetExceeded, GroundTooLarge, NotATopology
 from topolab.finspace import (
     FinSpace,
@@ -502,9 +503,9 @@ def test_canonical_form_identifies_relabeled_chain(s, chain2):
 def test_canonical_form_is_refused_past_its_relabel_cap(monkeypatch):
     x = chain(3)  # 3! * 4 = 24 relabeled opens
     want = canonical_form(x)
-    monkeypatch.setattr(finspace, "MAX_CANONICAL_RELABELS", 24)
+    monkeypatch.setattr(CAPS, "MAX_CANONICAL_RELABELS", 24)
     assert canonical_form(x) == want
-    monkeypatch.setattr(finspace, "MAX_CANONICAL_RELABELS", 23)
+    monkeypatch.setattr(CAPS, "MAX_CANONICAL_RELABELS", 23)
 
     def no_scan(*args):
         raise AssertionError("permutation scan started past the cap")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topolab import duality, fntop, hypertop, mapspace
+from topolab import duality, fntop
+from topolab.caps import CAPS
 from topolab.checkers import is_admissible
 from topolab.duality import is_admissible_on_ozy, tau_of_t
 from topolab.errors import (
@@ -39,7 +40,6 @@ from topolab.fntop import (
     named_function_topology,
 )
 from topolab.hypertop import (
-    MAX_HYPER_GROUND,
     HyperSpace,
     compact_subbasis_topology,
     scott,
@@ -480,8 +480,8 @@ def test_the_map_cap_keeps_named_subbasis_reads_within_the_hyperspace_cap():
     # a Y that C(Y,Z) lists has at most the opens of the discrete space on
     # MAX_MAP_POINTS points, so a named topology's subbasis read never
     # meets GroundTooLarge; raising one cap without the other fails here
-    y = discrete(mapspace.MAX_MAP_POINTS)
-    assert len(y.opens) == 1 << mapspace.MAX_MAP_POINTS <= hypertop.MAX_HYPER_GROUND
+    y = discrete(CAPS.MAX_MAP_POINTS)
+    assert len(y.opens) == 1 << CAPS.MAX_MAP_POINTS <= CAPS.MAX_HYPER_GROUND
 
 
 def test_named_subbasis_reads_keep_the_hyperspace_cap(map_points):
@@ -492,7 +492,7 @@ def test_named_subbasis_reads_keep_the_hyperspace_cap(map_points):
     map_points(5)
     y = discrete(5)
     maps = enumerate_continuous(y, sierpinski())
-    assert len(y.opens) > MAX_HYPER_GROUND and len(maps) == 32
+    assert len(y.opens) > CAPS.MAX_HYPER_GROUND and len(maps) == 32
     for name in NAMED:
         source = None if name in ("co", "coZ") else name
         t = FnTopology(maps, maps.pointwise, name, source)

@@ -17,6 +17,7 @@ from oracles import (
     map_index,
 )
 from topolab import finspace, mapspace
+from topolab.caps import CAPS, clear_caches
 from topolab.duality import DualSpace
 from topolab.errors import (
     BudgetExceeded,
@@ -41,7 +42,6 @@ from topolab.finspace import (
 )
 from topolab.fntop import NAMED, lift_open_family, named_function_topology
 from topolab.hypertop import (
-    MAX_HYPER_GROUND,
     compact_subbasis_topology,
     scott,
     strong_scott,
@@ -60,7 +60,7 @@ from topolab.mapspace import (
     z_topology,
 )
 
-from conftest import all_spaces_up_to, clear_every_cache, maybe_labeled
+from conftest import all_spaces_up_to, maybe_labeled
 
 
 def test_self_maps_of_sierpinski(s):
@@ -138,7 +138,7 @@ def test_the_walk_never_filters(monkeypatch):
     ]
 
     def build():
-        clear_every_cache()
+        clear_caches()
         return [
             (enumerate_continuous(y, z), [named_function_topology(k, y, z) for k in NAMED])
             for y, z in pairs
@@ -239,19 +239,19 @@ def test_o_z_family_is_the_union_of_the_preimage_rows():
                 assert relative_profile(yy, z).z_top == got
     assert len(spaces) * len(zs) == 13_650
     assert mapless == 1 + 4 + 29 + 355
-    clear_every_cache()
+    clear_caches()
 
 
 def test_the_listing_oracle_shares_the_package_map_set():
     # one cache entry per pair: the oracle's listing and the named
     # topology's read the same C(Y,Z)
     y, z = chain(3), sierpinski()
-    clear_every_cache()
+    clear_caches()
     literal_o_z_family(y, z)
     maps = named_function_topology("co", y, z).maps
     assert maps is enumerate_continuous(y, z)
     assert enumerate_continuous.cache_info().currsize == 1
-    clear_every_cache()
+    clear_caches()
 
 
 def _five_point_spaces():
@@ -279,7 +279,7 @@ def test_closed_form_lists_no_map(monkeypatch):
         (empty, lambda y: () if y.size else (0,)),
     )
     ys = [empty] + all_spaces_up_to(3) + _five_point_spaces()
-    clear_every_cache()
+    clear_caches()
     monkeypatch.setattr(mapspace, "enumerate_continuous", refuse)
     for z, family in cases:
         with monkeypatch.context() as m:
@@ -293,7 +293,7 @@ def test_closed_form_lists_no_map(monkeypatch):
                     assert zt is y
                 else:
                     assert zt == generate_from_subbasis(y.size, oz, y.labels)
-    clear_every_cache()
+    clear_caches()
 
 
 def test_a_five_point_y_reaches_the_closed_form(map_points):
@@ -315,7 +315,7 @@ def test_a_five_point_y_reaches_the_closed_form(map_points):
             rp = relative_profile(y, z)
             assert rp.locally_z_bounded == literal_locally_z_bounded(y, want, ztop)
             assert rp.z_corecompact == literal_z_corecompact(y, want, ztop)
-            if len(y.opens) > MAX_HYPER_GROUND:
+            if len(y.opens) > CAPS.MAX_HYPER_GROUND:
                 with pytest.raises(GroundTooLarge):
                     z_scott(y, z)
                 continue
@@ -358,7 +358,7 @@ def test_cached_results_keep_the_callers_labels():
     bare = make_space(2, [0, 0b10, 0b11])
     assert a != bare and b != bare and a != b
     for unlabeled_first in (False, True):
-        clear_every_cache()
+        clear_caches()
         if unlabeled_first:
             for z in (sierpinski(), indiscrete(2)):
                 _build_everything(bare, z)
@@ -432,7 +432,7 @@ def test_relative_profile_matches_literal_oracles():
         assert rp.z_corecompact == literal_z_corecompact(y, oz, ztop)
         failing += not rp.locally_z_bounded
     assert 0 < failing < len(pairs)
-    clear_every_cache()
+    clear_caches()
 
 
 def test_way_below_matches_containment():
